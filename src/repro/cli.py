@@ -36,7 +36,7 @@ in flight, flushes the telemetry sinks, and exits with the resumable code
 run stopped.  A second signal hard-exits immediately.  Worker supervision
 flags ``--max-pool-respawns``, ``--quarantine-threshold`` and
 ``--heartbeat`` control how ``--jobs N`` runs survive SIGKILLed or hung
-worker processes (see :mod:`repro.runtime.parallel`).
+worker processes (see :mod:`repro.runtime.runner`).
 
 Exit codes: 0 success, 1 runtime error, 2 usage error, 3 completed but
 degraded (some units failed and were skipped; the failure log is printed
@@ -53,7 +53,7 @@ from contextlib import nullcontext
 from pathlib import Path
 
 from .bench.generator import DesignRecipe
-from .bench.suite import GROUPS, group_of
+from .bench.suite import GROUPS, group_of, suite_recipes
 from .core.evaluation import format_table2, summarize_shape
 from .core.experiment import run_experiment
 from .core.explain import explain_hotspots
@@ -68,7 +68,6 @@ from .features.names import describe_feature, feature_names
 from .layout.design_stats import format_table1, group_statistics
 from .runtime import (
     FaultTolerantRunner,
-    ParallelRunner,
     ReproRuntimeError,
     RetryPolicy,
     ShutdownRequested,
@@ -81,6 +80,7 @@ from .runtime.telemetry import (
     format_metrics,
     format_span_tree,
     format_top_spans,
+    get_tracer,
     load_trace,
     manifest_path_for,
     new_run_id,
@@ -186,15 +186,13 @@ def _runner_from_args(args: argparse.Namespace) -> FaultTolerantRunner:
         backoff_base_s=args.retry_backoff if args.max_retries else 0.0,
         timeout_s=args.timeout,
     )
-    jobs = getattr(args, "jobs", 1)
-    if jobs > 1:
-        return ParallelRunner(
-            jobs, policy, fail_fast=args.fail_fast, verbose=True,
-            max_pool_respawns=getattr(args, "max_pool_respawns", 3),
-            quarantine_threshold=getattr(args, "quarantine_threshold", 2),
-            heartbeat_s=getattr(args, "heartbeat", None),
-        )
-    return FaultTolerantRunner(policy, fail_fast=args.fail_fast, verbose=True)
+    return FaultTolerantRunner(
+        policy, fail_fast=args.fail_fast, verbose=True,
+        jobs=getattr(args, "jobs", 1),
+        max_pool_respawns=getattr(args, "max_pool_respawns", 3),
+        quarantine_threshold=getattr(args, "quarantine_threshold", 2),
+        heartbeat_s=getattr(args, "heartbeat", None),
+    )
 
 
 def _suite_checkpoint_dir(scale: float):
@@ -274,11 +272,9 @@ def _explain(args: argparse.Namespace) -> int:
         args.scale, cache_path=cache, runner=runner, resume=args.resume,
         checkpoint_dir=_suite_checkpoint_dir(args.scale),
     )
-    from .bench.suite import SUITE_RECIPES
-
-    outcome = runner.run_unit(
-        "explain", args.design, run_flow, SUITE_RECIPES[args.design]
-    )
+    # the flow of the very recipe the (scaled) suite was built from
+    recipe = next(r for r in suite_recipes(args.scale) if r.name == args.design)
+    outcome = runner.run_unit("explain", args.design, run_flow, recipe)
     if not outcome.ok:
         return _report_failures(runner) or 1
     reports = explain_hotspots(
@@ -323,7 +319,11 @@ def _flow(args: argparse.Namespace) -> int:
         macro_area_frac=0.08 if args.macros else 0.0,
         seed=args.seed,
     )
-    result = run_flow(recipe)
+    # the stage times printed below are the flow span's children, so trace
+    # the flow even without --trace (and hand the spans on to a --trace run)
+    with activate(Tracer()) as local:
+        result = run_flow(recipe)
+    get_tracer().adopt(local.snapshot())
     from .route.report import routing_report
 
     print(result.stats.format_row())
@@ -332,8 +332,8 @@ def _flow(args: argparse.Namespace) -> int:
     print()
     print(f"violations : {result.drc_report.num_violations} "
           f"({result.stats.num_hotspots} hotspot g-cells)")
-    for stage, sec in result.stage_seconds.items():
-        print(f"  {stage:<12s} {sec:6.2f} s")
+    for stage in local.roots[0].children:
+        print(f"  {stage.name:<12s} {stage.wall_s:6.2f} s")
     return 0
 
 

@@ -15,10 +15,14 @@ Designs carrying the ad-hoc sentinel group (< 0, see
 :data:`repro.core.pipeline.ADHOC_GROUP`) never form a test fold and are kept
 out of training stacks, so stray designs cannot leak into the protocol.
 
-Each (model, group) pair is one *unit* of the fault-tolerant runtime: it is
-retried/skipped per the runner's policy, validated (NaN/Inf/shape guards)
-before fit and predict, and — when a ``checkpoint_dir`` is given — its
-scores are checkpointed so an interrupted grid resumes where it stopped.
+Each (model, group) pair is one *unit* of the fault-tolerant runtime, and
+every pending unit of a run is submitted to the runner as one batch (model
+by model, groups in sorted order).  A unit is retried/skipped per the
+runner's policy, validated (NaN/Inf/shape guards) before fit and predict,
+and — when a ``checkpoint_dir`` is given — its scores are checkpointed so an
+interrupted grid resumes where it stopped.  Its ``experiment_unit`` span
+reaches the run's trace through the runner, which collects and adopts each
+unit's telemetry.
 Every unit checkpoint embeds a SHA-256 fingerprint of the suite contents and
 the protocol knobs (:func:`suite_fingerprint`), so checkpoints produced
 against a different suite — e.g. one degraded by a failed design flow — are
@@ -33,7 +37,6 @@ from __future__ import annotations
 
 import hashlib
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -49,7 +52,7 @@ from ..ml.scaling import StandardScaler
 from ..runtime.checkpoint import CheckpointStore
 from ..runtime.errors import CacheCorruptionError
 from ..runtime.runner import FaultTolerantRunner
-from ..runtime.telemetry import TelemetrySnapshot, Tracer, activate, get_tracer
+from ..runtime.telemetry import get_tracer
 from ..runtime.validation import validate_features
 from .models import ModelSpec
 
@@ -134,12 +137,7 @@ class ExperimentResult:
 
 @dataclass
 class GroupUnitResult:
-    """Output of one (model, group) unit — everything the aggregation needs.
-
-    ``telemetry`` carries the worker's span subtree/metrics back to the
-    parent; it is runtime-only and deliberately excluded from the JSON
-    checkpoint (a resumed unit has no fresh telemetry to replay).
-    """
+    """Output of one (model, group) unit — everything the aggregation needs."""
 
     group: int
     params: dict[str, Any]
@@ -149,7 +147,6 @@ class GroupUnitResult:
     prediction_ops: float
     n_pred_designs: int
     scores: list[DesignScore]
-    telemetry: TelemetrySnapshot | None = None
 
     def to_json(self) -> dict[str, Any]:
         return {
@@ -243,123 +240,93 @@ def _fit_and_score_group(
     """Train/tune on everything but group ``g`` and score its designs.
 
     Returns ``None`` when the training stack holds no positives (the unit is
-    skipped, not failed).
+    skipped, not failed).  The whole unit is one ``experiment_unit`` span.
     """
     tracer = get_tracer()
-    adhoc = tuple({d.group for d in suite.designs if d.group < 0})
-    X_train, y_train, train_groups = suite.stacked(exclude_groups=(g, *adhoc))
-    test_designs = [d for d in suite.designs if d.group == g]
-    if y_train.sum() == 0:
-        return None
-    validate_features(X_train, y_train, name=f"{spec.name}/train-g{g}")
+    with tracer.span("experiment_unit", model=spec.name, group=g):
+        adhoc = tuple({d.group for d in suite.designs if d.group < 0})
+        X_train, y_train, train_groups = suite.stacked(exclude_groups=(g, *adhoc))
+        test_designs = [d for d in suite.designs if d.group == g]
+        if y_train.sum() == 0:
+            return None
+        validate_features(X_train, y_train, name=f"{spec.name}/train-g{g}")
 
-    scaler: StandardScaler | None = None
-    if spec.needs_scaling:
-        scaler = StandardScaler().fit(X_train)
-        X_fit = scaler.transform(X_train)
-    else:
-        X_fit = X_train
-
-    params: dict[str, Any] = {}
-    t0 = time.process_time()
-    with tracer.span("train"):
-        # one quantisation pass per experiment split: every grid-search
-        # fold row-slices this dataset and the final refit reuses it, so
-        # ml.binning.fits stays at one per (binned model, group)
-        binned = BinnedDataset.from_matrix(X_fit) if spec.supports_binned else None
-        if tune and spec.param_grid:
-            search = grid_search(spec.factory, spec.param_grid, X_fit, y_train,
-                                 train_groups, binned=binned)
-            params = search.best_params
-        model = spec.factory(**params)
-        if binned is not None:
-            model.fit(X_fit, y_train, binned=binned)
+        scaler: StandardScaler | None = None
+        if spec.needs_scaling:
+            scaler = StandardScaler().fit(X_train)
+            X_fit = scaler.transform(X_train)
         else:
-            model.fit(X_fit, y_train)
-    train_minutes = (time.process_time() - t0) / 60.0
+            X_fit = X_train
 
-    # complexity on this group's model (averaged at the end);
-    # custom estimators without a complexity model count as zero
-    num_parameters = prediction_ops = 0.0
-    X_ref = X_fit[: min(len(X_fit), 2048)]
-    try:
-        report = complexity_of(model, X_ref, spec.name)
-    except TypeError:
-        report = None
-    if report is not None:
-        num_parameters = report.num_parameters
-        prediction_ops = report.prediction_ops_per_sample
-
-    scores: list[DesignScore] = []
-    predict_minutes = 0.0
-    n_pred_designs = 0
-    for d in test_designs:
-        if d.num_hotspots == 0 or d.num_hotspots == d.num_samples:
-            continue  # metrics undefined (paper footnote 3)
-        validate_features(d.X, d.y, name=f"{spec.name}/test-{d.name}")
-        X_test = scaler.transform(d.X) if scaler is not None else d.X
+        params: dict[str, Any] = {}
         t0 = time.process_time()
-        with tracer.span("score", design=d.name):
-            s = positive_scores(model, X_test)
-        predict_minutes += (time.process_time() - t0) / 60.0
-        tracer.counter("experiment.designs_scored")
-        n_pred_designs += 1
-        scores.append(
-            DesignScore(
-                design=d.name,
-                model=spec.name,
-                metrics=evaluate_scores(d.y, s, target_fpr),
+        with tracer.span("train"):
+            # one quantisation pass per experiment split: every grid-search
+            # fold row-slices this dataset and the final refit reuses it, so
+            # ml.binning.fits stays at one per (binned model, group)
+            binned = BinnedDataset.from_matrix(X_fit) if spec.supports_binned else None
+            if tune and spec.param_grid:
+                search = grid_search(spec.factory, spec.param_grid, X_fit, y_train,
+                                     train_groups, binned=binned)
+                params = search.best_params
+            model = spec.factory(**params)
+            if binned is not None:
+                model.fit(X_fit, y_train, binned=binned)
+            else:
+                model.fit(X_fit, y_train)
+        train_minutes = (time.process_time() - t0) / 60.0
+
+        # complexity on this group's model (averaged at the end);
+        # custom estimators without a complexity model count as zero
+        num_parameters = prediction_ops = 0.0
+        X_ref = X_fit[: min(len(X_fit), 2048)]
+        try:
+            report = complexity_of(model, X_ref, spec.name)
+        except TypeError:
+            report = None
+        if report is not None:
+            num_parameters = report.num_parameters
+            prediction_ops = report.prediction_ops_per_sample
+
+        scores: list[DesignScore] = []
+        predict_minutes = 0.0
+        n_pred_designs = 0
+        for d in test_designs:
+            if d.num_hotspots == 0 or d.num_hotspots == d.num_samples:
+                continue  # metrics undefined (paper footnote 3)
+            validate_features(d.X, d.y, name=f"{spec.name}/test-{d.name}")
+            X_test = scaler.transform(d.X) if scaler is not None else d.X
+            t0 = time.process_time()
+            with tracer.span("score", design=d.name):
+                s = positive_scores(model, X_test)
+            predict_minutes += (time.process_time() - t0) / 60.0
+            tracer.counter("experiment.designs_scored")
+            n_pred_designs += 1
+            scores.append(
+                DesignScore(
+                    design=d.name,
+                    model=spec.name,
+                    metrics=evaluate_scores(d.y, s, target_fpr),
+                )
             )
+            if verbose:
+                m = scores[-1].metrics
+                print(
+                    f"  {spec.name:<9s} {d.name:<12s} TPR*={m.tpr_star:.4f} "
+                    f"Prec*={m.prec_star:.4f} A_prc={m.a_prc:.4f}",
+                    flush=True,
+                )
+
+        return GroupUnitResult(
+            group=g,
+            params=params,
+            train_minutes=train_minutes,
+            predict_minutes=predict_minutes,
+            num_parameters=num_parameters,
+            prediction_ops=prediction_ops,
+            n_pred_designs=n_pred_designs,
+            scores=scores,
         )
-        if verbose:
-            m = scores[-1].metrics
-            print(
-                f"  {spec.name:<9s} {d.name:<12s} TPR*={m.tpr_star:.4f} "
-                f"Prec*={m.prec_star:.4f} A_prc={m.a_prc:.4f}",
-                flush=True,
-            )
-
-    return GroupUnitResult(
-        group=g,
-        params=params,
-        train_minutes=train_minutes,
-        predict_minutes=predict_minutes,
-        num_parameters=num_parameters,
-        prediction_ops=prediction_ops,
-        n_pred_designs=n_pred_designs,
-        scores=scores,
-    )
-
-
-def _experiment_unit(
-    suite: SuiteDataset,
-    spec: ModelSpec,
-    g: int,
-    target_fpr: float,
-    tune: bool,
-    verbose: bool,
-    collect_telemetry: bool = False,
-) -> GroupUnitResult | None:
-    """One runnable (model, group) unit, with optional telemetry collection.
-
-    Mirrors the suite builder's ``_flow_unit_payload``: with telemetry on,
-    the unit body runs under a fresh local tracer — identically in a worker
-    process and in the serial runner — and its snapshot rides back inside
-    the :class:`GroupUnitResult` envelope for the parent to adopt in sorted
-    group order.
-    """
-    local = Tracer() if collect_telemetry else None
-    with activate(local) if local is not None else nullcontext():
-        span = (
-            local.span("experiment_unit", model=spec.name, group=g)
-            if local is not None
-            else nullcontext()
-        )
-        with span:
-            unit = _fit_and_score_group(suite, spec, g, target_fpr, tune, verbose)
-    if unit is not None and local is not None:
-        unit.telemetry = local.snapshot()
-    return unit
 
 
 def run_experiment(
@@ -376,9 +343,10 @@ def run_experiment(
     """Run the full leave-one-group-out protocol for every model.
 
     Every (model, group) pair runs as one fault-tolerant unit under
-    ``runner`` (default: fail-fast, serial; a
-    :class:`~repro.runtime.parallel.ParallelRunner` fans a model's group
-    units out across worker processes).  With a non-fail-fast runner a
+    ``runner`` (default: fail-fast, serial; a ``jobs > 1`` runner fans the
+    units out across worker processes).  All pending units go to the runner
+    in one batch, model by model with groups in sorted order, so a pool
+    stays busy across model boundaries.  With a non-fail-fast runner a
     failing unit is recorded in ``runner.failures`` and its group is skipped
     for that model, degrading Table II instead of aborting it.  With a
     ``checkpoint_dir``, finished units are checkpointed — always from the
@@ -414,17 +382,12 @@ def run_experiment(
 
     # ad-hoc sentinel groups (< 0) never form a test fold
     groups_present = sorted({d.group for d in suite.designs if d.group >= 0})
-    scores: list[DesignScore] = []
-    run_stats: list[ModelRunStats] = []
-
+    results: dict[str, GroupUnitResult] = {}  # by unit name, "<model>__g<group>"
+    pending = []
     for spec in models:
-        stats = ModelRunStats(model=spec.name)
-        n_models = 0
-        n_pred_designs = 0
-        unit_results: dict[int, GroupUnitResult] = {}
-        pending: list[int] = []
         for g in groups_present:
-            key = f"{spec.name}__g{g}.json"
+            name = f"{spec.name}__g{g}"
+            key = f"{name}.json"
             if store is not None and resume and store.has(key):
                 try:
                     doc = store.load_json(key)
@@ -436,52 +399,42 @@ def run_experiment(
                             f"{key}: checkpoint was produced against a "
                             "different suite or protocol (stale fingerprint)"
                         )
-                    unit_results[g] = GroupUnitResult.from_json(doc.get("unit", {}))
+                    results[name] = GroupUnitResult.from_json(doc.get("unit", {}))
                     tracer.counter("checkpoint.resume_skips")
                     continue
                 except CacheCorruptionError:
                     store.invalidate(key)
-            pending.append(g)
+            pending.append(
+                (name, _fit_and_score_group,
+                 (suite, spec, g, target_fpr, tune, verbose), {})
+            )
 
-        def _unit_done(
-            unit_name: str,
-            outcome,
-            *,
-            _results: dict[int, GroupUnitResult] = unit_results,
-            _model: str = spec.name,
-        ) -> None:
-            # parent-side: checkpoint writes never happen in a worker
-            if not outcome.ok:
-                return  # recorded in runner.failures; degrade Table II
-            unit: GroupUnitResult | None = outcome.value
-            if unit is None:
-                return  # no positives in the training stack
-            _results[unit.group] = unit
-            if store is not None:
-                store.save_json(
-                    f"{_model}__g{unit.group}.json",
-                    {"suite_fingerprint": fingerprint, "unit": unit.to_json()},
-                )
+    def _unit_done(name: str, outcome) -> None:
+        # parent-side: checkpoint writes never happen in a worker
+        if not outcome.ok:
+            return  # recorded in runner.failures; degrade Table II
+        unit: GroupUnitResult | None = outcome.value
+        if unit is None:
+            return  # no positives in the training stack
+        results[name] = unit
+        if store is not None:
+            store.save_json(
+                f"{name}.json",
+                {"suite_fingerprint": fingerprint, "unit": unit.to_json()},
+            )
 
-        runner.run_units(
-            "experiment",
-            [
-                (
-                    f"{spec.name}__g{g}",
-                    _experiment_unit,
-                    (suite, spec, g, target_fpr, tune, verbose),
-                    {"collect_telemetry": tracer.enabled},
-                )
-                for g in pending
-            ],
-            on_result=_unit_done,
-        )
+    runner.run_units("experiment", pending, on_result=_unit_done)
 
+    scores: list[DesignScore] = []
+    run_stats: list[ModelRunStats] = []
+    for spec in models:
+        stats = ModelRunStats(model=spec.name)
+        n_models = 0
+        n_pred_designs = 0
         for g in groups_present:  # sorted: aggregation order is deterministic
-            unit = unit_results.get(g)
+            unit = results.get(f"{spec.name}__g{g}")
             if unit is None:
                 continue
-            tracer.adopt(unit.telemetry)
             stats.train_minutes += unit.train_minutes
             stats.predict_minutes_per_design += unit.predict_minutes
             stats.best_params_per_group[g] = unit.params

@@ -34,8 +34,7 @@ class ModelSpec:
 
     ``factory`` must be picklable (a module-level callable or a
     ``functools.partial`` over one): specs cross the process boundary when
-    (model, group) units run under a
-    :class:`~repro.runtime.parallel.ParallelRunner`.
+    (model, group) units run on the runner's process pool (``jobs > 1``).
     """
 
     name: str

@@ -23,18 +23,19 @@ fault-tolerant, resumable, and parallelisable (see :mod:`repro.runtime`):
 * a failing design can degrade the suite (recorded in the runner's failure
   log and skipped, like the paper's footnote-3 designs) instead of killing
   the run, when the caller passes a non-``fail_fast`` runner;
-* with a :class:`~repro.runtime.parallel.ParallelRunner`, design flows fan
-  out across worker processes.  Workers ship back a picklable
-  :class:`FlowPayload`; results are re-ordered to recipe order and all
-  checkpoint/cache writes stay in the parent, so a parallel build produces a
-  byte-identical cache pair and ``suite_fingerprint`` to a serial one.
+* with a ``jobs > 1`` :class:`~repro.runtime.runner.FaultTolerantRunner`,
+  design flows fan out across worker processes.  Each unit returns a
+  picklable :class:`FlowPayload`; results are re-ordered to recipe order
+  and all checkpoint/cache writes stay in the parent, so a parallel build
+  produces a byte-identical cache pair and ``suite_fingerprint`` to a
+  serial one.  The flows' spans reach the run's trace through the runner,
+  which collects and adopts each unit's telemetry.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -64,7 +65,7 @@ from ..runtime.checkpoint import (
 )
 from ..runtime.errors import CacheCorruptionError, StageFailure, ValidationError
 from ..runtime.runner import FaultTolerantRunner
-from ..runtime.telemetry import TelemetrySnapshot, Tracer, activate, get_tracer
+from ..runtime.telemetry import get_tracer
 from ..runtime.validation import validate_features
 
 #: Group index assigned to ad-hoc designs outside the named 14-design suite.
@@ -90,7 +91,6 @@ class FlowResult:
     stats: DesignStats
     X: np.ndarray
     y: np.ndarray
-    stage_seconds: dict[str, float]
 
     @property
     def dataset(self) -> DesignDataset:
@@ -123,16 +123,12 @@ def run_flow(
 ) -> FlowResult:
     """Run the full Fig. 1 flow for one design recipe.
 
-    Every stage is a tracer span.  When the ambient tracer is enabled the
-    spans land in its tree (nested under whatever span is open); otherwise a
-    throwaway measuring tracer keeps the timings, so ``stage_seconds`` — a
-    thin derived view of the span durations — is populated either way.
+    Every stage is a span of the ambient tracer, nested under whatever span
+    is open: ``flow`` with one child per :data:`FLOW_STAGES` entry.  With
+    the tracer disabled (the default) nothing is timed.
     """
     tracer = get_tracer()
-    if not tracer.enabled:
-        tracer = Tracer()  # local measuring tracer; discarded after the flow
-
-    with tracer.span("flow", design=recipe.name) as flow_span:
+    with tracer.span("flow", design=recipe.name):
         with tracer.span("generate"):
             design = generate_design(recipe)
 
@@ -153,8 +149,6 @@ def run_flow(
 
         stats = design_statistics(design, grid, report.num_hotspots(grid))
 
-    # legacy view of the span durations, kept for existing callers/tests
-    times = {c.name: c.wall_s for c in flow_span.children if c.name in FLOW_STAGES}
     return FlowResult(
         design=design,
         grid=grid,
@@ -164,7 +158,6 @@ def run_flow(
         stats=stats,
         X=X,
         y=y,
-        stage_seconds=times,
     )
 
 
@@ -185,38 +178,19 @@ def _run_flow_validated(recipe: DesignRecipe, *args, **kwargs) -> FlowResult:
 class FlowPayload:
     """The picklable slice of a :class:`FlowResult` the suite builder needs.
 
-    Parallel workers return this instead of the full ``FlowResult`` so only
-    the dataset, the Table I row, the stage timings, and the worker's
-    telemetry snapshot cross the process boundary — not the design netlist,
-    routing grid, and placement maps.
+    Worker processes return this instead of the full ``FlowResult`` so only
+    the dataset and the Table I row cross the process boundary — not the
+    design netlist, routing grid, and placement maps.
     """
 
     dataset: DesignDataset
     stats: DesignStats
-    stage_seconds: dict[str, float]
-    telemetry: TelemetrySnapshot | None = None
 
 
-def _flow_unit_payload(
-    recipe: DesignRecipe, collect_telemetry: bool = False
-) -> FlowPayload:
-    """One suite-builder unit: full validated flow, reduced to its payload.
-
-    With ``collect_telemetry`` the flow runs under a fresh local tracer —
-    in a worker process *and* in the serial runner — and ships its span
-    subtree/metrics back in the payload.  Both execution modes therefore
-    produce the same envelope, which the parent adopts in recipe order, so
-    serial and parallel manifests are semantically identical.
-    """
-    local = Tracer() if collect_telemetry else None
-    with activate(local) if local is not None else nullcontext():
-        result = _run_flow_validated(recipe)
-    return FlowPayload(
-        dataset=result.dataset,
-        stats=result.stats,
-        stage_seconds=result.stage_seconds,
-        telemetry=local.snapshot() if local is not None else None,
-    )
+def _flow_unit_payload(recipe: DesignRecipe) -> FlowPayload:
+    """One suite-builder unit: full validated flow, reduced to its payload."""
+    result = _run_flow_validated(recipe)
+    return FlowPayload(dataset=result.dataset, stats=result.stats)
 
 
 #: JSON sidecar fields persisted next to the dataset cache for Table I.
@@ -380,11 +354,10 @@ def build_suite_dataset(
     When ``cache_path`` is given and holds a valid cache pair, the dataset
     and stats are loaded with checksum verification.  Otherwise designs run
     as independent units under ``runner`` (default: fail-fast, no retries,
-    serial; a :class:`~repro.runtime.parallel.ParallelRunner` fans them out
-    across worker processes).  Each finished design is checkpointed — always
-    from the parent process — under ``checkpoint_dir`` (default:
-    ``<cache_path>.ckpt``) so a re-invocation after an interrupt re-runs only
-    the unfinished flows.  With a non-fail-fast runner, a permanently failing
+    serial; a ``jobs > 1`` runner fans them out across worker processes).
+    Each finished design is checkpointed — always from the parent process —
+    under ``checkpoint_dir`` (default: ``<cache_path>.ckpt``) so a
+    re-invocation after an interrupt re-runs only the unfinished flows.  With a non-fail-fast runner, a permanently failing
     design is recorded in ``runner.failures`` and skipped; the degraded suite
     is returned but the shared cache pair is only written when all designs
     succeeded.  Results are assembled in recipe order regardless of worker
@@ -416,7 +389,6 @@ def build_suite_dataset(
 
     recipes = suite_recipes(scale)
     done: dict[str, tuple[DesignDataset, DesignStats]] = {}
-    flow_telemetry: dict[str, TelemetrySnapshot] = {}
     pending: list[DesignRecipe] = []
     for recipe in recipes:
         key = f"{recipe.name}.npz"
@@ -442,34 +414,22 @@ def build_suite_dataset(
             return  # recorded in runner.failures; degrade the suite
         payload: FlowPayload = outcome.value
         done[unit] = (payload.dataset, payload.stats)
-        if payload.telemetry is not None:
-            flow_telemetry[unit] = payload.telemetry
         if store is not None:
             _save_design_checkpoint(store, payload)
         if verbose:
             print(
                 f"  {unit:<12s} {payload.stats.num_gcells:>6d} g-cells "
-                f"{payload.stats.num_hotspots:>5d} hotspots "
-                f"({sum(payload.stage_seconds.values()):.1f}s)",
+                f"{payload.stats.num_hotspots:>5d} hotspots",
                 flush=True,
             )
 
     runner.run_units(
         "flow",
-        [
-            (r.name, _flow_unit_payload, (r,),
-             {"collect_telemetry": tracer.enabled})
-            for r in pending
-        ],
+        [(r.name, _flow_unit_payload, (r,), {}) for r in pending],
         on_result=_flow_done,
     )
 
-    # re-assemble in recipe order so a parallel build is byte-identical —
-    # and adopt worker telemetry in the same order, so serial and parallel
-    # runs produce semantically identical span trees
-    for r in recipes:
-        if r.name in flow_telemetry:
-            tracer.adopt(flow_telemetry[r.name])
+    # re-assemble in recipe order so a parallel build is byte-identical
     datasets = [done[r.name][0] for r in recipes if r.name in done]
     stats = [done[r.name][1] for r in recipes if r.name in done]
 

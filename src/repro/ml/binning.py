@@ -211,14 +211,13 @@ def as_binned_dataset(
 ) -> BinnedDataset:
     """Coerce an estimator's ``binned`` argument into a :class:`BinnedDataset`.
 
-    Accepts a ready dataset, the legacy ``(mapper, codes)`` tuple, or
-    ``None`` (bin ``X`` now — the standalone-estimator path).
+    Accepts a ready dataset, or ``None`` (bin ``X`` now — the
+    standalone-estimator path).
     """
     if binned is None:
         if X is None:
             raise ValueError("either X or binned data must be provided")
         return BinnedDataset.from_matrix(X, max_bins)
-    if isinstance(binned, BinnedDataset):
-        return binned
-    mapper, codes = binned
-    return BinnedDataset(mapper, np.asarray(codes, dtype=np.uint8))
+    if not isinstance(binned, BinnedDataset):
+        raise TypeError(f"binned must be a BinnedDataset, got {type(binned).__name__}")
+    return binned

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .binning import BinMapper, BinnedDataset, as_binned_dataset
+from .binning import BinnedDataset, as_binned_dataset
 from .forest import ForestArrays
 from .tree import DecisionTreeClassifier, TreeArrays
 
@@ -54,7 +54,7 @@ class RUSBoostClassifier:
         self,
         X: np.ndarray,
         y: np.ndarray,
-        binned: BinnedDataset | tuple[BinMapper, np.ndarray] | None = None,
+        binned: BinnedDataset | None = None,
     ) -> "RUSBoostClassifier":
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y).astype(np.int8).ravel()

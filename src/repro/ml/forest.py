@@ -36,7 +36,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from ..runtime.telemetry import get_tracer
-from .binning import BinMapper, BinnedDataset, as_binned_dataset
+from .binning import BinnedDataset, as_binned_dataset
 from .tree import LEAF, DecisionTreeClassifier, TreeArrays
 
 
@@ -245,7 +245,7 @@ class RandomForestClassifier:
         """Worker count for this fit: 1 unless parallelism is safe and useful."""
         if self.n_jobs in (None, 1):
             return 1
-        # Inside a ParallelRunner flow worker the CPUs are already claimed by
+        # Inside a runner pool worker (--jobs) the CPUs are already claimed by
         # the outer pool — nested pools would oversubscribe, so grow serially.
         if multiprocessing.parent_process() is not None:
             return 1
@@ -257,7 +257,7 @@ class RandomForestClassifier:
         X: np.ndarray | None,
         y: np.ndarray,
         sample_weight: np.ndarray | None = None,
-        binned: BinnedDataset | tuple[BinMapper, np.ndarray] | None = None,
+        binned: BinnedDataset | None = None,
     ) -> "RandomForestClassifier":
         y = np.asarray(y).astype(np.int8).ravel()
         dataset = as_binned_dataset(binned, X, self.max_bins)

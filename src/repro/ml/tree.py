@@ -197,14 +197,14 @@ class DecisionTreeClassifier:
         X: np.ndarray | None,
         y: np.ndarray,
         sample_weight: np.ndarray | None = None,
-        binned: BinnedDataset | tuple[BinMapper, np.ndarray] | None = None,
+        binned: BinnedDataset | None = None,
     ) -> "DecisionTreeClassifier":
         """Grow the tree.
 
-        ``binned`` lets an ensemble share one :class:`BinnedDataset` (or the
-        legacy ``(mapper, codes)`` pair) across hundreds of trees instead of
-        re-binning per tree; with it, ``X`` may be ``None`` — prediction
-        uses real-valued thresholds, never the training matrix.
+        ``binned`` lets an ensemble share one :class:`BinnedDataset` across
+        hundreds of trees instead of re-binning per tree; with it, ``X`` may
+        be ``None`` — prediction uses real-valued thresholds, never the
+        training matrix.
         """
         y = np.asarray(y).astype(np.int8).ravel()
         if X is not None:

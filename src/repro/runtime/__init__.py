@@ -6,11 +6,10 @@ long-running path resumable and failure-isolated:
 
 * :mod:`repro.runtime.checkpoint` — atomic write-temp-then-rename persistence
   with SHA-256 content checksums and format-version stamping;
-* :mod:`repro.runtime.runner` — per-unit try/except isolation, retry with
-  backoff, wall-clock timeouts, and a structured failure log;
-* :mod:`repro.runtime.parallel` — a process-pool runner with the same unit
-  semantics, for fanning independent units out across CPU cores; the pool is
-  *supervised*: dead workers are detected and respawned with backoff, hung
+* :mod:`repro.runtime.runner` — one fault-tolerant runner: per-unit
+  isolation, retry with backoff, wall-clock timeouts and a structured
+  failure log, executing units inline or (``jobs > 1``) on a *supervised*
+  process pool — dead workers are detected and respawned with backoff, hung
   attempts are heartbeat-killed, and poison units are quarantined as
   structured ``worker_crash`` failures instead of breaking pools forever;
 * :mod:`repro.runtime.supervision` — two-stage SIGTERM/SIGINT handling:
@@ -25,7 +24,8 @@ long-running path resumable and failure-isolated:
   whole machinery is testable in CI;
 * :mod:`repro.runtime.telemetry` — hierarchical span tracing, counters and
   gauges, JSONL trace + ``run_manifest.json`` sinks, and picklable
-  snapshots so worker telemetry merges deterministically into the parent.
+  snapshots the runner uses to merge each unit's telemetry into the parent
+  in input order.
 """
 
 from .checkpoint import (
@@ -48,8 +48,14 @@ from .errors import (
     WorkerCrashError,
 )
 from .faults import FaultSpec, inject_faults
-from .parallel import ParallelRunner
-from .runner import FailureLog, FailureRecord, FaultTolerantRunner, RetryPolicy, UnitOutcome
+from .runner import (
+    FailureLog,
+    FailureRecord,
+    FaultTolerantRunner,
+    ParallelRunner,
+    RetryPolicy,
+    UnitOutcome,
+)
 from .supervision import graceful_shutdown, shutdown_requested
 from .telemetry import (
     TELEMETRY_SCHEMA_VERSION,

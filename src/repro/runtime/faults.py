@@ -31,8 +31,9 @@ Five fault kinds:
 deterministically at submit time (:func:`worker_directive`) and ships a
 plain directive tuple to the worker, so the plan's trigger bookkeeping
 stays in one process even though the crash happens in another.  They are
-deliberately ignored by :func:`fire` — a serial runner SIGKILLing itself
-would take the whole run (and the test harness) down with it.
+deliberately ignored by :func:`fire` — an inline (``jobs == 1``) run
+SIGKILLing itself would take the whole run (and the test harness) down
+with it.
 
 Production code calls the module-level hooks :func:`fire`,
 :func:`worker_directive` and :func:`corrupt_artifact`; all are no-ops
@@ -163,7 +164,7 @@ def fire(stage: str) -> None:
 
 
 def worker_directive(stage: str) -> tuple[str, float] | None:
-    """Hook called by the parallel runner when submitting a unit attempt."""
+    """Hook called by the runner when submitting an attempt to its process pool."""
     if _ACTIVE is not None:
         return _ACTIVE.worker_directive(stage)
     return None

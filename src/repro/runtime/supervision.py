@@ -20,7 +20,7 @@ signal handlers with two-stage semantics:
 The coordinator is intentionally a module-level ambient (like the fault plan
 and the tracer): exactly one command runs per process, and worker processes
 never install it — a worker hit by SIGTERM simply dies and is handled by the
-supervision layer in :mod:`repro.runtime.parallel`.
+supervision layer in :mod:`repro.runtime.runner`.
 """
 
 from __future__ import annotations

@@ -15,13 +15,13 @@ telemetry substrate instead of scattered ad-hoc timers:
   a per-stage timing table, metric totals, environment versions and
   failure-log cross-references, written atomically via the checkpoint-store
   primitives;
-* **parallel support** — a worker process collects its spans into a local
-  tracer, ships the picklable :class:`TelemetrySnapshot` back inside its
-  result envelope (``FlowPayload``/``GroupUnitResult``), and the parent
-  :meth:`Tracer.adopt`\\ s the subtree in deterministic (recipe/group)
-  order.  Serial and parallel runs therefore produce semantically identical
-  manifests — compare them with :func:`stable_view`, which strips the
-  volatile timing/pid/run-id fields.
+* **unit snapshots** — the runner (:mod:`repro.runtime.runner`) runs every
+  unit attempt, inline or in a worker process, under a fresh local tracer,
+  ships the picklable :class:`TelemetrySnapshot` back with the unit's value,
+  and :meth:`Tracer.adopt`\\ s the snapshots in input order.  Serial and
+  parallel runs therefore produce semantically identical manifests —
+  compare them with :func:`stable_view`, which strips the volatile
+  timing/pid/run-id fields.
 
 Overhead contract: a *disabled* tracer's ``span`` yields a shared no-op
 node and ``counter``/``gauge`` return after one branch, so instrumented
@@ -30,7 +30,7 @@ is ever created unless the caller explicitly writes one.
 
 The active tracer is a module-level ambient (:func:`get_tracer` /
 :func:`activate`), not thread-local: the runtime executes at most one unit
-body per process at a time (the serial runner's timeout thread included),
+body per process at a time (the inline executor's timeout thread included),
 and worker processes each install their own tracer.  A timed-out, abandoned
 attempt thread may keep writing spans into a tracer that is no longer
 active; telemetry is best-effort accounting, never load-bearing state.
@@ -172,9 +172,8 @@ class Tracer:
     def adopt(self, snapshot: TelemetrySnapshot | None) -> None:
         """Merge a worker's snapshot under the innermost open span.
 
-        Counters add, gauges take the snapshot's value (callers adopt in
-        deterministic recipe/group order, so serial and parallel runs merge
-        identically), and the snapshot's root spans become children of the
+        Counters add, gauges take the snapshot's value (the runner adopts in
+        input order, so serial and parallel runs merge identically), and the snapshot's root spans become children of the
         current span (or new roots).
         """
         if snapshot is None or not self.enabled:

@@ -167,8 +167,8 @@ class TestBinnedDataset:
         X = np.random.default_rng(6).normal(size=(10, 2))
         fresh = as_binned_dataset(None, X, max_bins=4)
         assert fresh.n_samples == 10
-        legacy = as_binned_dataset((dataset.mapper, dataset.codes), None)
-        assert legacy.mapper is dataset.mapper
+        with pytest.raises(TypeError):  # the old (mapper, codes) tuple form
+            as_binned_dataset((dataset.mapper, dataset.codes), None)
         with pytest.raises(ValueError):
             as_binned_dataset(None, None)
 

@@ -104,6 +104,23 @@ class TestCLIHeavyPaths:
             )
         assert code == 0
 
+    def test_explain_flows_the_scaled_recipe(self, tiny_cache, monkeypatch, capsys):
+        # regression: explain ran the unscaled recipe's flow while explaining
+        # the scaled suite, so the flow's grid did not match the dataset's
+        import repro.cli as cli
+        from repro.core.pipeline import build_suite_dataset
+
+        assert main(["suite", "--scale", "0.3"]) == 0
+        flows = []
+        monkeypatch.setattr(
+            cli, "explain_hotspots",
+            lambda suite, flow, **kw: flows.append(flow) or [],
+        )
+        assert main(["explain", "des_perf_1", "--scale", "0.3"]) == 0
+        suite, _ = build_suite_dataset(0.3, cache_path=tiny_cache)
+        dataset = suite.by_name("des_perf_1")
+        assert (flows[0].grid.nx, flows[0].grid.ny) == (dataset.grid_nx, dataset.grid_ny)
+
     def test_report_degrades_on_training_fault(self, tiny_cache, capsys):
         assert main(["suite", "--scale", "0.3"]) == 0
         capsys.readouterr()

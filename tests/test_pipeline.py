@@ -17,9 +17,6 @@ class TestRunFlow:
         assert flow.y.shape == (flow.grid.num_cells,)
         assert flow.stats.num_gcells == flow.grid.num_cells
         assert flow.stats.num_hotspots == int(flow.y.sum())
-        assert set(flow.stage_seconds) == {
-            "generate", "place", "global_route", "drc_sim", "features",
-        }
 
     def test_labels_match_report(self, small_flow):
         mask = small_flow.drc_report.hotspot_mask(small_flow.grid)

@@ -151,6 +151,16 @@ class TestWorkerCrashRecovery:
             with pytest.raises(WorkerCrashError):
                 runner.run_units("stage", _units())
 
+    def test_inline_runner_never_consumes_worker_faults(self):
+        # jobs=1 runs in this process: a kill directive must stay armed,
+        # never fire (it would SIGKILL the test process itself)
+        runner = FaultTolerantRunner(jobs=1)
+        with inject_faults(FaultSpec(stage="stage/u1", kind="kill", times=1)) as plan:
+            out = runner.run_units("stage", _units())
+        assert [o.value for o in out] == _expected()
+        assert not runner.failures
+        assert plan.triggered == []
+
     def test_respawn_limit_aborts_stage(self):
         runner = _supervised(max_pool_respawns=0, quarantine_threshold=99)
         with inject_faults(FaultSpec(stage="stage/u0", kind="kill", times=1)):
