@@ -8,9 +8,11 @@ can track the perf trajectory on every push::
     PYTHONPATH=src python benchmarks/smoke.py --scale 0.5 --jobs 4 --check
 
 A second document, ``BENCH_train.json``, micro-benchmarks the histogram
-training engine itself: the same forest is grown twice from one shared
-:class:`~repro.ml.binning.BinnedDataset` — sibling histogram subtraction
-off, then on — and prediction compares the stacked
+training engine itself: the same forest of full-feature
+(``max_features=None``, RUSBoost-style) trees is grown twice from one
+shared :class:`~repro.ml.binning.BinnedDataset` — sibling histogram
+subtraction off, then on; sampled-feature trees never subtract — and
+prediction compares the stacked
 :class:`~repro.ml.forest.ForestArrays` kernel against the per-tree
 traversal loop it replaced.  The histogram build/subtraction counts in that
 document are read from the ``ml.hist.*`` telemetry counters, i.e. the same
@@ -169,7 +171,8 @@ def _bench_train(
         trees = []
         for r in np.random.default_rng(0).spawn(n_trees):
             tree = DecisionTreeClassifier(
-                random_state=r, hist_subtraction=hist_subtraction
+                random_state=r, max_features=None,
+                hist_subtraction=hist_subtraction,
             )
             tree.fit(None, y, binned=dataset)
             trees.append(tree)

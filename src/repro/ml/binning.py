@@ -40,6 +40,7 @@ class BinMapper:
             raise ValueError("max_bins must be in [2, 256]")
         self.max_bins = max_bins
         self.edges_: list[np.ndarray] | None = None
+        self._max_num_bins = 1
 
     def fit(self, X: np.ndarray) -> "BinMapper":
         """Choose up to ``max_bins - 1`` cut points per feature.
@@ -59,7 +60,7 @@ class BinMapper:
         n, n_features = X.shape
         edges: list[np.ndarray] = [np.empty(0)] * n_features
         if n == 0:
-            self.edges_ = edges
+            self._set_edges(edges)
             return self
 
         Xs = np.sort(X, axis=0)
@@ -88,8 +89,14 @@ class BinMapper:
                 keep[0] = True
                 keep[1:] = np.diff(cuts) != 0
                 edges[j] = cuts[keep]
-        self.edges_ = edges
+        self._set_edges(edges)
         return self
+
+    def _set_edges(self, edges: list[np.ndarray]) -> None:
+        self.edges_ = edges
+        # cached: every tree fit reads the width, and walking all the edge
+        # arrays per fit is measurable at the paper's 387 features
+        self._max_num_bins = max((len(c) + 1 for c in edges), default=1)
 
     def transform(self, X: np.ndarray) -> np.ndarray:
         """Encode to uint8 codes; code c means edges[c-1] <= x < edges[c].
@@ -137,7 +144,7 @@ class BinMapper:
         """Widest per-feature bin count — the histogram width trees need."""
         if self.edges_ is None:
             raise RuntimeError("BinMapper not fitted")
-        return max((len(c) + 1 for c in self.edges_), default=1)
+        return self._max_num_bins
 
     def threshold_value(self, feature: int, code: int) -> float:
         """Real-valued cut: samples with ``x < value`` have code <= ``code``."""

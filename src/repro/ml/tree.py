@@ -2,19 +2,29 @@
 
 The base learner underneath the Random Forest and RUSBoost models.  Split
 search is histogram-based over pre-binned features
-(:mod:`repro.ml.binning`): every node owns one weighted ``(F, B)``
-histogram pair (totals and positives), where ``B`` is the *actual* widest
-bin count of the mapper — not a hardcoded 256 — so a node costs
-O(n_node · F + F · B) instead of O(n_node log n_node · F).
+(:mod:`repro.ml.binning`): every node that may split scans one weighted
+``(k, B)`` histogram pair (totals and positives), where ``B`` is the
+*actual* widest bin count of the mapper — not a hardcoded 256 — so a node
+costs O(n_live · k + k · B) instead of O(n_node log n_node · F).
 
-Two histogram tricks keep that cost down (LightGBM-style):
+A histogram covers only the cells a split can read:
 
-* **feature-major gather** — codes live in a cached ``(F, n)`` contiguous
-  matrix shared by every tree grown from the same
-  :class:`~repro.ml.binning.BinnedDataset`; one node's histogram input is a
-  single ``codes_T[:, indices]`` gather, with no per-node ``np.tile``
-  temporaries;
-* **sibling subtraction** — after a split, only the *smaller* child's
+* **mtry feature rows** — with ``max_features`` below ``F`` (the Random
+  Forest), a node draws its sorted feature subset and gathers just those
+  ``k = mtry`` rows of the cached feature-major ``(F, n)`` code matrix
+  (shared by every tree grown from the same
+  :class:`~repro.ml.binning.BinnedDataset`).  Such a node never carries or
+  derives a histogram.
+* **live rows** — every node keeps its full ``indices`` and the ``live``
+  subset with non-zero weight, partitioned by the same ``code <= cut``
+  test; histograms are built from ``live`` only.  A zero weight adds
+  nothing to a bin, so the bins are bit-identical, while a bootstrap
+  (about half the rows at ``max_samples=0.7``) or a RUSBoost undersample
+  (most rows) shrinks the gather accordingly.  ``min_samples_split`` and
+  the exact child sums still run over the full ``indices``.
+* **sibling subtraction** — only with all ``F`` features
+  (``max_features=None``, RUSBoost), where parent and children cover the
+  same rows of the histogram: after a split, only the *smaller* child's
   histogram is built from data; the sibling's is derived as
   ``parent − small`` (exact for integer-valued weights such as bootstrap
   counts; for fractional weights each bin drifts by at most ~1 ulp of the
@@ -24,17 +34,15 @@ Two histogram tricks keep that cost down (LightGBM-style):
   the best gain counts as tied and the first one wins, which makes
   subtraction-built trees bit-identical to direct-histogram trees.
   Subtraction is applied per node only where it is actually cheaper — the
-  derived histogram costs O(F·B) while a direct build costs O(F·n rows),
-  so tiny deep-tree nodes keep the direct path (the result is identical
-  either way; the gate is purely a cost decision).
+  derived histogram costs O(F·B) while a direct build costs O(F·n_live),
+  so children whose live-row counts differ little keep the direct path
+  (the result is identical either way; the gate is purely a cost
+  decision).
 
-Histograms are built over **all** features; the per-node random subset
-(``max_features``) is applied as a mask when scanning for the best split.
-That is what makes parent-minus-child subtraction valid under per-node
-feature sampling — parent and child histograms always cover the same
-feature set.  Telemetry counters ``ml.hist.builds``,
-``ml.hist.subtractions`` and ``ml.tree.nodes`` (also kept per-fit in
-``fit_stats_``) let the run manifest prove the build/subtraction ratio.
+Telemetry counters ``ml.hist.builds``, ``ml.hist.subtractions``,
+``ml.hist.cells`` (code cells gathered: feature rows × live rows, summed
+over builds) and ``ml.tree.nodes`` (also kept per-fit in ``fit_stats_``)
+let the run manifest show what the histograms cost.
 
 The fitted tree is stored as flat parallel arrays (the same layout
 scikit-learn uses), which is exactly what the SHAP tree explainer needs:
@@ -140,18 +148,19 @@ def _impurity(pos: np.ndarray, tot: np.ndarray, criterion: str) -> np.ndarray:
 class _NodeTask:
     """Work item of the depth-first growth stack."""
 
-    __slots__ = ("indices", "depth", "parent", "is_left", "tot", "pos",
+    __slots__ = ("indices", "live", "depth", "parent", "is_left", "tot", "pos",
                  "hist_tot", "hist_pos")
 
-    def __init__(self, indices, depth, parent, is_left, tot, pos,
+    def __init__(self, indices, live, depth, parent, is_left, tot, pos,
                  hist_tot=None, hist_pos=None):
-        self.indices = indices
+        self.indices = indices  # every row of the node, zero weights included
+        self.live = live  # the rows with w != 0: all a histogram needs
         self.depth = depth
         self.parent = parent
         self.is_left = is_left
         self.tot = tot  # exact weighted sample count (never histogram-derived)
         self.pos = pos
-        self.hist_tot = hist_tot  # (F, B) or None -> build on demand
+        self.hist_tot = hist_tot  # (F, B) carried by subtraction, else None
         self.hist_pos = hist_pos
 
 
@@ -162,7 +171,8 @@ class DecisionTreeClassifier:
     may be ``"sqrt"``, ``"log2"``, ``None`` (all), an int, or a float
     fraction.  ``hist_subtraction`` disables the sibling-subtraction trick
     (both children built from data) — the reference mode the equivalence
-    property tests compare against.
+    property tests compare against.  It only matters when ``max_features``
+    resolves to all features; sampled-feature trees never subtract.
     """
 
     def __init__(
@@ -239,9 +249,10 @@ class DecisionTreeClassifier:
         # Normalise to mean weight 1 so min_samples_* thresholds (compared
         # against weighted counts) keep their "effective samples" meaning
         # regardless of the caller's weight scale (boosting uses ~1/n).
-        # Zero-weight rows stay in the index sets: they contribute nothing
-        # to any histogram but do count toward min_samples_split, exactly
-        # like the pre-histogram-subtraction implementation.
+        # Zero-weight rows stay in the index sets: they count toward
+        # min_samples_split and the exact child sums, exactly like the
+        # pre-histogram implementation.  Histograms only gather the live
+        # (w != 0) rows, since a zero weight adds nothing to any bin.
         w = w * (n / w.sum())
         wy = w * (y == 1)
         root_idx = np.arange(n, dtype=np.int64)
@@ -249,23 +260,31 @@ class DecisionTreeClassifier:
         codes_T = dataset.codes_T
         B = dataset.n_bins_max
         can_split = B >= 2
-        msl = float(self.min_samples_leaf)
-        n_builds = n_subtractions = 0
+        sampled = mtry < n_features
+        subtract = self.hist_subtraction and not sampled
+        n_builds = n_subtractions = n_cells = 0
         offsets = np.arange(n_features, dtype=np.int64)[:, None] * B
 
-        def build_hist(indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            """One weighted (F, B) histogram pair from a contiguous gather."""
-            sub = codes_T[:, indices]  # (F, n_node), C-contiguous
-            flat = (offsets + sub).ravel()
-            shape = sub.shape
+        def build_hist(
+            live: np.ndarray, allowed: np.ndarray | None = None
+        ) -> tuple[np.ndarray, np.ndarray]:
+            """Weighted (k, B) histogram pair over ``live`` rows for the
+            ``allowed`` feature rows (all F when None), one contiguous gather."""
+            nonlocal n_builds, n_cells
+            rows = codes_T if allowed is None else codes_T.take(allowed, axis=0)
+            sub = rows.take(live, axis=1)  # (k, n_live), C-contiguous
+            k = sub.shape[0]
+            n_builds += 1
+            n_cells += sub.size
+            flat = (offsets[:k] + sub).ravel()
             h_tot = np.bincount(
-                flat, weights=np.broadcast_to(w[indices], shape).ravel(),
-                minlength=n_features * B,
-            ).reshape(n_features, B)
+                flat, weights=np.broadcast_to(w[live], sub.shape).ravel(),
+                minlength=k * B,
+            ).reshape(k, B)
             h_pos = np.bincount(
-                flat, weights=np.broadcast_to(wy[indices], shape).ravel(),
-                minlength=n_features * B,
-            ).reshape(n_features, B)
+                flat, weights=np.broadcast_to(wy[live], sub.shape).ravel(),
+                minlength=k * B,
+            ).reshape(k, B)
             return h_tot, h_pos
 
         # growable node arrays
@@ -296,7 +315,8 @@ class DecisionTreeClassifier:
 
         root_tot = float(w[root_idx].sum())
         root_pos = float(wy[root_idx].sum())
-        stack = [_NodeTask(root_idx, 0, -1, False, root_tot, root_pos)]
+        root_live = np.flatnonzero(w != 0)
+        stack = [_NodeTask(root_idx, root_live, 0, -1, False, root_tot, root_pos)]
         while stack:
             task = stack.pop()
             node_id = new_node(task.tot, task.pos)
@@ -308,47 +328,48 @@ class DecisionTreeClassifier:
             if not may_split(len(task.indices), task.depth, task.tot, task.pos):
                 continue
 
-            # the per-node feature subset is drawn before the histogram so
-            # the RNG stream is identical with and without subtraction;
-            # sorted so the scan's first-wins tie-break follows global
-            # feature order, independent of the draw order
-            allowed = (
-                np.sort(rng.choice(n_features, size=mtry, replace=False))
-                if mtry < n_features
-                else None
-            )
-            if task.hist_tot is None:
-                hist_tot, hist_pos = build_hist(task.indices)
-                n_builds += 1
+            allowed = None
+            if sampled:
+                # the node's random feature subset, sorted so the scan's
+                # first-wins tie-break follows global feature order
+                # independent of the draw order; only those rows are gathered
+                allowed = np.sort(rng.choice(n_features, size=mtry, replace=False))
+                hist_tot, hist_pos = build_hist(task.live, allowed)
+            elif task.hist_tot is None:
+                hist_tot, hist_pos = build_hist(task.live)
             else:
                 hist_tot, hist_pos = task.hist_tot, task.hist_pos
                 task.hist_tot = task.hist_pos = None
-            split = self._scan_histogram(
-                hist_tot, hist_pos, task.tot, task.pos, allowed
-            )
+            split = self._scan_histogram(hist_tot, hist_pos, task.tot, task.pos)
             if split is None:
                 continue
             f, cut = split
+            if allowed is not None:
+                f = int(allowed[f])
             feat[node_id] = f
             thr[node_id] = mapper.threshold_value(f, cut)
-            left_mask = codes_T[f, task.indices] <= cut
+            codes_f = codes_T[f]
+            left_mask = codes_f[task.indices] <= cut
             left_idx = task.indices[left_mask]
             right_idx = task.indices[~left_mask]
-            # exact child stats from data (never histogram-derived, so the
-            # stored cover/value and the stop checks are identical with and
-            # without subtraction)
+            live_left = codes_f[task.live] <= cut
+            # exact child stats from data over the full index sets (never
+            # histogram-derived, so the stored cover/value and the stop
+            # checks are identical with and without subtraction)
             l_tot = float(w[left_idx].sum())
             l_pos = float(wy[left_idx].sum())
             r_tot = float(w[right_idx].sum())
             r_pos = float(wy[right_idx].sum())
 
-            left = _NodeTask(left_idx, task.depth + 1, node_id, True, l_tot, l_pos)
-            right = _NodeTask(right_idx, task.depth + 1, node_id, False, r_tot, r_pos)
+            left = _NodeTask(left_idx, task.live[live_left], task.depth + 1,
+                             node_id, True, l_tot, l_pos)
+            right = _NodeTask(right_idx, task.live[~live_left], task.depth + 1,
+                              node_id, False, r_tot, r_pos)
             need_l = may_split(len(left_idx), left.depth, l_tot, l_pos)
             need_r = may_split(len(right_idx), right.depth, r_tot, r_pos)
-            if need_l or need_r:
+            if subtract and (need_l or need_r):
                 small, big = (
-                    (left, right) if len(left_idx) <= len(right_idx) else (right, left)
+                    (left, right) if len(left.live) <= len(right.live) else (right, left)
                 )
                 need_small = need_l if small is left else need_r
                 need_big = need_r if small is left else need_l
@@ -356,16 +377,14 @@ class DecisionTreeClassifier:
                 # the big sibling replaces a whole build with one cheap
                 # (F, B) subtraction — always a win.  When the small build
                 # would happen *only* to enable the subtraction, the win is
-                # just the row-count difference between the children, which
-                # must beat the subtraction's O(F·B) cost (crossover is
-                # around B/8 rows: a bin-wise subtract touches ~2·B cells per
-                # feature at a fraction of the per-row gather+bincount cost).
-                worth = need_small or (
-                    len(big.indices) - len(small.indices) >= B // 8
-                )
-                if self.hist_subtraction and need_big and worth:
-                    small_tot, small_pos = build_hist(small.indices)
-                    n_builds += 1
+                # just the live-row difference between the children (the
+                # gather cost), which must beat the subtraction's O(F·B)
+                # cost (crossover is around B/8 rows: a bin-wise subtract
+                # touches ~2·B cells per feature at a fraction of the
+                # per-row gather+bincount cost).
+                worth = need_small or (len(big.live) - len(small.live) >= B // 8)
+                if need_big and worth:
+                    small_tot, small_pos = build_hist(small.live)
                     # reuse the parent's arrays for the derived sibling
                     np.subtract(hist_tot, small_tot, out=hist_tot)
                     np.subtract(hist_pos, small_pos, out=hist_pos)
@@ -373,11 +392,7 @@ class DecisionTreeClassifier:
                     big.hist_tot, big.hist_pos = hist_tot, hist_pos
                     if need_small:
                         small.hist_tot, small.hist_pos = small_tot, small_pos
-                else:
-                    for child, needed in ((small, need_small), (big, need_big)):
-                        if needed:
-                            child.hist_tot, child.hist_pos = build_hist(child.indices)
-                            n_builds += 1
+            # children without a carried histogram build one when popped;
             # push right first so the left child is materialised immediately
             # after its parent (purely cosmetic: sklearn-like preordering)
             stack.append(right)
@@ -394,6 +409,7 @@ class DecisionTreeClassifier:
         self.fit_stats_ = {
             "ml.hist.builds": n_builds,
             "ml.hist.subtractions": n_subtractions,
+            "ml.hist.cells": n_cells,
             "ml.tree.nodes": len(cl),
         }
         tracer = get_tracer()
@@ -433,18 +449,11 @@ class DecisionTreeClassifier:
         hist_pos: np.ndarray,
         w_tot: float,
         w_pos: float,
-        allowed: np.ndarray | None,
     ) -> tuple[int, int] | None:
-        """Best (feature, bin cut) in a node's histogram, or None for a leaf.
-
-        ``allowed`` is the node's random feature subset; the scan slices the
-        full-F histograms down to those rows, so subsampling never changes
-        which histograms get built (that is what keeps subtraction valid)
-        while the prefix-sum/impurity math only pays for ``mtry`` features.
+        """Best (histogram row, bin cut) in a node's histogram, or None for a
+        leaf.  The row indexes the histogram as gathered; the caller maps it
+        back to a feature through the node's ``allowed`` subset.
         """
-        if allowed is not None:
-            hist_tot = hist_tot[allowed]
-            hist_pos = hist_pos[allowed]
         B = hist_tot.shape[1]
         # prefix sums: splitting after bin c puts codes <= c on the left
         left_tot = np.cumsum(hist_tot, axis=1)[:, :-1]
@@ -483,6 +492,4 @@ class DecisionTreeClassifier:
         tol = 1e-9 * max(1.0, abs(best_gain))
         best_flat = int(np.argmax(gain.ravel() >= best_gain - tol))
         f, cut = divmod(best_flat, B - 1)
-        if allowed is not None:
-            f = int(allowed[f])
         return int(f), int(cut)

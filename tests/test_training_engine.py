@@ -1,9 +1,12 @@
 """Engine-level invariants of the histogram training overhaul.
 
-Three contracts keep the fast paths honest:
+Four contracts keep the fast paths honest:
 
 * sibling-subtraction trees are **bit-identical** to direct-histogram
   trees — the subtraction is an optimisation, never a model change;
+* gathering only a node's sampled feature rows and live (non-zero-weight)
+  rows leaves every fitted array unchanged — pinned by digests recorded
+  before the engine gathered less;
 * a parallel forest fit is bit-identical to a serial one at the same
   seed — each tree's random stream is a pure function of
   ``(random_state, tree index)``, regardless of scheduling;
@@ -12,9 +15,11 @@ Three contracts keep the fast paths honest:
   the ``ml.binning.*`` telemetry counters).
 """
 
+import hashlib
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import repro.ml.forest as forest_mod
 from repro.core.experiment import run_experiment
@@ -54,9 +59,12 @@ def _trial_data(trial):
         w = rng.uniform(0.1, 5.0, size=n)
     elif wkind == 2:  # bootstrap-like integer counts
         w = rng.multinomial(n, np.full(n, 1.0 / n)).astype(np.float64)
-    else:  # boosting-like: a fifth of the rows carry zero weight
+    elif trial % 8 == 3:  # boosting-like: a fifth of the rows carry zero weight
         w = rng.uniform(0.5, 2.0, size=n)
         w[rng.random(n) < 0.2] = 0.0
+    else:  # RUSBoost-like undersample: most rows carry zero weight
+        w = rng.uniform(0.5, 2.0, size=n)
+        w[rng.random(n) < 0.85] = 0.0
     if w is not None and not w.sum() > 0:
         w = None
 
@@ -80,6 +88,8 @@ def _assert_trees_identical(a, b):
 
 class TestSiblingSubtraction:
     @given(st.integers(0, 100_000))
+    @example(3)  # a fifth of the weights zeroed
+    @example(7)  # most weights zeroed, as in a RUSBoost undersample
     @settings(max_examples=30, deadline=None)
     def test_bit_identical_to_direct_build(self, trial):
         X, y, w, params = _trial_data(trial)
@@ -92,11 +102,15 @@ class TestSiblingSubtraction:
         _assert_trees_identical(direct.tree_, fast.tree_)
 
     def test_subtraction_replaces_builds(self):
+        # only full-feature trees (max_features=None, as in RUSBoost) carry
+        # histograms between nodes; sampled-feature trees never subtract
         X, y = make_separable(n=800, seed=33)
         direct = DecisionTreeClassifier(
-            random_state=0, hist_subtraction=False
+            random_state=0, max_features=None, hist_subtraction=False
         ).fit(X, y)
-        fast = DecisionTreeClassifier(random_state=0, hist_subtraction=True).fit(X, y)
+        fast = DecisionTreeClassifier(
+            random_state=0, max_features=None, hist_subtraction=True
+        ).fit(X, y)
         assert direct.fit_stats_["ml.hist.subtractions"] == 0
         assert fast.fit_stats_["ml.hist.subtractions"] > 0
         assert fast.fit_stats_["ml.hist.builds"] < direct.fit_stats_["ml.hist.builds"]
@@ -115,6 +129,75 @@ class TestSiblingSubtraction:
         for name, v in tree.fit_stats_.items():
             assert tracer.counters[name] == v
         assert tracer.counters["ml.tree.nodes"] > 1
+
+    def test_sampled_tree_gathers_only_mtry_live_cells(self):
+        X, y = make_separable(n=600, n_features=40, seed=35)
+        w = np.random.default_rng(35).multinomial(420, np.full(600, 1 / 600.0))
+        tree = DecisionTreeClassifier(random_state=0, max_features="sqrt").fit(
+            X, y, sample_weight=w.astype(np.float64)
+        )
+        stats = tree.fit_stats_
+        mtry, live = int(np.sqrt(40)), int(np.count_nonzero(w))
+        assert stats["ml.hist.subtractions"] == 0
+        assert 0 < stats["ml.hist.cells"] <= stats["ml.hist.builds"] * mtry * live
+
+
+_TREE_FIELDS = (
+    "children_left", "children_right", "feature", "threshold", "cover", "value",
+)
+
+
+def _trees_digest(trees) -> str:
+    h = hashlib.sha256()
+    for tree in trees:
+        for name in _TREE_FIELDS:
+            h.update(np.ascontiguousarray(getattr(tree, name)).tobytes())
+    return h.hexdigest()
+
+
+def _pin_matrix():
+    """320 g-cell-like rows of the paper's 387 features: small-integer
+    counts plus a few wide columns that take the quantile-binning path; 40
+    positives, so RUSBoost's balanced undersample zeroes 3/4 of the rows."""
+    rng = np.random.default_rng(2020)
+    n = 320
+    X = rng.integers(0, 12, size=(n, 387)).astype(np.float64)
+    X[:, 380:] = rng.integers(0, 5000, size=(n, 7)) / 7.0
+    score = X[:, 0] + X[:, 5] - X[:, 9] + X[:, 381] / 300.0 + rng.integers(0, 6, size=n)
+    y = (score >= np.sort(score)[-40]).astype(np.int8)
+    return X, y
+
+
+class TestPinnedTrees:
+    """Every fitted array of two small ensembles on a fixed 387-feature
+    matrix, pinned by SHA-256.  The digests were recorded with the engine
+    that still built every node's histogram over all features and all rows
+    (before mtry-row and live-row gathers), so a match proves the narrower
+    gathers change no tree, cover or value bit."""
+
+    def test_random_forest_sqrt_bootstrap(self):
+        X, y = _pin_matrix()
+        rf = RandomForestClassifier(
+            n_estimators=4, max_features="sqrt", max_samples=0.7, random_state=5
+        ).fit(X, y)
+        assert [t.node_count for t in rf.trees] == [39, 41, 39, 31]
+        assert _trees_digest(rf.trees) == (
+            "eeb669fc3dbacfebcdb3c223db968658a873109a2c7459e3ca7134da7f234ad7"
+        )
+
+    def test_rusboost_full_features(self):
+        # learning_rate=0 keeps the boosting distribution free of exp/log,
+        # whose last-ulp rounding varies with the SIMD/libm build; the
+        # rounds still draw fresh balanced undersamples
+        X, y = _pin_matrix()
+        rus = RUSBoostClassifier(
+            n_estimators=4, max_depth=6, learning_rate=0.0, random_state=5
+        ).fit(X, y)
+        assert [t.node_count for t in rus.trees] == [21, 17, 19, 19]
+        assert sum(e.fit_stats_["ml.hist.subtractions"] for e in rus.estimators_) > 0
+        assert _trees_digest(rus.trees) == (
+            "e0c9b11fb3f8072ea5cd8b86f85eaabee9dc786e82dccefffb24dd7a09ac432c"
+        )
 
 
 class TestParallelFit:
@@ -149,6 +232,7 @@ class TestParallelFit:
         serial, parallel = totals(1), totals(2)
         assert serial == parallel
         assert serial["ml.tree.nodes"] > 0
+        assert serial["ml.hist.cells"] > 0
 
     def test_n_jobs_validation_and_capping(self):
         with pytest.raises(ValueError):
