@@ -18,9 +18,9 @@ x, side='right')``.
 matrix so a whole experiment split — every grid-search fold, every ensemble,
 every tree — shares a single binning pass instead of each re-quantising the
 float64 matrix.  ``fit`` sorts the matrix once (no per-feature
-``np.unique``), ``transform`` runs a vectorised bounds-clamped binary search
-over a padded edge table, and both feed the ``ml.binning.*`` telemetry
-counters that the run manifest uses to prove the bin-once invariant.
+``np.unique``), ``transform`` runs one ``searchsorted`` per column, and both
+feed the ``ml.binning.*`` telemetry counters that the run manifest uses to
+prove the bin-once invariant.
 """
 
 from __future__ import annotations
@@ -51,24 +51,33 @@ class BinMapper:
         values straight off it, and all quantile-path columns share a single
         ``np.quantile(..., axis=0)`` call (duplicate quantiles are dropped
         with a diff mask, which on the already-sorted quantile vector is
-        exactly what ``np.unique`` did).
+        exactly what ``np.unique`` did).  A column holding NaN gets its cuts
+        from its other values.
         """
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2:
             raise ValueError("X must be 2-D")
         get_tracer().counter("ml.binning.fits")
+        self._set_edges(self._edges(X))
+        return self
+
+    def _edges(self, X: np.ndarray) -> list[np.ndarray]:
         n, n_features = X.shape
         edges: list[np.ndarray] = [np.empty(0)] * n_features
         if n == 0:
-            self._set_edges(edges)
-            return self
+            return edges
 
         Xs = np.sort(X, axis=0)
+        has_nan = np.isnan(Xs[-1])  # NaN sorts last
         neq = Xs[1:] != Xs[:-1] if n > 1 else np.zeros((0, n_features), bool)
         n_distinct = neq.sum(axis=0) + 1
 
         quantile_cols = []
         for j in range(n_features):
+            if has_nan[j]:
+                col = Xs[:, j]
+                edges[j] = self._edges(col[~np.isnan(col), None])[0]
+                continue
             if n_distinct[j] <= 1:
                 continue
             if n_distinct[j] <= self.max_bins:
@@ -89,8 +98,7 @@ class BinMapper:
                 keep[0] = True
                 keep[1:] = np.diff(cuts) != 0
                 edges[j] = cuts[keep]
-        self._set_edges(edges)
-        return self
+        return edges
 
     def _set_edges(self, edges: list[np.ndarray]) -> None:
         self.edges_ = edges
@@ -101,9 +109,10 @@ class BinMapper:
     def transform(self, X: np.ndarray) -> np.ndarray:
         """Encode to uint8 codes; code c means edges[c-1] <= x < edges[c].
 
-        A vectorised binary search over a +inf-padded ``(F, K)`` edge table
-        computes every column at once — bit-for-bit the per-column
-        ``np.searchsorted(cuts, x, side="right")`` it replaces.
+        One ``np.searchsorted(cuts, x, side="right")`` per column.  NaN sorts
+        after every cut, so it gets the top code ``len(cuts)`` and trains on
+        the right of every split, which is where prediction's ``x < thr``
+        (False for NaN) sends it.
         """
         if self.edges_ is None:
             raise RuntimeError("BinMapper not fitted")
@@ -111,25 +120,10 @@ class BinMapper:
         if X.ndim != 2 or X.shape[1] != len(self.edges_):
             raise ValueError("X feature count does not match the fitted mapper")
         get_tracer().counter("ml.binning.transforms")
-        n, n_features = X.shape
-        lens = np.array([len(c) for c in self.edges_], dtype=np.int64)
-        K = int(lens.max(initial=0))
-        if K == 0 or n == 0:
-            return np.zeros(X.shape, dtype=np.uint8)
-        pad = np.full((n_features, K), np.inf)
+        codes = np.empty(X.shape, dtype=np.uint8)
         for j, cuts in enumerate(self.edges_):
-            pad[j, : len(cuts)] = cuts
-
-        cols = np.arange(n_features)
-        lo = np.zeros((n, n_features), dtype=np.int64)
-        hi = np.broadcast_to(lens, (n, n_features)).copy()
-        for _ in range(K.bit_length()):
-            active = lo < hi
-            mid = (lo + hi) >> 1
-            le = pad[cols, np.minimum(mid, K - 1)] <= X
-            lo = np.where(active & le, mid + 1, lo)
-            hi = np.where(active & ~le, mid, hi)
-        return lo.astype(np.uint8)
+            codes[:, j] = np.searchsorted(cuts, X[:, j], side="right")
+        return codes
 
     def fit_transform(self, X: np.ndarray) -> np.ndarray:
         return self.fit(X).transform(X)

@@ -15,7 +15,6 @@ metric.
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Protocol
 
@@ -23,6 +22,7 @@ import numpy as np
 
 from .binning import BinnedDataset
 from .metrics import average_precision
+from .svm import KernelCache
 
 
 class FittableClassifier(Protocol):
@@ -65,7 +65,6 @@ class GridSearchResult:
     table: list[tuple[dict[str, Any], float, list[float]]] = field(
         default_factory=list
     )
-    search_time_sec: float = 0.0
 
     def format_table(self) -> str:
         lines = ["params -> mean CV A_prc (per fold)"]
@@ -107,37 +106,39 @@ def grid_search(
     fold as a uint8 row slice (``binned.take(train_idx)``), so the whole
     search performs zero re-quantisations.  Fold cut points are therefore
     the ones learned on the full split matrix — the standard
-    histogram-GBM approximation.
+    histogram-GBM approximation.  The loop is fold-major, so a fold's grid
+    points also share one :class:`~repro.ml.svm.KernelCache` (estimators
+    that advertise ``accepts_kernel_cache``); both die with the fold.
     """
-    start = time.perf_counter()
     if binned is not None and binned.n_samples != len(X):
         raise ValueError("binned dataset does not cover the rows of X")
-    splits = GroupKFold().split(groups)
-    # per-fold binned row slices are shared by every grid configuration
-    fold_binned: dict[int, BinnedDataset] = {}
-    table: list[tuple[dict[str, Any], float, list[float]]] = []
-    for params in iterate_grid(param_grid):
-        fold_scores: list[float] = []
-        for fold, (train_idx, val_idx, _) in enumerate(splits):
-            y_val = y[val_idx]
-            if y_val.sum() == 0 or y_val.sum() == len(y_val):
-                continue
+    grid = iterate_grid(param_grid)
+    fold_scores: list[list[float]] = [[] for _ in grid]
+    for train_idx, val_idx, _ in GroupKFold().split(groups):
+        y_val = y[val_idx]
+        if y_val.sum() == 0 or y_val.sum() == len(y_val):
+            continue
+        X_fit, y_fit, X_val = X[train_idx], y[train_idx], X[val_idx]
+        fold_binned, kernel_cache = None, KernelCache()
+        for scores, params in zip(fold_scores, grid):
             model = model_factory(**params)
+            kwargs: dict[str, Any] = {}
             if binned is not None and getattr(model, "accepts_binned", False):
-                if fold not in fold_binned:
-                    fold_binned[fold] = binned.take(train_idx)
-                model.fit(X[train_idx], y[train_idx], binned=fold_binned[fold])
-            else:
-                model.fit(X[train_idx], y[train_idx])
-            scores = positive_scores(model, X[val_idx])
-            fold_scores.append(float(scorer(y_val, scores)))
-        mean = float(np.mean(fold_scores)) if fold_scores else float("-inf")
-        table.append((params, mean, fold_scores))
+                if fold_binned is None:
+                    fold_binned = binned.take(train_idx)
+                kwargs["binned"] = fold_binned
+            if getattr(model, "accepts_kernel_cache", False):
+                kwargs["kernel_cache"] = kernel_cache
+            model.fit(X_fit, y_fit, **kwargs)
+            scores.append(float(scorer(y_val, positive_scores(model, X_val))))
+    table = [
+        (params, float(np.mean(scores)) if scores else float("-inf"), scores)
+        for params, scores in zip(grid, fold_scores)
+    ]
 
     best_params, best_score, _ = max(table, key=lambda t: t[1])
     return GridSearchResult(
         best_params=best_params,
         best_score=best_score,
         table=table,
-        search_time_sec=time.perf_counter() - start,
     )

@@ -22,16 +22,26 @@ from collections import OrderedDict
 
 import numpy as np
 
+from ..runtime.telemetry import get_tracer
 
-class _KernelCache:
-    """LRU cache of RBF kernel rows."""
 
-    def __init__(self, X: np.ndarray, gamma: float, capacity: int = 512):
-        self.X = X
-        self.sq = np.einsum("ij,ij->i", X, X)
-        self.gamma = gamma
-        self.capacity = capacity
+class KernelCache:
+    """LRU cache of RBF kernel rows.  Rows do not depend on ``C``, so a CV
+    fold's grid points share one; :meth:`bind` keeps rows only for equal
+    (subsampled) ``X`` and ``gamma``."""
+
+    def __init__(self) -> None:
+        self.X: np.ndarray | None = None
+        self.gamma: float | None = None
+        self.rows_computed = 0
         self._rows: OrderedDict[int, np.ndarray] = OrderedDict()
+
+    def bind(self, X: np.ndarray, gamma: float, capacity: int) -> None:
+        if gamma != self.gamma or not np.array_equal(self.X, X):
+            self.X, self.gamma = X, gamma
+            self.sq = np.einsum("ij,ij->i", X, X)
+            self._rows.clear()
+        self.capacity = capacity
 
     def row(self, i: int) -> np.ndarray:
         cached = self._rows.get(i)
@@ -40,8 +50,9 @@ class _KernelCache:
             return cached
         d2 = self.sq + self.sq[i] - 2.0 * (self.X @ self.X[i])
         row = np.exp(-self.gamma * np.maximum(d2, 0.0))
+        self.rows_computed += 1
         self._rows[i] = row
-        if len(self._rows) > self.capacity:
+        while len(self._rows) > self.capacity:
             self._rows.popitem(last=False)
         return row
 
@@ -59,6 +70,8 @@ class SVMClassifier:
 
     ``gamma="scale"`` follows sklearn: ``1 / (n_features · Var(X))``.
     """
+
+    accepts_kernel_cache = True  # see grid_search
 
     def __init__(
         self,
@@ -85,6 +98,7 @@ class SVMClassifier:
         self.intercept_: float = 0.0
         self.gamma_: float | None = None
         self.n_iter_: int = 0
+        self.fit_stats_: dict[str, int] = {}
 
     # -- fitting ---------------------------------------------------------------------
 
@@ -102,7 +116,8 @@ class SVMClassifier:
         keep = np.sort(np.concatenate([pos, neg]))
         return X[keep], y[keep]
 
-    def fit(self, X: np.ndarray, y01: np.ndarray) -> "SVMClassifier":
+    def fit(self, X: np.ndarray, y01: np.ndarray,
+            kernel_cache: KernelCache | None = None) -> "SVMClassifier":
         X = np.asarray(X, dtype=np.float64)
         y01 = np.asarray(y01).astype(np.int8).ravel()
         if not np.isin(y01, (0, 1)).all():
@@ -127,21 +142,21 @@ class SVMClassifier:
             C_i[y < 0] *= n / (2.0 * neg)
 
         alpha = np.zeros(n)
-        grad = -np.ones(n)  # gradient of the dual objective wrt alpha
-        cache = _KernelCache(X, self.gamma_, capacity=self.cache_rows)
+        yg = y.copy()  # -y * grad; the dual gradient is -1 at alpha = 0
+        up = np.where(y > 0, alpha < C_i, alpha > 0)  # LIBSVM's I_up, I_low
+        low = np.where(y > 0, alpha > 0, alpha < C_i)
+        cache = kernel_cache if kernel_cache is not None else KernelCache()
+        cache.bind(X, self.gamma_, self.cache_rows)
+        rows_before = cache.rows_computed
 
         it = 0
         while it < self.max_iter:
             it += 1
-            # maximal violating pair (LIBSVM WSS1)
-            yg = -y * grad
-            up_mask = ((y > 0) & (alpha < C_i)) | ((y < 0) & (alpha > 0))
-            low_mask = ((y > 0) & (alpha > 0)) | ((y < 0) & (alpha < C_i))
-            if not up_mask.any() or not low_mask.any():
-                break
-            i = int(np.argmax(np.where(up_mask, yg, -np.inf)))
-            j = int(np.argmin(np.where(low_mask, yg, np.inf)))
-            if yg[i] - yg[j] < self.tol:
+            # maximal violating pair (LIBSVM WSS1); when a working set is
+            # empty, argmax/argmin land on a row outside it
+            i = int(np.argmax(np.where(up, yg, -np.inf)))
+            j = int(np.argmin(np.where(low, yg, np.inf)))
+            if not (up[i] and low[j]) or yg[i] - yg[j] < self.tol:
                 break
 
             Ki = cache.row(i)
@@ -163,9 +178,19 @@ class SVMClassifier:
             # the equality constraint y.alpha = 0 satisfied
             alpha[i] = ai_old + (t if yi > 0 else -t)
             alpha[j] = aj_old - (t if yj > 0 else -t)
-            grad += (y[i] * (alpha[i] - ai_old)) * (y * Ki)
-            grad += (y[j] * (alpha[j] - aj_old)) * (y * Kj)
+            # only alpha[i], alpha[j] moved: update yg and the masks there
+            # (negating by y = ±1 is exact, so this is the full rebuild's bits)
+            yg -= (yi * (alpha[i] - ai_old)) * Ki
+            yg -= (yj * (alpha[j] - aj_old)) * Kj
+            for k in (i, j):
+                below_c, above_0 = alpha[k] < C_i[k], alpha[k] > 0
+                up[k], low[k] = (below_c, above_0) if y[k] > 0 else (above_0, below_c)
         self.n_iter_ = it
+        # once per fit, like ml.hist.*; kernel_rows counts rows computed
+        self.fit_stats_ = {"ml.svm.iterations": it,
+                           "ml.svm.kernel_rows": cache.rows_computed - rows_before}
+        for name, v in self.fit_stats_.items():
+            get_tracer().counter(name, v)
 
         sv = alpha > 1e-8
         self.support_vectors_ = X[sv]
@@ -178,7 +203,6 @@ class SVMClassifier:
             b_vals = y[idx] - K_free @ self.dual_coef_
             self.intercept_ = float(b_vals.mean())
         else:
-            yg = -y * grad
             self.intercept_ = float(-yg[alpha > 1e-8].mean()) if sv.any() else 0.0
         return self
 

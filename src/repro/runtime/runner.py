@@ -56,13 +56,19 @@ segfaulting native lib) costs one unit re-dispatch, never the run:
 * **poison-task quarantine** — a unit charged with ``quarantine_threshold``
   crashes stops being re-dispatched and becomes a :class:`FailureRecord`
   with ``kind="worker_crash"``.  Attribution uses start announcements: each
-  worker reports "task N started" over a pipe before touching the unit
-  body, so units still queued inside the executor when the pool broke
+  worker reports "task N started in pid P" over a pipe before touching the
+  unit body, so units still queued inside the executor when the pool broke
   re-queue for free and only units that had *started and not completed*
-  are charged.  With several workers the culprit among those is still
-  unknowable, so an innocent unit repeatedly co-resident with a poison one
-  can be quarantined too — re-running with ``--resume`` recomputes exactly
-  the quarantined units.
+  are charged.  Among those, a unit whose worker the broken executor tore
+  down with SIGTERM is innocent: only units whose worker exited on its own
+  are charged.  When no worker's exit status says so (unknown, or every
+  worker SIGTERMed), every started unit is charged, so an innocent unit
+  repeatedly co-resident with a poison one can be quarantined too —
+  re-running with ``--resume`` recomputes exactly the quarantined units.
+* **one BLAS thread per worker** — workers pin OpenBLAS/OpenMP to one
+  thread (:func:`repro.runtime.blas.pin_one_thread`), so ``jobs`` workers
+  never oversubscribe the CPUs with inherited BLAS helper threads.  Inline
+  runs keep the process's BLAS threads.
 
 Telemetry: when the ambient tracer is enabled, every attempt — inline or in
 a worker — runs under a fresh local :class:`~repro.runtime.telemetry.Tracer`
@@ -86,6 +92,7 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import os
 import signal
 import threading
 import time
@@ -95,7 +102,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable
 
-from . import faults
+from . import blas, faults
 from .checkpoint import atomic_write_text
 from .errors import (
     PoolRespawnLimitError,
@@ -282,7 +289,7 @@ _ANNOUNCE: Any = None
 
 
 def _worker_init(announce: Any) -> None:
-    """Pool initializer: announcement queue + clean signal dispositions.
+    """Pool initializer: announcement queue, one BLAS thread, clean signals.
 
     Forked workers inherit the parent's graceful-shutdown handlers
     (:mod:`repro.runtime.supervision`); left in place they would swallow the
@@ -294,6 +301,7 @@ def _worker_init(announce: Any) -> None:
     """
     global _ANNOUNCE
     _ANNOUNCE = announce
+    blas.pin_one_thread()
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.signal(signal.SIGINT, signal.SIG_IGN)
 
@@ -309,16 +317,17 @@ def _worker_attempt(
 ) -> tuple[Any, TelemetrySnapshot | None]:
     """Run one unit attempt inside a worker process.
 
-    The start announcement goes out first, over a ``multiprocessing.SimpleQueue``
-    whose ``put`` writes the pipe synchronously — no feeder thread that a
-    SIGKILL could take down with the message still buffered.  ``directive``
+    The start announcement ``(task_id, pid)`` goes out first, over a
+    ``multiprocessing.SimpleQueue`` whose ``put`` writes the pipe
+    synchronously — no feeder thread that a SIGKILL could take down with
+    the message still buffered.  ``directive``
     is a parent-consumed kill/hang fault: it executes *before* the budget
     starts, so an injected hang is uncooperative — only the parent's
     heartbeat can catch it, exactly like a stuck native call.
     """
     if _ANNOUNCE is not None:
         try:
-            _ANNOUNCE.put(task_id)
+            _ANNOUNCE.put((task_id, os.getpid()))
         except (OSError, ValueError):
             pass  # parent gone or queue closed: attribution degrades gracefully
     faults.execute_directive(directive)
@@ -383,7 +392,7 @@ class _Pool:
         self.capacity = jobs
         self.timeout_s = timeout_s
         self.trace = trace
-        self.started: set[int] = set()  # task ids a worker announced
+        self.started: dict[int, int] = {}  # announced task id -> worker pid
         self.respawns = 0
         self._next_task = 0
         self._announce = multiprocessing.SimpleQueue()
@@ -423,7 +432,8 @@ class _Pool:
         """Pull all pending start announcements into :attr:`started`."""
         try:
             while not self._announce.empty():
-                self.started.add(self._announce.get())
+                task_id, pid = self._announce.get()
+                self.started[task_id] = pid
         except (OSError, EOFError, ValueError):
             pass  # torn pipe after a crash: attribution degrades gracefully
 
@@ -442,6 +452,26 @@ class _Pool:
                 proc.kill()
             except (OSError, AttributeError, ValueError):
                 pass  # already dead, or platform without kill(): best effort
+
+    def exit_codes(self) -> dict[int, int | None]:
+        """Exit status of each worker of the broken executor, by pid.
+
+        A breaking ``ProcessPoolExecutor`` SIGTERMs its surviving workers;
+        this waits up to a second for them to be reaped.  ``None`` means
+        unknown.  Reads ``_processes`` like :meth:`kill_workers` (CPython
+        keeps it populated after a break until ``shutdown``).
+        """
+        processes = getattr(self._executor, "_processes", None) or {}
+        deadline = time.monotonic() + 1.0
+        codes: dict[int, int | None] = {}
+        for pid, proc in list(processes.items()):
+            try:
+                while proc.exitcode is None and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                codes[pid] = proc.exitcode
+            except ValueError:  # a closed process handle
+                codes[pid] = None
+        return codes
 
     def discard(self) -> None:
         """Abandon the broken executor (its futures are settled or cancelled)."""
@@ -780,8 +810,10 @@ class FaultTolerantRunner:
         Crash charges go to the units that can actually be guilty: on a
         heartbeat kill, exactly the units marked hung; on an organic
         breakage, the in-flight units whose task a worker announced as
-        started but that never completed.  Units still queued inside the
-        dead executor re-queue for free.  If no in-flight unit had started
+        started but that never completed — narrowed, when several had
+        started, to those whose worker did not exit by the executor's
+        SIGTERM teardown.  Units still queued inside the dead executor
+        re-queue for free.  If no in-flight unit had started
         (a worker died while idle or mid-spawn), nobody is charged — the
         respawn limit still bounds that failure mode.
         """
@@ -800,10 +832,16 @@ class FaultTolerantRunner:
                 fut.cancel()
                 in_flight.append(st)
         b.running.clear()
+        hung = [st for st in in_flight if st.hung]
+        started = [st for st in in_flight if st.task_id in pool.started]
+        if not hung and len(started) > 1:
+            codes = pool.exit_codes()
+            died = [st for st in started
+                    if codes.get(pool.started[st.task_id]) != -signal.SIGTERM]
+            started = died or started
         pool.discard()
 
-        hung = [st for st in in_flight if st.hung]
-        culprits = hung or [st for st in in_flight if st.task_id in pool.started]
+        culprits = hung or started
         detail = "heartbeat expired" if hung else "worker process died"
         for st in in_flight:
             if st in culprits:

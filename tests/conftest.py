@@ -7,6 +7,8 @@ the experiment/explanation tests.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -103,3 +105,23 @@ def make_separable(
     thr = np.quantile(logit + noise, 1.0 - pos_rate)
     y = (logit + noise > thr).astype(np.int8)
     return X, y
+
+
+def svm_matrix(n, seed):
+    """``n`` g-cell-like rows of the paper's 387 small-integer features
+    (integer dot products are exact); the top 15 % of a noisy score are
+    positive."""
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, 12, size=(n, 387)).astype(np.float64)
+    score = X[:, 0] + X[:, 5] - X[:, 9] + X[:, 17] + rng.integers(0, 8, size=n)
+    y = (score >= np.quantile(score, 0.85)).astype(np.int8)
+    return X, y
+
+
+def svm_digest(m) -> str:
+    """SHA-256 over every fitted output of an SVM."""
+    h = hashlib.sha256()
+    for a in (m.support_vectors_, m.dual_coef_, np.float64(m.intercept_),
+              np.int64(m.n_iter_)):
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()

@@ -109,14 +109,39 @@ class TestBinMapper:
     @given(st.integers(0, 10_000), st.integers(2, 64))
     @settings(max_examples=30, deadline=None)
     def test_vectorised_transform_matches_searchsorted(self, seed, max_bins):
-        """The padded binary search is bit-for-bit the per-column
-        searchsorted(..., side='right') it replaced."""
+        """Codes are the per-column searchsorted(..., side='right')."""
         X = _random_matrix(seed)
         m = BinMapper(max_bins=max_bins).fit(X)
         codes = m.transform(X)
         for j, cuts in enumerate(m.edges_):
             want = np.searchsorted(cuts, X[:, j], side="right")
             assert np.array_equal(codes[:, j], want.astype(np.uint8))
+
+    @pytest.mark.parametrize("max_bins", [4, 256])
+    def test_transform_nan_and_inf_match_searchsorted(self, max_bins):
+        """NaN takes the top code, right of every cut, which is where
+        prediction's ``x < thr`` sends it; ±inf follow the same rule."""
+        rng = np.random.default_rng(7)
+        X = np.column_stack([
+            rng.choice([0.0, 1.0, 2.0, np.nan], size=120),
+            rng.normal(size=120),
+            rng.choice([-np.inf, 0.0, 3.0, np.inf], size=120),
+        ])
+        X[::7, 1] = np.nan
+        m = BinMapper(max_bins=max_bins).fit(X)
+        assert all(np.isfinite(c).all() for c in m.edges_[:2])
+        probe = np.vstack([X, [[np.nan, np.inf, np.nan], [-np.inf, -np.inf, -np.inf]]])
+        codes = m.transform(probe)
+        for j, cuts in enumerate(m.edges_):
+            want = np.searchsorted(cuts, probe[:, j], side="right")
+            assert np.array_equal(codes[:, j], want.astype(np.uint8))
+            assert (codes[np.isnan(probe[:, j]), j] == len(cuts)).all()
+        assert (codes[-1, :2] == 0).all()
+
+    def test_nan_column_edges_come_from_other_values(self):
+        X = np.array([[0.0], [1.0], [np.nan], [2.0], [np.nan]])
+        assert np.array_equal(BinMapper().fit(X).edges_[0], [0.5, 1.5])
+        assert len(BinMapper().fit(np.full((3, 1), np.nan)).edges_[0]) == 0
 
     @given(st.integers(0, 10_000), st.integers(2, 32))
     @settings(max_examples=30, deadline=None)

@@ -1,5 +1,7 @@
 """Tests for grouped CV, grid search and complexity accounting."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from repro.ml.model_selection import (
 )
 from repro.ml.nn import MLPClassifier
 from repro.ml.svm import SVMClassifier
-from tests.conftest import make_separable
+from tests.conftest import make_separable, svm_digest, svm_matrix
 
 
 class TestGroupKFold:
@@ -107,6 +109,39 @@ class TestGrid:
         )
         assert result.best_params == {"max_depth": 8}
         assert result.best_score > 0.4
+
+    def test_svm_grid_pinned(self):
+        """A two-C grid over three groups, its fitted models and its table
+        pinned by SHA-256.  The digests were recorded with the param-major
+        loop that gave every fit a private kernel cache, so a match proves
+        fold-shared rows change no model and no score."""
+        X, y = svm_matrix(480, 3)
+        groups = np.repeat([0, 1, 2], 160)
+        fitted = []
+
+        def svm(C):
+            return SVMClassifier(C=C, max_train_samples=250, cache_rows=64,
+                                 random_state=4)
+
+        def factory(C):
+            fitted.append(svm(C))
+            return fitted[-1]
+
+        result = grid_search(factory, {"C": [1.0, 10.0]}, X, y, groups)
+        assert sorted(m.n_iter_ for m in fitted) == [384, 393, 399, 437, 445, 451]
+        models = "".join(sorted(svm_digest(m) for m in fitted))
+        assert hashlib.sha256(models.encode()).hexdigest() == (
+            "fce572d12c49556e741010bbb94a12bdca830291d7d3da820b950da4af1bc534"
+        )
+        assert hashlib.sha256(repr(result.table).encode()).hexdigest() == (
+            "b7a3c5c7e0390ace8c7f66bd15d25e228abcfba2e4811af93ecf260bae92ca6d"
+        )
+        assert [params for params, _, _ in result.table] == [{"C": 1.0}, {"C": 10.0}]
+        # fold-major: the second C of each fold reused the first's rows
+        rows = "ml.svm.kernel_rows"
+        for (train, _, _), second in zip(GroupKFold().split(groups), fitted[1::2]):
+            fresh = svm(10.0).fit(X[train], y[train])
+            assert second.fit_stats_[rows] < fresh.fit_stats_[rows]
 
     def test_binned_row_mismatch_raises(self):
         X, y = make_separable(n=200, seed=67)

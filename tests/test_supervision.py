@@ -68,6 +68,25 @@ def _sleep_then(seconds, value):
     return value
 
 
+def _touch_then_sleep(flag, seconds, value):
+    Path(flag).touch()
+    time.sleep(seconds)
+    return value
+
+
+def _die_once_flagged(flag):
+    """SIGKILL this worker once ``flag`` exists (a co-resident unit started)."""
+    while not Path(flag).exists():
+        time.sleep(0.005)
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _blas_threads():
+    from repro.runtime import blas
+
+    return blas.thread_counts()
+
+
 def _units(n=4):
     return [(f"u{i}", _double, (i,), {}) for i in range(n)]
 
@@ -143,6 +162,22 @@ class TestWorkerCrashRecovery:
         assert "quarantined" in rec.message
         assert tracer.counters["runner.quarantined"] == 1
 
+    def test_innocent_co_resident_unit_never_charged(self, tmp_path):
+        # the poison unit kills its worker only after the innocent one has
+        # started in the other worker, so both were in flight when the pool
+        # broke; the innocent worker died of the executor's SIGTERM teardown
+        flag = str(tmp_path / "innocent-started")
+        runner = _supervised(quarantine_threshold=1)
+        with activate(Tracer(run_id="innocent")) as tracer:
+            out = runner.run_units("stage", [
+                ("poison", _die_once_flagged, (flag,), {}),
+                ("innocent", _touch_then_sleep, (flag, 1.0, "ok"), {}),
+            ])
+        assert not out[0].ok
+        assert out[1].value == "ok"
+        assert runner.failures.units() == ["stage/poison"]
+        assert tracer.counters["runner.quarantined"] == 1
+
     def test_fail_fast_raises_worker_crash_error(self):
         runner = _supervised(quarantine_threshold=1, fail_fast=True)
         with inject_faults(
@@ -166,6 +201,22 @@ class TestWorkerCrashRecovery:
         with inject_faults(FaultSpec(stage="stage/u0", kind="kill", times=1)):
             with pytest.raises(PoolRespawnLimitError):
                 runner.run_units("stage", _units())
+
+
+class TestWorkerBlasThreads:
+    def test_pool_workers_run_one_blas_thread_parent_unchanged(self):
+        import numpy  # noqa: F401 - loads numpy's OpenBLAS into this process
+        import scipy.linalg  # noqa: F401 - and scipy's
+
+        from repro.runtime import blas
+
+        before = blas.thread_counts()
+        out = _supervised().run_units(
+            "stage", [(f"u{i}", _blas_threads, (), {}) for i in range(2)]
+        )
+        for outcome in out:
+            assert outcome.value and set(outcome.value.values()) == {1}
+        assert blas.thread_counts() == before
 
 
 class TestHeartbeat:

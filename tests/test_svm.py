@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.ml.metrics import auc_roc
-from repro.ml.svm import SVMClassifier, rbf_kernel
-from tests.conftest import make_separable
+from repro.ml.svm import KernelCache, SVMClassifier, rbf_kernel
+from repro.runtime.telemetry import Tracer, activate
+from tests.conftest import make_separable, svm_digest, svm_matrix
 
 
 def _blobs(n=200, gap=3.0, seed=0):
@@ -112,3 +113,69 @@ class TestSVM:
     def test_not_fitted_raises(self):
         with pytest.raises(RuntimeError):
             SVMClassifier().decision_function(np.zeros((1, 2)))
+
+
+class TestPinnedSVM:
+    """Fitted outputs pinned by SHA-256.  The digests were recorded with the
+    solver that rebuilt ``-y * grad`` and both working-set masks over all
+    rows every iteration, so a match proves the incremental bookkeeping
+    changes no bit."""
+
+    def test_below_subsample_cap(self):
+        X, y = svm_matrix(300, 1)
+        m = SVMClassifier(C=10.0, random_state=3).fit(X, y)
+        assert (m.n_support_, m.n_iter_) == (295, 523)
+        assert svm_digest(m) == (
+            "e4163e487a4194af5be7ce13c8f2bb39dc7a3ccffee81e1c9966cf625dc2592e"
+        )
+
+    def test_above_subsample_cap(self):
+        X, y = svm_matrix(600, 2)
+        m = SVMClassifier(C=1.0, max_train_samples=400, random_state=3).fit(X, y)
+        assert (m.n_support_, m.n_iter_) == (388, 608)
+        assert svm_digest(m) == (
+            "f257d9f021f14aa0a0fb6a286f249e8b24236caefa6487744036b9cbc01cf49e"
+        )
+
+
+class TestKernelCacheSharing:
+    def _fit(self, X, y, cache=None, **kw):
+        params = dict(max_train_samples=250, cache_rows=64, random_state=4) | kw
+        return SVMClassifier(**params).fit(X, y, kernel_cache=cache)
+
+    def test_shared_cache_gives_the_private_model(self):
+        X, y = svm_matrix(400, 5)
+        cache = KernelCache()
+        for C in (1.0, 10.0, 1.0):
+            shared = self._fit(X, y, cache, C=C)
+            assert svm_digest(shared) == svm_digest(self._fit(X, y, C=C))
+
+    def test_second_c_computes_fewer_rows_than_a_fresh_fit(self):
+        X, y = svm_matrix(400, 5)
+        with activate(Tracer()) as tracer:
+            cache = KernelCache()
+            first = self._fit(X, y, cache, C=1.0, cache_rows=1024)
+            second = self._fit(X, y, cache, C=10.0, cache_rows=1024)
+            fresh = self._fit(X, y, C=10.0, cache_rows=1024)
+        assert second.n_iter_ == fresh.n_iter_
+        rows = "ml.svm.kernel_rows"
+        assert second.fit_stats_[rows] < fresh.fit_stats_[rows]
+        assert first.fit_stats_[rows] + second.fit_stats_[rows] == cache.rows_computed
+        # one emission per fit: the tracer holds the sums of fit_stats_
+        for name in ("ml.svm.iterations", rows):
+            assert tracer.counters[name] == sum(
+                m.fit_stats_[name] for m in (first, second, fresh)
+            )
+
+    @pytest.mark.parametrize("change", [
+        {"random_state": 5},  # another subsample of the same rows
+        {"gamma": 0.01},  # another kernel on the same subsample
+    ])
+    def test_different_subsample_or_gamma_never_reuses_rows(self, change):
+        X, y = svm_matrix(400, 5)
+        cache = KernelCache()
+        self._fit(X, y, cache, C=1.0, cache_rows=1024)
+        other = self._fit(X, y, cache, C=1.0, cache_rows=1024, **change)
+        private = self._fit(X, y, C=1.0, cache_rows=1024, **change)
+        assert other.fit_stats_ == private.fit_stats_
+        assert svm_digest(other) == svm_digest(private)

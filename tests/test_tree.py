@@ -111,6 +111,17 @@ class TestPrediction:
         with pytest.raises(RuntimeError):
             DecisionTreeClassifier().predict_proba(np.zeros((1, 3)))
 
+    def test_nan_rows_train_and_predict_on_the_same_side(self):
+        """Binning puts NaN right of every cut and prediction's ``x < thr``
+        is False for NaN, so a tree fitted to purity reproduces its labels."""
+        rng = np.random.default_rng(12)
+        x = rng.integers(0, 10, size=400).astype(np.float64)
+        x[rng.random(400) < 0.2] = np.nan
+        X = np.column_stack([x, rng.normal(size=400)])
+        y = (np.isnan(x) | (x >= 7)).astype(np.int8)
+        t = DecisionTreeClassifier(max_features=None, random_state=0).fit(X, y)
+        assert np.array_equal(t.predict_proba(X)[:, 1], y)
+
 
 class TestTreeArrays:
     def test_structure_consistency(self):
