@@ -8,15 +8,15 @@ can track the perf trajectory on every push::
     PYTHONPATH=src python benchmarks/smoke.py --scale 0.5 --jobs 4 --check
 
 A second document, ``BENCH_train.json``, micro-benchmarks the histogram
-training engine itself: the same forest of full-feature
-(``max_features=None``, RUSBoost-style) trees is grown twice from one
-shared :class:`~repro.ml.binning.BinnedDataset` — sibling histogram
-subtraction off, then on; sampled-feature trees never subtract — and
+training engine itself: the same sampled-feature (``max_features="sqrt"``)
+bootstrap forest is grown twice from one shared
+:class:`~repro.ml.binning.BinnedDataset` — as per-tree single fits (a
+lock-step batch of one each), then as one lock-step forest fit — and
 prediction compares the stacked
 :class:`~repro.ml.forest.ForestArrays` kernel against the per-tree
-traversal loop it replaced.  The histogram build/subtraction counts in that
-document are read from the ``ml.hist.*`` telemetry counters, i.e. the same
-numbers the run manifest aggregates.
+traversal loop it replaced.  The histogram build and split-kernel call
+counts in that document are read from the ``ml.hist.*`` telemetry
+counters, i.e. the same numbers the run manifest aggregates.
 
 The whole run executes under an active :class:`repro.runtime.Tracer`: every
 timed section is a span (``bench/suite_build/serial`` etc.), the numbers in
@@ -144,7 +144,8 @@ def _bench_shap(batch_size: int = 1000, ref_samples: int = 200) -> dict:
     }
 
 
-_HIST_COUNTERS = ("ml.hist.builds", "ml.hist.subtractions", "ml.tree.nodes")
+_HIST_COUNTERS = ("ml.hist.builds", "ml.hist.batches", "ml.hist.scan_cells",
+                  "ml.tree.nodes")
 
 
 def _bench_train(
@@ -155,27 +156,26 @@ def _bench_train(
 ) -> dict:
     """Histogram engine micro-benchmark: the BENCH_train.json payload.
 
-    Both fits grow *bit-identical* trees (same pre-spawned per-tree
-    generators over the same shared BinnedDataset), so the wall-time gap is
-    purely the engine's histogram work; the build/subtraction counts that
-    prove it are deltas of the ``ml.hist.*`` tracer counters.
+    Both fits grow *bit-identical* trees (the same pre-spawned per-tree
+    generators draw the same bootstraps and feature subsets over the same
+    shared BinnedDataset), so the wall-time gap is purely how the trees are
+    batched; the build and kernel-call counts that prove it are deltas of
+    the ``ml.hist.*`` tracer counters.
     """
     tracer = get_tracer()
     rng = np.random.default_rng(4)
     X = rng.normal(size=(n_rows, n_features))
     y = (X[:, 0] + X[:, 3] * X[:, 5] - X[:, 7] > 0).astype(np.int8)
     Xte = rng.normal(size=(n_predict, n_features))
+    dataset = BinnedDataset.from_matrix(X)
 
-    def fit_forest(hist_subtraction: bool) -> list[DecisionTreeClassifier]:
-        dataset = BinnedDataset.from_matrix(X)
+    def fit_single() -> list:
         trees = []
         for r in np.random.default_rng(0).spawn(n_trees):
-            tree = DecisionTreeClassifier(
-                random_state=r, max_features=None,
-                hist_subtraction=hist_subtraction,
-            )
-            tree.fit(None, y, binned=dataset)
-            trees.append(tree)
+            w = r.multinomial(n_rows, np.full(n_rows, 1.0 / n_rows)).astype(np.float64)
+            tree = DecisionTreeClassifier(random_state=r, max_features="sqrt")
+            tree.fit(None, y, sample_weight=w, binned=dataset)
+            trees.append(tree.tree_)
         return trees
 
     def counters() -> dict[str, float]:
@@ -183,45 +183,49 @@ def _bench_train(
 
     with tracer.span("train_predict"):
         c0 = counters()
-        with tracer.span("fit_direct", n_trees=n_trees) as direct_span:
-            direct = fit_forest(hist_subtraction=False)
+        with tracer.span("fit_single", n_trees=n_trees) as single_span:
+            single = fit_single()
         c1 = counters()
-        with tracer.span("fit_subtraction", n_trees=n_trees) as sub_span:
-            fast = fit_forest(hist_subtraction=True)
+        with tracer.span("fit_lockstep", n_trees=n_trees) as lockstep_span:
+            forest = RandomForestClassifier(
+                n_estimators=n_trees, max_features="sqrt", random_state=0
+            ).fit(None, y, binned=dataset)
         c2 = counters()
 
-        identical = all(
-            np.array_equal(a.tree_.children_left, b.tree_.children_left)
-            and np.array_equal(a.tree_.feature, b.tree_.feature)
-            and np.array_equal(a.tree_.threshold, b.tree_.threshold, equal_nan=True)
-            and np.array_equal(a.tree_.value, b.tree_.value)
-            for a, b in zip(direct, fast)
+        identical = len(single) == len(forest.trees) and all(
+            np.array_equal(a.children_left, b.children_left)
+            and np.array_equal(a.children_right, b.children_right)
+            and np.array_equal(a.feature, b.feature)
+            and np.array_equal(a.threshold, b.threshold, equal_nan=True)
+            and np.array_equal(a.cover, b.cover)
+            and np.array_equal(a.value, b.value)
+            for a, b in zip(single, forest.trees)
         )
 
-        stacked = ForestArrays.from_trees([t.tree_ for t in fast])
+        stacked = ForestArrays.from_trees(forest.trees)
         with tracer.span("predict_stacked", rows=n_predict) as stacked_span:
             p_stacked = stacked.predict_proba_positive(Xte)
         with tracer.span("predict_loop", rows=n_predict) as loop_span:
             p_loop = np.mean(
-                [t.tree_.predict_proba_positive(Xte) for t in fast], axis=0
+                [t.predict_proba_positive(Xte) for t in forest.trees], axis=0
             )
 
-    builds_direct = c1["ml.hist.builds"] - c0["ml.hist.builds"]
-    builds_sub = c2["ml.hist.builds"] - c1["ml.hist.builds"]
+    def delta(name: str, a: dict, b: dict) -> int:
+        return int(b[name] - a[name])
+
     return {
         "n_rows": n_rows,
         "n_features": n_features,
         "n_trees": n_trees,
-        "fit_direct_s": round(direct_span.wall_s, 3),
-        "fit_subtraction_s": round(sub_span.wall_s, 3),
-        "fit_speedup": round(direct_span.wall_s / sub_span.wall_s, 2),
-        "hist_builds_direct": int(builds_direct),
-        "hist_builds_subtraction": int(builds_sub),
-        "hist_subtractions": int(
-            c2["ml.hist.subtractions"] - c1["ml.hist.subtractions"]
-        ),
-        "builds_saved_pct": round(100.0 * (1.0 - builds_sub / builds_direct), 1),
-        "tree_nodes": int(c2["ml.tree.nodes"] - c1["ml.tree.nodes"]),
+        "fit_single_s": round(single_span.wall_s, 3),
+        "fit_lockstep_s": round(lockstep_span.wall_s, 3),
+        "fit_speedup": round(single_span.wall_s / lockstep_span.wall_s, 2),
+        "hist_builds_single": delta("ml.hist.builds", c0, c1),
+        "hist_builds_lockstep": delta("ml.hist.builds", c1, c2),
+        "kernel_calls_single": delta("ml.hist.batches", c0, c1),
+        "kernel_calls_lockstep": delta("ml.hist.batches", c1, c2),
+        "scan_cells": delta("ml.hist.scan_cells", c1, c2),
+        "tree_nodes": delta("ml.tree.nodes", c1, c2),
         "trees_bit_identical": identical,
         "predict_rows": n_predict,
         "predict_stacked_s": round(stacked_span.wall_s, 3),
@@ -243,8 +247,8 @@ STAGE_MAP = {
 
 #: BENCH_train.json keys and the manifest stage path each one is derived from.
 TRAIN_STAGE_MAP = {
-    ("train", "fit_direct_s"): "bench/train_predict/fit_direct",
-    ("train", "fit_subtraction_s"): "bench/train_predict/fit_subtraction",
+    ("train", "fit_single_s"): "bench/train_predict/fit_single",
+    ("train", "fit_lockstep_s"): "bench/train_predict/fit_lockstep",
     ("train", "predict_stacked_s"): "bench/train_predict/predict_stacked",
     ("train", "predict_loop_s"): "bench/train_predict/predict_loop",
 }
@@ -317,10 +321,13 @@ def main(argv: list[str] | None = None) -> int:
         else:
             print(f"note: {cpus} CPU(s) — parallel speedup floors not asserted")
         train = train_doc["train"]
-        assert train["trees_bit_identical"], "subtraction changed the trees"
-        assert train["hist_subtractions"] > 0, "subtraction path never taken"
-        assert train["hist_builds_subtraction"] < train["hist_builds_direct"], (
-            "subtraction did not reduce histogram builds"
+        assert train["trees_bit_identical"], "lock-step growth changed the trees"
+        assert train["kernel_calls_lockstep"] > 0, "lock-step path never taken"
+        assert train["hist_builds_lockstep"] == train["hist_builds_single"], (
+            "lock-step growth built a different set of node histograms"
+        )
+        assert train["kernel_calls_lockstep"] < train["kernel_calls_single"], (
+            "lock-step growth did not reduce split-kernel calls"
         )
         assert train["predict_max_abs_diff"] <= 1e-12, "stacked predict drifted"
         # BENCH values are a derived view of the span tree: re-derive them
@@ -334,11 +341,13 @@ def main(argv: list[str] | None = None) -> int:
                     f"{section}.{key}={bench_v} != stage {path} wall_s={stage_v}"
                 )
         # the manifest's global counters cover at least the bench's own fits
-        for name in ("ml.hist.builds", "ml.hist.subtractions"):
+        for name, local in (
+            ("ml.hist.builds",
+             train["hist_builds_single"] + train["hist_builds_lockstep"]),
+            ("ml.hist.batches",
+             train["kernel_calls_single"] + train["kernel_calls_lockstep"]),
+        ):
             total = manifest["counters"].get(name, 0)
-            local = train["hist_builds_direct"] + train["hist_builds_subtraction"]
-            if name == "ml.hist.subtractions":
-                local = train["hist_subtractions"]
             assert total >= local, f"manifest counter {name} lost bench fits"
     return 0
 

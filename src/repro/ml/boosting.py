@@ -93,7 +93,7 @@ class RUSBoostClassifier:
                 max_bins=self.max_bins,
                 random_state=rng,
             )
-            tree.fit(X, y, sample_weight=sample_w, binned=dataset)
+            tree.fit(None, y, sample_weight=sample_w, binned=dataset)
 
             # --- AdaBoost update on the FULL set ------------------------------
             pred = tree.predict(X)
@@ -126,7 +126,7 @@ class RUSBoostClassifier:
             w = np.zeros(n)
             w[pos_idx] = 0.5 / len(pos_idx)
             w[neg_idx] = 0.5 / len(neg_idx)
-            tree.fit(X, y, sample_weight=w, binned=dataset)
+            tree.fit(None, y, sample_weight=w, binned=dataset)
             self.estimators_.append(tree)
             self.alphas_.append(1.0)
         return self
@@ -143,9 +143,7 @@ class RUSBoostClassifier:
         if not self.estimators_:
             raise RuntimeError("model not fitted")
         X = np.asarray(X, dtype=np.float64)
-        if self._stacked is None:
-            self._stacked = ForestArrays.from_trees(self.trees)
-        leaf_p = self._stacked.leaf_values(X)  # (n, T) per-tree P(class 1)
+        leaf_p = self.stacked.leaf_values(X)  # (n, T) per-tree P(class 1)
         alphas = np.asarray(self.alphas_, dtype=np.float64)
         return (2.0 * leaf_p - 1.0) @ alphas / alphas.sum()
 
@@ -156,6 +154,13 @@ class RUSBoostClassifier:
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return (self.decision_function(X) >= 0.0).astype(np.int8)
+
+    @property
+    def stacked(self) -> ForestArrays:
+        """The fitted trees stacked for vectorized traversal (lazy, cached)."""
+        if self._stacked is None:
+            self._stacked = ForestArrays.from_trees(self.trees)
+        return self._stacked
 
     @property
     def trees(self) -> list[TreeArrays]:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boosting import RUSBoostClassifier
-from .forest import RandomForestClassifier
+from .forest import ForestArrays, RandomForestClassifier
 from .nn import MLPClassifier
 from .svm import SVMClassifier
 
@@ -45,11 +45,18 @@ class ComplexityReport:
         )
 
 
-def _tree_ensemble_ops(trees, X_ref: np.ndarray, per_tree_extra: float) -> float:
-    """Mean comparisons per sample across an ensemble + aggregation cost."""
+def _tree_ensemble_ops(
+    stacked: ForestArrays, X_ref: np.ndarray, per_tree_extra: float
+) -> float:
+    """Mean comparisons per sample across an ensemble + aggregation cost.
+
+    Path lengths come from one stacked traversal of all trees; per tree
+    they are integers, so each tree's mean is the same float as a per-tree
+    walk gives, and the totals add up in tree order as before.
+    """
     total = 0.0
-    for t in trees:
-        total += float(t.decision_path_lengths(X_ref).mean())
+    for mean in stacked.decision_path_lengths(X_ref).mean(axis=0):
+        total += float(mean)
         total += per_tree_extra
     return total
 
@@ -57,7 +64,7 @@ def _tree_ensemble_ops(trees, X_ref: np.ndarray, per_tree_extra: float) -> float
 def forest_complexity(
     model: RandomForestClassifier, X_ref: np.ndarray, name: str = "RF"
 ) -> ComplexityReport:
-    ops = _tree_ensemble_ops(model.trees, X_ref, per_tree_extra=1.0)  # +1 add
+    ops = _tree_ensemble_ops(model.stacked, X_ref, per_tree_extra=1.0)  # +1 add
     ops += 1.0  # final divide
     return ComplexityReport(name, model.num_parameters(), ops)
 
@@ -66,7 +73,7 @@ def rusboost_complexity(
     model: RUSBoostClassifier, X_ref: np.ndarray, name: str = "RUSBoost"
 ) -> ComplexityReport:
     # per tree: path comparisons + multiply by alpha + add
-    ops = _tree_ensemble_ops(model.trees, X_ref, per_tree_extra=2.0)
+    ops = _tree_ensemble_ops(model.stacked, X_ref, per_tree_extra=2.0)
     ops += 1.0
     return ComplexityReport(name, model.num_parameters(), ops)
 

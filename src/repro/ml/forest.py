@@ -13,13 +13,21 @@ Implementation notes:
   it via ``fit(..., binned=...)`` and the forest never re-quantises;
 * bootstrap is by sample *weights* (a multinomial draw folded into each
   tree's sample_weight vector) so the binned codes never need reshuffling;
-* ``n_jobs`` grows trees in a process pool.  Every tree owns a generator
-  pre-spawned from the forest's root generator (``rng.spawn``) and draws
-  its bootstrap from *that*, so the random stream per tree is a pure
-  function of ``(random_state, tree index)`` — serial and parallel fits
-  are bit-identical, and a fixed seed gives the same forest at any worker
-  count.  Inside an already-parallel flow worker (``--jobs``) the pool is
-  skipped entirely to avoid oversubscription;
+* trees grow in **lock-step** groups of at most ``TREES_IN_FLIGHT``
+  (:meth:`~repro.ml.tree.DecisionTreeClassifier.grow`): each step pops the
+  next preorder node of every tree in the group and scans all their
+  histograms in one batched split kernel call, so kernel calls scale with
+  tree depth and size, not with the forest's node count;
+* every tree owns a generator pre-spawned from the forest's root generator
+  (``rng.spawn``) and draws its bootstrap, then its per-node feature
+  subsets, from *that*, so each tree is a pure function of
+  ``(random_state, tree index)`` — the same whether grown in a group or
+  alone, serially or in parallel;
+* ``n_jobs`` spreads the groups over a process pool.  The grouping depends
+  on the tree count only, so serial and parallel fits run the same kernel
+  batches and emit the same counters.  Inside an already-parallel flow
+  worker (``--jobs``) the pool is skipped entirely to avoid
+  oversubscription;
 * fitted trees are stacked into one padded :class:`ForestArrays` so
   ``predict_proba`` walks all trees of all samples in a single
   level-synchronous vectorized traversal instead of a Python loop;
@@ -37,7 +45,7 @@ import numpy as np
 
 from ..runtime.telemetry import get_tracer
 from .binning import BinnedDataset, as_binned_dataset
-from .tree import LEAF, DecisionTreeClassifier, TreeArrays
+from .tree import FIT_COUNTERS, LEAF, DecisionTreeClassifier, TreeArrays
 
 
 class ForestArrays:
@@ -75,10 +83,13 @@ class ForestArrays:
         self._cr_flat = np.where(
             children_right != LEAF, children_right + base, LEAF
         ).ravel()
+        # (right, left) pairs: a step is one gather at 2 * node + go_left
+        self._child_flat = np.column_stack((self._cr_flat, self._cl_flat)).ravel()
         self._feat_flat = feature.ravel().astype(np.int64)
         self._thr_flat = threshold.ravel()
         self._val_flat = value.ravel()
         self._roots = base.ravel()
+        self._depth_flat: np.ndarray | None = None  # lazy, for path lengths
 
     @classmethod
     def from_trees(cls, trees: list[TreeArrays]) -> "ForestArrays":
@@ -108,15 +119,39 @@ class ForestArrays:
     def max_nodes(self) -> int:
         return self.children_left.shape[1]
 
-    def leaf_values(self, X: np.ndarray, chunk_size: int = 2048) -> np.ndarray:
+    def leaf_values(self, X: np.ndarray, chunk_size: int = 256) -> np.ndarray:
         """Per-tree leaf value for every sample: ``(n, T)``.
 
         The building block shared by soft-voting forests (row mean) and
-        weighted-vote boosting (row dot with the alphas).  Rows are chunked
-        so the ``(chunk, T)`` work matrices stay cache-sized.
+        weighted-vote boosting (row dot with the alphas).
         """
+        return self._val_flat[self._leaves(X, chunk_size)]
+
+    def decision_path_lengths(
+        self, X: np.ndarray, chunk_size: int = 256
+    ) -> np.ndarray:
+        """Internal-node comparisons per sample and tree: ``(n, T)`` ints.
+
+        The depth of the leaf each sample reaches, i.e. column ``t`` equals
+        ``trees[t].decision_path_lengths(X)``, from the same single
+        traversal as :meth:`leaf_values`.
+        """
+        if self._depth_flat is None:
+            depth = np.zeros(len(self._cl_flat), dtype=np.int64)
+            level, d = self._roots, 0
+            while level.size:
+                depth[level] = d
+                level = level[self._cl_flat[level] != LEAF]
+                level = np.concatenate((self._cl_flat[level], self._cr_flat[level]))
+                d += 1
+            self._depth_flat = depth
+        return self._depth_flat[self._leaves(X, chunk_size)]
+
+    def _leaves(self, X: np.ndarray, chunk_size: int) -> np.ndarray:
+        """Absolute leaf id for every (sample, tree): ``(n, T)``.  Rows are
+        chunked so the ``(chunk, T)`` work matrices stay cache-sized."""
         X = np.asarray(X, dtype=np.float64)
-        out = np.empty((len(X), self.n_trees), dtype=np.float64)
+        out = np.empty((len(X), self.n_trees), dtype=np.int64)
         for start in range(0, len(X), chunk_size):
             stop = min(start + chunk_size, len(X))
             out[start:stop] = self._traverse(X[start:stop])
@@ -133,17 +168,17 @@ class ForestArrays:
         # for a per-tree loop)
         nodes = np.tile(self._roots, n)
         row_off = np.repeat(np.arange(n, dtype=np.int64) * n_features, n_trees)
-        alive = np.flatnonzero(self._cl_flat[nodes] != LEAF)
+        alive = np.flatnonzero(self._cl_flat.take(nodes) != LEAF)
         while alive.size:
-            cur = nodes[alive]
+            cur = nodes.take(alive)
             go_left = (
-                x_flat[row_off[alive] + self._feat_flat[cur]]
-                < self._thr_flat[cur]
+                x_flat.take(row_off.take(alive) + self._feat_flat.take(cur))
+                < self._thr_flat.take(cur)
             )
-            nxt = np.where(go_left, self._cl_flat[cur], self._cr_flat[cur])
+            nxt = self._child_flat.take(2 * cur + go_left)
             nodes[alive] = nxt
-            alive = alive[self._cl_flat[nxt] != LEAF]
-        return self._val_flat[nodes].reshape(n, n_trees)
+            alive = alive[self._cl_flat.take(nxt) != LEAF]
+        return nodes.reshape(n, n_trees)
 
     def predict_proba_positive(self, X: np.ndarray) -> np.ndarray:
         """Soft-vote P(class 1): mean leaf value across trees."""
@@ -151,34 +186,53 @@ class ForestArrays:
 
 
 # ---------------------------------------------------------------------------
-# per-tree growth: a module-level function (and a fork-friendly payload
-# global) so the process pool can run it
+# lock-step growth of one group of trees: a module-level function (and a
+# fork-friendly payload global) so the process pool can run it
+
+#: Most trees grown in lock-step at once.  A step holds one node histogram
+#: pair per tree in flight plus the split scan's temporaries, each at most
+#: ``k × B`` float64: at the widest shape the engine meets (all 387 features
+#: unsampled, 256 bins) that is 0.8 MB per array, so 16 trees bound a step's
+#: histograms near 25 MB; an RF node (19 sampled features of about 20 bins)
+#: needs about 3 KB per array.  Code gathers are capped separately, per
+#: ``bincount`` (``tree._BINCOUNT_CELLS``).
+TREES_IN_FLIGHT = 16
 
 
-def _grow_tree(
-    rng: np.random.Generator,
-    params: dict,
+def _tree_groups(n_trees: int) -> list[range]:
+    """Consecutive, near-equal groups of at most ``TREES_IN_FLIGHT`` trees.
+
+    The grouping depends on the tree count only, never on ``n_jobs``: a
+    group is one lock-step pass and the process pool's unit of work, so
+    serial and parallel fits run the same batches.
+    """
+    n_groups = -(-n_trees // TREES_IN_FLIGHT)
+    bounds = [n_trees * i // n_groups for i in range(n_groups + 1)]
+    return [range(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
+def _grow_group(
+    rngs: list[np.random.Generator],
+    template: DecisionTreeClassifier,
     dataset: BinnedDataset,
     y: np.ndarray,
     base_w: np.ndarray,
     n_draw: int,
     bootstrap: bool,
-) -> DecisionTreeClassifier:
-    """Grow one tree from its own pre-spawned generator.
+) -> tuple[list[TreeArrays], dict[str, int]]:
+    """Grow one group of trees in lock-step, each from its own generator.
 
-    The bootstrap multinomial is drawn *here*, from the tree's generator —
-    never from a shared stream — which is what makes the forest's output a
-    pure function of (random_state, tree index) regardless of scheduling.
+    Each bootstrap multinomial is drawn *here*, from the tree's pre-spawned
+    generator and before its feature draws — never from a shared stream —
+    which is what makes the forest's output a pure function of
+    (random_state, tree index) regardless of grouping or scheduling.
     """
-    tree = DecisionTreeClassifier(random_state=rng, **params)
-    if bootstrap:
-        n = dataset.n_samples
-        counts = rng.multinomial(n_draw, np.full(n, 1.0 / n))
-        w = base_w * counts
-    else:
-        w = base_w
-    tree.fit(None, y, sample_weight=w, binned=dataset)
-    return tree
+    n = dataset.n_samples
+    weights = [
+        base_w * rng.multinomial(n_draw, np.full(n, 1.0 / n)) if bootstrap else base_w
+        for rng in rngs
+    ]
+    return template.grow(dataset, y, weights, rngs)
 
 
 _WORKER_PAYLOAD: tuple | None = None
@@ -189,11 +243,11 @@ def _init_worker(payload: tuple) -> None:
     _WORKER_PAYLOAD = payload
 
 
-def _grow_tree_worker(rng: np.random.Generator) -> tuple[TreeArrays, dict]:
+def _grow_group_worker(
+    rngs: list[np.random.Generator],
+) -> tuple[list[TreeArrays], dict[str, int]]:
     assert _WORKER_PAYLOAD is not None
-    tree = _grow_tree(rng, *_WORKER_PAYLOAD)
-    assert tree.tree_ is not None
-    return tree.tree_, tree.fit_stats_
+    return _grow_group(rngs, *_WORKER_PAYLOAD)
 
 
 class RandomForestClassifier:
@@ -237,6 +291,7 @@ class RandomForestClassifier:
         self.n_jobs = n_jobs
         self.estimators_: list[DecisionTreeClassifier] = []
         self.base_rate_: float | None = None
+        self.fit_stats_: dict[str, int] = {}
         self._stacked: ForestArrays | None = None
 
     # -- API ---------------------------------------------------------------------
@@ -250,7 +305,7 @@ class RandomForestClassifier:
         if multiprocessing.parent_process() is not None:
             return 1
         jobs = self.n_jobs if self.n_jobs > 0 else (os.cpu_count() or 1)
-        return max(1, min(jobs, self.n_estimators))
+        return max(1, min(jobs, len(_tree_groups(self.n_estimators))))
 
     def fit(
         self,
@@ -283,36 +338,37 @@ class RandomForestClassifier:
             criterion=self.criterion,
             max_bins=self.max_bins,
         )
+        template = DecisionTreeClassifier(**params)
         rng = np.random.default_rng(self.random_state)
         tree_rngs = rng.spawn(self.n_estimators)
+        groups = [[tree_rngs[i] for i in g] for g in _tree_groups(self.n_estimators)]
+        payload = (template, dataset, y, base_w, n_draw, self.bootstrap)
         jobs = self._effective_jobs()
 
         self._stacked = None
         if jobs == 1:
-            self.estimators_ = [
-                _grow_tree(r, params, dataset, y, base_w, n_draw, self.bootstrap)
-                for r in tree_rngs
-            ]
+            results = [_grow_group(g, *payload) for g in groups]
         else:
-            payload = (params, dataset, y, base_w, n_draw, self.bootstrap)
-            chunk = -(-self.n_estimators // jobs)  # ceil: one batch per worker
+            chunk = -(-len(groups) // jobs)  # ceil: one batch per worker
             with ProcessPoolExecutor(
                 max_workers=jobs, initializer=_init_worker, initargs=(payload,)
             ) as pool:
-                results = list(pool.map(_grow_tree_worker, tree_rngs, chunksize=chunk))
-            # Workers emit telemetry into their own (discarded) process; the
-            # parent re-emits the per-tree stats so serial and parallel fits
-            # produce identical counter totals in the run manifest.
-            tracer = get_tracer()
-            self.estimators_ = []
-            for arrays, stats in results:
-                est = DecisionTreeClassifier(random_state=None, **params)
+                results = list(pool.map(_grow_group_worker, groups, chunksize=chunk))
+        self.estimators_ = []
+        self.fit_stats_ = dict.fromkeys(FIT_COUNTERS, 0)
+        for trees, stats in results:
+            for arrays in trees:
+                est = DecisionTreeClassifier(**params)
                 est.tree_ = arrays
-                est.fit_stats_ = stats
                 est._mapper = dataset.mapper
                 self.estimators_.append(est)
-                for name, v in stats.items():
-                    tracer.counter(name, v)
+            for name, v in stats.items():
+                self.fit_stats_[name] += v
+        # once per fit, in the parent: pool workers' tracers are discarded,
+        # so serial and parallel fits emit identical counter totals
+        tracer = get_tracer()
+        for name, v in self.fit_stats_.items():
+            tracer.counter(name, v)
         self.base_rate_ = float(np.average(y, weights=base_w))
         return self
 

@@ -2,47 +2,43 @@
 
 The base learner underneath the Random Forest and RUSBoost models.  Split
 search is histogram-based over pre-binned features
-(:mod:`repro.ml.binning`): every node that may split scans one weighted
-``(k, B)`` histogram pair (totals and positives), where ``B`` is the
-*actual* widest bin count of the mapper — not a hardcoded 256 — so a node
-costs O(n_live · k + k · B) instead of O(n_node log n_node · F).
+(:mod:`repro.ml.binning`) and runs through one **batched split kernel**:
+:meth:`DecisionTreeClassifier.grow` advances several trees in lock-step,
+builds the weighted histogram pair (totals and positives) of every node it
+pops in one offset-``bincount``, and scans all of them in one
+:func:`best_splits` call.  A node's histogram has one row per feature it
+may split on, each only as wide as that feature's own bin count (a ragged
+``(m, k, <= B)`` layout; the median feature of the paper's 387 has 6 bins,
+the widest about 140).
 
-A histogram covers only the cells a split can read:
+* **Lock-step growth.** Each tree keeps its own depth-first stack.  A step
+  pops the next preorder node of *every* tree and draws that node's
+  feature subset from *that tree's* generator, so each generator sees
+  exactly the call sequence of the tree grown alone, and node ids stay in
+  preorder.  A single :meth:`~DecisionTreeClassifier.fit` (so each
+  RUSBoost round) is a batch of one; the Random Forest passes groups of
+  trees (:mod:`repro.ml.forest`).
+* **Gather only what a split can use.** A node gathers its ``k = mtry``
+  sampled feature rows (all ``F`` with ``max_features=None``) of the
+  cached feature-major code matrix, over its ``live`` rows (non-zero
+  weight) only; the class histogram bincounts only the live rows with a
+  positive label.  Every omitted term is ``+0.0`` and a bin's rows keep
+  their order, so every bin is bit-identical to a dense per-node build.
+  ``min_samples_split`` and the exact child sums (``cover``, ``value``)
+  still run over the node's full ``indices``.
+* **Score only cuts after occupied bins.** A cut after an empty bin has
+  exactly the previous cut's sums (``x + 0.0 == x``), so it ties with its
+  lower-index twin, which wins the first-wins tie-break; cuts before the
+  first occupied bin leave the left side empty and a cut after the last
+  one the right side.  :func:`best_splits` therefore scores only cuts
+  right after an occupied bin, except each row's last, with prefix sums
+  over the occupied bins alone (the same non-zero terms in the same
+  order).  The gain arithmetic per scored cut is unchanged.
 
-* **mtry feature rows** — with ``max_features`` below ``F`` (the Random
-  Forest), a node draws its sorted feature subset and gathers just those
-  ``k = mtry`` rows of the cached feature-major ``(F, n)`` code matrix
-  (shared by every tree grown from the same
-  :class:`~repro.ml.binning.BinnedDataset`).  Such a node never carries or
-  derives a histogram.
-* **live rows** — every node keeps its full ``indices`` and the ``live``
-  subset with non-zero weight, partitioned by the same ``code <= cut``
-  test; histograms are built from ``live`` only.  A zero weight adds
-  nothing to a bin, so the bins are bit-identical, while a bootstrap
-  (about half the rows at ``max_samples=0.7``) or a RUSBoost undersample
-  (most rows) shrinks the gather accordingly.  ``min_samples_split`` and
-  the exact child sums still run over the full ``indices``.
-* **sibling subtraction** — only with all ``F`` features
-  (``max_features=None``, RUSBoost), where parent and children cover the
-  same rows of the histogram: after a split, only the *smaller* child's
-  histogram is built from data; the sibling's is derived as
-  ``parent − small`` (exact for integer-valued weights such as bootstrap
-  counts; for fractional weights each bin drifts by at most ~1 ulp of the
-  parent sum, because parent and child accumulate their weights in
-  different orders).  That drift can perturb *exactly tied* gains, so the
-  split scan resolves ties with a tolerance: every cut within a hair of
-  the best gain counts as tied and the first one wins, which makes
-  subtraction-built trees bit-identical to direct-histogram trees.
-  Subtraction is applied per node only where it is actually cheaper — the
-  derived histogram costs O(F·B) while a direct build costs O(F·n_live),
-  so children whose live-row counts differ little keep the direct path
-  (the result is identical either way; the gate is purely a cost
-  decision).
-
-Telemetry counters ``ml.hist.builds``, ``ml.hist.subtractions``,
-``ml.hist.cells`` (code cells gathered: feature rows × live rows, summed
-over builds) and ``ml.tree.nodes`` (also kept per-fit in ``fit_stats_``)
-let the run manifest show what the histograms cost.
+Telemetry counters, kept per fit in ``fit_stats_`` and emitted once per
+fit: ``ml.hist.builds`` (node histograms), ``ml.hist.cells`` (code cells
+gathered: feature rows × live rows), ``ml.hist.scan_cells`` (cuts scored),
+``ml.hist.batches`` (kernel calls) and ``ml.tree.nodes``.
 
 The fitted tree is stored as flat parallel arrays (the same layout
 scikit-learn uses), which is exactly what the SHAP tree explainer needs:
@@ -58,6 +54,7 @@ Supports: gini or entropy criterion, per-node random feature subsets
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,6 +64,17 @@ from .binning import BinMapper, BinnedDataset, as_binned_dataset
 
 #: sentinel for "no child" / "not a split node"
 LEAF = -1
+
+#: Most code cells (feature rows × live rows) one ``bincount`` gathers.  A
+#: cell costs about 18 bytes of temporaries (its uint8 code, an int64 bin
+#: index and a float64 weight), so this caps a step's gather at a 1 MiB
+#: budget however many nodes it builds (an RF root step of 16 trees gathers
+#: about 450,000 cells); a step over the cap runs several ``bincount``
+#: calls, which costs no measurable time.
+_BINCOUNT_CELLS = (1 << 20) // 18
+
+#: Leading prefix-sum columns :func:`best_splits` adds one at a time.
+_PREFIX_COLUMNS = 16
 
 
 @dataclass
@@ -145,14 +153,116 @@ def _impurity(pos: np.ndarray, tot: np.ndarray, criterion: str) -> np.ndarray:
     return h
 
 
+def best_splits(
+    hist_tot: np.ndarray,
+    hist_pos: np.ndarray,
+    row_start: np.ndarray,
+    k: int,
+    w_tot: np.ndarray,
+    w_pos: np.ndarray,
+    criterion: str,
+    min_samples_leaf: int,
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """The batched split kernel: the best cut of each of ``m`` nodes.
+
+    The histograms are ragged: ``m * k`` rows (node-major, ``k`` feature
+    rows per node), row ``i`` holding its feature's own bins at
+    ``hist[row_start[i]:row_start[i + 1]]``, at least one bin wide (a dense
+    ``(m, k, B)`` pair is the special case ``row_start = arange(m * k + 1) *
+    B``).  ``w_tot`` and
+    ``w_pos`` are the nodes' exact ``(m,)`` weight sums.  Returns ``(rows,
+    cuts, n_scored)``: per node the histogram row (``0 <= row < k``) and
+    bin cut of its best split (cut ``c`` puts codes ``<= c`` on the left),
+    row ``-1`` for a leaf, and the number of cuts scored.  The caller maps
+    a row back to its feature.
+
+    Equal, cut for cut, to a dense scan of every ``(row, cut)`` with the
+    same first-wins tie-break, but scores only cuts right after an occupied
+    bin (not after a row's last one); see the module docstring.
+    """
+    R = len(row_start) - 1
+    m = R // k
+    rows = np.full(m, -1, dtype=np.int64)
+    cuts = np.full(m, -1, dtype=np.int64)
+    occupied = hist_tot != 0
+    occupied |= hist_pos != 0
+    cell = np.flatnonzero(occupied)  # (node, row, bin) order
+    if not len(cell):
+        return rows, cuts, 0
+    n_occ = np.add.reduceat(occupied, row_start[:-1], dtype=np.int64)
+    r = np.repeat(np.arange(R), n_occ)
+    j = np.arange(len(cell)) - (np.cumsum(n_occ) - n_occ)[r]
+    # Prefix sums over each row's occupied bins, left-justified and
+    # zero-padded: the same non-zero terms, added in the same order as a
+    # dense cumsum.  Laid out (column, row, tot|pos) with the rows ranked
+    # by occupied-bin count, so column j is one vectorised add over just
+    # the rows that score a cut there; the few rows wider than
+    # _PREFIX_COLUMNS finish with one cumsum seeded by their last column.
+    width = int(n_occ.max())
+    rank = np.argsort(n_occ, kind="stable")
+    slot = np.empty(R, dtype=np.int64)
+    slot[rank] = np.arange(R)
+    at = 2 * (j * R + slot[r])
+    prefix = np.zeros(2 * width * R)
+    prefix[at] = hist_tot[cell]
+    prefix[at + 1] = hist_pos[cell]
+    grid = prefix.reshape(width, 2 * R)
+    # column j is needed by the rows with more than j + 1 occupied bins
+    lo = 2 * np.searchsorted(n_occ[rank], np.arange(1, width + 1), side="right")
+    for col in range(1, min(width - 1, _PREFIX_COLUMNS)):
+        np.add(grid[col - 1, lo[col]:], grid[col, lo[col]:], out=grid[col, lo[col]:])
+    if width - 1 > _PREFIX_COLUMNS:
+        tail = grid[_PREFIX_COLUMNS - 1:, lo[_PREFIX_COLUMNS]:]
+        np.cumsum(tail, axis=0, out=tail)
+    scored = j < n_occ[r] - 1  # a cut after a row's last occupied bin is empty
+    r, at = r[scored], at[scored]
+    if not len(r):
+        return rows, cuts, 0
+    c = cell[scored] - row_start[r]
+    n = len(r)
+    node = r // k
+    node_tot = w_tot[node]
+    left_tot = prefix[at]
+    right_tot = node_tot - left_tot
+    # one impurity pass over [left | right | parent]
+    imp = _impurity(
+        np.concatenate((prefix[at + 1], w_pos[node] - prefix[at + 1], w_pos)),
+        np.concatenate((left_tot, right_tot, w_tot)),
+        criterion,
+    )
+    child_imp = (left_tot * imp[:n] + right_tot * imp[n:2 * n]) / node_tot
+    gain = imp[2 * n:][node] - child_imp
+    # feasibility: both sides honour min_samples_leaf (approximated in
+    # weighted counts; exact for unit weights)
+    feasible = (left_tot >= min_samples_leaf) & (right_tot >= min_samples_leaf)
+    gain = np.where(feasible, gain, -np.inf)
+
+    n_cells = np.bincount(node, minlength=m)
+    has = n_cells > 0
+    best = np.full(m, -np.inf)
+    best[has] = np.maximum.reduceat(gain, (np.cumsum(n_cells) - n_cells)[has])
+    splits = np.isfinite(best) & (best > 1e-12)
+    # Deterministic tie-break: every cut within a hair of the best gain
+    # counts as tied and the first (row-major) wins, so a last-ulp
+    # difference between exactly tied cuts never decides a split.
+    tol = 1e-9 * np.maximum(1.0, np.abs(best))
+    tied = np.flatnonzero((gain >= (best - tol)[node]) & splits[node])
+    if len(tied):
+        tied_node = node[tied]
+        first = np.ones(len(tied), dtype=bool)
+        np.not_equal(tied_node[1:], tied_node[:-1], out=first[1:])
+        first = tied[first]
+        rows[node[first]] = r[first] % k
+        cuts[node[first]] = c[first]
+    return rows, cuts, len(gain)
+
+
 class _NodeTask:
-    """Work item of the depth-first growth stack."""
+    """Work item of a tree's depth-first growth stack."""
 
-    __slots__ = ("indices", "live", "depth", "parent", "is_left", "tot", "pos",
-                 "hist_tot", "hist_pos")
+    __slots__ = ("indices", "live", "depth", "parent", "is_left", "tot", "pos")
 
-    def __init__(self, indices, live, depth, parent, is_left, tot, pos,
-                 hist_tot=None, hist_pos=None):
+    def __init__(self, indices, live, depth, parent, is_left, tot, pos):
         self.indices = indices  # every row of the node, zero weights included
         self.live = live  # the rows with w != 0: all a histogram needs
         self.depth = depth
@@ -160,8 +270,140 @@ class _NodeTask:
         self.is_left = is_left
         self.tot = tot  # exact weighted sample count (never histogram-derived)
         self.pos = pos
-        self.hist_tot = hist_tot  # (F, B) carried by subtraction, else None
-        self.hist_pos = hist_pos
+
+
+class _Growth:
+    """One tree under construction: its weights, generator, stack and
+    growable node arrays."""
+
+    __slots__ = ("w", "wy", "rng", "stack", "cl", "cr", "feat", "thr", "cover",
+                 "value")
+
+    def __init__(self, w: np.ndarray, wy: np.ndarray, rng: np.random.Generator):
+        self.w = w
+        self.wy = wy
+        self.rng = rng
+        root = np.arange(len(w), dtype=np.int64)
+        self.stack = [_NodeTask(root, np.flatnonzero(w != 0), 0, -1, False,
+                                float(w[root].sum()), float(wy[root].sum()))]
+        self.cl: list[int] = []
+        self.cr: list[int] = []
+        self.feat: list[int] = []
+        self.thr: list[float] = []
+        self.cover: list[float] = []
+        self.value: list[float] = []
+
+    def add_node(self, task: _NodeTask) -> int:
+        node_id = len(self.cl)
+        self.cl.append(LEAF)
+        self.cr.append(LEAF)
+        self.feat.append(LEAF)
+        self.thr.append(np.nan)
+        self.cover.append(task.tot)
+        self.value.append(task.pos / task.tot if task.tot > 0 else 0.0)
+        if task.parent >= 0:
+            (self.cl if task.is_left else self.cr)[task.parent] = node_id
+        return node_id
+
+    def split(self, task: _NodeTask, node_id: int, f: int, cut: int,
+              codes_T: np.ndarray, mapper: BinMapper) -> None:
+        """Record node ``node_id``'s split and push its children."""
+        self.feat[node_id] = f
+        self.thr[node_id] = mapper.threshold_value(f, cut)
+        codes_f = codes_T[f]
+        left_mask = codes_f[task.indices] <= cut
+        left_idx = task.indices[left_mask]
+        right_idx = task.indices[~left_mask]
+        live_left = codes_f[task.live] <= cut
+        # exact child stats from data over the full index sets (never
+        # histogram-derived)
+        w, wy = self.w, self.wy
+        depth = task.depth + 1
+        # push right first so the left child is materialised immediately
+        # after its parent (sklearn-like preordering)
+        self.stack.append(_NodeTask(right_idx, task.live[~live_left], depth, node_id,
+                                    False, float(w[right_idx].sum()),
+                                    float(wy[right_idx].sum())))
+        self.stack.append(_NodeTask(left_idx, task.live[live_left], depth, node_id,
+                                    True, float(w[left_idx].sum()),
+                                    float(wy[left_idx].sum())))
+
+    def arrays(self) -> TreeArrays:
+        return TreeArrays(
+            children_left=np.asarray(self.cl, dtype=np.int32),
+            children_right=np.asarray(self.cr, dtype=np.int32),
+            feature=np.asarray(self.feat, dtype=np.int32),
+            threshold=np.asarray(self.thr, dtype=np.float64),
+            cover=np.asarray(self.cover, dtype=np.float64),
+            value=np.asarray(self.value, dtype=np.float64),
+        )
+
+
+def _histograms(
+    batch: list, codes_T: np.ndarray, n_bins: np.ndarray, k: int, is_pos: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """The ragged histogram pair of a lock-step batch of nodes.
+
+    ``batch`` holds ``(growth, task, node_id, allowed)`` per node: its
+    tree, its live rows and its ``k`` feature rows (all of ``codes_T`` when
+    ``allowed`` is None).  Row ``r = i * k + j`` of the result holds node
+    ``i``'s bins of its ``j``-th feature at ``[row_start[r],
+    row_start[r + 1])``.  One ``bincount`` per class fills every run of
+    nodes whose gathered cells fit ``_BINCOUNT_CELLS``.  Returns
+    ``(hist_tot, hist_pos, row_start, cells gathered)``.
+    """
+    m = len(batch)
+    row_width = (np.tile(n_bins, m) if batch[0][3] is None else
+                 n_bins[np.concatenate([allowed for *_, allowed in batch])])
+    row_start = np.zeros(m * k + 1, dtype=np.int64)
+    np.cumsum(row_width, out=row_start[1:])
+    hist_tot = np.empty(row_start[-1])
+    hist_pos = np.zeros(row_start[-1])
+    i0 = n_cells = 0
+    while i0 < m:
+        i1, cells = i0, 0
+        while i1 < m and (i1 == i0 or cells + k * len(batch[i1][1].live)
+                          <= _BINCOUNT_CELLS):
+            cells += k * len(batch[i1][1].live)
+            i1 += 1
+        base, end = row_start[i0 * k], row_start[i1 * k]
+        # bin index (node, row, code) per gathered cell; a bin's rows keep
+        # their order, so every bin sum is bit-identical to a per-node build
+        flat = np.empty((k, cells // k), dtype=np.int64)
+        w_live, lives = [], []
+        s0 = 0
+        for i in range(i0, i1):
+            g, task, _, allowed = batch[i]
+            rows = codes_T if allowed is None else codes_T.take(allowed, axis=0)
+            s1 = s0 + len(task.live)
+            np.add(rows.take(task.live, axis=1),
+                   (row_start[i * k:(i + 1) * k] - base)[:, None],
+                   out=flat[:, s0:s1])
+            w_live.append(g.w[task.live])
+            lives.append(task.live)
+            s0 = s1
+        w_cat = np.concatenate(w_live)
+        hist_tot[base:end] = np.bincount(
+            flat.ravel(), weights=np.broadcast_to(w_cat, flat.shape).ravel(),
+            minlength=end - base,
+        )
+        # w * 1 == w for a positive live row; every other row adds +0.0
+        pos = np.flatnonzero(is_pos[np.concatenate(lives)])
+        if len(pos):
+            flat_pos = flat[:, pos]
+            hist_pos[base:end] = np.bincount(
+                flat_pos.ravel(),
+                weights=np.broadcast_to(w_cat[pos], flat_pos.shape).ravel(),
+                minlength=end - base,
+            )
+        n_cells += cells
+        i0 = i1
+    return hist_tot, hist_pos, row_start, n_cells
+
+
+#: per-fit counters, in ``fit_stats_`` order
+FIT_COUNTERS = ("ml.hist.builds", "ml.hist.cells", "ml.hist.scan_cells",
+                "ml.hist.batches", "ml.tree.nodes")
 
 
 class DecisionTreeClassifier:
@@ -169,10 +411,7 @@ class DecisionTreeClassifier:
 
     Parameters mirror scikit-learn where they share names.  ``max_features``
     may be ``"sqrt"``, ``"log2"``, ``None`` (all), an int, or a float
-    fraction.  ``hist_subtraction`` disables the sibling-subtraction trick
-    (both children built from data) — the reference mode the equivalence
-    property tests compare against.  It only matters when ``max_features``
-    resolves to all features; sampled-feature trees never subtract.
+    fraction.
     """
 
     def __init__(
@@ -184,7 +423,6 @@ class DecisionTreeClassifier:
         criterion: str = "gini",
         max_bins: int = 256,
         random_state: int | np.random.Generator | None = None,
-        hist_subtraction: bool = True,
     ):
         if criterion not in ("gini", "entropy"):
             raise ValueError(f"unknown criterion {criterion!r}")
@@ -195,7 +433,6 @@ class DecisionTreeClassifier:
         self.criterion = criterion
         self.max_bins = max_bins
         self.random_state = random_state
-        self.hist_subtraction = hist_subtraction
         self.tree_: TreeArrays | None = None
         self.fit_stats_: dict[str, int] = {}
         self._mapper: BinMapper | None = None
@@ -209,7 +446,7 @@ class DecisionTreeClassifier:
         sample_weight: np.ndarray | None = None,
         binned: BinnedDataset | None = None,
     ) -> "DecisionTreeClassifier":
-        """Grow the tree.
+        """Grow the tree (a lock-step batch of one).
 
         ``binned`` lets an ensemble share one :class:`BinnedDataset` across
         hundreds of trees instead of re-binning per tree; with it, ``X`` may
@@ -226,7 +463,7 @@ class DecisionTreeClassifier:
         dataset = as_binned_dataset(binned, X, self.max_bins)
         if dataset.n_samples != len(y):
             raise ValueError("binned codes / y length mismatch")
-        n, n_features = dataset.n_samples, dataset.n_features
+        n = dataset.n_samples
         w = (
             np.ones(n, dtype=np.float64)
             if sample_weight is None
@@ -234,188 +471,100 @@ class DecisionTreeClassifier:
         )
         if w.shape != (n,):
             raise ValueError("sample_weight shape mismatch")
-
-        mapper = dataset.mapper
-        self._mapper = mapper
         rng = (
             self.random_state
             if isinstance(self.random_state, np.random.Generator)
             else np.random.default_rng(self.random_state)
         )
-        mtry = self._resolve_max_features(n_features)
+        self._mapper = dataset.mapper
+        (self.tree_,), self.fit_stats_ = self.grow(dataset, y, [w], [rng])
+        tracer = get_tracer()
+        for name, v in self.fit_stats_.items():
+            tracer.counter(name, v)
+        return self
 
-        if not w.sum() > 0:
-            raise ValueError("all sample weights are zero")
-        # Normalise to mean weight 1 so min_samples_* thresholds (compared
-        # against weighted counts) keep their "effective samples" meaning
-        # regardless of the caller's weight scale (boosting uses ~1/n).
-        # Zero-weight rows stay in the index sets: they count toward
-        # min_samples_split and the exact child sums, exactly like the
-        # pre-histogram implementation.  Histograms only gather the live
-        # (w != 0) rows, since a zero weight adds nothing to any bin.
-        w = w * (n / w.sum())
-        wy = w * (y == 1)
-        root_idx = np.arange(n, dtype=np.int64)
+    def grow(
+        self,
+        dataset: BinnedDataset,
+        y: np.ndarray,
+        weights: Sequence[np.ndarray],
+        rngs: Sequence[np.random.Generator],
+    ) -> tuple[list[TreeArrays], dict[str, int]]:
+        """Grow one tree per ``(weights[i], rngs[i])`` in lock-step, with this
+        estimator's parameters; returns the trees and the batch's counters.
 
+        Each tree's output is a pure function of its own weights and
+        generator: growing it here with other trees, or alone, gives the
+        same arrays.  The caller bounds the batch size (memory grows with
+        the trees in flight); the gathers are bounded here.
+        """
+        n, n_features = dataset.n_samples, dataset.n_features
+        k = self._resolve_max_features(n_features)
+        sampled = k < n_features
         codes_T = dataset.codes_T
-        B = dataset.n_bins_max
-        can_split = B >= 2
-        sampled = mtry < n_features
-        subtract = self.hist_subtraction and not sampled
-        n_builds = n_subtractions = n_cells = 0
-        offsets = np.arange(n_features, dtype=np.int64)[:, None] * B
+        mapper = dataset.mapper
+        n_bins = np.array([mapper.num_bins(f) for f in range(n_features)])
+        can_split = dataset.n_bins_max >= 2
+        is_pos = y == 1
+        stats = dict.fromkeys(FIT_COUNTERS, 0)
 
-        def build_hist(
-            live: np.ndarray, allowed: np.ndarray | None = None
-        ) -> tuple[np.ndarray, np.ndarray]:
-            """Weighted (k, B) histogram pair over ``live`` rows for the
-            ``allowed`` feature rows (all F when None), one contiguous gather."""
-            nonlocal n_builds, n_cells
-            rows = codes_T if allowed is None else codes_T.take(allowed, axis=0)
-            sub = rows.take(live, axis=1)  # (k, n_live), C-contiguous
-            k = sub.shape[0]
-            n_builds += 1
-            n_cells += sub.size
-            flat = (offsets[:k] + sub).ravel()
-            h_tot = np.bincount(
-                flat, weights=np.broadcast_to(w[live], sub.shape).ravel(),
-                minlength=k * B,
-            ).reshape(k, B)
-            h_pos = np.bincount(
-                flat, weights=np.broadcast_to(wy[live], sub.shape).ravel(),
-                minlength=k * B,
-            ).reshape(k, B)
-            return h_tot, h_pos
+        growths = []
+        for w, rng in zip(weights, rngs):
+            if not w.sum() > 0:
+                raise ValueError("all sample weights are zero")
+            # Normalise to mean weight 1 so min_samples_* thresholds (compared
+            # against weighted counts) keep their "effective samples" meaning
+            # regardless of the caller's weight scale (boosting uses ~1/n).
+            # Zero-weight rows stay in the index sets: they count toward
+            # min_samples_split and the exact child sums.
+            w = w * (n / w.sum())
+            growths.append(_Growth(w, w * is_pos, rng))
 
-        # growable node arrays
-        cl: list[int] = []
-        cr: list[int] = []
-        feat: list[int] = []
-        thr: list[float] = []
-        cover: list[float] = []
-        value: list[float] = []
-
-        def new_node(tot: float, pos: float) -> int:
-            node_id = len(cl)
-            cl.append(LEAF)
-            cr.append(LEAF)
-            feat.append(LEAF)
-            thr.append(np.nan)
-            cover.append(tot)
-            value.append(pos / tot if tot > 0 else 0.0)
-            return node_id
-
-        def may_split(n_child: int, depth: int, tot: float, pos: float) -> bool:
-            """Whether a child node can possibly be split further."""
-            if not can_split or n_child < self.min_samples_split:
+        def may_split(n_rows: int, depth: int, tot: float, pos: float) -> bool:
+            """Whether a node can possibly be split."""
+            if not can_split or n_rows < self.min_samples_split:
                 return False
             if self.max_depth is not None and depth >= self.max_depth:
                 return False
             return 0.0 < pos < tot  # not pure
 
-        root_tot = float(w[root_idx].sum())
-        root_pos = float(wy[root_idx].sum())
-        root_live = np.flatnonzero(w != 0)
-        stack = [_NodeTask(root_idx, root_live, 0, -1, False, root_tot, root_pos)]
-        while stack:
-            task = stack.pop()
-            node_id = new_node(task.tot, task.pos)
-            if task.parent >= 0:
-                if task.is_left:
-                    cl[task.parent] = node_id
-                else:
-                    cr[task.parent] = node_id
-            if not may_split(len(task.indices), task.depth, task.tot, task.pos):
-                continue
-
-            allowed = None
-            if sampled:
-                # the node's random feature subset, sorted so the scan's
-                # first-wins tie-break follows global feature order
-                # independent of the draw order; only those rows are gathered
-                allowed = np.sort(rng.choice(n_features, size=mtry, replace=False))
-                hist_tot, hist_pos = build_hist(task.live, allowed)
-            elif task.hist_tot is None:
-                hist_tot, hist_pos = build_hist(task.live)
-            else:
-                hist_tot, hist_pos = task.hist_tot, task.hist_pos
-                task.hist_tot = task.hist_pos = None
-            split = self._scan_histogram(hist_tot, hist_pos, task.tot, task.pos)
-            if split is None:
-                continue
-            f, cut = split
-            if allowed is not None:
-                f = int(allowed[f])
-            feat[node_id] = f
-            thr[node_id] = mapper.threshold_value(f, cut)
-            codes_f = codes_T[f]
-            left_mask = codes_f[task.indices] <= cut
-            left_idx = task.indices[left_mask]
-            right_idx = task.indices[~left_mask]
-            live_left = codes_f[task.live] <= cut
-            # exact child stats from data over the full index sets (never
-            # histogram-derived, so the stored cover/value and the stop
-            # checks are identical with and without subtraction)
-            l_tot = float(w[left_idx].sum())
-            l_pos = float(wy[left_idx].sum())
-            r_tot = float(w[right_idx].sum())
-            r_pos = float(wy[right_idx].sum())
-
-            left = _NodeTask(left_idx, task.live[live_left], task.depth + 1,
-                             node_id, True, l_tot, l_pos)
-            right = _NodeTask(right_idx, task.live[~live_left], task.depth + 1,
-                              node_id, False, r_tot, r_pos)
-            need_l = may_split(len(left_idx), left.depth, l_tot, l_pos)
-            need_r = may_split(len(right_idx), right.depth, r_tot, r_pos)
-            if subtract and (need_l or need_r):
-                small, big = (
-                    (left, right) if len(left.live) <= len(right.live) else (right, left)
+        active = growths
+        while active:
+            # pop the next preorder node of every tree; draw its feature
+            # subset (sorted, so the first-wins tie-break follows global
+            # feature order) from that tree's own generator
+            batch = []
+            for g in active:
+                task = g.stack.pop()
+                node_id = g.add_node(task)
+                if may_split(len(task.indices), task.depth, task.tot, task.pos):
+                    allowed = (np.sort(g.rng.choice(n_features, size=k, replace=False))
+                               if sampled else None)
+                    batch.append((g, task, node_id, allowed))
+            if batch:
+                hist_tot, hist_pos, row_start, n_cells = _histograms(
+                    batch, codes_T, n_bins, k, is_pos
                 )
-                need_small = need_l if small is left else need_r
-                need_big = need_r if small is left else need_l
-                # When the small child's histogram is needed anyway, deriving
-                # the big sibling replaces a whole build with one cheap
-                # (F, B) subtraction — always a win.  When the small build
-                # would happen *only* to enable the subtraction, the win is
-                # just the live-row difference between the children (the
-                # gather cost), which must beat the subtraction's O(F·B)
-                # cost (crossover is around B/8 rows: a bin-wise subtract
-                # touches ~2·B cells per feature at a fraction of the
-                # per-row gather+bincount cost).
-                worth = need_small or (len(big.live) - len(small.live) >= B // 8)
-                if need_big and worth:
-                    small_tot, small_pos = build_hist(small.live)
-                    # reuse the parent's arrays for the derived sibling
-                    np.subtract(hist_tot, small_tot, out=hist_tot)
-                    np.subtract(hist_pos, small_pos, out=hist_pos)
-                    n_subtractions += 1
-                    big.hist_tot, big.hist_pos = hist_tot, hist_pos
-                    if need_small:
-                        small.hist_tot, small.hist_pos = small_tot, small_pos
-            # children without a carried histogram build one when popped;
-            # push right first so the left child is materialised immediately
-            # after its parent (purely cosmetic: sklearn-like preordering)
-            stack.append(right)
-            stack.append(left)
+                rows, cuts, n_scored = best_splits(
+                    hist_tot, hist_pos, row_start, k,
+                    np.array([task.tot for _, task, _, _ in batch]),
+                    np.array([task.pos for _, task, _, _ in batch]),
+                    self.criterion, self.min_samples_leaf,
+                )
+                stats["ml.hist.builds"] += len(batch)
+                stats["ml.hist.cells"] += n_cells
+                stats["ml.hist.batches"] += 1
+                stats["ml.hist.scan_cells"] += n_scored
+                for (g, task, node_id, allowed), row, cut in zip(batch, rows, cuts):
+                    if row >= 0:
+                        g.split(task, node_id,
+                                int(row if allowed is None else allowed[row]),
+                                int(cut), codes_T, mapper)
+            active = [g for g in active if g.stack]
 
-        self.tree_ = TreeArrays(
-            children_left=np.asarray(cl, dtype=np.int32),
-            children_right=np.asarray(cr, dtype=np.int32),
-            feature=np.asarray(feat, dtype=np.int32),
-            threshold=np.asarray(thr, dtype=np.float64),
-            cover=np.asarray(cover, dtype=np.float64),
-            value=np.asarray(value, dtype=np.float64),
-        )
-        self.fit_stats_ = {
-            "ml.hist.builds": n_builds,
-            "ml.hist.subtractions": n_subtractions,
-            "ml.hist.cells": n_cells,
-            "ml.tree.nodes": len(cl),
-        }
-        tracer = get_tracer()
-        for name, v in self.fit_stats_.items():
-            tracer.counter(name, v)
-        return self
+        trees = [g.arrays() for g in growths]
+        stats["ml.tree.nodes"] = sum(t.node_count for t in trees)
+        return trees, stats
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         """(n, 2) class probabilities."""
@@ -442,54 +591,3 @@ class DecisionTreeClassifier:
         if isinstance(mf, int):
             return max(1, min(n_features, mf))
         raise ValueError(f"bad max_features {mf!r}")
-
-    def _scan_histogram(
-        self,
-        hist_tot: np.ndarray,
-        hist_pos: np.ndarray,
-        w_tot: float,
-        w_pos: float,
-    ) -> tuple[int, int] | None:
-        """Best (histogram row, bin cut) in a node's histogram, or None for a
-        leaf.  The row indexes the histogram as gathered; the caller maps it
-        back to a feature through the node's ``allowed`` subset.
-        """
-        B = hist_tot.shape[1]
-        # prefix sums: splitting after bin c puts codes <= c on the left
-        left_tot = np.cumsum(hist_tot, axis=1)[:, :-1]
-        left_pos = np.cumsum(hist_pos, axis=1)[:, :-1]
-        right_tot = w_tot - left_tot
-        right_pos = w_pos - left_pos
-
-        parent_imp = _impurity(
-            np.array([w_pos]), np.array([w_tot]), self.criterion
-        )[0]
-        child_imp = (
-            left_tot * _impurity(left_pos, left_tot, self.criterion)
-            + right_tot * _impurity(right_pos, right_tot, self.criterion)
-        ) / w_tot
-        gain = parent_imp - child_imp
-
-        # feasibility: both sides non-empty & honour min_samples_leaf
-        # (approximated in weighted counts; exact for unit weights).  Cuts at
-        # or past a narrow feature's last bin leave the right side empty and
-        # are excluded here too.
-        feasible = (left_tot >= self.min_samples_leaf) & (
-            right_tot >= self.min_samples_leaf
-        )
-        gain = np.where(feasible, gain, -np.inf)
-        best_gain = float(gain.max())
-        if not np.isfinite(best_gain) or best_gain <= 1e-12:
-            return None
-        # Deterministic tie-break, immune to sibling-subtraction drift: a
-        # derived (parent - small) histogram can carry ~1 ulp residue even in
-        # bins that are exactly empty in the child (different summation
-        # order), which would let a plain argmax pick different members of an
-        # exactly-tied cut set than the direct build does.  Treat every cut
-        # within a hair of the best gain as tied and take the first — both
-        # modes see the same tie set because true gain gaps are either zero
-        # or orders of magnitude wider than the drift.
-        tol = 1e-9 * max(1.0, abs(best_gain))
-        best_flat = int(np.argmax(gain.ravel() >= best_gain - tol))
-        f, cut = divmod(best_flat, B - 1)
-        return int(f), int(cut)

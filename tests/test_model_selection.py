@@ -191,6 +191,24 @@ class TestComplexity:
         svm_ops = complexity_of(svm, X[:100], "SVM").prediction_ops_per_sample
         assert svm_ops > 10 * rf_ops
 
+    def test_tree_ops_match_per_tree_walks(self):
+        """Path lengths from the stacked traversal give the same float, bit
+        for bit, as walking every tree on its own and summing in tree order."""
+        X, y = make_separable(n=500, seed=66)
+        X_ref = X[:300]
+        models = [
+            (RandomForestClassifier(n_estimators=12, random_state=0).fit(X, y), 1.0),
+            (RUSBoostClassifier(n_estimators=6, random_state=0).fit(X, y), 2.0),
+        ]
+        for model, per_tree in models:
+            expected = 0.0
+            for t in model.trees:
+                expected += float(t.decision_path_lengths(X_ref).mean())
+                expected += per_tree
+            expected += 1.0
+            rep = complexity_of(model, X_ref, "m")
+            assert rep.prediction_ops_per_sample == expected
+
     def test_unknown_model_raises(self):
         with pytest.raises(TypeError):
             complexity_of(object(), np.zeros((1, 2)), "x")

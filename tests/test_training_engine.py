@@ -1,9 +1,12 @@
-"""Engine-level invariants of the histogram training overhaul.
+"""Engine-level invariants of the histogram training engine.
 
-Four contracts keep the fast paths honest:
+Five contracts keep the fast paths honest:
 
-* sibling-subtraction trees are **bit-identical** to direct-histogram
-  trees — the subtraction is an optimisation, never a model change;
+* the batched split kernel (:func:`repro.ml.tree.best_splits`) picks the
+  same cut as a dense scan of every ``(row, cut)`` — scoring only cuts
+  after occupied bins is an optimisation, never a model change;
+* growing trees in lock-step gives the same arrays as growing each alone:
+  every tree's random stream and node order are its own;
 * gathering only a node's sampled feature rows and live (non-zero-weight)
   rows leaves every fitted array unchanged — pinned by digests recorded
   before the engine gathered less;
@@ -22,22 +25,23 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import repro.ml.forest as forest_mod
+import repro.ml.tree as tree_mod
 from repro.core.experiment import run_experiment
 from repro.core.models import ModelSpec
 from repro.ml.binning import BinnedDataset
 from repro.ml.boosting import RUSBoostClassifier
 from repro.ml.forest import ForestArrays, RandomForestClassifier
 from repro.ml.model_selection import grid_search
-from repro.ml.tree import DecisionTreeClassifier
+from repro.ml.tree import DecisionTreeClassifier, _impurity, best_splits
 from repro.runtime.telemetry import Tracer, activate
 from tests.conftest import make_separable
 
 
 def _trial_data(trial):
     """One randomized fit problem: data/weights/params all derive from the
-    trial number, sweeping the regimes where subtraction drift could bite
-    (exact ties on gridded data, fractional and zeroed weights, tiny and
-    full-width histograms)."""
+    trial number, sweeping the regimes where a changed scan or growth order
+    could bite (exact ties on gridded data, fractional and zeroed weights,
+    tiny and full-width histograms)."""
     rng = np.random.default_rng(trial)
     n = int(rng.integers(30, 400))
     n_features = int(rng.integers(2, 9))
@@ -86,41 +90,193 @@ def _assert_trees_identical(a, b):
     assert np.array_equal(a.value, b.value)
 
 
-class TestSiblingSubtraction:
+def _dense_scan(hist_tot, hist_pos, w_tot, w_pos, criterion, min_samples_leaf):
+    """The per-node dense split scan the batched kernel replaced, kept
+    verbatim as the reference: every ``(row, cut)`` of a ``(k, B)``
+    histogram pair scored, first cut within 1e-9 of the best wins."""
+    B = hist_tot.shape[1]
+    # prefix sums: splitting after bin c puts codes <= c on the left
+    left_tot = np.cumsum(hist_tot, axis=1)[:, :-1]
+    left_pos = np.cumsum(hist_pos, axis=1)[:, :-1]
+    right_tot = w_tot - left_tot
+    right_pos = w_pos - left_pos
+
+    parent_imp = _impurity(
+        np.array([w_pos]), np.array([w_tot]), criterion
+    )[0]
+    child_imp = (
+        left_tot * _impurity(left_pos, left_tot, criterion)
+        + right_tot * _impurity(right_pos, right_tot, criterion)
+    ) / w_tot
+    gain = parent_imp - child_imp
+
+    feasible = (left_tot >= min_samples_leaf) & (
+        right_tot >= min_samples_leaf
+    )
+    gain = np.where(feasible, gain, -np.inf)
+    best_gain = float(gain.max())
+    if not np.isfinite(best_gain) or best_gain <= 1e-12:
+        return None
+    tol = 1e-9 * max(1.0, abs(best_gain))
+    best_flat = int(np.argmax(gain.ravel() >= best_gain - tol))
+    f, cut = divmod(best_flat, B - 1)
+    return int(f), int(cut)
+
+
+def _kernel_case(seed):
+    """``m`` nodes' histograms built from sampled rows, as a tree builds
+    them: unequal node sizes, features of unequal bin counts (many bins
+    empty), fractional, integer and zero weights, a duplicated feature row
+    (an exact tie across rows) and a few rows with no positive weight."""
+    rng = np.random.default_rng(seed)
+    m, k, B = int(rng.integers(1, 6)), int(rng.integers(1, 7)), int(rng.integers(2, 40))
+    widths = rng.integers(1, B + 1, size=(m, k))
+    widths[:, 0] = B  # some row spans the full width
+    hist_tot = np.zeros((m, k, B))
+    hist_pos = np.zeros((m, k, B))
+    w_tot, w_pos = np.zeros(m), np.zeros(m)
+    for i in range(m):
+        n = int(rng.integers(1, 60))
+        codes = rng.integers(0, widths[i], size=(n, k))
+        if k > 1 and rng.random() < 0.5:
+            codes[:, -1] = codes[:, 0]  # an exactly tied feature row
+            widths[i, -1] = widths[i, 0]
+        weight_kind = rng.integers(3)
+        if weight_kind == 0:
+            w = np.ones(n)
+        elif weight_kind == 1:
+            w = rng.multinomial(n, np.full(n, 1.0 / n)).astype(np.float64)
+        else:
+            w = rng.uniform(0.1, 3.0, size=n) * (rng.random(n) < 0.7)
+        if not w.sum() > 0:
+            w[0] = 1.0
+        w = w * (n / w.sum())
+        y = rng.random(n) < rng.choice([0.0, 0.2, 0.5])
+        wy = w * y
+        for f in range(k):
+            hist_tot[i, f] = np.bincount(codes[:, f], weights=w, minlength=B)
+            hist_pos[i, f] = np.bincount(codes[:, f], weights=wy, minlength=B)
+        w_tot[i], w_pos[i] = float(w.sum()), float(wy.sum())
+    return hist_tot, hist_pos, widths, w_tot, w_pos
+
+
+def _ragged(hist, widths):
+    """Each row cut to its own width: the layout the engine feeds the kernel."""
+    m, k, _ = hist.shape
+    return np.concatenate([hist[i, f, :widths[i, f]] for i in range(m) for f in range(k)])
+
+
+class TestSplitKernel:
+    @given(st.integers(0, 100_000), st.sampled_from(["gini", "entropy"]),
+           st.integers(1, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_dense_scan(self, seed, criterion, min_samples_leaf):
+        hist_tot, hist_pos, widths, w_tot, w_pos = _kernel_case(seed)
+        m, k, B = hist_tot.shape
+        expected = [
+            _dense_scan(hist_tot[i], hist_pos[i], w_tot[i], w_pos[i],
+                        criterion, min_samples_leaf)
+            for i in range(m)
+        ]
+        row_start = np.zeros(m * k + 1, dtype=np.int64)
+        np.cumsum(widths.ravel(), out=row_start[1:])
+        layouts = [
+            (hist_tot.ravel(), hist_pos.ravel(), np.arange(m * k + 1) * B),
+            (_ragged(hist_tot, widths), _ragged(hist_pos, widths), row_start),
+        ]
+        for tot, pos, starts in layouts:
+            rows, cuts, n_scored = best_splits(
+                tot, pos, starts, k, w_tot, w_pos, criterion, min_samples_leaf
+            )
+            got = [None if r < 0 else (int(r), int(c)) for r, c in zip(rows, cuts)]
+            assert got == expected
+            # only cuts after an occupied bin, never after a row's last
+            occupied = ((hist_tot != 0) | (hist_pos != 0)).sum(axis=2)
+            assert n_scored == np.maximum(occupied - 1, 0).sum()
+
+    def test_empty_and_single_bin_rows_are_leaves(self):
+        hist = np.zeros((2, 3, 4))
+        hist[:, :, 1] = 5.0  # every row's weight in one bin: no feasible cut
+        rows, cuts, n_scored = best_splits(
+            hist.ravel(), hist.ravel() * 0.2, np.arange(7) * 4, 3,
+            np.array([5.0, 5.0]), np.array([1.0, 1.0]), "gini", 1,
+        )
+        assert list(rows) == [-1, -1] and n_scored == 0
+
+
+class TestLockStep:
     @given(st.integers(0, 100_000))
     @example(3)  # a fifth of the weights zeroed
     @example(7)  # most weights zeroed, as in a RUSBoost undersample
     @settings(max_examples=30, deadline=None)
-    def test_bit_identical_to_direct_build(self, trial):
+    def test_bit_identical_to_single_fits(self, trial):
         X, y, w, params = _trial_data(trial)
-        direct = DecisionTreeClassifier(
-            random_state=trial, hist_subtraction=False, **params
-        ).fit(X, y, sample_weight=w)
-        fast = DecisionTreeClassifier(
-            random_state=trial, hist_subtraction=True, **params
-        ).fit(X, y, sample_weight=w)
-        _assert_trees_identical(direct.tree_, fast.tree_)
-
-    def test_subtraction_replaces_builds(self):
-        # only full-feature trees (max_features=None, as in RUSBoost) carry
-        # histograms between nodes; sampled-feature trees never subtract
-        X, y = make_separable(n=800, seed=33)
-        direct = DecisionTreeClassifier(
-            random_state=0, max_features=None, hist_subtraction=False
-        ).fit(X, y)
-        fast = DecisionTreeClassifier(
-            random_state=0, max_features=None, hist_subtraction=True
-        ).fit(X, y)
-        assert direct.fit_stats_["ml.hist.subtractions"] == 0
-        assert fast.fit_stats_["ml.hist.subtractions"] > 0
-        assert fast.fit_stats_["ml.hist.builds"] < direct.fit_stats_["ml.hist.builds"]
-        # same tree either way, so the node counters agree too
-        assert (
-            fast.fit_stats_["ml.tree.nodes"]
-            == direct.fit_stats_["ml.tree.nodes"]
-            == fast.tree_.node_count
+        n = len(y)
+        base = np.ones(n) if w is None else w
+        rng = np.random.default_rng(trial + 1)
+        weights = [base, base * rng.multinomial(n, np.full(n, 1.0 / n)),
+                   base * (rng.random(n) < 0.5)]
+        weights = [v if v.sum() > 0 else base for v in weights]
+        dataset = BinnedDataset.from_matrix(X, params["max_bins"])
+        template = DecisionTreeClassifier(**params)
+        together, stats = template.grow(
+            dataset, y, weights, np.random.default_rng(trial).spawn(3)
         )
+        alone = [
+            DecisionTreeClassifier(random_state=r, **params).fit(
+                None, y, sample_weight=v, binned=dataset
+            )
+            for v, r in zip(weights, np.random.default_rng(trial).spawn(3))
+        ]
+        for a, b in zip(together, alone):
+            _assert_trees_identical(a, b.tree_)
+        for name in ("ml.hist.builds", "ml.hist.cells", "ml.hist.scan_cells",
+                     "ml.tree.nodes"):
+            assert stats[name] == sum(b.fit_stats_[name] for b in alone)
+        # one kernel call per lock-step step that splits anything, not one
+        # per tree and node
+        alone_batches = [b.fit_stats_["ml.hist.batches"] for b in alone]
+        assert max(alone_batches) <= stats["ml.hist.batches"] <= sum(alone_batches)
 
+    @pytest.mark.parametrize("kw", [
+        dict(max_depth=4),
+        dict(min_samples_leaf=3),
+        dict(class_weight="balanced"),
+        dict(max_samples=0.6, max_features=0.5),
+        dict(max_depth=8, n_jobs=2),
+    ])
+    def test_forest_equals_trees_grown_one_at_a_time(self, kw):
+        X, y = make_separable(n=300, n_features=12, seed=36)
+        n_trees = forest_mod.TREES_IN_FLIGHT + 3  # two lock-step groups
+        rf = RandomForestClassifier(n_estimators=n_trees, random_state=9, **kw)
+        rf.fit(X, y)
+        dataset = BinnedDataset.from_matrix(X)
+        base_w = np.ones(len(y))
+        if rf.class_weight == "balanced":
+            pos = int(y.sum())
+            base_w = np.where(y == 1, len(y) / (2.0 * pos),
+                              len(y) / (2.0 * (len(y) - pos)))
+        n_draw = len(y) if rf.max_samples is None else int(rf.max_samples * len(y))
+        for r, got in zip(np.random.default_rng(9).spawn(n_trees), rf.trees):
+            w = base_w * r.multinomial(n_draw, np.full(len(y), 1.0 / len(y)))
+            tree = DecisionTreeClassifier(
+                max_depth=rf.max_depth, min_samples_leaf=rf.min_samples_leaf,
+                max_features=rf.max_features, random_state=r,
+            ).fit(None, y, sample_weight=w, binned=dataset)
+            _assert_trees_identical(got, tree.tree_)
+
+
+    def test_gather_cap_only_splits_the_bincount(self, monkeypatch):
+        X, y = make_separable(n=400, n_features=20, seed=37)
+        rf = RandomForestClassifier(n_estimators=6, random_state=2).fit(X, y)
+        monkeypatch.setattr(tree_mod, "_BINCOUNT_CELLS", 50)
+        capped = RandomForestClassifier(n_estimators=6, random_state=2).fit(X, y)
+        for a, b in zip(rf.trees, capped.trees):
+            _assert_trees_identical(a, b)
+        assert capped.fit_stats_ == rf.fit_stats_
+
+
+class TestCounters:
     def test_fit_counters_reach_active_tracer(self):
         X, y = make_separable(n=300, seed=34)
         tracer = Tracer()
@@ -138,8 +294,10 @@ class TestSiblingSubtraction:
         )
         stats = tree.fit_stats_
         mtry, live = int(np.sqrt(40)), int(np.count_nonzero(w))
-        assert stats["ml.hist.subtractions"] == 0
         assert 0 < stats["ml.hist.cells"] <= stats["ml.hist.builds"] * mtry * live
+        # a batch of one: one kernel call per histogram built
+        assert stats["ml.hist.batches"] == stats["ml.hist.builds"]
+        assert 0 < stats["ml.hist.scan_cells"] < stats["ml.hist.cells"]
 
 
 _TREE_FIELDS = (
@@ -194,7 +352,6 @@ class TestPinnedTrees:
             n_estimators=4, max_depth=6, learning_rate=0.0, random_state=5
         ).fit(X, y)
         assert [t.node_count for t in rus.trees] == [21, 17, 19, 19]
-        assert sum(e.fit_stats_["ml.hist.subtractions"] for e in rus.estimators_) > 0
         assert _trees_digest(rus.trees) == (
             "e0c9b11fb3f8072ea5cd8b86f85eaabee9dc786e82dccefffb24dd7a09ac432c"
         )
@@ -204,26 +361,31 @@ class TestParallelFit:
     def test_parallel_fit_bit_identical_to_serial(self):
         X, y = make_separable(n=400, seed=40)
         Xte, _ = make_separable(n=200, seed=41)
+        n_trees = 2 * forest_mod.TREES_IN_FLIGHT + 3  # three lock-step groups
         serial = RandomForestClassifier(
-            n_estimators=6, max_depth=6, random_state=7, n_jobs=1
+            n_estimators=n_trees, max_depth=6, random_state=7, n_jobs=1
         ).fit(X, y)
         parallel = RandomForestClassifier(
-            n_estimators=6, max_depth=6, random_state=7, n_jobs=3
+            n_estimators=n_trees, max_depth=6, random_state=7, n_jobs=3
         ).fit(X, y)
-        assert len(parallel.estimators_) == 6
+        assert len(parallel.estimators_) == n_trees
         for a, b in zip(serial.trees, parallel.trees):
             _assert_trees_identical(a, b)
         assert np.array_equal(serial.predict_proba(Xte), parallel.predict_proba(Xte))
 
     def test_parallel_fit_reemits_tree_counters(self):
         X, y = make_separable(n=300, seed=42)
+        n_trees = 2 * forest_mod.TREES_IN_FLIGHT + 3  # three lock-step groups
 
         def totals(n_jobs):
             tracer = Tracer()
             with activate(tracer):
-                RandomForestClassifier(
-                    n_estimators=4, max_depth=4, random_state=1, n_jobs=n_jobs
+                rf = RandomForestClassifier(
+                    n_estimators=n_trees, max_depth=4, random_state=1, n_jobs=n_jobs
                 ).fit(X, y)
+            assert rf.fit_stats_ == {
+                k: tracer.counters[k] for k in rf.fit_stats_
+            }
             return {
                 k: v for k, v in tracer.counters.items() if k.startswith("ml.hist")
                 or k.startswith("ml.tree")
@@ -233,12 +395,16 @@ class TestParallelFit:
         assert serial == parallel
         assert serial["ml.tree.nodes"] > 0
         assert serial["ml.hist.cells"] > 0
+        assert serial["ml.hist.scan_cells"] > 0
+        # lock-step: one kernel call scans a node of every tree in flight
+        assert 0 < serial["ml.hist.batches"] < serial["ml.hist.builds"]
 
     def test_n_jobs_validation_and_capping(self):
         with pytest.raises(ValueError):
             RandomForestClassifier(n_jobs=0)
         rf = RandomForestClassifier(n_estimators=3, n_jobs=-1)
         assert 1 <= rf._effective_jobs() <= 3  # capped by n_estimators
+        assert rf._effective_jobs() == 1  # one lock-step group
         assert RandomForestClassifier(n_jobs=None)._effective_jobs() == 1
 
     def test_nested_worker_grows_serially(self, monkeypatch):
@@ -267,6 +433,13 @@ class TestStackedPrediction:
         assert np.allclose(
             rf.stacked.predict_proba_positive(Xte), manual.mean(axis=1)
         )
+
+    def test_path_lengths_match_per_tree(self, fitted):
+        rf, Xte = fitted
+        lengths = rf.stacked.decision_path_lengths(Xte, chunk_size=100)
+        manual = np.column_stack([t.decision_path_lengths(Xte) for t in rf.trees])
+        assert lengths.dtype == manual.dtype
+        assert np.array_equal(lengths, manual)
 
     def test_chunked_traversal_invariant(self, fitted):
         rf, Xte = fitted
