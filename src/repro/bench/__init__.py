@@ -1,7 +1,6 @@
 """Benchmark substrate: synthetic ISPD-2015-like designs and the 14-design suite."""
 
 from .generator import DesignGenerator, DesignRecipe, generate_design
-from .io import load_artifact, load_design, save_artifact, save_design
 from .suite import (
     GROUPS,
     SUITE_ORDER,
@@ -16,10 +15,6 @@ __all__ = [
     "DesignGenerator",
     "DesignRecipe",
     "generate_design",
-    "load_artifact",
-    "load_design",
-    "save_artifact",
-    "save_design",
     "GROUPS",
     "SUITE_ORDER",
     "SUITE_RECIPES",

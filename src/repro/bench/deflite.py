@@ -2,10 +2,9 @@
 
 A deliberately small, DEF-inspired text format capturing everything the
 flow needs — die, macros (with blocked layers), cells (with optional
-placement), pins and nets (with NDR / clock flags).  Unlike the pickle
-serialisation in :mod:`repro.bench.io`, DEF-lite files are stable across
-code versions, diffable, and human-editable, making them the right artefact
-for sharing testcases and bug reports.
+placement), pins and nets (with NDR / clock flags).  DEF-lite files are
+stable across code versions, diffable, and human-editable, making them the
+design interchange format for sharing testcases and bug reports.
 
 Example::
 

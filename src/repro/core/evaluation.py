@@ -107,6 +107,6 @@ def summarize_shape(result: ExperimentResult) -> dict[str, object]:
         "svm_slowest_training": max(stats, key=lambda m: stats[m].train_minutes)
         == svm,
     }
-    if avg_aprc.get(svm, 0) > 0:
+    if rf in avg_aprc and avg_aprc.get(svm, 0) > 0:
         out["rf_vs_svm_aprc_gain"] = avg_aprc[rf] / avg_aprc[svm] - 1.0
     return out

@@ -18,9 +18,13 @@ one-fractions AND),
 
 where ``z_u`` is the product of cover ratios of u's path segments, ``o_u``
 indicates whether x satisfies them all, and ``W(l, u)`` is the Shapley
-kernel sum the EXTEND/UNWIND polynomial evaluates.  Grouping leaves by
-unique-path length lets every EXTEND/UNWIND step run vectorised across all
-leaves of a tree — numpy-speed SHAP with no compiled code.
+kernel sum the EXTEND/UNWIND polynomial evaluates.  Grouping the leaves of
+*every* tree of the forest by unique-path length (the path packing of
+GPUTreeShap, Mitchell, Frank & Holmes 2022) leaves about as many groups as
+the deepest path is long, and each EXTEND/UNWIND step runs vectorised across
+all samples and all leaves of a group — numpy-speed SHAP with no compiled
+code.  One kernel serves one row or many: a single explanation is a batch of
+one.
 
 Properties guaranteed (and property-tested): **local accuracy**
 ``Σ_u phi_u = f(x) − E[f]`` to float precision, and exact agreement with
@@ -39,15 +43,13 @@ from ..tree import LEAF, TreeArrays
 
 @dataclass
 class _LeafGroup:
-    """All leaves of one tree with the same unique-path length D."""
+    """All leaves of the forest with the same unique-path length D."""
 
     depth: int  # D: number of unique features per leaf path
     leaf_value: np.ndarray  # (L,)
     z: np.ndarray  # (L, D) zero fractions (cover-ratio products)
     slot_feature: np.ndarray  # (L, D) global feature index per slot
     # flattened segment arrays, for evaluating one-fractions o(x):
-    seg_row: np.ndarray  # (S,) leaf row within the group
-    seg_slot: np.ndarray  # (S,) slot within the path
     seg_feature: np.ndarray  # (S,) global feature id
     seg_threshold: np.ndarray  # (S,)
     seg_is_left: np.ndarray  # (S,) bool: the path takes the left branch
@@ -81,17 +83,21 @@ def _collect_leaf_paths(
     return out
 
 
-def _build_groups(tree: TreeArrays) -> list[_LeafGroup]:
-    """Preprocess a tree into depth-grouped leaf path tables."""
-    by_depth: dict[int, list[tuple[float, list, dict]]] = {}
-    for value, segs in _collect_leaf_paths(tree):
-        # merge duplicate features: z multiplies, segments accumulate
-        slots: dict[int, dict] = {}
-        for feat, thr, is_left, ratio in segs:
-            entry = slots.setdefault(feat, {"z": 1.0, "segs": []})
-            entry["z"] *= ratio
-            entry["segs"].append((thr, is_left))
-        by_depth.setdefault(len(slots), []).append((value, segs, slots))
+def _build_groups(trees: list[TreeArrays]) -> list[_LeafGroup]:
+    """Preprocess a forest into depth-grouped leaf path tables.
+
+    Leaves of every tree with the same unique-path length share one group,
+    so a forest yields about as many groups as its deepest path is long.
+    """
+    by_depth: dict[int, list[tuple[float, dict[int, float], list]]] = {}
+    for tree in trees:
+        for value, segs in _collect_leaf_paths(tree):
+            # merge duplicate features: zero fractions multiply; slots follow
+            # each feature's first split on the path
+            z_of: dict[int, float] = {}
+            for feat, _, _, ratio in segs:
+                z_of[feat] = z_of.get(feat, 1.0) * ratio
+            by_depth.setdefault(len(z_of), []).append((value, z_of, segs))
 
     groups: list[_LeafGroup] = []
     for depth, leaves in sorted(by_depth.items()):
@@ -101,93 +107,46 @@ def _build_groups(tree: TreeArrays) -> list[_LeafGroup]:
         z = np.zeros((n, depth))
         slot_feature = np.zeros((n, depth), dtype=np.int64)
         leaf_value = np.zeros(n)
-        seg_row: list[int] = []
-        seg_slot: list[int] = []
+        seg_run: list[int] = []  # (row, slot) pair as row·D + slot
         seg_feature: list[int] = []
         seg_threshold: list[float] = []
         seg_is_left: list[bool] = []
-        for row, (value, _, slots) in enumerate(leaves):
+        for row, (value, z_of, segs) in enumerate(leaves):
             leaf_value[row] = value
-            for slot, (feat, entry) in enumerate(slots.items()):
-                z[row, slot] = entry["z"]
-                slot_feature[row, slot] = feat
-                for thr, is_left in entry["segs"]:
-                    seg_row.append(row)
-                    seg_slot.append(slot)
-                    seg_feature.append(feat)
-                    seg_threshold.append(thr)
-                    seg_is_left.append(is_left)
-        rows = np.asarray(seg_row, dtype=np.int64)
-        slots_arr = np.asarray(seg_slot, dtype=np.int64)
-        starts = np.flatnonzero(
-            np.r_[True, (rows[1:] != rows[:-1]) | (slots_arr[1:] != slots_arr[:-1])]
-        )
+            z[row] = list(z_of.values())
+            slot_feature[row] = list(z_of)
+            run_of = {feat: row * depth + slot for slot, feat in enumerate(z_of)}
+            for feat, thr, is_left, _ in segs:
+                seg_run.append(run_of[feat])
+                seg_feature.append(feat)
+                seg_threshold.append(thr)
+                seg_is_left.append(is_left)
+        # one contiguous run per (row, slot); path order within a run
+        order = np.argsort(seg_run, kind="stable")
+        run = np.asarray(seg_run, dtype=np.int64)[order]
         groups.append(
             _LeafGroup(
                 depth=depth,
                 leaf_value=leaf_value,
                 z=z,
                 slot_feature=slot_feature,
-                seg_row=rows,
-                seg_slot=slots_arr,
-                seg_feature=np.asarray(seg_feature, dtype=np.int64),
-                seg_threshold=np.asarray(seg_threshold),
-                seg_is_left=np.asarray(seg_is_left, dtype=bool),
-                seg_starts=starts,
+                seg_feature=np.asarray(seg_feature, dtype=np.int64)[order],
+                seg_threshold=np.asarray(seg_threshold)[order],
+                seg_is_left=np.asarray(seg_is_left, dtype=bool)[order],
+                seg_starts=np.flatnonzero(np.r_[True, run[1:] != run[:-1]]),
             )
         )
     return groups
 
 
-def _group_phi(group: _LeafGroup, x: np.ndarray, phi: np.ndarray) -> None:
-    """Add one leaf-group's SHAP contributions for sample ``x`` into phi."""
-    D = group.depth
-    L = len(group.leaf_value)
-    # one-fractions: AND of segment satisfactions per (leaf, slot)
-    sat = (x[group.seg_feature] < group.seg_threshold) == group.seg_is_left
-    o = np.ones((L, D), dtype=bool)
-    np.logical_and.at(o, (group.seg_row, group.seg_slot), sat)
-    o = o.astype(np.float64)
-    z = group.z
-
-    # EXTEND: coalition-size weight polynomial, vectorised over leaves
-    W = np.zeros((L, D + 1))
-    W[:, 0] = 1.0
-    for t in range(1, D + 1):
-        zt = z[:, t - 1]
-        ot = o[:, t - 1]
-        for i in range(t - 1, -1, -1):
-            W[:, i + 1] += ot * W[:, i] * ((i + 1) / (t + 1))
-            W[:, i] = zt * W[:, i] * ((t - i) / (t + 1))
-
-    # UNWIND each slot and accumulate its contribution
-    for k in range(1, D + 1):
-        one = o[:, k - 1]
-        zero = z[:, k - 1]
-        one_safe = np.where(one != 0.0, one, 1.0)
-        zero_safe = np.where(zero != 0.0, zero, 1.0)
-        next_one = W[:, D].copy()
-        total = np.zeros(L)
-        for i in range(D - 1, -1, -1):
-            tmp = next_one * ((D + 1) / ((i + 1) * one_safe))
-            branch_one = tmp
-            next_one = np.where(
-                one != 0.0, W[:, i] - tmp * zero * ((D - i) / (D + 1)), next_one
-            )
-            branch_zero = W[:, i] / (zero_safe * ((D - i) / (D + 1)))
-            total += np.where(one != 0.0, branch_one, branch_zero)
-        contrib = total * (one - zero) * group.leaf_value
-        np.add.at(phi, group.slot_feature[:, k - 1], contrib)
-
-
-def _group_phi_batch(group: _LeafGroup, X: np.ndarray, phi: np.ndarray) -> None:
+def _group_pass(group: _LeafGroup, X: np.ndarray, phi: np.ndarray) -> None:
     """Add one leaf-group's SHAP contributions for a batch ``X`` into ``phi``.
 
-    The EXTEND/UNWIND recurrences of :func:`_group_phi` with a leading sample
-    axis: every arithmetic expression keeps the exact operand order of the
-    single-sample version, so the two agree to float precision while the
-    Python-level loops stay O(D²) *total* instead of O(D²) per sample.
-    ``phi`` is the (n, num_features) accumulator.
+    EXTEND runs with leading (sample, leaf) axes and UNWIND adds a trailing
+    slot axis, so the Python-level loops cost O(D²) per pass however many
+    samples and leaves it covers.  ``phi`` is the (n, num_features)
+    accumulator; every sample's arithmetic is independent of the others in
+    the batch.
     """
     D = group.depth
     L = len(group.leaf_value)
@@ -208,25 +167,19 @@ def _group_phi_batch(group: _LeafGroup, X: np.ndarray, phi: np.ndarray) -> None:
             W[..., i + 1] += ot * W[..., i] * ((i + 1) / (t + 1))
             W[..., i] = zt * W[..., i] * ((t - i) / (t + 1))
 
-    # UNWIND each slot and accumulate its contribution
-    rows = np.arange(n)[:, None]
-    for k in range(1, D + 1):
-        one = o[..., k - 1]
-        zero = z[:, k - 1]
-        one_safe = np.where(one != 0.0, one, 1.0)
-        zero_safe = np.where(zero != 0.0, zero, 1.0)
-        next_one = W[..., D].copy()
-        total = np.zeros((n, L))
-        for i in range(D - 1, -1, -1):
-            tmp = next_one * ((D + 1) / ((i + 1) * one_safe))
-            branch_one = tmp
-            next_one = np.where(
-                one != 0.0, W[..., i] - tmp * zero * ((D - i) / (D + 1)), next_one
-            )
-            branch_zero = W[..., i] / (zero_safe * ((D - i) / (D + 1)))
-            total += np.where(one != 0.0, branch_one, branch_zero)
-        contrib = total * (one - zero) * group.leaf_value
-        np.add.at(phi, (rows, group.slot_feature[:, k - 1]), contrib)
+    # UNWIND every slot at once (a trailing slot axis) and accumulate
+    # (one-fractions are 0/1, so UNWIND's division by them is a no-op)
+    is_one = o != 0.0
+    zero_safe = np.where(z != 0.0, z, 1.0)
+    next_one = np.repeat(W[..., D:], D, axis=-1)
+    total = np.zeros((n, L, D))
+    for i in range(D - 1, -1, -1):
+        Wi = W[..., i:i + 1]
+        tmp = next_one * ((D + 1) / (i + 1))
+        next_one = np.where(is_one, Wi - tmp * z * ((D - i) / (D + 1)), next_one)
+        total += np.where(is_one, tmp, Wi / (zero_safe * ((D - i) / (D + 1))))
+    contrib = total * (o - z) * group.leaf_value[:, None]
+    np.add.at(phi, (np.arange(n)[:, None, None], group.slot_feature), contrib)
 
 
 class TreeShapExplainer:
@@ -241,31 +194,25 @@ class TreeShapExplainer:
         if not trees:
             raise ValueError("need at least one tree")
         self.num_features = num_features
-        self._groups_per_tree = [_build_groups(t) for t in trees]
+        self._groups = _build_groups(trees)
+        self._num_trees = len(trees)
         #: E[f(x)] over the training distribution (paper Eq. 1 base value)
         self.expected_value = float(np.mean([t.value[0] for t in trees]))
 
-    #: Samples per batched EXTEND/UNWIND pass.  Bounds the (chunk, L, D+1)
-    #: weight-polynomial tensor while keeping the per-chunk Python overhead
-    #: negligible against the vectorised arithmetic.
-    chunk_size = 512
+    #: Byte bound on one group pass's (rows, L, D+1) weight-polynomial
+    #: tensor.  A group of L leaves at depth D takes
+    #: ``max(1, pass_bytes // (8·L·(D+1)))`` rows per pass: small enough to
+    #: stay cache-friendly, large enough that the per-pass Python overhead
+    #: is negligible against the vectorised arithmetic.
+    pass_bytes = 512 * 1024
 
     def shap_values_single(self, x: np.ndarray) -> np.ndarray:
-        """SHAP values (num_features,) for one sample.
-
-        Reference implementation: :meth:`shap_values` runs the same
-        recurrences batched across samples and is property-tested to agree
-        with this method to float precision.
-        """
+        """SHAP values (num_features,) for one sample: a batch of one."""
         x = np.asarray(x, dtype=np.float64).ravel()
         if x.shape != (self.num_features,):
             raise ValueError(f"expected {self.num_features} features")
         get_tracer().counter("shap.single_rows")
-        phi = np.zeros(self.num_features)
-        for groups in self._groups_per_tree:
-            for group in groups:
-                _group_phi(group, x, phi)
-        return phi / len(self._groups_per_tree)
+        return self.shap_values(x[None])[0]
 
     def shap_values(self, X: np.ndarray) -> np.ndarray:
         """SHAP values (n, num_features) for a batch of samples."""
@@ -274,15 +221,19 @@ class TreeShapExplainer:
             raise ValueError(
                 f"expected (n, {self.num_features}) samples, got {X.shape}"
             )
-        phi = np.zeros((X.shape[0], self.num_features))
+        n = X.shape[0]
+        phi = np.zeros((n, self.num_features))
+        passes = 0
+        # groups outside, row chunks inside: each row accumulates the groups
+        # in the same order whatever the chunk size
+        for group in self._groups:
+            row_bytes = 8 * len(group.leaf_value) * (group.depth + 1)
+            step = max(1, self.pass_bytes // row_bytes)
+            for start in range(0, n, step):
+                _group_pass(group, X[start:start + step], phi[start:start + step])
+                passes += 1
         tracer = get_tracer()
-        for start in range(0, X.shape[0], self.chunk_size):
-            chunk = X[start:start + self.chunk_size]
-            out = phi[start:start + self.chunk_size]
-            for groups in self._groups_per_tree:
-                for group in groups:
-                    _group_phi_batch(group, chunk, out)
-            tracer.counter("shap.chunks")
-            tracer.counter("shap.rows", chunk.shape[0])
-        phi /= len(self._groups_per_tree)
+        tracer.counter("shap.chunks", passes)
+        tracer.counter("shap.rows", n)
+        phi /= self._num_trees
         return phi

@@ -131,6 +131,19 @@ class TestAggregates:
     def test_summarize_shape_gain(self, result):
         shape = summarize_shape(result)
         assert shape["rf_best_average_aprc"] is True
-        assert shape["rf_vs_svm_aprc_gain"] == pytest.approx(0.6 / 0.6 - 1.0 + 0.0, abs=1e-9) or True
         # explicit: RF avg 0.6, SVM avg 0.6 -> gain 0.0
         assert shape["rf_vs_svm_aprc_gain"] == pytest.approx(0.0, abs=1e-9)
+
+    def test_summarize_shape_without_rf(self, result):
+        """A model subset with SVM-RBF but no RF has no RF-vs-SVM gain."""
+        svm_only = ExperimentResult(
+            scores=[s for s in result.scores if s.model == "SVM-RBF"],
+            run_stats=[s for s in result.run_stats if s.model == "SVM-RBF"],
+            design_order=result.design_order,
+            model_order=["SVM-RBF"],
+            target_fpr=result.target_fpr,
+        )
+        shape = summarize_shape(svm_only)
+        assert "rf_vs_svm_aprc_gain" not in shape
+        assert shape["rf_best_average_aprc"] is False
+        assert shape["svm_most_prediction_ops"] is True

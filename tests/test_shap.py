@@ -15,6 +15,7 @@ from repro.ml.shap.kernel import KernelShapExplainer
 from repro.ml.shap.plots import build_explanation, force_plot_text
 from repro.ml.shap.tree_explainer import TreeShapExplainer
 from repro.ml.tree import DecisionTreeClassifier
+from repro.runtime.telemetry import Tracer, activate
 from tests.conftest import make_separable
 
 
@@ -84,29 +85,45 @@ class TestTreeShapExactness:
         )
 
     def test_batch_matches_single(self):
+        """Each row of a multi-row batch, split into several row chunks per
+        group, matches its own single-row Eq. 2 (brute-force) evaluation."""
         rf, X = _fit_small_forest(2)
         ex = TreeShapExplainer(rf.trees, X.shape[1])
-        batch = ex.shap_values(X[:3])
-        for i in range(3):
-            assert np.allclose(batch[i], ex.shap_values_single(X[i]))
+        ex.pass_bytes = 2048  # the larger groups take 2-3 rows per pass
+        with activate(Tracer()) as tracer:
+            batch = ex.shap_values(X[:8])
+        assert tracer.counters["shap.chunks"] > len(ex._groups)
+        for i in range(8):
+            slow = brute_force_shap(rf.trees, X[i], X.shape[1])
+            assert np.allclose(batch[i], slow, atol=1e-10)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=10, deadline=None)
     def test_batched_recurrences_match_reference(self, seed):
-        """The vectorised EXTEND/UNWIND agrees with the per-sample path."""
+        """The vectorised EXTEND/UNWIND agrees with the Eq. 2 reference
+        (brute force) on every row of a chunked batch."""
         rf, X = _fit_small_forest(seed, depth=6, trees=5)
         ex = TreeShapExplainer(rf.trees, X.shape[1])
-        rows = X[(seed % 7):(seed % 7) + 40]
+        ex.pass_bytes = 4096
+        rows = X[(seed % 7):(seed % 7) + 6]
         batch = ex.shap_values(rows)
-        single = np.vstack([ex.shap_values_single(x) for x in rows])
-        assert np.allclose(batch, single, atol=1e-10)
+        slow = np.vstack([brute_force_shap(rf.trees, x, X.shape[1]) for x in rows])
+        assert np.allclose(batch, slow, atol=1e-10)
+
+    def test_forest_is_mean_of_its_trees(self):
+        """Merging every tree's leaves into shared groups keeps rows apart."""
+        rf, X = _fit_small_forest(13, depth=6, trees=7)
+        rows = X[:40]
+        forest = TreeShapExplainer(rf.trees, X.shape[1]).shap_values(rows)
+        per_tree = [TreeShapExplainer([t], X.shape[1]).shap_values(rows) for t in rf.trees]
+        assert np.abs(forest - np.mean(per_tree, axis=0)).max() <= 1e-15
 
     def test_batch_chunking_is_seamless(self):
         """Results must not depend on where the chunk boundaries fall."""
         rf, X = _fit_small_forest(9, trees=3)
         ex = TreeShapExplainer(rf.trees, X.shape[1])
         whole = ex.shap_values(X[:30])
-        ex.chunk_size = 7  # 30 samples -> 5 uneven chunks
+        ex.pass_bytes = 1000  # uneven chunks, sized per group
         chunked = ex.shap_values(X[:30])
         assert np.array_equal(whole, chunked)
 
@@ -148,6 +165,40 @@ class TestTreeShapExactness:
     def test_empty_trees_raises(self):
         with pytest.raises(ValueError):
             TreeShapExplainer([], 3)
+
+
+@pytest.fixture(scope="module")
+def smoke_batch():
+    """benchmarks/smoke.py's 20-tree, 40-feature forest and its 1000-row batch.
+
+    Returns the forest, the rows, their explainer, the batch's SHAP values
+    and the counters of the tracer that was active while computing them.
+    """
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(1500, 40))
+    y = (X[:, 0] + X[:, 3] * X[:, 5] - X[:, 7] > 0).astype(np.int8)
+    rf = RandomForestClassifier(n_estimators=20, max_depth=8, random_state=0).fit(X, y)
+    ex = TreeShapExplainer(rf.trees, X.shape[1])
+    with activate(Tracer()) as tracer:
+        phi = ex.shap_values(X[:1000])
+    return rf, X[:1000], ex, phi, dict(tracer.counters)
+
+
+class TestBatchedPasses:
+    def test_batch_needs_far_fewer_group_passes(self, smoke_batch):
+        """A 1000-row batch costs <= 1/20 of the per-row loop's group passes."""
+        _, X, ex, _, batched = smoke_batch
+        with activate(Tracer()) as looped:
+            for x in X:
+                ex.shap_values_single(x)
+        assert looped.counters["shap.single_rows"] == len(X)
+        assert looped.counters["shap.rows"] == batched["shap.rows"] == len(X)
+        assert 20 * batched["shap.chunks"] <= looped.counters["shap.chunks"]
+
+    def test_batch_local_accuracy_on_every_row(self, smoke_batch):
+        rf, X, ex, phi, _ = smoke_batch
+        fx = rf.predict_proba(X)[:, 1]
+        assert np.abs(ex.expected_value + phi.sum(axis=1) - fx).max() <= 1e-9
 
 
 class TestBruteForce:
