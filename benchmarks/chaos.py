@@ -12,11 +12,12 @@ Three phases, one shared tracer:
    a respawned pool and the suite must complete with *zero* failures.
 2. **quarantine + resume** — a poison design SIGKILLs its worker on every
    attempt; the run must degrade to a structured ``worker_crash`` failure
-   (never abort), leave the shared cache unwritten, and a fault-free resume
-   must complete from the surviving checkpoints.  The resumed cache must be
-   byte-identical to phase 1's — same scale, so same bytes.
-3. **orphan sweep** — a stale atomic-write temp file planted before the
-   resume must be gone afterwards and counted on
+   (never abort), leave a checkpoint for every design but the poison one,
+   and a fault-free resume must complete from the surviving checkpoints.
+   The resumed suite store must be byte-identical to phase 1's — same
+   scale, so same bytes.
+3. **orphan sweep** — a stale atomic-write temp file planted in the store
+   root before the resume must be gone afterwards and counted on
    ``runtime.cache.orphans_swept``.
 
 Artifacts (uploaded by the CI ``chaos`` job): ``CHAOS_report.json`` (what
@@ -29,15 +30,15 @@ zero-registers them).
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
 import time
 from pathlib import Path
 
-from repro.core.pipeline import build_suite_dataset
-from repro.runtime import FaultTolerantRunner, ParallelRunner, RetryPolicy
+from repro.bench.suite import SUITE_ORDER
+from repro.core.pipeline import build_suite_dataset, checkpoint_dir_for
+from repro.runtime import CheckpointStore, FaultTolerantRunner, ParallelRunner, RetryPolicy
 from repro.runtime.faults import FaultSpec, inject_faults
 from repro.runtime.telemetry import (
     Tracer,
@@ -65,6 +66,11 @@ def _runner(jobs: int, heartbeat_s: float) -> ParallelRunner:
     )
 
 
+def _assert_complete(store: CheckpointStore, why: str) -> None:
+    bad = [n for n in SUITE_ORDER if not store.verify(f"{n}.npz")]
+    assert not bad, f"{why}: checkpoints missing or unsound: {bad}"
+
+
 def _phase_recovery(scale: float, jobs: int, heartbeat_s: float, tmp: Path) -> dict:
     """One kill and one hang, each fired once: the run must self-heal."""
     tracer = get_tracer()
@@ -82,14 +88,15 @@ def _phase_recovery(scale: float, jobs: int, heartbeat_s: float, tmp: Path) -> d
     assert not runner.failures, (
         f"single kill/hang must be recovered, got {runner.failures.records}"
     )
-    assert cache.exists(), "recovered suite must publish its cache"
+    store = CheckpointStore(checkpoint_dir_for(cache))
+    _assert_complete(store, "recovered suite")
     fired = sorted(kind for _stage, kind in plan.triggered)
     assert fired == ["hang", "kill"], f"fault schedule misfired: {plan.triggered}"
     return {
         "designs": len(suite.names),
         "faults_fired": plan.triggered,
         "failures": 0,
-        "cache_sha256": hashlib.sha256(cache.read_bytes()).hexdigest(),
+        "store_digests": store.file_digests(),
     }
 
 
@@ -111,10 +118,14 @@ def _phase_quarantine_resume(
     )
     assert records[0]["kind"] == "worker_crash", records[0]
     assert KILL_TARGET not in suite.names
-    assert not cache.exists(), "degraded suite must not publish the cache"
+    store = CheckpointStore(checkpoint_dir_for(cache))
+    survivors = sorted(f"{n}.npz" for n in SUITE_ORDER if n != KILL_TARGET)
+    assert list(store.keys()) == survivors, (
+        f"degraded suite must checkpoint every design but {KILL_TARGET}"
+    )
 
     # plant a stale atomic-write orphan: the resume's startup sweep eats it
-    orphan = cache.parent / f".{cache.name}.tmp-chaos-orphan"
+    orphan = store.root / f".{KILL_TARGET}.npz.tmp-chaos-orphan"
     orphan.write_bytes(b"torn write")
     two_hours_ago = time.time() - 7200
     os.utime(orphan, (two_hours_ago, two_hours_ago))
@@ -123,15 +134,15 @@ def _phase_quarantine_resume(
         build_suite_dataset(
             scale, cache_path=cache, runner=FaultTolerantRunner(fail_fast=True)
         )
-    assert cache.exists(), "resume must complete the suite"
+    _assert_complete(store, "resume")
     assert not orphan.exists(), "startup sweep must remove the stale temp"
-    assert not list(cache.parent.glob(".*.tmp*")), "no temp residue after resume"
+    assert not list(store.root.glob(".*.tmp*")), "no temp residue after resume"
     return (
         {
             "quarantined": KILL_TARGET,
             "failure_kind": records[0]["kind"],
             "orphan_swept": True,
-            "resumed_cache_sha256": hashlib.sha256(cache.read_bytes()).hexdigest(),
+            "resumed_store_digests": store.file_digests(),
         },
         records,
     )
@@ -145,7 +156,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="hang-detection deadline; must exceed the "
                              "longest honest flow at --scale")
     parser.add_argument("--workdir", type=Path, default=Path("chaos-work"),
-                        help="scratch directory for caches and checkpoints")
+                        help="scratch directory for the suite stores")
     parser.add_argument("--out", type=Path, default=Path("CHAOS_report.json"))
     parser.add_argument("--failures-out", type=Path,
                         default=Path("CHAOS_failures.json"))
@@ -177,8 +188,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"quarantine : {doc['quarantine_resume']}", flush=True)
 
     doc["byte_identical_after_resume"] = (
-        doc["recovery"]["cache_sha256"]
-        == doc["quarantine_resume"]["resumed_cache_sha256"]
+        doc["recovery"]["store_digests"]
+        == doc["quarantine_resume"]["resumed_store_digests"]
     )
     doc["counters"] = {
         k: tracer.counters.get(k, 0)
@@ -211,7 +222,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.check:
         counters = doc["counters"]
         assert doc["byte_identical_after_resume"], (
-            "resumed cache differs from the self-healed run's cache"
+            "resumed suite store differs from the self-healed run's store"
         )
         # kill in phase 1, hang in phase 1, >= 2 kills in phase 2
         assert counters["runner.worker_crashes"] >= 4, counters

@@ -38,7 +38,6 @@ check also run in tier-1 (``tests/test_shap.py::TestBatchedPasses``).
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -49,12 +48,12 @@ import numpy as np
 
 from repro.core.experiment import run_experiment
 from repro.core.models import model_zoo
-from repro.core.pipeline import build_suite_dataset
+from repro.core.pipeline import build_suite_dataset, checkpoint_dir_for
 from repro.ml.binning import BinnedDataset
 from repro.ml.forest import ForestArrays, RandomForestClassifier
 from repro.ml.shap.tree_explainer import TreeShapExplainer
 from repro.ml.tree import DecisionTreeClassifier
-from repro.runtime import FaultTolerantRunner, ParallelRunner
+from repro.runtime import CheckpointStore, FaultTolerantRunner, ParallelRunner
 from repro.runtime.telemetry import (
     Tracer,
     activate,
@@ -82,15 +81,13 @@ def _bench_suite(scale: float, jobs: int, tmp: Path) -> dict:
                 runner=ParallelRunner(jobs, fail_fast=True),
             )
 
-    identical = (
-        hashlib.sha256(serial_npz.read_bytes()).hexdigest()
-        == hashlib.sha256(parallel_npz.read_bytes()).hexdigest()
-    )
+    identical = (CheckpointStore(checkpoint_dir_for(serial_npz)).file_digests()
+                 == CheckpointStore(checkpoint_dir_for(parallel_npz)).file_digests())
     return {
         "serial_s": round(serial_span.wall_s, 3),
         "parallel_s": round(parallel_span.wall_s, 3),
         "speedup": round(serial_span.wall_s / parallel_span.wall_s, 2),
-        "cache_byte_identical": identical,
+        "store_byte_identical": identical,
         "_suite": suite,
     }
 
@@ -319,7 +316,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"wrote {args.trace}")
 
     if args.check:
-        assert doc["suite_build"]["cache_byte_identical"], "parallel cache differs"
+        assert doc["suite_build"]["store_byte_identical"], "parallel suite store differs"
         shap = doc["tree_shap"]
         assert shap["local_accuracy_max_err"] <= 1e-9, "batched SHAP lost local accuracy"
         if cpus >= 4:

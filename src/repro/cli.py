@@ -15,14 +15,16 @@ Commands
 ``trace``      Inspect a JSONL trace or ``run_manifest.json`` written by
                ``--trace``: span tree, slowest spans, metric totals.
 
-All heavy commands accept ``--cache`` (default on) so the 14-design flow
-runs only once per scale, the resilience flags ``--resume/--no-resume``,
-``--max-retries``, ``--retry-backoff``, ``--timeout`` and ``--fail-fast``
-(see :mod:`repro.runtime`), and ``-j/--jobs N`` to fan design flows and
-(model, group) experiment units out across N worker processes (default 1 =
-serial; results are bit-identical either way).  Checkpoint directories are
-derived from the *default* cache location, not the ``--cache`` flag, so
-``--no-cache`` runs still resume from checkpoints.
+The heavy commands keep each scale's suite in one checkpoint store (one
+checkpoint per design, see :func:`repro.core.pipeline.build_suite_dataset`),
+so the 14-design flow runs only once per scale and a warm run trains on
+exactly the features a cold one computed.  They accept the resilience flags
+``--resume/--no-resume``, ``--max-retries``, ``--retry-backoff``,
+``--timeout`` and ``--fail-fast`` (see :mod:`repro.runtime`), and
+``-j/--jobs N`` to fan design flows and (model, group) experiment units out
+across N worker processes (default 1 = serial; results are bit-identical
+either way).  ``--no-resume`` ignores checkpoints and recomputes every
+unit, except that a suite whose every design checkpoint verifies is loaded.
 
 Every command also accepts the telemetry flags ``--trace PATH`` (write a
 JSONL span trace to PATH plus an aggregated manifest next to it) and
@@ -60,7 +62,6 @@ from .core.explain import explain_hotspots
 from .core.models import model_zoo
 from .core.pipeline import (
     build_suite_dataset,
-    checkpoint_dir_for,
     default_cache_path,
     run_flow,
 )
@@ -154,7 +155,9 @@ def _add_resilience_flags(p: argparse.ArgumentParser) -> None:
                    help="worker processes for design flows and experiment "
                         "units (default 1 = serial; same results either way)")
     p.add_argument("--no-resume", dest="resume", action="store_false",
-                   help="ignore existing checkpoints; recompute every unit")
+                   help="ignore existing checkpoints; recompute every unit "
+                        "(a suite whose every design checkpoint verifies is "
+                        "still loaded)")
     p.add_argument("--max-retries", type=_nonneg_int, default=0, metavar="N",
                    help="retry budget per unit (default 0)")
     p.add_argument("--retry-backoff", type=float, default=1.0, metavar="SEC",
@@ -195,16 +198,6 @@ def _runner_from_args(args: argparse.Namespace) -> FaultTolerantRunner:
     )
 
 
-def _suite_checkpoint_dir(scale: float):
-    """Suite checkpoint dir, independent of ``--cache``.
-
-    Deriving it from the *default* cache path (rather than the possibly
-    ``None`` ``--cache`` value) keeps ``--resume`` meaningful under
-    ``--no-cache`` instead of silently no-opping.
-    """
-    return checkpoint_dir_for(default_cache_path(scale))
-
-
 def _report_failures(runner: FaultTolerantRunner) -> int:
     """Print the failure log to stderr; exit degraded if anything failed."""
     if runner.failures:
@@ -215,12 +208,10 @@ def _report_failures(runner: FaultTolerantRunner) -> int:
 
 
 def _suite(args: argparse.Namespace) -> int:
-    cache = default_cache_path(args.scale) if args.cache else None
     runner = _runner_from_args(args)
     suite, stats = build_suite_dataset(
-        args.scale, cache_path=cache, verbose=True,
+        args.scale, cache_path=default_cache_path(args.scale), verbose=True,
         runner=runner, resume=args.resume,
-        checkpoint_dir=_suite_checkpoint_dir(args.scale),
     )
     by_name = {s.name: s for s in stats}
     rows = []
@@ -233,11 +224,10 @@ def _suite(args: argparse.Namespace) -> int:
 
 
 def _table2(args: argparse.Namespace) -> int:
-    cache = default_cache_path(args.scale) if args.cache else None
     runner = _runner_from_args(args)
     suite, _ = build_suite_dataset(
-        args.scale, cache_path=cache, runner=runner, resume=args.resume,
-        checkpoint_dir=_suite_checkpoint_dir(args.scale),
+        args.scale, cache_path=default_cache_path(args.scale), runner=runner,
+        resume=args.resume,
     )
     # --jobs feeds both layers: >1 parallelises (model, group) units via the
     # runner, and the RF grows trees in parallel whenever it is *not* already
@@ -249,8 +239,6 @@ def _table2(args: argparse.Namespace) -> int:
         if not models:
             print(f"no models match {args.models!r}", file=sys.stderr)
             return 2
-    # derived from the default cache location, not --cache, so that
-    # --no-cache --resume still resumes (it used to silently no-op)
     ckpt = default_cache_path(args.scale).with_suffix(f".table2-{args.preset}.ckpt")
     result = run_experiment(
         suite, models, tune=True, verbose=True,
@@ -266,11 +254,10 @@ def _table2(args: argparse.Namespace) -> int:
 
 def _explain(args: argparse.Namespace) -> int:
     group_of(args.design)  # validate the name early
-    cache = default_cache_path(args.scale) if args.cache else None
     runner = _runner_from_args(args)
     suite, _ = build_suite_dataset(
-        args.scale, cache_path=cache, runner=runner, resume=args.resume,
-        checkpoint_dir=_suite_checkpoint_dir(args.scale),
+        args.scale, cache_path=default_cache_path(args.scale), runner=runner,
+        resume=args.resume,
     )
     # the flow of the very recipe the (scaled) suite was built from
     recipe = next(r for r in suite_recipes(args.scale) if r.name == args.design)
@@ -291,11 +278,10 @@ def _report(args: argparse.Namespace) -> int:
     from .analysis import design_report
     from .core.explain import train_explanation_forest
 
-    cache = default_cache_path(args.scale) if args.cache else None
     runner = _runner_from_args(args)
     suite, _ = build_suite_dataset(
-        args.scale, cache_path=cache, runner=runner, resume=args.resume,
-        checkpoint_dir=_suite_checkpoint_dir(args.scale),
+        args.scale, cache_path=default_cache_path(args.scale), runner=runner,
+        resume=args.resume,
     )
     dataset = suite.by_name(args.design)
     outcome = runner.run_unit(
@@ -346,6 +332,11 @@ def _features(args: argparse.Namespace) -> int:
     return 0
 
 
+def _failed_unit(rec: dict) -> str:
+    """``stage/unit`` of a failure record, as ``FailureRecord.to_dict`` writes it."""
+    return f"{rec.get('stage', '?')}/{rec.get('unit', '?')}"
+
+
 def _render_manifest(manifest: dict) -> str:
     """Human view of a ``run_manifest.json`` document."""
     lines = [
@@ -369,7 +360,7 @@ def _render_manifest(manifest: dict) -> str:
     if failures:
         lines.append("")
         lines.append(f"failures : {len(failures)} "
-                     f"({', '.join(sorted({str(f.get('unit_id')) for f in failures}))})")
+                     f"({', '.join(sorted({_failed_unit(f) for f in failures}))})")
     return "\n".join(lines)
 
 
@@ -416,7 +407,7 @@ def _trace_cmd(args: argparse.Namespace) -> int:
         print()
         print(f"failures : {len(trace.failures)}")
         for rec in trace.failures:
-            print(f"  {rec.get('kind', '?')}:{rec.get('unit_id', '?')} "
+            print(f"  {rec.get('kind', '?')}:{_failed_unit(rec)} "
                   f"{rec.get('error_type', '')}: {rec.get('message', '')}")
     return 0
 
@@ -446,7 +437,6 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser("suite", help="run the 14-design flow; print Table I")
     p.add_argument("--scale", type=float, default=1.0)
-    p.add_argument("--no-cache", dest="cache", action="store_false")
     _add_resilience_flags(p)
     _add_telemetry_flags(p)
     p.set_defaults(func=_suite)
@@ -455,7 +445,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--scale", type=float, default=1.0)
     p.add_argument("--preset", choices=("fast", "full"), default="fast")
     p.add_argument("--models", help="comma-separated subset, e.g. RF,SVM-RBF")
-    p.add_argument("--no-cache", dest="cache", action="store_false")
     _add_resilience_flags(p)
     _add_telemetry_flags(p)
     p.set_defaults(func=_table2)
@@ -465,7 +454,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--num", type=int, default=3)
     p.add_argument("--scale", type=float, default=1.0)
     p.add_argument("--preset", choices=("fast", "full"), default="fast")
-    p.add_argument("--no-cache", dest="cache", action="store_false")
     _add_resilience_flags(p)
     _add_telemetry_flags(p)
     p.set_defaults(func=_explain)
@@ -475,7 +463,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--top", type=int, default=10)
     p.add_argument("--scale", type=float, default=1.0)
     p.add_argument("--preset", choices=("fast", "full"), default="fast")
-    p.add_argument("--no-cache", dest="cache", action="store_false")
     _add_resilience_flags(p)
     _add_telemetry_flags(p)
     p.set_defaults(func=_report)

@@ -221,10 +221,7 @@ def suite_fingerprint(
     h.update(f"target_fpr={target_fpr!r};tune={bool(tune)}".encode())
     for d in suite.designs:
         h.update(f"|{d.name};g{d.group};{d.grid_nx}x{d.grid_ny};".encode())
-        # hash the float32 disk projection: the suite cache and the design
-        # checkpoints store X as float32, so a freshly flowed suite and its
-        # cache-loaded round-trip must fingerprint identically
-        h.update(np.ascontiguousarray(d.X, dtype=np.float32).tobytes())
+        h.update(np.ascontiguousarray(d.X).tobytes())
         h.update(np.ascontiguousarray(d.y, dtype=np.int8).tobytes())
     return h.hexdigest()
 
@@ -402,6 +399,8 @@ def run_experiment(
                     results[name] = GroupUnitResult.from_json(doc.get("unit", {}))
                     tracer.counter("checkpoint.resume_skips")
                     continue
+                except OSError:
+                    pass  # unreadable right now: re-run the unit, keep the file
                 except CacheCorruptionError:
                     store.invalidate(key)
             pending.append(

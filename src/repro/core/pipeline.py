@@ -15,25 +15,26 @@ grouped :class:`~repro.features.dataset.SuiteDataset`.  The suite builder is
 fault-tolerant, resumable, and parallelisable (see :mod:`repro.runtime`):
 
 * every completed design flow is checkpointed (atomic write + SHA-256
-  checksum) under ``<cache>.ckpt/``, so an interrupted run re-runs only the
-  designs that never finished;
-* the final ``.npz`` cache and its ``.stats.json`` sidecar are written
-  atomically, checksummed, and invalidated *as a pair* — a torn or corrupted
-  cache is rebuilt (cheaply, from checkpoints) instead of loaded;
+  checksum) under ``<cache>.ckpt/``, and these checkpoints are the suite's
+  only on-disk form: a store where every design verifies is a cache hit, and
+  an interrupted run re-runs only the designs that never finished;
+* features are stored as the flow computed them (float64), so a suite
+  loaded from the store equals a freshly flowed one bit for bit;
 * a failing design can degrade the suite (recorded in the runner's failure
   log and skipped, like the paper's footnote-3 designs) instead of killing
   the run, when the caller passes a non-``fail_fast`` runner;
 * with a ``jobs > 1`` :class:`~repro.runtime.runner.FaultTolerantRunner`,
   design flows fan out across worker processes.  Each unit returns a
   picklable :class:`FlowPayload`; results are re-ordered to recipe order
-  and all checkpoint/cache writes stay in the parent, so a parallel build
-  produces a byte-identical cache pair and ``suite_fingerprint`` to a
-  serial one.  The flows' spans reach the run's trace through the runner,
+  and all checkpoint writes stay in the parent, so a parallel build
+  produces a byte-identical store and ``suite_fingerprint`` to a serial
+  one.  The flows' spans reach the run's trace through the runner,
   which collects and adopts each unit's telemetry.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import os
 from dataclasses import dataclass
@@ -55,14 +56,7 @@ from ..layout.netlist import Design
 from ..layout.placemap import PlacementMaps
 from ..place.placer import PlacerConfig, place_design
 from ..route.router import RouterConfig, RoutingResult, route_design
-from ..runtime.checkpoint import (
-    CheckpointStore,
-    atomic_write_text,
-    fsync_dir,
-    sha256_of,
-    sweep_orphan_temps,
-    unique_tmp_suffix,
-)
+from ..runtime.checkpoint import CheckpointStore
 from ..runtime.errors import CacheCorruptionError, StageFailure, ValidationError
 from ..runtime.runner import FaultTolerantRunner
 from ..runtime.telemetry import get_tracer
@@ -72,11 +66,6 @@ from ..runtime.validation import validate_features
 #: Negative on purpose: leave-one-group-out never forms a test fold for it
 #: (see :func:`repro.core.experiment.run_experiment`).
 ADHOC_GROUP = -1
-
-#: Version stamp of the suite cache pair (.npz + .stats.json sidecar).
-#: v2: sidecar became ``{"format_version", "npz_sha256", "stats"}`` (the v1
-#: sidecar was a bare stats list with no integrity information).
-CACHE_FORMAT_VERSION = 2
 
 
 @dataclass
@@ -193,7 +182,7 @@ def _flow_unit_payload(recipe: DesignRecipe) -> FlowPayload:
     return FlowPayload(dataset=result.dataset, stats=result.stats)
 
 
-#: JSON sidecar fields persisted next to the dataset cache for Table I.
+#: Table I fields persisted in each design checkpoint.
 _STATS_FIELDS = (
     "name",
     "num_gcells",
@@ -209,33 +198,23 @@ def _stats_to_dict(s: DesignStats) -> dict:
     return {f: getattr(s, f) for f in _STATS_FIELDS}
 
 
-# -- per-design checkpoints ---------------------------------------------------------
+# -- the suite store: one checkpoint per design -------------------------------------
 
 
 def checkpoint_dir_for(cache_path: str | Path) -> Path:
-    """Checkpoint store directory paired with a suite cache file."""
+    """The checkpoint store that holds the suite named by ``cache_path``."""
     return Path(cache_path).with_suffix(".ckpt")
 
 
 def _save_design_checkpoint(
     store: CheckpointStore, result: FlowResult | FlowPayload
 ) -> None:
-    d = result.dataset
-    store.save_arrays(
-        f"{d.name}.npz",
-        X=d.X.astype(np.float32),  # compact on disk, like the suite cache
-        y=d.y.astype(np.int8),
-        meta=np.array(
-            json.dumps(
-                {
-                    "group": d.group,
-                    "grid_nx": d.grid_nx,
-                    "grid_ny": d.grid_ny,
-                    "stats": _stats_to_dict(result.stats),
-                }
-            )
-        ),
+    """Checkpoint one design: a one-design suite archive plus its Table I row."""
+    archive = io.BytesIO()
+    SuiteDataset([result.dataset]).save(
+        archive, stats=np.array(json.dumps(_stats_to_dict(result.stats)))
     )
+    store.save_bytes(f"{result.dataset.name}.npz", archive.getvalue())
 
 
 def _load_design_checkpoint(
@@ -244,97 +223,42 @@ def _load_design_checkpoint(
     """Load one design's checkpoint; raises CacheCorruptionError when unsound."""
     arrays = store.load_arrays(f"{name}.npz")
     try:
-        meta = json.loads(str(arrays["meta"][()]))
-        dataset = DesignDataset(
-            name=name,
-            group=int(meta["group"]),
-            X=arrays["X"].astype(np.float64),
-            y=arrays["y"].astype(np.int8),
-            grid_nx=int(meta["grid_nx"]),
-            grid_ny=int(meta["grid_ny"]),
-        )
-        stats = DesignStats(**meta["stats"])
+        (dataset,) = SuiteDataset.from_arrays(arrays).designs
+        if dataset.name != name:
+            raise ValueError(f"holds design {dataset.name!r}")
+        stats = DesignStats(**json.loads(str(arrays["stats"][()])))
     except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         raise CacheCorruptionError(f"{name}: malformed checkpoint payload") from exc
     validate_features(dataset.X, dataset.y, name=name, expect_features=NUM_FEATURES)
     return dataset, stats
 
 
-# -- suite cache pair (.npz + .stats.json) ------------------------------------------
+def _load_verified_checkpoints(
+    store: CheckpointStore, recipes: list[DesignRecipe], verbose: bool
+) -> dict[str, tuple[DesignDataset, DesignStats]]:
+    """Every design whose checkpoint verifies; unsound checkpoints are dropped.
 
-
-def _invalidate_cache_pair(cache_path: Path, sidecar: Path) -> None:
-    get_tracer().counter("cache.suite.invalidated")
-    cache_path.unlink(missing_ok=True)
-    sidecar.unlink(missing_ok=True)
-
-
-def _load_suite_cache(
-    cache_path: Path, sidecar: Path
-) -> tuple[SuiteDataset, list[DesignStats]] | None:
-    """Load a cache pair if both halves exist and pass integrity checks.
-
-    Any torn, legacy-format, or corrupted state invalidates the *pair*
-    (both files removed) and returns ``None`` so the caller rebuilds.  A
-    transient read error (``OSError``) also returns ``None`` but leaves the
-    pair on disk — an NFS hiccup must not destroy a valid, expensive cache.
+    A checkpoint that cannot be read right now (an ``OSError``: EACCES, an
+    NFS hiccup) is skipped for this run but kept: only a checkpoint proven
+    unsound is deleted.
     """
-    if not (cache_path.exists() and sidecar.exists()):
-        if cache_path.exists() or sidecar.exists():
-            _invalidate_cache_pair(cache_path, sidecar)  # half a pair is no pair
-        return None
-    try:
-        doc = json.loads(sidecar.read_text())
-        if (
-            not isinstance(doc, dict)
-            or doc.get("format_version") != CACHE_FORMAT_VERSION
-        ):
-            raise CacheCorruptionError(f"{sidecar}: legacy or unknown cache format")
-        if sha256_of(cache_path) != doc.get("npz_sha256"):
-            raise CacheCorruptionError(f"{cache_path}: checksum mismatch")
-        suite = SuiteDataset.load(cache_path)
-        for d in suite.designs:
-            validate_features(d.X, d.y, name=d.name, expect_features=NUM_FEATURES)
-        stats = [DesignStats(**row) for row in doc["stats"]]
-    except OSError:
-        return None  # transient I/O failure: rebuild this run, keep the pair
-    except (
-        CacheCorruptionError,
-        ValidationError,
-        ValueError,
-        KeyError,
-        TypeError,
-        json.JSONDecodeError,
-    ):
-        _invalidate_cache_pair(cache_path, sidecar)
-        return None
-    return suite, stats
-
-
-def _write_suite_cache(
-    cache_path: Path, sidecar: Path, suite: SuiteDataset, stats: list[DesignStats]
-) -> None:
-    """Atomically write the cache pair: npz first, then the checksummed sidecar."""
-    cache_path.parent.mkdir(parents=True, exist_ok=True)
-    # temp name keeps the .npz suffix — np.savez appends one otherwise;
-    # pid alone is not collision-free (threads / re-entrant writers share one)
-    tmp = cache_path.with_name(f".{cache_path.stem}.tmp{unique_tmp_suffix()}.npz")
-    try:
-        suite.save(tmp)
-        os.replace(tmp, cache_path)
-        fsync_dir(cache_path.parent)  # durable across power loss, not just crashes
-    finally:
-        tmp.unlink(missing_ok=True)
-    atomic_write_text(
-        sidecar,
-        json.dumps(
-            {
-                "format_version": CACHE_FORMAT_VERSION,
-                "npz_sha256": sha256_of(cache_path),
-                "stats": [_stats_to_dict(s) for s in stats],
-            }
-        ),
-    )
+    loaded: dict[str, tuple[DesignDataset, DesignStats]] = {}
+    for recipe in recipes:
+        key = f"{recipe.name}.npz"
+        if not store.has(key):
+            continue
+        try:
+            loaded[recipe.name] = _load_design_checkpoint(store, recipe.name)
+        except OSError as exc:
+            if verbose:
+                print(f"  {recipe.name:<12s} checkpoint unreadable ({exc}); re-running",
+                      flush=True)
+        except (CacheCorruptionError, ValidationError) as exc:
+            store.invalidate(key)
+            if verbose:
+                print(f"  {recipe.name:<12s} checkpoint invalid ({exc}); re-running",
+                      flush=True)
+    return loaded
 
 
 # -- the resumable suite builder ----------------------------------------------------
@@ -346,65 +270,48 @@ def build_suite_dataset(
     verbose: bool = False,
     *,
     runner: FaultTolerantRunner | None = None,
-    checkpoint_dir: str | Path | None = None,
     resume: bool = True,
 ) -> tuple[SuiteDataset, list[DesignStats]]:
     """Run (or load, or resume) the complete 14-design suite.
 
-    When ``cache_path`` is given and holds a valid cache pair, the dataset
-    and stats are loaded with checksum verification.  Otherwise designs run
-    as independent units under ``runner`` (default: fail-fast, no retries,
-    serial; a ``jobs > 1`` runner fans them out across worker processes).
-    Each finished design is checkpointed — always from the parent process —
-    under ``checkpoint_dir`` (default: ``<cache_path>.ckpt``) so a
-    re-invocation after an interrupt re-runs only the unfinished flows.  With a non-fail-fast runner, a permanently failing
-    design is recorded in ``runner.failures`` and skipped; the degraded suite
-    is returned but the shared cache pair is only written when all designs
-    succeeded.  Results are assembled in recipe order regardless of worker
-    completion order, so serial and parallel builds are byte-identical.
+    With ``cache_path`` given, the suite lives on disk as the checkpoint
+    store at ``checkpoint_dir_for(cache_path)``: one checksummed checkpoint
+    per design holding its features, labels and Table I row, exactly as the
+    flow computed them.  When every design's checkpoint verifies, the suite
+    is loaded from the store and no flow runs, whatever ``resume`` says.
+    Otherwise designs run as independent units under ``runner`` (default:
+    fail-fast, no retries, serial; a ``jobs > 1`` runner fans them out
+    across worker processes): with ``resume`` only the designs without a
+    sound checkpoint, without it every design.  Each finished design is
+    checkpointed — always from the parent process — so a re-invocation
+    after an interrupt re-runs only the unfinished flows.  With a
+    non-fail-fast runner, a permanently failing design is recorded in
+    ``runner.failures`` and skipped, and the degraded suite is returned.
+    Results are assembled in recipe order regardless of worker completion
+    order, so serial and parallel builds are byte-identical.
     """
     tracer = get_tracer()
     # zero-register the builder's counters so every manifest reports them
     for key in ("cache.suite.hits", "cache.suite.misses",
-                "cache.suite.invalidated", "checkpoint.resume_skips",
-                "runtime.cache.orphans_swept"):
+                "checkpoint.resume_skips", "runtime.cache.orphans_swept"):
         tracer.counter(key, 0)
-    sidecar: Path | None = None
-    if cache_path is not None:
-        cache_path = Path(cache_path)
-        sidecar = cache_path.with_suffix(".stats.json")
-        # reclaim temp files a killed writer left next to the cache pair
-        sweep_orphan_temps(cache_path.parent)
-        cached = _load_suite_cache(cache_path, sidecar)
-        if cached is not None:
-            tracer.counter("cache.suite.hits")
-            return cached
-        tracer.counter("cache.suite.misses")
-
-    if runner is None:
-        runner = FaultTolerantRunner(fail_fast=True, verbose=verbose)
-    if checkpoint_dir is None and cache_path is not None:
-        checkpoint_dir = checkpoint_dir_for(cache_path)
-    store = CheckpointStore(checkpoint_dir) if checkpoint_dir is not None else None
-
     recipes = suite_recipes(scale)
+    store = None if cache_path is None else CheckpointStore(checkpoint_dir_for(cache_path))
     done: dict[str, tuple[DesignDataset, DesignStats]] = {}
-    pending: list[DesignRecipe] = []
-    for recipe in recipes:
-        key = f"{recipe.name}.npz"
-        if store is not None and resume and store.has(key):
-            try:
-                done[recipe.name] = _load_design_checkpoint(store, recipe.name)
-                tracer.counter("checkpoint.resume_skips")
-                if verbose:
-                    print(f"  {recipe.name:<12s} resumed from checkpoint", flush=True)
-                continue
-            except (CacheCorruptionError, ValidationError) as exc:
-                store.invalidate(key)
-                if verbose:
-                    print(f"  {recipe.name:<12s} checkpoint invalid ({exc}); re-running",
-                          flush=True)
-        pending.append(recipe)
+    if store is not None:
+        # without resume only a complete store is worth reading: it is a hit
+        if resume or all(store.has(f"{r.name}.npz") for r in recipes):
+            done = _load_verified_checkpoints(store, recipes, verbose)
+        if len(done) == len(recipes):
+            tracer.counter("cache.suite.hits")
+            return _assemble(recipes, done)
+        tracer.counter("cache.suite.misses")
+    if not resume:
+        done.clear()
+    tracer.counter("checkpoint.resume_skips", len(done))
+    if verbose:
+        for name in done:
+            print(f"  {name:<12s} resumed from checkpoint", flush=True)
 
     def _flow_done(unit: str, outcome) -> None:
         # runs in the parent as each unit completes (any completion order):
@@ -423,24 +330,24 @@ def build_suite_dataset(
                 flush=True,
             )
 
+    if runner is None:
+        runner = FaultTolerantRunner(fail_fast=True, verbose=verbose)
     runner.run_units(
         "flow",
-        [(r.name, _flow_unit_payload, (r,), {}) for r in pending],
+        [(r.name, _flow_unit_payload, (r,), {}) for r in recipes if r.name not in done],
         on_result=_flow_done,
     )
+    return _assemble(recipes, done)
 
-    # re-assemble in recipe order so a parallel build is byte-identical
-    datasets = [done[r.name][0] for r in recipes if r.name in done]
-    stats = [done[r.name][1] for r in recipes if r.name in done]
 
-    if not datasets:
+def _assemble(
+    recipes: list[DesignRecipe], done: dict[str, tuple[DesignDataset, DesignStats]]
+) -> tuple[SuiteDataset, list[DesignStats]]:
+    """The suite in recipe order, so a parallel build is byte-identical."""
+    names = [r.name for r in recipes if r.name in done]
+    if not names:
         raise StageFailure("flow", "suite", 1, "every design in the suite failed")
-
-    suite = SuiteDataset(datasets)
-    complete = not runner.failures
-    if cache_path is not None and sidecar is not None and complete:
-        _write_suite_cache(cache_path, sidecar, suite, stats)
-    return suite, stats
+    return SuiteDataset([done[n][0] for n in names]), [done[n][1] for n in names]
 
 
 #: Where this package's source tree lives; ``<root>/src/repro/core/pipeline.py``
@@ -472,6 +379,10 @@ def default_cache_root() -> Path:
 
 
 def default_cache_path(scale: float = 1.0) -> Path:
-    """Canonical cache location for a suite at the given scale."""
+    """Canonical cache name for a suite at the given scale.
+
+    The suite itself lives in the checkpoint store next to it,
+    ``checkpoint_dir_for(default_cache_path(scale))``.
+    """
     tag = f"suite_scale{scale:g}".replace(".", "p")
     return default_cache_root() / f"{tag}.npz"

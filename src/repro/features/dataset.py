@@ -5,40 +5,22 @@ split into 5 fixed groups; testing on a design excludes its whole group from
 training.  These containers keep the design and group identity attached to
 every sample so :mod:`repro.core.experiment` can enforce that protocol.
 
-Datasets cache to a single compressed ``.npz`` per suite, so benchmarks can
-re-run without re-routing all 14 designs.
+On disk a suite lives as one checkpoint per design (see
+:func:`repro.core.pipeline.build_suite_dataset`), each written by
+:meth:`SuiteDataset.save` as a one-design suite archive.
 """
 
 from __future__ import annotations
 
-import io
-import zipfile
+from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
-from numpy.lib import format as npy_format
 
+from ..runtime.checkpoint import npz_bytes
 from .names import NUM_FEATURES
-
-#: Fixed zip-entry timestamp (the DOS epoch).  ``np.savez`` stamps each
-#: archive member with wall-clock time, so two runs producing identical
-#: arrays still yield different bytes; suite caches must instead be
-#: byte-identical whenever their contents are (serial vs. parallel builds,
-#: checksum-stable artefacts), so we write the archive ourselves.
-_ZIP_EPOCH = (1980, 1, 1, 0, 0, 0)
-
-
-def _write_npz_deterministic(path: Path, payload: dict[str, np.ndarray]) -> None:
-    """Write an ``np.load``-compatible .npz whose bytes depend only on data."""
-    with zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED) as zf:
-        for name, arr in payload.items():
-            buf = io.BytesIO()
-            npy_format.write_array(buf, np.asanyarray(arr), allow_pickle=False)
-            info = zipfile.ZipInfo(f"{name}.npy", date_time=_ZIP_EPOCH)
-            info.compress_type = zipfile.ZIP_DEFLATED
-            info.external_attr = 0o644 << 16
-            zf.writestr(info, buf.getvalue())
 
 
 @dataclass
@@ -127,11 +109,15 @@ class SuiteDataset:
 
     # -- persistence -----------------------------------------------------------------
 
-    def save(self, path: str | Path) -> Path:
-        """Write the whole suite to one compressed .npz file."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
+    def save(self, file: str | Path | BinaryIO, **extra: np.ndarray) -> None:
+        """Write the suite, plus any ``extra`` arrays, as one compressed .npz.
+
+        ``file`` is a path or a writable binary file; the bytes depend only on
+        the data (see :func:`~repro.runtime.checkpoint.npz_bytes`).  A design
+        checkpoint of the suite store is a one-design suite written this way.
+        """
         payload: dict[str, np.ndarray] = {
+            **extra,
             "names": np.array(self.names),
             "groups": np.array([d.group for d in self.designs], dtype=np.int32),
             "grids": np.array(
@@ -139,26 +125,37 @@ class SuiteDataset:
             ),
         }
         for d in self.designs:
-            payload[f"X_{d.name}"] = d.X.astype(np.float32)  # compact on disk
+            payload[f"X_{d.name}"] = d.X
             payload[f"y_{d.name}"] = d.y
-        _write_npz_deterministic(path, payload)
-        return path
+        data = npz_bytes(payload)
+        if isinstance(file, (str, Path)):
+            file = Path(file)
+            file.parent.mkdir(parents=True, exist_ok=True)
+            file.write_bytes(data)
+        else:
+            file.write(data)
 
     @staticmethod
-    def load(path: str | Path) -> "SuiteDataset":
-        with np.load(path, allow_pickle=False) as data:
-            names = [str(n) for n in data["names"]]
-            groups = data["groups"]
-            grids = data["grids"]
-            designs = [
+    def load(file: str | Path | BinaryIO) -> SuiteDataset:
+        with np.load(file, allow_pickle=False) as data:
+            return SuiteDataset.from_arrays(data)
+
+    @staticmethod
+    def from_arrays(data: Mapping[str, np.ndarray]) -> SuiteDataset:
+        """The suite held by the arrays of a :meth:`save` archive (extras ignored)."""
+        names = [str(n) for n in data["names"]]
+        groups = data["groups"]
+        grids = data["grids"]
+        return SuiteDataset(
+            designs=[
                 DesignDataset(
                     name=name,
                     group=int(groups[i]),
-                    X=data[f"X_{name}"].astype(np.float64),
-                    y=data[f"y_{name}"].astype(np.int8),
+                    X=data[f"X_{name}"],
+                    y=data[f"y_{name}"],
                     grid_nx=int(grids[i][0]),
                     grid_ny=int(grids[i][1]),
                 )
                 for i, name in enumerate(names)
             ]
-        return SuiteDataset(designs=designs)
+        )

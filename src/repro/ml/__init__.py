@@ -30,17 +30,6 @@ from .model_selection import (
     positive_scores,
 )
 from .nn import MLPClassifier
-from .persistence import (
-    ModelFormatError,
-    load_forest,
-    load_mlp,
-    load_scaler,
-    load_svm,
-    save_forest,
-    save_mlp,
-    save_scaler,
-    save_svm,
-)
 from .scaling import MinMaxScaler, StandardScaler
 from .svm import SVMClassifier, rbf_kernel
 from .tree import DecisionTreeClassifier, TreeArrays
@@ -72,15 +61,6 @@ __all__ = [
     "grid_search",
     "iterate_grid",
     "positive_scores",
-    "ModelFormatError",
-    "load_forest",
-    "load_mlp",
-    "load_scaler",
-    "load_svm",
-    "save_forest",
-    "save_mlp",
-    "save_scaler",
-    "save_svm",
     "MLPClassifier",
     "MinMaxScaler",
     "StandardScaler",

@@ -33,7 +33,6 @@ from .checkpoint import (
     CheckpointStore,
     atomic_write_bytes,
     fsync_dir,
-    sha256_of,
     sweep_orphan_temps,
 )
 from .errors import (
@@ -107,7 +106,6 @@ __all__ = [
     "load_trace",
     "manifest_path_for",
     "new_run_id",
-    "sha256_of",
     "shutdown_requested",
     "stable_view",
     "sweep_orphan_temps",

@@ -11,10 +11,13 @@ rejected as :class:`~repro.runtime.errors.CacheCorruptionError` on load.
 Layout of a store rooted at ``suite_scale1.ckpt/``::
 
     suite_scale1.ckpt/
-        manifest.json          {"format_version": 2, "entries": {key: {...}}}
+        manifest.json          {"format_version": 3, "entries": {key: {...}}}
         des_perf_b.npz         one payload file per checkpoint key
-        des_perf_b.stats.json
+        des_perf_1.npz
         ...
+
+Array payloads written with :func:`npz_bytes` depend only on the arrays,
+so two stores holding the same data are byte-identical.
 """
 
 from __future__ import annotations
@@ -26,10 +29,12 @@ import json
 import os
 import re
 import time
+import zipfile
 from pathlib import Path
 from typing import Any, Iterator
 
 import numpy as np
+from numpy.lib import format as npy_format
 
 from . import faults
 from .errors import CacheCorruptionError
@@ -37,7 +42,8 @@ from .telemetry import get_tracer
 
 #: Bump when the on-disk layout of checkpoints changes; old stores are
 #: invalidated wholesale rather than migrated.
-CHECKPOINT_FORMAT_VERSION = 2
+#: v3: design checkpoints hold X as float64 (v2 rounded it to float32).
+CHECKPOINT_FORMAT_VERSION = 3
 
 _KEY_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._\-]*$")
 
@@ -50,16 +56,24 @@ def sha256_bytes(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def sha256_of(path: str | Path, chunk: int = 1 << 20) -> str:
-    """SHA-256 hex digest of a file, streamed."""
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        while True:
-            block = fh.read(chunk)
-            if not block:
-                break
-            h.update(block)
-    return h.hexdigest()
+#: Fixed zip-entry timestamp (the DOS epoch).  ``np.savez`` stamps each
+#: archive member with wall-clock time, so two runs producing identical
+#: arrays would still yield different bytes.
+_ZIP_EPOCH = (1980, 1, 1, 0, 0, 0)
+
+
+def npz_bytes(arrays: dict[str, np.ndarray]) -> bytes:
+    """An ``np.load``-compatible compressed .npz whose bytes depend only on data."""
+    buf = io.BytesIO()
+    with zipfile.ZipFile(buf, "w", zipfile.ZIP_DEFLATED) as zf:
+        for name, arr in arrays.items():
+            member = io.BytesIO()
+            npy_format.write_array(member, np.asanyarray(arr), allow_pickle=False)
+            info = zipfile.ZipInfo(f"{name}.npy", date_time=_ZIP_EPOCH)
+            info.compress_type = zipfile.ZIP_DEFLATED
+            info.external_attr = 0o644 << 16
+            zf.writestr(info, member.getvalue())
+    return buf.getvalue()
 
 
 #: Process-wide monotonic counter for temp-file names.  A pid alone is not
@@ -73,7 +87,7 @@ _TMP_COUNTER = itertools.count()
 ORPHAN_TMP_MAX_AGE_S = 3600.0
 
 #: Glob matching every temp name this module ever creates
-#: (``.{name}.tmp{pid}-{n}`` and the suite writer's ``.{stem}.tmp{pid}-{n}.npz``).
+#: (``.{name}.tmp{pid}-{n}``).
 _TMP_GLOB = ".*.tmp*"
 
 
@@ -223,7 +237,11 @@ class CheckpointStore:
         return path
 
     def load_bytes(self, key: str) -> bytes:
-        """Load and checksum-verify the payload stored under ``key``."""
+        """Load and checksum-verify the payload stored under ``key``.
+
+        Raises :class:`CacheCorruptionError` when the checkpoint is unsound,
+        and ``OSError`` when its file exists but cannot be read.
+        """
         path = self._path_of(key)
         entry = self._read_manifest().get(key)
         if entry is None:
@@ -235,19 +253,16 @@ class CheckpointStore:
             )
         try:
             data = path.read_bytes()
-        except OSError as exc:
-            raise CacheCorruptionError(f"{path}: unreadable checkpoint") from exc
+        except FileNotFoundError as exc:
+            raise CacheCorruptionError(f"{path}: checkpoint payload missing") from exc
+        # any other OSError (EACCES, an NFS hiccup) propagates: it says
+        # nothing about whether the checkpoint is sound
         if sha256_bytes(data) != entry.get("sha256"):
             raise CacheCorruptionError(f"{path}: checksum mismatch (corrupted checkpoint)")
         get_tracer().counter("checkpoint.reads")
         return data
 
     # -- typed convenience layers -------------------------------------------------
-
-    def save_arrays(self, key: str, **arrays: np.ndarray) -> Path:
-        buf = io.BytesIO()
-        np.savez_compressed(buf, **arrays)
-        return self.save_bytes(key, buf.getvalue())
 
     def load_arrays(self, key: str) -> dict[str, np.ndarray]:
         buf = io.BytesIO(self.load_bytes(key))
@@ -276,9 +291,13 @@ class CheckpointStore:
         """Full checksum verification of one key."""
         try:
             self.load_bytes(key)
-        except CacheCorruptionError:
+        except (CacheCorruptionError, OSError):
             return False
         return True
+
+    def file_digests(self) -> dict[str, str]:
+        """SHA-256 of every file in the store directory (manifest included), by name."""
+        return {p.name: sha256_bytes(p.read_bytes()) for p in sorted(self.root.iterdir())}
 
     def keys(self) -> Iterator[str]:
         yield from sorted(self._read_manifest())

@@ -1,8 +1,12 @@
 """Smoke tests for the drcshap CLI."""
 
+import shutil
+
 import pytest
 
 from repro.cli import EXIT_DEGRADED, main
+from repro.core.pipeline import checkpoint_dir_for
+from repro.runtime import CheckpointStore
 from repro.runtime.faults import FaultSpec, inject_faults
 
 
@@ -35,7 +39,7 @@ class TestCLI:
             pipeline, "default_cache_path", lambda scale=1.0: tmp_path / "c.npz"
         )
         # invalid model subset errors out before any heavy work
-        code = main(["table2", "--scale", "0.3", "--models", "Nope", "--no-cache"])
+        code = main(["table2", "--scale", "0.3", "--models", "Nope"])
         assert code == 2
 
 
@@ -67,25 +71,13 @@ class TestCLIHeavyPaths:
         assert "top 10 predicted hotspot" in out
 
     def test_suite_parallel_jobs_matches_serial_cache(self, tiny_cache, capsys):
+        store = CheckpointStore(checkpoint_dir_for(tiny_cache))
         assert main(["suite", "--scale", "0.3"]) == 0
-        serial_bytes = tiny_cache.read_bytes()
-        tiny_cache.unlink()
-        tiny_cache.with_suffix(".stats.json").unlink()
+        serial = store.file_digests()
+        shutil.rmtree(store.root)
         assert main(["suite", "--scale", "0.3", "-j", "2", "--no-resume"]) == 0
-        assert tiny_cache.read_bytes() == serial_bytes
+        assert store.file_digests() == serial
         assert "Total samples" in capsys.readouterr().out
-
-    def test_no_cache_resume_uses_checkpoints(self, tiny_cache, capsys):
-        # regression: the checkpoint dir used to derive from --cache, so
-        # --no-cache silently disabled --resume
-        assert main(["suite", "--scale", "0.3"]) == 0
-        capsys.readouterr()
-        tiny_cache.unlink()
-        tiny_cache.with_suffix(".stats.json").unlink()
-        assert main(["suite", "--scale", "0.3", "--no-cache"]) == 0
-        out = capsys.readouterr().out
-        assert out.count("resumed from checkpoint") == 14
-        assert "Total samples" in out
 
     def test_explain_runs_under_resilience_layer(self, tiny_cache, capsys):
         # regression: explain bypassed the runner, so an injected unit fault

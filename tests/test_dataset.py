@@ -81,8 +81,8 @@ class TestSuiteDataset:
             assert back.group == orig.group
             assert back.grid_nx == orig.grid_nx
             assert np.array_equal(back.y, orig.y)
-            # X stored as float32 on disk
-            assert np.allclose(back.X, orig.X, atol=1e-5)
+            assert back.X.dtype == np.float64
+            assert np.array_equal(back.X, orig.X)
 
     def test_num_samples(self):
         suite = SuiteDataset([_toy_design("a", 0), _toy_design("b", 1, nx=5, ny=5)])

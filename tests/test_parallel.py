@@ -3,15 +3,13 @@
 Covers the runner in isolation (ordering, retries, timeouts, fail-fast vs.
 degrade, parent-side callbacks and fault injection) and end-to-end through
 the suite builder and the experiment grid, where a parallel run must be
-*indistinguishable* from a serial one: byte-identical cache pair, equal
+*indistinguishable* from a serial one: byte-identical suite store, equal
 suite fingerprint, equal Table II (timing rows excluded — they are live CPU
 measurements).
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
 import time
 
@@ -20,8 +18,8 @@ import pytest
 from repro.core.evaluation import format_table2
 from repro.core.experiment import run_experiment, suite_fingerprint
 from repro.core.models import model_zoo
-from repro.core.pipeline import build_suite_dataset
-from repro.runtime import FaultTolerantRunner, ParallelRunner, RetryPolicy
+from repro.core.pipeline import build_suite_dataset, checkpoint_dir_for
+from repro.runtime import CheckpointStore, FaultTolerantRunner, ParallelRunner, RetryPolicy
 from repro.runtime.errors import FaultInjected, StageFailure
 from repro.runtime.faults import FaultSpec, inject_faults
 
@@ -157,7 +155,7 @@ def _table_without_timing_rows(result) -> str:
 
 
 class TestParallelDeterminism:
-    def test_suite_cache_pair_byte_identical(self, tmp_path):
+    def test_suite_store_byte_identical(self, tmp_path):
         serial_npz = tmp_path / "serial.npz"
         parallel_npz = tmp_path / "parallel.npz"
         s_suite, s_stats = build_suite_dataset(
@@ -168,14 +166,10 @@ class TestParallelDeterminism:
             SCALE, cache_path=parallel_npz,
             runner=ParallelRunner(3, fail_fast=True),
         )
-        assert (
-            hashlib.sha256(serial_npz.read_bytes()).hexdigest()
-            == hashlib.sha256(parallel_npz.read_bytes()).hexdigest()
-        )
-        serial_doc = json.loads((tmp_path / "serial.stats.json").read_text())
-        parallel_doc = json.loads((tmp_path / "parallel.stats.json").read_text())
-        assert serial_doc["npz_sha256"] == parallel_doc["npz_sha256"]
-        assert serial_doc["stats"] == parallel_doc["stats"]
+        serial_files = CheckpointStore(checkpoint_dir_for(serial_npz)).file_digests()
+        assert len(serial_files) == 14 + 1  # one checkpoint per design + manifest
+        assert serial_files == CheckpointStore(checkpoint_dir_for(parallel_npz)).file_digests()
+        assert s_stats == p_stats
         assert suite_fingerprint(s_suite, 0.005, True) == suite_fingerprint(
             p_suite, 0.005, True
         )
@@ -204,10 +198,8 @@ class TestParallelDeterminism:
         assert plan.triggered == [("flow/mult_1", "error")]
         assert "mult_1" not in suite.names
         assert runner.failures.units() == ["flow/mult_1"]
-        # a degraded suite must not poison the shared cache pair...
-        assert not cache.exists()
-        # ...but the designs that did finish were checkpointed by the parent
-        ckpt_dir = cache.with_suffix(".ckpt")
+        # the designs that did finish were checkpointed by the parent
+        ckpt_dir = checkpoint_dir_for(cache)
         saved = {p.name for p in ckpt_dir.glob("*.npz")}
         assert f"{suite.names[0]}.npz" in saved
         assert "mult_1.npz" not in saved

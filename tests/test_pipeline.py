@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.bench.generator import DesignRecipe
-from repro.core.pipeline import build_suite_dataset, run_flow
+from repro.core.pipeline import build_suite_dataset, checkpoint_dir_for, run_flow
 from repro.features.names import NUM_FEATURES
 from repro.layout.design_stats import design_statistics
 
@@ -55,11 +55,11 @@ class TestSuiteBuilder:
     def test_scaled_suite_with_cache(self, tmp_path):
         cache = tmp_path / "mini.npz"
         suite1, stats1 = build_suite_dataset(0.35, cache_path=cache)
-        assert cache.exists()
+        assert checkpoint_dir_for(cache).is_dir()  # the store is the cache
         assert len(suite1.designs) == 14
         assert {d.group for d in suite1.designs} == {0, 1, 2, 3, 4}
 
-        # second call loads from cache and returns identical data
+        # second call loads from the store and returns identical data
         suite2, stats2 = build_suite_dataset(0.35, cache_path=cache)
         assert suite2.names == suite1.names
         for d1, d2 in zip(suite1.designs, suite2.designs):

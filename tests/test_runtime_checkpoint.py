@@ -1,6 +1,9 @@
 """Tests for the checkpoint store: atomicity, checksums, version stamps."""
 
+import hashlib
 import json
+import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +12,7 @@ from repro.runtime import CacheCorruptionError, CheckpointStore
 from repro.runtime.checkpoint import (
     CHECKPOINT_FORMAT_VERSION,
     atomic_write_bytes,
-    sha256_of,
+    npz_bytes,
 )
 
 
@@ -31,13 +34,6 @@ class TestAtomicWrite:
         atomic_write_bytes(path, b"two")
         assert path.read_bytes() == b"two"
 
-    def test_sha256_of_matches_hashlib(self, tmp_path):
-        import hashlib
-
-        path = tmp_path / "h.bin"
-        path.write_bytes(b"x" * 100_000)
-        assert sha256_of(path) == hashlib.sha256(b"x" * 100_000).hexdigest()
-
 
 class TestCheckpointStore:
     def test_bytes_roundtrip(self, store):
@@ -47,11 +43,19 @@ class TestCheckpointStore:
         assert store.load_bytes("k.bin") == b"\x00\x01hello"
 
     def test_arrays_roundtrip(self, store):
-        X = np.arange(12, dtype=np.float32).reshape(3, 4)
-        store.save_arrays("a.npz", X=X, y=np.array([1, 0, 1], dtype=np.int8))
+        X = np.random.default_rng(0).normal(size=(3, 4))
+        store.save_bytes("a.npz", npz_bytes({"X": X, "y": np.array([1, 0, 1], dtype=np.int8)}))
         back = store.load_arrays("a.npz")
+        assert back["X"].dtype == np.float64
         assert np.array_equal(back["X"], X)
         assert back["y"].tolist() == [1, 0, 1]
+
+    def test_array_payload_bytes_depend_only_on_data(self, store):
+        # no wall-clock stamp in the zip members: equal arrays, equal bytes
+        path = store.save_bytes("a.npz", npz_bytes({"X": np.eye(3)}))
+        with zipfile.ZipFile(path) as zf:
+            assert {i.date_time for i in zf.infolist()} == {(1980, 1, 1, 0, 0, 0)}
+        assert npz_bytes({"X": np.eye(3)}) == path.read_bytes()
 
     def test_json_roundtrip(self, store):
         store.save_json("m.json", {"a": [1, 2], "b": "x"})
@@ -100,6 +104,32 @@ class TestCheckpointStore:
         store.save_bytes("k.bin", b"data")
         store.manifest_path.write_text('{"format_version": 2, "entr')  # torn
         assert not store.has("k.bin")
+
+    def test_missing_payload_is_corruption(self, store):
+        store.save_bytes("m.bin", b"data")
+        (store.root / "m.bin").unlink()
+        with pytest.raises(CacheCorruptionError, match="missing"):
+            store.load_bytes("m.bin")
+
+    def test_unreadable_payload_is_not_corruption(self, store, monkeypatch):
+        # a read error says nothing about the payload: callers keep the file
+        store.save_bytes("r.bin", b"data")
+
+        def denied(path):
+            raise PermissionError("transient EACCES")
+
+        monkeypatch.setattr(Path, "read_bytes", denied)
+        with pytest.raises(PermissionError):
+            store.load_bytes("r.bin")
+        assert not store.verify("r.bin")
+        monkeypatch.undo()
+        assert store.verify("r.bin")
+
+    def test_file_digests_cover_payloads_and_manifest(self, store):
+        store.save_bytes("a.bin", b"1")
+        digests = store.file_digests()
+        assert sorted(digests) == ["a.bin", "manifest.json"]
+        assert digests["a.bin"] == hashlib.sha256(b"1").hexdigest()
 
     def test_invalidate(self, store):
         store.save_bytes("d.bin", b"data")

@@ -2,16 +2,16 @@
 
 These exercise the whole runtime machinery end-to-end via the fault-injection
 harness: kill-and-resume mid-suite, corrupted-checkpoint detection + rebuild,
-torn cache pairs, graceful degradation, and experiment-grid resume.
+the store as the suite cache, graceful degradation, and experiment-grid resume.
 """
 
-import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import repro.core.pipeline as pipeline
-from repro.bench.suite import SUITE_ORDER
+from repro.bench.suite import SUITE_ORDER, suite_recipes
 from repro.core.experiment import run_experiment
 from repro.core.models import ModelSpec
 from repro.core.pipeline import ADHOC_GROUP, build_suite_dataset, checkpoint_dir_for
@@ -54,7 +54,7 @@ class TestKillAndResume:
                 build_suite_dataset(SCALE, cache_path=cache)
         # the injected fault kills design 3 before its flow body runs
         assert counted_run_flow == list(SUITE_ORDER[:2])
-        assert not cache.exists()  # no cache for a partial run
+        assert not cache.exists()  # the name only locates the store
 
         store = CheckpointStore(checkpoint_dir_for(cache))
         assert sorted(store.keys()) == sorted(f"{n}.npz" for n in SUITE_ORDER[:2])
@@ -66,9 +66,9 @@ class TestKillAndResume:
         assert len(counted_run_flow) == 14 - 2
         assert suite.names == list(SUITE_ORDER)
         assert len(stats) == 14
-        assert cache.exists()
+        assert sorted(store.keys()) == sorted(f"{n}.npz" for n in SUITE_ORDER)
 
-        # third invocation: everything comes from the (now complete) cache
+        # third invocation: everything comes from the (now complete) store
         counted_run_flow.clear()
         suite2, _ = build_suite_dataset(SCALE, cache_path=cache)
         assert counted_run_flow == []
@@ -92,15 +92,12 @@ class TestCorruptionRecovery:
         build_suite_dataset(SCALE, cache_path=cache)
         victim = SUITE_ORDER[7]
 
-        # corrupt one design's checkpoint payload and tear the final cache
-        # so the builder must fall back to checkpoints
+        # corrupt one design's checkpoint payload
         store = CheckpointStore(checkpoint_dir_for(cache))
         payload_path = store.root / f"{victim}.npz"
         data = bytearray(payload_path.read_bytes())
         data[len(data) // 2] ^= 0xFF
         payload_path.write_bytes(bytes(data))
-        cache.unlink()
-        cache.with_suffix(".stats.json").unlink()
 
         counted_run_flow.clear()
         suite, _ = build_suite_dataset(SCALE, cache_path=cache)
@@ -120,73 +117,97 @@ class TestCorruptionRecovery:
         assert (f"checkpoint/{victim}.npz", "corrupt") in plan.triggered
 
         # the torn artefact is detected by checksum and only it is re-flowed
-        cache.unlink()
-        cache.with_suffix(".stats.json").unlink()
         counted_run_flow.clear()
         build_suite_dataset(SCALE, cache_path=cache)
         assert counted_run_flow == [victim]
 
-    def test_torn_cache_pair_rebuilds_from_checkpoints(
+
+class TestSuiteStore:
+    """The per-design checkpoints are the suite's only on-disk form."""
+
+    def test_warm_build_equals_cold_build(self, tmp_path, counted_run_flow):
+        cache = tmp_path / "suite.npz"
+        cold, cold_stats = build_suite_dataset(SCALE, cache_path=cache)
+        counted_run_flow.clear()
+        warm, warm_stats = build_suite_dataset(SCALE, cache_path=cache)
+        assert counted_run_flow == []
+        assert warm.names == cold.names == list(SUITE_ORDER)
+        for c, w in zip(cold.designs, warm.designs):
+            assert w.X.dtype == np.float64
+            assert np.array_equal(w.X, c.X), w.name
+            assert np.array_equal(w.y, c.y), w.name
+            assert (w.group, w.grid_nx, w.grid_ny) == (c.group, c.grid_nx, c.grid_ny)
+        assert warm_stats == cold_stats
+
+    def test_complete_store_with_no_resume_runs_no_flows(
         self, tmp_path, counted_run_flow
     ):
         cache = tmp_path / "suite.npz"
         build_suite_dataset(SCALE, cache_path=cache)
-
-        # delete one half of the pair: the pair is invalidated together,
-        # but the rebuild costs zero flows thanks to the checkpoints
-        cache.with_suffix(".stats.json").unlink()
         counted_run_flow.clear()
-        suite, stats = build_suite_dataset(SCALE, cache_path=cache)
+        suite, stats = build_suite_dataset(SCALE, cache_path=cache, resume=False)
         assert counted_run_flow == []
-        assert cache.exists()  # pair rewritten
-        assert cache.with_suffix(".stats.json").exists()
-        assert len(stats) == 14
-
-    def test_corrupted_npz_invalidates_pair(self, tmp_path, counted_run_flow):
-        cache = tmp_path / "suite.npz"
-        build_suite_dataset(SCALE, cache_path=cache)
-        data = bytearray(cache.read_bytes())
-        data[len(data) // 2] ^= 0xFF
-        cache.write_bytes(bytes(data))
-
-        counted_run_flow.clear()
-        suite, _ = build_suite_dataset(SCALE, cache_path=cache)
-        assert counted_run_flow == []  # checkpoints still cover everything
         assert suite.names == list(SUITE_ORDER)
-        # rewritten cache passes checksum now
-        doc = json.loads(cache.with_suffix(".stats.json").read_text())
-        from repro.runtime.checkpoint import sha256_of
+        assert len(stats) == 14
 
-        assert doc["npz_sha256"] == sha256_of(cache)
+    def test_v2_store_is_reflowed(self, tmp_path, monkeypatch, counted_run_flow):
+        import repro.runtime.checkpoint as checkpoint
 
-    def test_transient_read_error_keeps_cache_pair(self, tmp_path, monkeypatch):
         cache = tmp_path / "suite.npz"
-        sidecar = cache.with_suffix(".stats.json")
-        build_suite_dataset(SCALE, cache_path=cache)
-
-        def denied(path, *args, **kwargs):
-            raise OSError("transient EACCES")
-
-        monkeypatch.setattr(pipeline, "sha256_of", denied)
-        # transient I/O failure: fall back to a rebuild, but do NOT destroy
-        # the valid, expensive-to-rebuild pair
-        assert pipeline._load_suite_cache(cache, sidecar) is None
-        assert cache.exists() and sidecar.exists()
-
-        monkeypatch.undo()
-        assert pipeline._load_suite_cache(cache, sidecar) is not None
-
-    def test_legacy_sidecar_format_is_invalidated(self, tmp_path, counted_run_flow):
-        cache = tmp_path / "suite.npz"
-        build_suite_dataset(SCALE, cache_path=cache)
-        # simulate a v1 sidecar: a bare stats list without integrity data
-        sidecar = cache.with_suffix(".stats.json")
-        sidecar.write_text(json.dumps([{"name": "des_perf_b"}]))
+        with monkeypatch.context() as m:
+            m.setattr(checkpoint, "CHECKPOINT_FORMAT_VERSION", 2)
+            build_suite_dataset(SCALE, cache_path=cache)
+        store = CheckpointStore(checkpoint_dir_for(cache))
+        assert list(store.keys()) == []  # a v2 manifest is no store for v3 code
 
         counted_run_flow.clear()
-        suite, stats = build_suite_dataset(SCALE, cache_path=cache)
-        assert counted_run_flow == []  # rebuilt from checkpoints
-        assert len(stats) == 14
+        build_suite_dataset(SCALE, cache_path=cache)
+        assert sorted(counted_run_flow) == sorted(SUITE_ORDER)
+        assert all(store.verify(f"{n}.npz") for n in SUITE_ORDER)
+
+    def test_transient_read_error_keeps_checkpoint(self, tmp_path, monkeypatch):
+        cache = tmp_path / "suite.npz"
+        build_suite_dataset(SCALE, cache_path=cache)
+        store = CheckpointStore(checkpoint_dir_for(cache))
+        victim = SUITE_ORDER[5]
+        victim_path = store.root / f"{victim}.npz"
+        before = store.file_digests()
+        real_read = Path.read_bytes
+
+        def denied(path):
+            if path == victim_path:
+                raise PermissionError("transient EACCES")
+            return real_read(path)
+
+        recipes = suite_recipes(SCALE)
+        with monkeypatch.context() as m:
+            m.setattr(Path, "read_bytes", denied)
+            loaded = pipeline._load_verified_checkpoints(store, recipes, verbose=False)
+        # an NFS hiccup re-runs the design this time, but must not destroy
+        # its sound, expensive-to-rebuild checkpoint
+        assert sorted(loaded) == sorted(n for n in SUITE_ORDER if n != victim)
+        assert store.has(f"{victim}.npz")
+        assert store.file_digests() == before
+        assert victim in pipeline._load_verified_checkpoints(store, recipes, verbose=False)
+
+    def test_no_resume_reads_no_checkpoint_of_an_incomplete_store(
+        self, tmp_path, monkeypatch, counted_run_flow
+    ):
+        cache = tmp_path / "suite.npz"
+        build_suite_dataset(SCALE, cache_path=cache)
+        CheckpointStore(checkpoint_dir_for(cache)).invalidate(f"{SUITE_ORDER[0]}.npz")
+        loads: list[str] = []
+        real_load = pipeline._load_design_checkpoint
+
+        def counting(store, name):
+            loads.append(name)
+            return real_load(store, name)
+
+        monkeypatch.setattr(pipeline, "_load_design_checkpoint", counting)
+        counted_run_flow.clear()
+        build_suite_dataset(SCALE, cache_path=cache, resume=False)
+        assert loads == []  # no hit is possible, and nothing would be kept
+        assert sorted(counted_run_flow) == sorted(SUITE_ORDER)
 
 
 class TestGracefulDegradation:
@@ -203,15 +224,18 @@ class TestGracefulDegradation:
         assert runner.failures.units() == [f"flow/{victim}"]
         rec = runner.failures.records[0]
         assert rec.error_type == "FaultInjected"
-        # the shared cache must not be poisoned by a partial suite
-        assert not cache.exists()
+        # the store holds every design that finished, and nothing for the victim
+        store = CheckpointStore(checkpoint_dir_for(cache))
+        assert sorted(store.keys()) == sorted(
+            f"{n}.npz" for n in SUITE_ORDER if n != victim
+        )
 
-        # next run completes the missing design and writes the cache
+        # next run completes the missing design and the store
         counted_run_flow.clear()
         suite2, _ = build_suite_dataset(SCALE, cache_path=cache)
         assert counted_run_flow == [victim]
         assert len(suite2.designs) == 14
-        assert cache.exists()
+        assert len(list(store.keys())) == 14
 
     def test_nan_features_degrade_suite_instead_of_aborting(
         self, tmp_path, monkeypatch

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.pipeline import build_suite_dataset
+from repro.core.pipeline import build_suite_dataset, checkpoint_dir_for
 from repro.runtime import (
     CheckpointStore,
     FaultTolerantRunner,
@@ -361,14 +361,18 @@ def _subprocess_env(**extra: str) -> dict[str, str]:
     return env
 
 
+def _store_digests(cache: Path) -> dict[str, str]:
+    return CheckpointStore(checkpoint_dir_for(cache)).file_digests()
+
+
 @pytest.fixture(scope="module")
-def suite_baseline(tmp_path_factory) -> bytes:
-    """Uninterrupted serial suite cache: the byte-identity reference."""
+def suite_baseline(tmp_path_factory) -> dict[str, str]:
+    """Uninterrupted serial suite store: the byte-identity reference."""
     path = tmp_path_factory.mktemp("baseline") / "suite.npz"
     build_suite_dataset(
         SCALE, cache_path=path, runner=FaultTolerantRunner(fail_fast=True)
     )
-    return path.read_bytes()
+    return _store_digests(path)
 
 
 class TestCrashSafetyAcceptance:
@@ -392,10 +396,8 @@ class TestCrashSafetyAcceptance:
         rec = runner.failures.records[0]
         assert rec.kind == "worker_crash"
         assert rec.error_type == "WorkerCrashError"
-        # a degraded suite must not publish the shared cache pair...
-        assert not cache.exists()
-        # ...but every design that did finish was checkpointed by the parent
-        saved = {p.stem for p in cache.with_suffix(".ckpt").glob("*.npz")}
+        # every design that did finish was checkpointed by the parent
+        saved = {p.stem for p in checkpoint_dir_for(cache).glob("*.npz")}
         assert "mult_1" not in saved
         assert len(saved) >= 1
 
@@ -404,7 +406,7 @@ class TestCrashSafetyAcceptance:
         build_suite_dataset(
             SCALE, cache_path=cache, runner=FaultTolerantRunner(fail_fast=True)
         )
-        assert cache.read_bytes() == suite_baseline
+        assert _store_digests(cache) == suite_baseline
 
     def test_cli_kill_fault_terminates_despite_signal_handlers(self, tmp_path):
         # regression: forked workers inherited the CLI's graceful-shutdown
@@ -503,7 +505,7 @@ class TestCrashSafetyAcceptance:
         assert resumed.returncode == 0, resumed.stderr
         assert "Total samples" in resumed.stdout
         tag = f"suite_scale{SCALE:g}".replace(".", "p")
-        assert (tmp_path / f"{tag}.npz").read_bytes() == suite_baseline
+        assert _store_digests(tmp_path / f"{tag}.npz") == suite_baseline
 
 
 class TestOrphanTempSweep:

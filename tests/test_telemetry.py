@@ -318,6 +318,28 @@ class TestCLITelemetry:
         assert not trace.exists()
         assert not manifest_path_for(trace).exists()
 
+    def test_trace_inspector_names_the_failed_unit(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        import repro.cli as cli
+        from repro.runtime.faults import FaultSpec, inject_faults
+
+        recipes = pipeline.suite_recipes(0.3)[:2]
+        monkeypatch.setattr(pipeline, "suite_recipes", lambda scale: recipes)
+        monkeypatch.setattr(cli, "default_cache_path",
+                            lambda scale=1.0: tmp_path / "suite.npz")
+        victim = recipes[1].name
+        trace = tmp_path / "run.jsonl"
+        with inject_faults(FaultSpec(stage=f"flow/{victim}", times=1)):
+            code = main(["suite", "--scale", "0.3", "--trace", str(trace)])
+        assert code == cli.EXIT_DEGRADED
+        capsys.readouterr()
+
+        assert main(["trace", str(manifest_path_for(trace))]) == 0
+        assert f"failures : 1 (flow/{victim})" in capsys.readouterr().out
+        assert main(["trace", str(trace)]) == 0
+        assert f"error:flow/{victim} FaultInjected" in capsys.readouterr().out
+
     def test_trace_inspector_rejects_malformed_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
         bad.write_text("garbage\n")
@@ -359,8 +381,7 @@ class TestDeterminism:
         monkeypatch.setattr(cli, "default_cache_path",
                             lambda scale=1.0: cache)
         trace = tmp_path / tag / "run.jsonl"
-        argv = [*command, "--scale", "0.3", "--no-cache", "--no-resume",
-                "--trace", str(trace)]
+        argv = [*command, "--scale", "0.3", "--no-resume", "--trace", str(trace)]
         if jobs > 1:
             argv += ["-j", str(jobs)]
         assert main(argv) == 0
