@@ -1,0 +1,78 @@
+"""Parallel speedup floors of the suite build and the Table II experiment.
+
+The 14-design suite build at scale 0.5 and a fast-preset experiment
+(RUSBoost, NN-1 and RF; no tuning) each run once serial and once on a
+4-worker pool.  The pool must be at least 2x faster on both, and the two
+suite stores must be byte-identical.  Fewer than 4 CPUs cannot reach the
+floor, so the module skips there::
+
+    python -m pytest -q benchmarks/test_parallel_speedup.py
+"""
+
+from __future__ import annotations
+
+import os
+import time
+from pathlib import Path
+
+import pytest
+
+from repro.core.experiment import run_experiment
+from repro.core.models import model_zoo
+from repro.core.pipeline import build_suite_dataset, checkpoint_dir_for
+from repro.features.dataset import SuiteDataset
+from repro.runtime import CheckpointStore, FaultTolerantRunner
+
+SCALE = 0.5
+JOBS = 4
+MIN_SPEEDUP = 2.0
+MODELS = ("RUSBoost", "NN-1", "RF")
+
+pytestmark = pytest.mark.skipif((os.cpu_count() or 1) < JOBS, reason=f"needs >= {JOBS} CPUs")
+
+
+def time_suite_builds(workdir: Path, jobs: int = JOBS) -> dict:
+    """Serial and ``jobs``-worker cold builds: walls, store digests, the suite."""
+    out: dict = {}
+    for label, n in (("serial", 1), ("parallel", jobs)):
+        cache = workdir / f"{label}.npz"
+        t0 = time.perf_counter()
+        out["suite"], _ = build_suite_dataset(
+            SCALE, cache_path=cache, runner=FaultTolerantRunner(fail_fast=True, jobs=n)
+        )
+        out[f"{label}_s"] = time.perf_counter() - t0
+        out[f"{label}_files"] = CheckpointStore(checkpoint_dir_for(cache)).file_digests()
+    return out
+
+
+def time_experiments(suite: SuiteDataset, jobs: int = JOBS) -> dict:
+    """Serial and ``jobs``-worker experiment walls over :data:`MODELS`."""
+    models = [m for m in model_zoo("fast") if m.name in MODELS]
+    out: dict = {}
+    for label, n in (("serial", 1), ("parallel", jobs)):
+        t0 = time.perf_counter()
+        run_experiment(suite, models, tune=False,
+                       runner=FaultTolerantRunner(fail_fast=True, jobs=n))
+        out[f"{label}_s"] = time.perf_counter() - t0
+    return out
+
+
+@pytest.fixture(scope="module")
+def suite_builds(tmp_path_factory):
+    return time_suite_builds(tmp_path_factory.mktemp("suite"))
+
+
+def test_parallel_store_byte_identical(suite_builds):
+    assert len(suite_builds["serial_files"]) == 14 + 1  # checkpoints + manifest
+    assert suite_builds["serial_files"] == suite_builds["parallel_files"]
+
+
+def test_suite_build_speedup(suite_builds):
+    speedup = suite_builds["serial_s"] / suite_builds["parallel_s"]
+    assert speedup >= MIN_SPEEDUP, f"suite build x{speedup:.2f} at -j {JOBS}"
+
+
+def test_experiment_speedup(suite_builds):
+    walls = time_experiments(suite_builds["suite"])
+    speedup = walls["serial_s"] / walls["parallel_s"]
+    assert speedup >= MIN_SPEEDUP, f"experiment x{speedup:.2f} at -j {JOBS}"

@@ -26,10 +26,9 @@ across N worker processes (default 1 = serial; results are bit-identical
 either way).  ``--no-resume`` ignores checkpoints and recomputes every
 unit, except that a suite whose every design checkpoint verifies is loaded.
 
-Every command also accepts the telemetry flags ``--trace PATH`` (write a
-JSONL span trace to PATH plus an aggregated manifest next to it) and
-``--no-telemetry`` (force telemetry off).  Without ``--trace``, telemetry
-stays disabled and no sink file is ever created.
+Every command also accepts the telemetry flag ``--trace PATH`` (write a
+JSONL span trace to PATH plus an aggregated manifest next to it).  Without
+``--trace``, telemetry stays disabled and no sink file is ever created.
 
 The heavy commands run under two-stage signal handling: the first
 SIGTERM/SIGINT stops dispatching new units, drains and checkpoints what is
@@ -146,8 +145,6 @@ def _add_telemetry_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--trace", type=_trace_path, default=None, metavar="PATH",
                    help="write a JSONL span trace to PATH and an aggregated "
                         "run manifest next to it (.manifest.json)")
-    p.add_argument("--no-telemetry", dest="telemetry", action="store_false",
-                   help="force telemetry off even when --trace is given")
 
 
 def _add_resilience_flags(p: argparse.ArgumentParser) -> None:
@@ -490,16 +487,12 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(func=_trace_cmd)
 
     args = parser.parse_args(argv)
-    trace_path = getattr(args, "trace", None)
-    telemetry_on = (trace_path is not None
-                    and getattr(args, "telemetry", True)
-                    and args.command != "trace")
     # two-stage SIGTERM/SIGINT handling guards every resumable command:
     # first signal drains + flushes (exit 4, --resume continues), second
     # hard-exits.  Commands without resilience flags finish too fast to need
     # it, and `trace` is read-only.
     supervised = hasattr(args, "resume")
-    if not telemetry_on:
+    if getattr(args, "trace", None) is None:  # `trace` itself has no --trace
         try:
             with graceful_shutdown() if supervised else nullcontext():
                 return args.func(args)

@@ -40,9 +40,6 @@ class Violation:
     layer: str  # e.g. "M3" or "V2"
     bbox: Rect
 
-    def describe(self) -> str:
-        return f"{self.vtype.value} in {self.layer} at {self.bbox.as_tuple()}"
-
 
 @dataclass
 class DRCReport:

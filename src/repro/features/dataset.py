@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
-from pathlib import Path
 from typing import BinaryIO
 
 import numpy as np
@@ -109,11 +108,11 @@ class SuiteDataset:
 
     # -- persistence -----------------------------------------------------------------
 
-    def save(self, file: str | Path | BinaryIO, **extra: np.ndarray) -> None:
+    def save(self, file: BinaryIO, **extra: np.ndarray) -> None:
         """Write the suite, plus any ``extra`` arrays, as one compressed .npz.
 
-        ``file`` is a path or a writable binary file; the bytes depend only on
-        the data (see :func:`~repro.runtime.checkpoint.npz_bytes`).  A design
+        ``file`` is a writable binary file; the bytes depend only on the data
+        (see :func:`~repro.runtime.checkpoint.npz_bytes`).  A design
         checkpoint of the suite store is a one-design suite written this way.
         """
         payload: dict[str, np.ndarray] = {
@@ -127,18 +126,7 @@ class SuiteDataset:
         for d in self.designs:
             payload[f"X_{d.name}"] = d.X
             payload[f"y_{d.name}"] = d.y
-        data = npz_bytes(payload)
-        if isinstance(file, (str, Path)):
-            file = Path(file)
-            file.parent.mkdir(parents=True, exist_ok=True)
-            file.write_bytes(data)
-        else:
-            file.write(data)
-
-    @staticmethod
-    def load(file: str | Path | BinaryIO) -> SuiteDataset:
-        with np.load(file, allow_pickle=False) as data:
-            return SuiteDataset.from_arrays(data)
+        file.write(npz_bytes(payload))
 
     @staticmethod
     def from_arrays(data: Mapping[str, np.ndarray]) -> SuiteDataset:

@@ -411,24 +411,3 @@ class RandomForestClassifier:
             internal = t.node_count - t.n_leaves
             total += 4 * internal + t.n_leaves
         return total
-
-    def feature_importances(self) -> np.ndarray:
-        """Mean cover-weighted split frequency per feature.
-
-        A light-weight global importance (split-count weighted by node
-        cover); the per-sample SHAP values are the paper's preferred
-        attribution, this is only for quick sanity checks.
-        """
-        if not self.estimators_:
-            raise RuntimeError("forest not fitted")
-        n_features = 0
-        for t in self.trees:
-            internal = t.feature[t.feature >= 0]
-            if internal.size:
-                n_features = max(n_features, int(internal.max()) + 1)
-        imp = np.zeros(max(n_features, 1))
-        for t in self.trees:
-            mask = t.feature >= 0
-            np.add.at(imp, t.feature[mask], t.cover[mask])
-        s = imp.sum()
-        return imp / s if s > 0 else imp

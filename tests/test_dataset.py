@@ -1,5 +1,7 @@
 """Tests for dataset containers and the suite cache."""
 
+import io
+
 import numpy as np
 import pytest
 
@@ -69,13 +71,15 @@ class TestSuiteDataset:
         with pytest.raises(ValueError):
             suite.stacked(exclude_groups=(0,))
 
-    def test_save_load_roundtrip(self, tmp_path):
+    def test_save_load_roundtrip(self):
         suite = SuiteDataset(
             [_toy_design("a", 0, seed=5), _toy_design("b", 2, seed=6)]
         )
-        path = tmp_path / "suite.npz"
-        suite.save(path)
-        loaded = SuiteDataset.load(path)
+        archive = io.BytesIO()
+        suite.save(archive)
+        archive.seek(0)
+        with np.load(archive, allow_pickle=False) as arrays:
+            loaded = SuiteDataset.from_arrays(arrays)
         assert loaded.names == suite.names
         for orig, back in zip(suite.designs, loaded.designs):
             assert back.group == orig.group

@@ -168,8 +168,8 @@ class TestTreeShapExactness:
 
 
 @pytest.fixture(scope="module")
-def smoke_batch():
-    """benchmarks/smoke.py's 20-tree, 40-feature forest and its 1000-row batch.
+def forest_batch():
+    """A 20-tree, depth-8 forest on 40 synthetic features and a 1000-row batch.
 
     Returns the forest, the rows, their explainer, the batch's SHAP values
     and the counters of the tracer that was active while computing them.
@@ -185,9 +185,9 @@ def smoke_batch():
 
 
 class TestBatchedPasses:
-    def test_batch_needs_far_fewer_group_passes(self, smoke_batch):
+    def test_batch_needs_far_fewer_group_passes(self, forest_batch):
         """A 1000-row batch costs <= 1/20 of the per-row loop's group passes."""
-        _, X, ex, _, batched = smoke_batch
+        _, X, ex, _, batched = forest_batch
         with activate(Tracer()) as looped:
             for x in X:
                 ex.shap_values_single(x)
@@ -195,8 +195,8 @@ class TestBatchedPasses:
         assert looped.counters["shap.rows"] == batched["shap.rows"] == len(X)
         assert 20 * batched["shap.chunks"] <= looped.counters["shap.chunks"]
 
-    def test_batch_local_accuracy_on_every_row(self, smoke_batch):
-        rf, X, ex, phi, _ = smoke_batch
+    def test_batch_local_accuracy_on_every_row(self, forest_batch):
+        rf, X, ex, phi, _ = forest_batch
         fx = rf.predict_proba(X)[:, 1]
         assert np.abs(ex.expected_value + phi.sum(axis=1) - fx).max() <= 1e-9
 

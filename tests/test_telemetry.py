@@ -310,14 +310,6 @@ class TestCLITelemetry:
                      "--seed", "3"]) == 0
         assert list(tmp_path.iterdir()) == []
 
-    def test_no_telemetry_suppresses_sinks(self, tmp_path):
-        trace = tmp_path / "run.jsonl"
-        assert main(["flow", "--grid", "8", "--utilization", "0.55",
-                     "--seed", "3", "--trace", str(trace),
-                     "--no-telemetry"]) == 0
-        assert not trace.exists()
-        assert not manifest_path_for(trace).exists()
-
     def test_trace_inspector_names_the_failed_unit(
         self, tmp_path, monkeypatch, capsys
     ):

@@ -257,6 +257,7 @@ class TestLockStep:
             base_w = np.where(y == 1, len(y) / (2.0 * pos),
                               len(y) / (2.0 * (len(y) - pos)))
         n_draw = len(y) if rf.max_samples is None else int(rf.max_samples * len(y))
+        builds = batches = 0
         for r, got in zip(np.random.default_rng(9).spawn(n_trees), rf.trees):
             w = base_w * r.multinomial(n_draw, np.full(len(y), 1.0 / len(y)))
             tree = DecisionTreeClassifier(
@@ -264,6 +265,11 @@ class TestLockStep:
                 max_features=rf.max_features, random_state=r,
             ).fit(None, y, sample_weight=w, binned=dataset)
             _assert_trees_identical(got, tree.tree_)
+            builds += tree.fit_stats_["ml.hist.builds"]
+            batches += tree.fit_stats_["ml.hist.batches"]
+        # the same node histograms, split in strictly fewer kernel calls
+        assert rf.fit_stats_["ml.hist.builds"] == builds
+        assert 0 < rf.fit_stats_["ml.hist.batches"] < batches
 
 
     def test_gather_cap_only_splits_the_bincount(self, monkeypatch):
@@ -430,7 +436,7 @@ class TestStackedPrediction:
             [t.predict_proba_positive(Xte) for t in rf.trees]
         )
         assert np.array_equal(leaf, manual)
-        assert np.allclose(
+        assert np.array_equal(
             rf.stacked.predict_proba_positive(Xte), manual.mean(axis=1)
         )
 
