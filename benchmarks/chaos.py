@@ -22,9 +22,9 @@ Three phases, one shared tracer:
 
 Artifacts (uploaded by the CI ``chaos`` job): ``CHAOS_report.json`` (what
 happened, per phase), ``CHAOS_failures.json`` (the structured failure log
-from the quarantine phase), and ``run_manifest.json`` (aggregated telemetry
-— crash/respawn/quarantine counters included, since the parallel runner
-zero-registers them).
+from the quarantine phase), and ``run_manifest.json`` (the run's telemetry:
+the span tree with one span per phase, plus the crash/respawn/quarantine
+counters, which the parallel runner zero-registers).
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from repro.runtime.telemetry import (
     get_tracer,
     new_run_id,
     write_manifest,
-    write_trace,
 )
 
 #: The designs the fault schedule targets (must exist at every scale).
@@ -161,8 +160,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--failures-out", type=Path,
                         default=Path("CHAOS_failures.json"))
     parser.add_argument("--manifest", type=Path, default=Path("run_manifest.json"))
-    parser.add_argument("--trace", type=Path, default=None,
-                        help="also write the full JSONL span trace here")
     parser.add_argument("--check", action="store_true",
                         help="assert the crash-safety acceptance bar")
     args = parser.parse_args(argv)
@@ -215,9 +212,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     write_manifest(manifest, args.manifest)
     print(f"wrote {args.manifest}")
-    if args.trace is not None:
-        write_trace(tracer, args.trace, command="bench-chaos")
-        print(f"wrote {args.trace}")
 
     if args.check:
         counters = doc["counters"]
@@ -233,6 +227,10 @@ def main(argv: list[str] | None = None) -> int:
             "manifest lost the supervision counters"
         )
         assert manifest["failures"], "manifest lost the failure records"
+        phases = {span["name"] for span in manifest["spans"][0]["children"]}
+        assert {"chaos_recovery", "chaos_quarantine"} <= phases, (
+            f"manifest lost the phase spans: {sorted(phases)}"
+        )
     return 0
 
 

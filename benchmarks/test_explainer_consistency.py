@@ -23,7 +23,6 @@ This bench quantifies both arguments on our models:
 import time
 
 import numpy as np
-import pytest
 
 from repro.ml.forest import RandomForestClassifier
 from repro.ml.shap.kernel import KernelShapExplainer

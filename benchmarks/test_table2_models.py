@@ -13,8 +13,6 @@ analogue and asserts the paper's headline claims:
 The timed kernel is one final RF fit on the group-0 training set.
 """
 
-import numpy as np
-
 from repro.core.evaluation import format_table2, summarize_shape
 from repro.core.models import rf_spec
 

@@ -13,8 +13,8 @@ import numpy as np
 
 from repro.bench import DesignRecipe
 from repro.core import run_flow
-from repro.features import feature_index, feature_names
-from repro.layout.grid import WINDOW_EDGES, WINDOW_OFFSETS, WINDOW_POSITIONS
+from repro.features import feature_names
+from repro.layout.grid import WINDOW_EDGES, WINDOW_OFFSETS
 from repro.route.congestion import window_edge_cap_load
 
 

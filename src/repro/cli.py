@@ -12,8 +12,8 @@ Commands
 ``flow``       Run the flow on one ad-hoc design and print its statistics.
 ``features``   List the 387 canonical feature names.
 
-``trace``      Inspect a JSONL trace or ``run_manifest.json`` written by
-               ``--trace``: span tree, slowest spans, metric totals.
+``trace``      Inspect the run manifest written by ``--trace``: span tree,
+               slowest spans, stage table, metric totals, failures.
 
 The heavy commands keep each scale's suite in one checkpoint store (one
 checkpoint per design, see :func:`repro.core.pipeline.build_suite_dataset`),
@@ -26,13 +26,14 @@ across N worker processes (default 1 = serial; results are bit-identical
 either way).  ``--no-resume`` ignores checkpoints and recomputes every
 unit, except that a suite whose every design checkpoint verifies is loaded.
 
-Every command also accepts the telemetry flag ``--trace PATH`` (write a
-JSONL span trace to PATH plus an aggregated manifest next to it).  Without
-``--trace``, telemetry stays disabled and no sink file is ever created.
+Every command also accepts the telemetry flag ``--trace PATH``: write the
+run's one telemetry document, the manifest with its span tree (see
+:func:`repro.runtime.telemetry.build_manifest`), to PATH itself.  Without
+``--trace``, telemetry stays disabled and no file is ever created.
 
 The heavy commands run under two-stage signal handling: the first
 SIGTERM/SIGINT stops dispatching new units, drains and checkpoints what is
-in flight, flushes the telemetry sinks, and exits with the resumable code
+in flight, writes the ``--trace`` manifest, and exits with the resumable code
 4 — rerunning with ``--resume`` (the default) continues exactly where the
 run stopped.  A second signal hard-exits immediately.  Worker supervision
 flags ``--max-pool-respawns``, ``--quarantine-threshold`` and
@@ -47,7 +48,6 @@ to stderr), 4 interrupted by a shutdown signal but resumable.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from contextlib import nullcontext
@@ -77,22 +77,18 @@ from .runtime.telemetry import (
     Tracer,
     activate,
     build_manifest,
-    format_metrics,
-    format_span_tree,
-    format_top_spans,
     get_tracer,
-    load_trace,
-    manifest_path_for,
+    load_manifest,
     new_run_id,
+    render_manifest,
     write_manifest,
-    write_trace,
 )
 
 #: Exit code when a run finished but some units failed and were skipped.
 EXIT_DEGRADED = 3
 
 #: Exit code when a shutdown signal interrupted the run after a clean flush:
-#: checkpoints and telemetry sinks are valid, and ``--resume`` continues
+#: checkpoints and the ``--trace`` manifest are valid, and ``--resume`` continues
 #: exactly where the run stopped.
 EXIT_INTERRUPTED = 4
 
@@ -143,8 +139,8 @@ def _trace_path(text: str) -> Path:
 
 def _add_telemetry_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--trace", type=_trace_path, default=None, metavar="PATH",
-                   help="write a JSONL span trace to PATH and an aggregated "
-                        "run manifest next to it (.manifest.json)")
+                   help="write the run manifest (span tree, stage table, "
+                        "metrics, failures) to PATH")
 
 
 def _add_resilience_flags(p: argparse.ArgumentParser) -> None:
@@ -329,99 +325,30 @@ def _features(args: argparse.Namespace) -> int:
     return 0
 
 
-def _failed_unit(rec: dict) -> str:
-    """``stage/unit`` of a failure record, as ``FailureRecord.to_dict`` writes it."""
-    return f"{rec.get('stage', '?')}/{rec.get('unit', '?')}"
-
-
-def _render_manifest(manifest: dict) -> str:
-    """Human view of a ``run_manifest.json`` document."""
-    lines = [
-        f"run      : {manifest.get('run_id', '?')}",
-        f"command  : {manifest.get('command', '?')}",
-        f"versions : " + " ".join(
-            f"{k}={v}" for k, v in (manifest.get("versions") or {}).items()
-        ),
-        "",
-        f"{'stage':<40s} {'count':>6s} {'wall_s':>9s} {'self_s':>9s} {'cpu_s':>9s}",
-    ]
-    for row in manifest.get("stages", []):
-        lines.append(
-            f"{row['path']:<40s} {row['count']:>6d} {row['wall_s']:>9.3f} "
-            f"{row['self_s']:>9.3f} {row['cpu_s']:>9.3f}"
-        )
-    lines.append("")
-    lines.append(format_metrics(manifest.get("counters", {}),
-                                manifest.get("gauges", {})))
-    failures = manifest.get("failures", [])
-    if failures:
-        lines.append("")
-        lines.append(f"failures : {len(failures)} "
-                     f"({', '.join(sorted({_failed_unit(f) for f in failures}))})")
-    return "\n".join(lines)
-
-
 def _trace_cmd(args: argparse.Namespace) -> int:
-    """Inspect a trace file or manifest written by ``--trace``."""
-    path = Path(args.path)
+    """Inspect the run manifest written by ``--trace``."""
     try:
-        text = path.read_text()
+        manifest = load_manifest(args.path)
     except OSError as exc:
-        print(f"error: cannot read {path}: {exc}", file=sys.stderr)
+        print(f"error: cannot read {args.path}: {exc}", file=sys.stderr)
         return 1
-    # A manifest is a single JSON object with a "stages" table; anything else
-    # is treated as a JSONL trace.
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError:
-        doc = None
-    if isinstance(doc, dict) and "stages" in doc:
-        print(_render_manifest(doc))
-        return 0
-    try:
-        # lenient: a killed process tears at most the trailing line(s); drop
-        # them with a warning instead of refusing the whole trace
-        trace = load_trace(path, strict=False)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if trace.dropped:
-        print(
-            f"warning: skipped {trace.dropped} truncated/corrupt trace "
-            f"line(s) in {path}",
-            file=sys.stderr,
-        )
-    meta = trace.meta
-    print(f"run      : {meta.get('run_id', '?')}")
-    print(f"command  : {meta.get('command', '?')}")
-    print()
-    print(format_span_tree(trace.roots))
-    print()
-    print(format_top_spans(trace.roots, args.top))
-    print()
-    print(format_metrics(trace.counters, trace.gauges))
-    if trace.failures:
-        print()
-        print(f"failures : {len(trace.failures)}")
-        for rec in trace.failures:
-            print(f"  {rec.get('kind', '?')}:{_failed_unit(rec)} "
-                  f"{rec.get('error_type', '')}: {rec.get('message', '')}")
+    print(render_manifest(manifest, args.top))
     return 0
 
 
 def _write_telemetry(tracer: Tracer, args: argparse.Namespace,
                      argv: list[str]) -> None:
-    """Persist the run's trace + manifest sinks next to ``--trace PATH``."""
-    trace_path = args.trace
+    """Persist the run manifest to ``--trace PATH``."""
     config = {
         k: (str(v) if isinstance(v, Path) else v)
         for k, v in sorted(vars(args).items())
         if k != "func"
     }
-    write_trace(tracer, trace_path, args.command, argv)
     manifest = build_manifest(tracer, args.command, argv, config)
-    manifest_path = write_manifest(manifest, manifest_path_for(trace_path))
-    print(f"telemetry: trace {trace_path}  manifest {manifest_path}",
+    print(f"telemetry: manifest {write_manifest(manifest, args.trace)}",
           file=sys.stderr)
 
 
@@ -478,10 +405,8 @@ def main(argv: list[str] | None = None) -> int:
     _add_telemetry_flags(p)
     p.set_defaults(func=_features)
 
-    p = sub.add_parser(
-        "trace", help="inspect a --trace JSONL file or run manifest"
-    )
-    p.add_argument("path", help="trace .jsonl or run manifest .json file")
+    p = sub.add_parser("trace", help="inspect a run manifest written by --trace")
+    p.add_argument("path", help="run manifest .json file")
     p.add_argument("--top", type=_positive_int, default=5, metavar="N",
                    help="how many slowest spans to list (default 5)")
     p.set_defaults(func=_trace_cmd)
@@ -515,7 +440,7 @@ def main(argv: list[str] | None = None) -> int:
     except ReproRuntimeError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         code = 1
-    # Sinks are written for success, degraded, interrupted and error exits
+    # The manifest is written for success, degraded, interrupted and error exits
     # alike — a KeyboardInterrupt outside the supervised block propagates
     # before reaching here by design.
     _write_telemetry(tracer, args, argv_list)

@@ -15,7 +15,6 @@ from .router import (
     RouterConfig,
     RoutedSegment,
     RoutingResult,
-    local_net_counts,
     route_design,
 )
 from .steiner import decompose_net, is_local, mst_segments, net_gcells
@@ -36,7 +35,6 @@ __all__ = [
     "RouterConfig",
     "RoutedSegment",
     "RoutingResult",
-    "local_net_counts",
     "route_design",
     "decompose_net",
     "is_local",

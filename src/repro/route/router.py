@@ -34,7 +34,7 @@ from ..runtime.telemetry import get_tracer
 from .graph import RoutingGrid
 from .maze import route_maze
 from .patterns import route_pattern
-from .steiner import decompose_net, net_gcells
+from .steiner import decompose_net
 
 
 @dataclass(frozen=True)
@@ -297,12 +297,3 @@ def route_design(
     """Globally route a placed design and return the loaded routing grid."""
     return GlobalRouter(design, grid, config).run()
 
-
-def local_net_counts(design: Design, grid: GCellGrid) -> dict[tuple[int, int], int]:
-    """Number of local nets per g-cell (a paper feature; routing-free query)."""
-    counts: dict[tuple[int, int], int] = {}
-    for net in design.nets:
-        cells = net_gcells(net, grid)
-        if len(cells) == 1:
-            counts[cells[0]] = counts.get(cells[0], 0) + 1
-    return counts

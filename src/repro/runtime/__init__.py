@@ -23,9 +23,9 @@ long-running path resumable and failure-isolated:
 * :mod:`repro.runtime.faults` — a deterministic fault-injection hook so the
   whole machinery is testable in CI;
 * :mod:`repro.runtime.telemetry` — hierarchical span tracing, counters and
-  gauges, JSONL trace + ``run_manifest.json`` sinks, and picklable
-  snapshots the runner uses to merge each unit's telemetry into the parent
-  in input order.
+  gauges, one ``run_manifest.json`` run document (span tree, stage table,
+  metrics, failures) with its loader, and picklable snapshots the runner
+  uses to merge each unit's telemetry into the parent in input order.
 """
 
 from .checkpoint import (
@@ -64,12 +64,10 @@ from .telemetry import (
     activate,
     build_manifest,
     get_tracer,
-    load_trace,
-    manifest_path_for,
+    load_manifest,
     new_run_id,
     stable_view,
     write_manifest,
-    write_trace,
 )
 from .validation import validate_features
 
@@ -103,13 +101,11 @@ __all__ = [
     "get_tracer",
     "graceful_shutdown",
     "inject_faults",
-    "load_trace",
-    "manifest_path_for",
+    "load_manifest",
     "new_run_id",
     "shutdown_requested",
     "stable_view",
     "sweep_orphan_temps",
     "validate_features",
     "write_manifest",
-    "write_trace",
 ]

@@ -90,7 +90,6 @@ body — a child's CPU time is invisible to the parent's
 
 from __future__ import annotations
 
-import json
 import multiprocessing
 import os
 import signal
@@ -99,11 +98,9 @@ import time
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Callable
 
 from . import blas, faults
-from .checkpoint import atomic_write_text
 from .errors import (
     PoolRespawnLimitError,
     ShutdownRequested,
@@ -220,12 +217,6 @@ class FailureLog:
                 f"{r.attempts} attempt(s) — {r.message}"
             )
         return "\n".join(lines)
-
-    def save(self, path: str | Path) -> Path:
-        """Persist the log as JSON (atomic, for post-mortem tooling)."""
-        return atomic_write_text(
-            Path(path), json.dumps([r.to_dict() for r in self.records], indent=2)
-        )
 
 
 @dataclass

@@ -9,12 +9,12 @@ telemetry substrate instead of scattered ad-hoc timers:
   span tree, plus ``counter``/``gauge`` instruments (router rip-up and maze
   statistics, cache hits/misses/invalidations, checkpoint resume skips,
   retry/timeout/degrade counts, SHAP rows-per-chunk, ...);
-* **sinks** — a schema-versioned JSONL trace (one event per span/metric,
-  :func:`write_trace`/:func:`load_trace`) and an aggregated
-  ``run_manifest.json`` (:func:`build_manifest`/:func:`write_manifest`) with
-  a per-stage timing table, metric totals, environment versions and
-  failure-log cross-references, written atomically via the checkpoint-store
-  primitives;
+* **the run document** — one schema-versioned ``run_manifest.json``
+  (:func:`build_manifest`/:func:`write_manifest`, read back by
+  :func:`load_manifest`) holding the full span tree with its attributes,
+  the per-stage timing table derived from it, metric totals, environment
+  versions and failure-log cross-references, written atomically via the
+  checkpoint-store primitives and rendered by :func:`render_manifest`;
 * **unit snapshots** — the runner (:mod:`repro.runtime.runner`) runs every
   unit attempt, inline or in a worker process, under a fresh local tracer,
   ships the picklable :class:`TelemetrySnapshot` back with the unit's value,
@@ -47,8 +47,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterator
 
-#: Version stamp of the JSONL trace event schema and the manifest layout.
-TELEMETRY_SCHEMA_VERSION = 1
+#: Version stamp of the run manifest layout (2: the manifest carries ``spans``).
+TELEMETRY_SCHEMA_VERSION = 2
 
 
 @dataclass
@@ -207,147 +207,16 @@ def activate(tracer: Tracer) -> Iterator[Tracer]:
         _active = prev
 
 
-# -- JSONL trace sink ---------------------------------------------------------------
-
-
-def trace_events(
-    tracer: Tracer, command: str = "", argv: list[str] | None = None
-) -> Iterator[dict[str, Any]]:
-    """All trace events of a run: meta, spans (DFS order), metrics, failures."""
-    yield {
-        "ev": "meta",
-        "schema_version": TELEMETRY_SCHEMA_VERSION,
-        "run_id": tracer.run_id,
-        "command": command,
-        "argv": list(argv or []),
-    }
-    next_id = iter(range(1, 1 << 31))
-
-    def walk(node: SpanNode, parent_id: int) -> Iterator[dict[str, Any]]:
-        span_id = next(next_id)
-        yield {
-            "ev": "span",
-            "id": span_id,
-            "parent": parent_id,
-            "name": node.name,
-            "attrs": node.attrs,
-            "wall_s": round(node.wall_s, 6),
-            "cpu_s": round(node.cpu_s, 6),
-            "pid": node.pid,
-        }
-        for child in node.children:
-            yield from walk(child, span_id)
-
-    for root in tracer.roots:
-        yield from walk(root, 0)
-    for name in sorted(tracer.counters):
-        yield {"ev": "counter", "name": name, "value": tracer.counters[name]}
-    for name in sorted(tracer.gauges):
-        yield {"ev": "gauge", "name": name, "value": tracer.gauges[name]}
-    for rec in tracer.failures:
-        yield {"ev": "failure", **rec}
-
-
-def write_trace(
-    tracer: Tracer,
-    path: str | Path,
-    command: str = "",
-    argv: list[str] | None = None,
-) -> Path:
-    """Atomically write the run's JSONL trace file."""
-    from .checkpoint import atomic_write_text  # deferred: avoids an import cycle
-
-    lines = [json.dumps(ev, sort_keys=False) for ev in trace_events(tracer, command, argv)]
-    return atomic_write_text(Path(path), "\n".join(lines) + "\n")
-
-
-@dataclass
-class TraceDoc:
-    """A trace file loaded back into memory.
-
-    ``dropped`` counts lines skipped by a lenient (``strict=False``) load —
-    the truncated or corrupt residue a killed writer leaves behind.
-    """
-
-    meta: dict[str, Any]
-    roots: list[SpanNode]
-    counters: dict[str, float]
-    gauges: dict[str, float]
-    failures: list[dict[str, Any]]
-    dropped: int = 0
-
-
-def load_trace(path: str | Path, strict: bool = True) -> TraceDoc:
-    """Parse a JSONL trace, rebuilding the span tree from id/parent links.
-
-    ``strict=True`` (the default, for tests and tooling that must notice
-    corruption) raises on any malformed line.  ``strict=False`` — what the
-    ``drcshap trace`` inspector uses — skips truncated or corrupt lines (a
-    process killed mid-write tears at most the final line) and reports how
-    many were dropped via :attr:`TraceDoc.dropped`.  A wrong schema version
-    or a missing meta event stays an error either way: that is a different
-    file, not a torn one.
-    """
-    meta: dict[str, Any] = {}
-    roots: list[SpanNode] = []
-    by_id: dict[int, SpanNode] = {}
-    counters: dict[str, float] = {}
-    gauges: dict[str, float] = {}
-    failures: list[dict[str, Any]] = []
-    dropped = 0
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
-        if not line.strip():
-            continue
-        try:
-            ev = json.loads(line)
-            kind = ev["ev"]
-        except (json.JSONDecodeError, TypeError, KeyError) as exc:
-            if strict:
-                raise ValueError(f"{path}:{lineno}: not a trace event line") from exc
-            dropped += 1
-            continue
-        try:
-            if kind == "meta":
-                if ev.get("schema_version") != TELEMETRY_SCHEMA_VERSION:
-                    raise ValueError(
-                        f"{path}: unsupported trace schema "
-                        f"{ev.get('schema_version')!r} (expected {TELEMETRY_SCHEMA_VERSION})"
-                    )
-                meta = ev
-            elif kind == "span":
-                node = SpanNode(
-                    name=str(ev["name"]),
-                    attrs=dict(ev.get("attrs") or {}),
-                    wall_s=float(ev.get("wall_s", 0.0)),
-                    cpu_s=float(ev.get("cpu_s", 0.0)),
-                    pid=int(ev.get("pid", 0)),
-                )
-                by_id[int(ev["id"])] = node
-                parent = by_id.get(int(ev.get("parent", 0)))
-                (parent.children if parent is not None else roots).append(node)
-            elif kind == "counter":
-                counters[str(ev["name"])] = ev["value"]
-            elif kind == "gauge":
-                gauges[str(ev["name"])] = ev["value"]
-            elif kind == "failure":
-                failures.append({k: v for k, v in ev.items() if k != "ev"})
-            else:
-                raise ValueError(f"{path}:{lineno}: unknown event kind {kind!r}")
-        except ValueError as exc:
-            if strict or "unsupported trace schema" in str(exc):
-                raise
-            dropped += 1
-        except (KeyError, TypeError) as exc:
-            if strict:
-                raise ValueError(f"{path}:{lineno}: malformed trace event") from exc
-            dropped += 1
-    if not meta:
-        raise ValueError(f"{path}: missing meta event (not a trace file?)")
-    return TraceDoc(meta=meta, roots=roots, counters=counters,
-                    gauges=gauges, failures=failures, dropped=dropped)
-
-
 # -- run manifest -------------------------------------------------------------------
+
+
+def _walk(roots: list[SpanNode]) -> Iterator[tuple[int, str, SpanNode]]:
+    """Depth-first ``(depth, slash-joined name path, node)`` over a span forest."""
+    stack = [(0, root.name, root) for root in reversed(roots)]
+    while stack:
+        depth, path, node = stack.pop()
+        yield depth, path, node
+        stack.extend((depth + 1, f"{path}/{c.name}", c) for c in reversed(node.children))
 
 
 def summarize_stages(roots: list[SpanNode]) -> list[dict[str, Any]]:
@@ -359,9 +228,7 @@ def summarize_stages(roots: list[SpanNode]) -> list[dict[str, Any]]:
     sorted by path, making the table deterministic in content ordering.
     """
     table: dict[str, dict[str, Any]] = {}
-
-    def walk(node: SpanNode, prefix: str) -> None:
-        path = f"{prefix}/{node.name}" if prefix else node.name
+    for _depth, path, node in _walk(roots):
         row = table.setdefault(
             path, {"path": path, "count": 0, "wall_s": 0.0, "cpu_s": 0.0, "self_s": 0.0}
         )
@@ -369,11 +236,6 @@ def summarize_stages(roots: list[SpanNode]) -> list[dict[str, Any]]:
         row["wall_s"] += node.wall_s
         row["cpu_s"] += node.cpu_s
         row["self_s"] += node.self_s
-        for child in node.children:
-            walk(child, path)
-
-    for root in roots:
-        walk(root, "")
     rows = [table[p] for p in sorted(table)]
     for row in rows:
         for k in ("wall_s", "cpu_s", "self_s"):
@@ -381,18 +243,48 @@ def summarize_stages(roots: list[SpanNode]) -> list[dict[str, Any]]:
     return rows
 
 
-def _git_revision() -> str | None:
-    """Best-effort git HEAD of the source checkout (no subprocesses)."""
-    root = Path(__file__).resolve().parents[3]
-    head = root / ".git" / "HEAD"
+def _git_revision(root: Path | None = None) -> str | None:
+    """Best-effort git HEAD of the source checkout (no subprocesses).
+
+    A branch ref missing from ``.git/refs`` is looked up in
+    ``.git/packed-refs``, where ``git pack-refs`` and ``git clone`` put it.
+    """
+    git = (root or Path(__file__).resolve().parents[3]) / ".git"
     try:
-        text = head.read_text().strip()
-        if text.startswith("ref: "):
-            ref = root / ".git" / text[5:]
-            return ref.read_text().strip()[:40]
-        return text[:40] or None
+        text = (git / "HEAD").read_text().strip()
+        if not text.startswith("ref: "):
+            return text[:40] or None
+        ref = text[5:]
+        if (git / ref).is_file():
+            return (git / ref).read_text().strip()[:40]
+        for line in (git / "packed-refs").read_text().splitlines():
+            if line.endswith(" " + ref):
+                return line.split()[0][:40]
     except OSError:
-        return None
+        pass
+    return None
+
+
+def _span_doc(node: SpanNode) -> dict[str, Any]:
+    return {
+        "name": node.name,
+        "attrs": node.attrs,
+        "wall_s": round(node.wall_s, 6),
+        "cpu_s": round(node.cpu_s, 6),
+        "pid": node.pid,
+        "children": [_span_doc(c) for c in node.children],
+    }
+
+
+def _span_node(doc: dict[str, Any]) -> SpanNode:
+    return SpanNode(
+        name=str(doc["name"]),
+        attrs=dict(doc["attrs"]),
+        wall_s=float(doc["wall_s"]),
+        cpu_s=float(doc["cpu_s"]),
+        pid=int(doc["pid"]),
+        children=[_span_node(c) for c in doc["children"]],
+    )
 
 
 def build_manifest(
@@ -401,7 +293,11 @@ def build_manifest(
     argv: list[str] | None = None,
     config: dict[str, Any] | None = None,
 ) -> dict[str, Any]:
-    """Aggregate a run's telemetry into the ``run_manifest.json`` document."""
+    """A run's telemetry as the one ``run_manifest.json`` document.
+
+    ``spans`` is the full span tree (name, attrs, wall/CPU seconds, pid,
+    children); ``stages`` is the per-stage table derived from it.
+    """
     import numpy as np
 
     return {
@@ -417,6 +313,7 @@ def build_manifest(
             "git": _git_revision(),
         },
         "pid": os.getpid(),
+        "spans": [_span_doc(root) for root in tracer.roots],
         "stages": summarize_stages(tracer.roots),
         "counters": {k: tracer.counters[k] for k in sorted(tracer.counters)},
         "gauges": {k: tracer.gauges[k] for k in sorted(tracer.gauges)},
@@ -431,9 +328,48 @@ def write_manifest(manifest: dict[str, Any], path: str | Path) -> Path:
     return atomic_write_text(Path(path), json.dumps(manifest, indent=2) + "\n")
 
 
-def manifest_path_for(trace_path: str | Path) -> Path:
-    """Canonical manifest location next to a trace file."""
-    return Path(trace_path).with_suffix(".manifest.json")
+_MANIFEST_KEYS = (
+    "schema_version", "run_id", "command", "argv", "config", "versions",
+    "pid", "spans", "stages", "counters", "gauges", "failures",
+)
+
+
+def load_manifest(path: str | Path) -> dict[str, Any]:
+    """Read a manifest back, its ``spans`` rebuilt as :class:`SpanNode` trees.
+
+    Raises ``OSError`` if the file cannot be read and ``ValueError`` if it
+    is not a manifest of this schema version: not JSON (a JSONL trace of
+    older releases included), not an object, another ``schema_version``, a
+    missing key, or a span, stage row, metric or failure of the wrong shape.
+    """
+    try:
+        doc = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not a JSON run manifest ({exc})") from exc
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: not a JSON object")
+    if doc.get("schema_version") != TELEMETRY_SCHEMA_VERSION:
+        raise ValueError(
+            f"{path}: unsupported manifest schema {doc.get('schema_version')!r} "
+            f"(expected {TELEMETRY_SCHEMA_VERSION})"
+        )
+    missing = [k for k in _MANIFEST_KEYS if k not in doc]
+    if missing:
+        raise ValueError(f"{path}: manifest lacks {', '.join(missing)}")
+    try:
+        doc["spans"] = [_span_node(s) for s in doc["spans"]]
+        doc["stages"] = [
+            {"path": str(r["path"]), "count": int(r["count"]),
+             **{k: float(r[k]) for k in ("wall_s", "cpu_s", "self_s")}}
+            for r in doc["stages"]
+        ]
+        for key in ("counters", "gauges"):
+            doc[key] = {str(k): float(v) for k, v in doc[key].items()}
+        doc["versions"] = dict(doc["versions"])
+        doc["failures"] = [dict(f) for f in doc["failures"]]
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: malformed manifest ({exc!r})") from exc
+    return doc
 
 
 #: Failure-record fields that vary between otherwise identical runs.
@@ -468,57 +404,58 @@ def stable_view(manifest: dict[str, Any]) -> dict[str, Any]:
 # -- rendering (the `drcshap trace` inspector) --------------------------------------
 
 
-def format_span_tree(roots: list[SpanNode]) -> str:
-    """Indented span tree with cumulative / self wall and CPU seconds."""
-    lines = [f"{'span':<46s} {'wall_s':>9s} {'self_s':>9s} {'cpu_s':>9s}"]
+def render_manifest(manifest: dict[str, Any], top: int = 5) -> str:
+    """Human view of a loaded manifest (see :func:`load_manifest`).
 
-    def label(node: SpanNode) -> str:
-        attrs = " ".join(f"{k}={v}" for k, v in node.attrs.items())
-        return f"{node.name} {attrs}".rstrip()
-
-    def walk(node: SpanNode, depth: int) -> None:
-        text = f"{'  ' * depth}{label(node)}"
+    Run id, command and versions; the span tree with attributes and
+    cumulative / self wall and CPU seconds; the ``top`` spans by self time;
+    the stage table; counter and gauge totals; failures as
+    ``kind:stage/unit``.
+    """
+    roots: list[SpanNode] = manifest["spans"]
+    tree = [
+        ((f"{'  ' * depth}{node.name} "
+          + " ".join(f"{k}={v}" for k, v in node.attrs.items())).rstrip(), node)
+        for depth, _path, node in _walk(roots)
+    ]
+    width = max([46, *(len(label) for label, _node in tree)])
+    lines = [
+        f"run      : {manifest['run_id']}",
+        f"command  : {manifest['command']}",
+        "versions : " + " ".join(f"{k}={v}" for k, v in manifest["versions"].items()),
+        "",
+        f"{'span':<{width}s} {'wall_s':>9s} {'self_s':>9s} {'cpu_s':>9s}",
+    ]
+    for label, node in tree:
         lines.append(
-            f"{text:<46s} {node.wall_s:>9.3f} {node.self_s:>9.3f} {node.cpu_s:>9.3f}"
+            f"{label:<{width}s} {node.wall_s:>9.3f} {node.self_s:>9.3f} {node.cpu_s:>9.3f}"
         )
-        for child in node.children:
-            walk(child, depth + 1)
 
-    for root in roots:
-        walk(root, 0)
-    return "\n".join(lines)
+    flat = sorted(((n.self_s, path) for _d, path, n in _walk(roots)),
+                  key=lambda t: (-t[0], t[1]))[:top]
+    lines += ["", f"top {len(flat)} spans by self time:"]
+    lines += [f"  {self_s:>9.3f}s  {path}" for self_s, path in flat]
 
+    width = max([40, *(len(row["path"]) for row in manifest["stages"])])
+    lines += ["", f"{'stage':<{width}s} {'count':>6s} {'wall_s':>9s} {'self_s':>9s} {'cpu_s':>9s}"]
+    for row in manifest["stages"]:
+        lines.append(
+            f"{row['path']:<{width}s} {row['count']:>6d} {row['wall_s']:>9.3f} "
+            f"{row['self_s']:>9.3f} {row['cpu_s']:>9.3f}"
+        )
 
-def format_top_spans(roots: list[SpanNode], n: int = 5) -> str:
-    """The ``n`` slowest spans by self time, with their full paths."""
-    flat: list[tuple[float, str]] = []
+    lines.append("")
+    for title in ("counters", "gauges"):
+        values = manifest[title]
+        lines.append(f"{title}:")
+        lines += [f"  {k:<36s} {values[k]:g}" for k in sorted(values)] or ["  (none)"]
 
-    def walk(node: SpanNode, prefix: str) -> None:
-        path = f"{prefix}/{node.name}" if prefix else node.name
-        flat.append((node.self_s, path))
-        for child in node.children:
-            walk(child, path)
-
-    for root in roots:
-        walk(root, "")
-    flat.sort(key=lambda t: (-t[0], t[1]))
-    lines = [f"top {min(n, len(flat))} spans by self time:"]
-    for self_s, path in flat[:n]:
-        lines.append(f"  {self_s:>9.3f}s  {path}")
-    return "\n".join(lines)
-
-
-def format_metrics(counters: dict[str, float], gauges: dict[str, float]) -> str:
-    """Counter and gauge totals, sorted by name."""
-    lines = ["counters:"]
-    if not counters:
-        lines.append("  (none)")
-    for name in sorted(counters):
-        value = counters[name]
-        lines.append(f"  {name:<36s} {value:g}")
-    lines.append("gauges:")
-    if not gauges:
-        lines.append("  (none)")
-    for name in sorted(gauges):
-        lines.append(f"  {name:<36s} {gauges[name]:g}")
+    failures = manifest["failures"]
+    if failures:
+        lines += ["", f"failures : {len(failures)}"]
+        for rec in failures:
+            lines.append(
+                f"  {rec.get('kind', '?')}:{rec.get('stage', '?')}/{rec.get('unit', '?')} "
+                f"{rec.get('error_type', '')}: {rec.get('message', '')}"
+            )
     return "\n".join(lines)

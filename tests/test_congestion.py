@@ -1,7 +1,6 @@
 """Tests for congestion-map views and the ASCII renderer."""
 
 import numpy as np
-import pytest
 
 from repro.layout.grid import WINDOW_EDGES
 from repro.route.congestion import (

@@ -1,7 +1,5 @@
 """Tests for Table I statistics assembly and rendering."""
 
-import pytest
-
 from repro.layout.design_stats import (
     DesignStats,
     format_table1,

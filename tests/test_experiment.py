@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.evaluation import format_table2, summarize_shape
+from repro.core.evaluation import format_table2
 from repro.core.experiment import run_experiment
 from repro.core.models import ModelSpec, model_zoo, rf_spec
 from repro.ml.forest import RandomForestClassifier

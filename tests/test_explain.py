@@ -1,6 +1,5 @@
 """Integration tests for the hotspot explanation workflow (Fig. 3/4)."""
 
-import numpy as np
 import pytest
 
 from repro.core.explain import (

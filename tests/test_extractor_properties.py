@@ -1,7 +1,6 @@
 """Property-based tests for the feature extractor's shift machinery."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.features.extractor import _raster, _shifted_lookup

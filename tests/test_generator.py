@@ -1,6 +1,5 @@
 """Tests for the synthetic design generator and the 14-design suite."""
 
-import numpy as np
 import pytest
 
 from repro.bench.generator import DesignRecipe, generate_design

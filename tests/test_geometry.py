@@ -1,7 +1,5 @@
 """Unit and property tests for geometry primitives."""
 
-import math
-
 import pytest
 from hypothesis import given, strategies as st
 

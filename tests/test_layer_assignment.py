@@ -1,10 +1,8 @@
 """White-box tests for the router's layer assignment and via accounting."""
 
-import numpy as np
 import pytest
 
 from repro.layout.geometry import Point, Rect
-from repro.layout.grid import GCellGrid
 from repro.layout.netlist import Design
 from repro.layout.technology import make_ispd2015_like_technology
 from repro.route.router import GlobalRouter

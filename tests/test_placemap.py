@@ -1,6 +1,5 @@
 """Tests for per-g-cell placement statistics."""
 
-import numpy as np
 import pytest
 
 from repro.layout.geometry import Point, Rect

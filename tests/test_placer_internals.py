@@ -1,9 +1,7 @@
 """White-box tests for placer internals (spectral init, forces, macros)."""
 
 import numpy as np
-import pytest
 
-from repro.bench.generator import DesignRecipe, generate_design
 from repro.layout.geometry import Point, Rect
 from repro.layout.netlist import Design
 from repro.layout.technology import make_ispd2015_like_technology

@@ -1,6 +1,5 @@
 """Tests for the routing grid and the negotiated-congestion global router."""
 
-import numpy as np
 import pytest
 
 from repro.bench.generator import DesignRecipe, generate_design

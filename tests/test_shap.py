@@ -16,7 +16,6 @@ from repro.ml.shap.plots import build_explanation, force_plot_text
 from repro.ml.shap.tree_explainer import TreeShapExplainer
 from repro.ml.tree import DecisionTreeClassifier
 from repro.runtime.telemetry import Tracer, activate
-from tests.conftest import make_separable
 
 
 def _fit_small_forest(seed: int, n_features: int = 6, depth: int = 4, trees: int = 4):

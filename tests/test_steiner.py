@@ -1,7 +1,6 @@
 """Tests for net decomposition (MST over pin g-cells)."""
 
 import networkx as nx
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.route.steiner import mst_segments

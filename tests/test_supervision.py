@@ -3,8 +3,8 @@
 Covers the supervision layer in isolation (crash recovery, poison-task
 quarantine, heartbeat hang detection, respawn limits), the graceful
 SIGTERM/SIGINT path (serial and parallel runners, the resumable CLI exit
-code), and the durability satellites (orphan temp sweep, lenient trace
-loading, failure-record kinds).
+code), and the durability satellites (orphan temp sweep, failure-record
+kinds).
 
 The acceptance bar, per the crash-safety design: SIGKILLing a worker
 mid-suite never aborts the run — the affected design is retried on a
@@ -32,7 +32,7 @@ from repro.runtime import (
     FaultTolerantRunner,
     ParallelRunner,
     RetryPolicy,
-    load_trace,
+    load_manifest,
     sweep_orphan_temps,
 )
 from repro.runtime import faults as faults_mod
@@ -48,7 +48,7 @@ from repro.runtime.supervision import (
     shutdown_requested,
     shutdown_signum,
 )
-from repro.runtime.telemetry import Tracer, activate, write_trace
+from repro.runtime.telemetry import Tracer, activate
 
 SCALE = 0.3
 
@@ -452,7 +452,7 @@ class TestCrashSafetyAcceptance:
         self, tmp_path, suite_baseline
     ):
         env = _subprocess_env(DRCSHAP_CACHE_DIR=str(tmp_path))
-        trace = tmp_path / "run.jsonl"
+        trace = tmp_path / "run.json"
         cmd = [
             sys.executable,
             "-u",
@@ -491,13 +491,12 @@ class TestCrashSafetyAcceptance:
         assert "interrupted:" in stderr
         # flushed cleanly: no torn atomic-write temp files anywhere...
         assert not list(tmp_path.rglob(".*.tmp*"))
-        # ...and both telemetry sinks were written on the interrupted exit:
-        # the manifest parses and carries the signal counter, the trace loads
-        manifest = json.loads(
-            trace.with_suffix(".manifest.json").read_text()
-        )
+        # ...and the one telemetry document was written on the interrupted
+        # exit: it loads, carries the signal counter, and has no sibling
+        manifest = load_manifest(trace)
         assert manifest["counters"]["runner.signal_shutdowns"] == 1
-        assert load_trace(trace, strict=False).meta
+        assert [s.name for s in manifest["spans"]] == ["suite"]
+        assert sorted(tmp_path.glob("run*")) == [trace]
 
         resumed = subprocess.run(
             cmd, env=env, capture_output=True, text=True, timeout=600
@@ -537,49 +536,6 @@ class TestOrphanTempSweep:
         stale = self._stale(root, ".x.npz.tmp999")
         CheckpointStore(root)
         assert not stale.exists()
-
-
-class TestLenientTraceLoading:
-    def _torn_trace(self, tmp_path) -> Path:
-        tracer = Tracer(run_id="torn")
-        with tracer.span("root"):
-            tracer.counter("n", 1)
-        path = write_trace(tracer, tmp_path / "t.jsonl", "suite", ["--scale", "1"])
-        with open(path, "a") as fh:
-            fh.write('{"ev": "span", "name": "half\n')  # torn mid-write
-            fh.write("garbage\n")
-            fh.write('{"ev": "span"}\n')  # parseable but incomplete event
-        return path
-
-    def test_strict_raises_lenient_counts_dropped(self, tmp_path):
-        path = self._torn_trace(tmp_path)
-        with pytest.raises(ValueError):
-            load_trace(path)
-        doc = load_trace(path, strict=False)
-        assert doc.dropped == 3
-        assert doc.counters["n"] == 1
-        assert [s.name for s in doc.roots] == ["root"]
-
-    def test_lenient_still_rejects_wrong_schema(self, tmp_path):
-        path = tmp_path / "t.jsonl"
-        path.write_text('{"ev": "meta", "schema_version": 999}\n')
-        with pytest.raises(ValueError, match="unsupported trace schema"):
-            load_trace(path, strict=False)
-
-    def test_lenient_still_requires_meta(self, tmp_path):
-        path = tmp_path / "t.jsonl"
-        path.write_text("garbage\n")
-        with pytest.raises(ValueError):
-            load_trace(path, strict=False)
-
-    def test_cli_inspector_warns_and_succeeds(self, tmp_path, capsys):
-        from repro.cli import main
-
-        path = self._torn_trace(tmp_path)
-        assert main(["trace", str(path)]) == 0
-        captured = capsys.readouterr()
-        assert "skipped 3 truncated/corrupt trace line(s)" in captured.err
-        assert "root" in captured.out
 
 
 class TestFailureRecordKinds:

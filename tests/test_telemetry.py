@@ -1,8 +1,8 @@
 """Telemetry layer: spans, metrics, sinks, CLI surfacing, determinism.
 
 Covers the tracer primitives (nesting, disabled no-ops, snapshot/adopt),
-the JSONL trace and manifest sinks (round-trip, schema validation,
-stable_view), the flow/runner instrumentation, the CLI flags and the
+the run manifest (span-tree round-trip, loader rejections, stable_view,
+the git revision), the flow/runner instrumentation, the CLI flags and the
 ``drcshap trace`` inspector — and the headline invariant: a serial and a
 ``--jobs 2`` suite build produce semantically identical manifests.
 """
@@ -19,16 +19,16 @@ from repro.runtime import FailureLog, FailureRecord, FaultTolerantRunner
 from repro.runtime.telemetry import (
     TELEMETRY_SCHEMA_VERSION,
     Tracer,
+    _git_revision,
     activate,
     build_manifest,
     get_tracer,
-    load_trace,
-    manifest_path_for,
+    load_manifest,
     new_run_id,
+    render_manifest,
     stable_view,
     summarize_stages,
     write_manifest,
-    write_trace,
 )
 
 
@@ -121,38 +121,80 @@ class TestSinks:
                              "run_id": tracer.run_id})
         return tracer
 
+    def _write(self, tmp_path, manifest: dict, name: str = "run.json"):
+        path = tmp_path / name
+        path.write_text(json.dumps(manifest))
+        return path
+
     def test_trace_roundtrip(self, tmp_path):
         tracer = self._run()
-        path = write_trace(tracer, tmp_path / "t.jsonl", "suite", ["--scale", "1"])
-        doc = load_trace(path)
-        assert doc.meta["schema_version"] == TELEMETRY_SCHEMA_VERSION
-        assert doc.meta["run_id"] == tracer.run_id
-        assert doc.meta["command"] == "suite"
-        assert [r.name for r in doc.roots] == ["suite"]
-        flows = doc.roots[0].children
+        manifest = build_manifest(tracer, "suite", ["--scale", "1"])
+        doc = load_manifest(write_manifest(manifest, tmp_path / "run.json"))
+        assert doc["schema_version"] == TELEMETRY_SCHEMA_VERSION
+        assert doc["run_id"] == tracer.run_id
+        assert doc["command"] == "suite"
+        assert [r.name for r in doc["spans"]] == ["suite"]
+        flows = doc["spans"][0].children
         assert [f.attrs["design"] for f in flows] == ["a", "b"]
         assert [c.name for c in flows[0].children] == ["place"]
-        assert doc.counters == {"cache.hits": 2}
-        assert doc.gauges == {"overflow": 0.5}
-        assert len(doc.failures) == 1 and doc.failures[0]["unit"] == "c"
+        assert flows[0].wall_s == round(tracer.roots[0].children[0].wall_s, 6)
+        assert flows[0].pid == tracer.roots[0].children[0].pid
+        assert doc["counters"] == {"cache.hits": 2}
+        assert doc["gauges"] == {"overflow": 0.5}
+        assert len(doc["failures"]) == 1 and doc["failures"][0]["unit"] == "c"
 
-    def test_load_trace_rejects_malformed(self, tmp_path):
-        bad = tmp_path / "bad.jsonl"
+    def test_load_manifest_rejects_malformed(self, tmp_path):
+        bad = tmp_path / "bad.json"
         bad.write_text("not json at all\n")
-        with pytest.raises(ValueError, match="not a trace event"):
-            load_trace(bad)
+        with pytest.raises(ValueError, match="not a JSON run manifest"):
+            load_manifest(bad)
+        with pytest.raises(ValueError, match="not a JSON object"):
+            load_manifest(self._write(tmp_path, [1, 2]))
 
-    def test_load_trace_rejects_wrong_schema(self, tmp_path):
-        bad = tmp_path / "v99.jsonl"
-        bad.write_text(json.dumps({"ev": "meta", "schema_version": 99}) + "\n")
-        with pytest.raises(ValueError, match="unsupported trace schema"):
-            load_trace(bad)
+    def test_load_manifest_rejects_wrong_schema(self, tmp_path):
+        # a schema-1 manifest had a stage table but no span tree
+        v1 = build_manifest(self._run(), "suite")
+        del v1["spans"]
+        v1["schema_version"] = 1
+        for version, doc in ((1, v1), (99, {"schema_version": 99})):
+            with pytest.raises(ValueError, match=f"unsupported manifest schema {version}"):
+                load_manifest(self._write(tmp_path, doc))
 
-    def test_load_trace_requires_meta(self, tmp_path):
-        bad = tmp_path / "nometa.jsonl"
-        bad.write_text(json.dumps({"ev": "counter", "name": "c", "value": 1}) + "\n")
-        with pytest.raises(ValueError, match="missing meta"):
-            load_trace(bad)
+    def test_load_manifest_rejects_jsonl_trace(self, tmp_path):
+        # the JSONL event log that --trace wrote under schema 1
+        bad = tmp_path / "run.jsonl"
+        bad.write_text(
+            json.dumps({"ev": "meta", "schema_version": 1, "run_id": "r"}) + "\n"
+            + json.dumps({"ev": "counter", "name": "c", "value": 1}) + "\n"
+        )
+        with pytest.raises(ValueError, match="not a JSON run manifest"):
+            load_manifest(bad)
+
+    def test_load_manifest_requires_keys(self, tmp_path):
+        manifest = build_manifest(self._run(), "suite")
+        del manifest["stages"]
+        with pytest.raises(ValueError, match="lacks stages"):
+            load_manifest(self._write(tmp_path, manifest))
+        for corrupt in (
+            lambda m: m["spans"][0]["children"][0].pop("attrs"),
+            lambda m: m["stages"][0].pop("count"),
+            lambda m: m["counters"].update({"cache.hits": "two"}),
+            lambda m: m["failures"].append("flow/c"),
+        ):
+            manifest = build_manifest(self._run(), "suite")
+            corrupt(manifest)
+            with pytest.raises(ValueError, match="malformed manifest"):
+                load_manifest(self._write(tmp_path, manifest))
+
+    def test_render_aligns_long_names(self, tmp_path):
+        tracer = Tracer()
+        with tracer.span("suite"):
+            with tracer.span("a_stage_name_longer_than_the_columns", design="d" * 20):
+                pass
+        path = write_manifest(build_manifest(tracer), tmp_path / "run.json")
+        blocks = render_manifest(load_manifest(path)).split("\n\n")
+        for block in (blocks[1], blocks[3]):  # span tree, stage table
+            assert len({len(line) for line in block.splitlines()}) == 1
 
     def test_summarize_stages_collapses_same_name_paths(self):
         tracer = self._run()
@@ -165,9 +207,7 @@ class TestSinks:
     def test_manifest_and_stable_view(self, tmp_path):
         tracer = self._run()
         manifest = build_manifest(tracer, "suite", ["-j", "2"], {"jobs": 2})
-        path = write_manifest(manifest, manifest_path_for(tmp_path / "t.jsonl"))
-        assert path.name == "t.manifest.json"
-        loaded = json.loads(path.read_text())
+        loaded = json.loads(write_manifest(manifest, tmp_path / "run.json").read_text())
         assert loaded["schema_version"] == TELEMETRY_SCHEMA_VERSION
         assert loaded["versions"]["python"]
         view = stable_view(loaded)
@@ -180,6 +220,31 @@ class TestSinks:
         assert {"path": "suite/flow", "count": 2} in view["stages"]
         assert view["counters"] == {"cache.hits": 2}
         assert view["failures"][0]["unit"] == "c"
+
+
+class TestGitRevision:
+    def test_packed_branch_ref(self, tmp_path):
+        # `git clone` and `git pack-refs` leave HEAD's branch only in packed-refs
+        sha = "2921926" + "0" * 33
+        git = tmp_path / ".git"
+        git.mkdir()
+        (git / "HEAD").write_text("ref: refs/heads/main\n")
+        (git / "packed-refs").write_text(
+            "# pack-refs with: peeled fully-peeled sorted\n"
+            f"{'1' * 40} refs/heads/other\n"
+            f"{sha} refs/heads/main\n"
+        )
+        assert _git_revision(tmp_path) == sha
+
+    def test_loose_ref_detached_head_and_no_checkout(self, tmp_path):
+        git = tmp_path / ".git"
+        (git / "refs" / "heads").mkdir(parents=True)
+        (git / "HEAD").write_text("ref: refs/heads/main\n")
+        (git / "refs" / "heads" / "main").write_text("a" * 40 + "\n")
+        assert _git_revision(tmp_path) == "a" * 40
+        (git / "HEAD").write_text("b" * 40 + "\n")
+        assert _git_revision(tmp_path) == "b" * 40
+        assert _git_revision(tmp_path / "elsewhere") is None
 
 
 class TestFlowInstrumentation:
@@ -275,7 +340,7 @@ class TestCLIValidation:
         assert exc.value.code == 2
 
     def test_rejects_unwritable_trace_dir(self, tmp_path):
-        missing = tmp_path / "no" / "such" / "dir" / "t.jsonl"
+        missing = tmp_path / "no" / "such" / "dir" / "run.json"
         with pytest.raises(SystemExit) as exc:
             main(["suite", "--trace", str(missing)])
         assert exc.value.code == 2
@@ -285,24 +350,20 @@ class TestCLITelemetry:
     def test_flow_trace_writes_sinks_and_inspector_reads_them(
         self, tmp_path, capsys
     ):
-        trace = tmp_path / "run.jsonl"
+        trace = tmp_path / "run.json"
         assert main(["flow", "--grid", "8", "--utilization", "0.55",
                      "--seed", "3", "--trace", str(trace)]) == 0
-        err = capsys.readouterr().err
-        assert "telemetry:" in err
-        manifest = manifest_path_for(trace)
-        assert trace.exists() and manifest.exists()
+        assert f"telemetry: manifest {trace}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [trace]  # one document, no sibling
 
         assert main(["trace", str(trace)]) == 0
         out = capsys.readouterr().out
+        assert "  flow design=adhoc" in out  # span tree, with attributes
         for stage in pipeline.FLOW_STAGES:
-            assert stage in out
-        assert "top" in out and "counters:" in out
-
-        assert main(["trace", str(manifest)]) == 0
-        out = capsys.readouterr().out
-        assert "flow/flow/place" in out
-        assert "counters:" in out
+            assert f"    {stage}" in out
+        assert "top 5 spans by self time:" in out
+        assert "flow/flow/place" in out  # stage table
+        assert "counters:" in out and "gauges:" in out
 
     def test_flow_without_trace_creates_no_sinks(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -321,25 +382,49 @@ class TestCLITelemetry:
         monkeypatch.setattr(cli, "default_cache_path",
                             lambda scale=1.0: tmp_path / "suite.npz")
         victim = recipes[1].name
-        trace = tmp_path / "run.jsonl"
+        trace = tmp_path / "run.json"
         with inject_faults(FaultSpec(stage=f"flow/{victim}", times=1)):
             code = main(["suite", "--scale", "0.3", "--trace", str(trace)])
         assert code == cli.EXIT_DEGRADED
+        assert sorted(tmp_path.glob("run*")) == [trace]
         capsys.readouterr()
 
-        assert main(["trace", str(manifest_path_for(trace))]) == 0
-        assert f"failures : 1 (flow/{victim})" in capsys.readouterr().out
         assert main(["trace", str(trace)]) == 0
-        assert f"error:flow/{victim} FaultInjected" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "failures : 1" in out
+        assert f"error:flow/{victim} FaultInjected" in out
+
+    def test_trace_written_on_error_exit(self, tmp_path, monkeypatch, capsys):
+        import repro.cli as cli
+        from repro.runtime.faults import FaultSpec, inject_faults
+
+        recipes = pipeline.suite_recipes(0.3)[:1]
+        monkeypatch.setattr(pipeline, "suite_recipes", lambda scale: recipes)
+        monkeypatch.setattr(cli, "default_cache_path",
+                            lambda scale=1.0: tmp_path / "suite.npz")
+        trace = tmp_path / "run.json"
+        with inject_faults(FaultSpec(stage=f"flow/{recipes[0].name}", times=1)):
+            code = main(["suite", "--scale", "0.3", "--fail-fast",
+                         "--trace", str(trace)])
+        assert code == 1
+        assert sorted(tmp_path.glob("run*")) == [trace]
+        assert load_manifest(trace)["failures"][0]["unit"] == recipes[0].name
 
     def test_trace_inspector_rejects_malformed_file(self, tmp_path, capsys):
-        bad = tmp_path / "bad.jsonl"
-        bad.write_text("garbage\n")
-        assert main(["trace", str(bad)]) == 1
-        assert "error:" in capsys.readouterr().err
+        v1 = build_manifest(Tracer(), "suite")
+        del v1["spans"]
+        v1["schema_version"] = 1
+        jsonl = json.dumps({"ev": "meta", "schema_version": 1}) + "\n" + json.dumps(
+            {"ev": "span", "id": 1, "parent": 0, "name": "suite"}) + "\n"
+        for name, text in (("bad.json", "garbage\n"),
+                           ("v1.json", json.dumps(v1)),
+                           ("run.jsonl", jsonl)):
+            (tmp_path / name).write_text(text)
+            assert main(["trace", str(tmp_path / name)]) == 1
+            assert "error:" in capsys.readouterr().err
 
     def test_trace_inspector_missing_file(self, tmp_path, capsys):
-        assert main(["trace", str(tmp_path / "nope.jsonl")]) == 1
+        assert main(["trace", str(tmp_path / "nope.json")]) == 1
         assert "cannot read" in capsys.readouterr().err
 
 
@@ -372,12 +457,12 @@ class TestDeterminism:
         cache.parent.mkdir()
         monkeypatch.setattr(cli, "default_cache_path",
                             lambda scale=1.0: cache)
-        trace = tmp_path / tag / "run.jsonl"
+        trace = tmp_path / tag / "run.json"
         argv = [*command, "--scale", "0.3", "--no-resume", "--trace", str(trace)]
         if jobs > 1:
             argv += ["-j", str(jobs)]
         assert main(argv) == 0
-        return json.loads(manifest_path_for(trace).read_text())
+        return json.loads(trace.read_text())
 
     def test_serial_and_parallel_manifests_identical(
         self, tmp_path, monkeypatch, two_design_suite, capsys
