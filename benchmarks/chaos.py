@@ -38,7 +38,7 @@ from pathlib import Path
 
 from repro.bench.suite import SUITE_ORDER
 from repro.core.pipeline import build_suite_dataset, checkpoint_dir_for
-from repro.runtime import CheckpointStore, FaultTolerantRunner, ParallelRunner, RetryPolicy
+from repro.runtime import CheckpointStore, FaultTolerantRunner, RetryPolicy
 from repro.runtime.faults import FaultSpec, inject_faults
 from repro.runtime.telemetry import (
     Tracer,
@@ -54,10 +54,10 @@ KILL_TARGET = "mult_1"
 HANG_TARGET = "fft_a"
 
 
-def _runner(jobs: int, heartbeat_s: float) -> ParallelRunner:
-    return ParallelRunner(
-        jobs,
+def _runner(jobs: int, heartbeat_s: float) -> FaultTolerantRunner:
+    return FaultTolerantRunner(
         policy=RetryPolicy(max_retries=1, backoff_base_s=0.1),
+        jobs=jobs,
         max_pool_respawns=10,
         quarantine_threshold=2,
         heartbeat_s=heartbeat_s,

@@ -58,7 +58,7 @@ from .bench.suite import GROUPS, group_of, suite_recipes
 from .core.evaluation import format_table2, summarize_shape
 from .core.experiment import run_experiment
 from .core.explain import explain_hotspots
-from .core.models import model_zoo
+from .core.models import ModelSpec, model_zoo
 from .core.pipeline import (
     build_suite_dataset,
     default_cache_path,
@@ -71,6 +71,7 @@ from .runtime import (
     ReproRuntimeError,
     RetryPolicy,
     ShutdownRequested,
+    blas,
     graceful_shutdown,
 )
 from .runtime.telemetry import (
@@ -239,10 +240,29 @@ def _table2(args: argparse.Namespace) -> int:
     )
     print()
     print(format_table2(result))
+    print(_blas_footnote(models, args.jobs))
     print()
     for k, v in summarize_shape(result).items():
         print(f"{k}: {v}")
     return _report_failures(runner)
+
+
+def _blas_footnote(models: list[ModelSpec], jobs: int) -> str:
+    """One line saying how many OpenBLAS threads each model's CPU rows count.
+
+    Built from each spec's budget and this process's count; ``--jobs N``
+    workers are pinned to one thread, so there every model ran on one.
+    """
+    run = 1 if jobs > 1 else max(blas.thread_counts().values(), default=None)
+    if run is None:
+        return "CPU rows: no OpenBLAS loaded, BLAS thread counts unknown"
+    by_count: dict[int, list[str]] = {}
+    for spec in models:
+        n = run if spec.blas_threads is None else min(spec.blas_threads, run)
+        by_count.setdefault(n, []).append(spec.name)
+    return "CPU rows count OpenBLAS threads: " + "; ".join(
+        f"{n} for {', '.join(names)}" for n, names in sorted(by_count.items())
+    )
 
 
 def _explain(args: argparse.Namespace) -> int:

@@ -22,7 +22,8 @@ runner's policy, validated (NaN/Inf/shape guards) before fit and predict,
 and — when a ``checkpoint_dir`` is given — its scores are checkpointed so an
 interrupted grid resumes where it stopped.  Its ``experiment_unit`` span
 reaches the run's trace through the runner, which collects and adopts each
-unit's telemetry.
+unit's telemetry.  The whole unit runs under its spec's BLAS thread budget
+(:attr:`ModelSpec.blas_threads`: one thread for the NNs and tree models).
 Every unit checkpoint embeds a SHA-256 fingerprint of the suite contents and
 the protocol knobs (:func:`suite_fingerprint`), so checkpoints produced
 against a different suite — e.g. one degraded by a failed design flow — are
@@ -49,6 +50,7 @@ from ..ml.complexity import complexity_of
 from ..ml.metrics import EvaluationResult, evaluate_scores
 from ..ml.model_selection import grid_search, positive_scores
 from ..ml.scaling import StandardScaler
+from ..runtime import blas
 from ..runtime.checkpoint import CheckpointStore
 from ..runtime.errors import CacheCorruptionError
 from ..runtime.runner import FaultTolerantRunner
@@ -237,10 +239,17 @@ def _fit_and_score_group(
     """Train/tune on everything but group ``g`` and score its designs.
 
     Returns ``None`` when the training stack holds no positives (the unit is
-    skipped, not failed).  The whole unit is one ``experiment_unit`` span.
+    skipped, not failed).  The whole unit is one ``experiment_unit`` span,
+    and all of it (scaling, grid search, final fit, complexity report,
+    scoring) runs under the spec's BLAS thread budget; the span's
+    ``blas_threads`` attribute is the count the unit ran with.
     """
     tracer = get_tracer()
-    with tracer.span("experiment_unit", model=spec.name, group=g):
+    with (
+        tracer.span("experiment_unit", model=spec.name, group=g) as span,
+        blas.thread_budget(spec.blas_threads) as threads,
+    ):
+        span.set(blas_threads=threads)
         adhoc = tuple({d.group for d in suite.designs if d.group < 0})
         X_train, y_train, train_groups = suite.stacked(exclude_groups=(g, *adhoc))
         test_designs = [d for d in suite.designs if d.group == g]
@@ -356,8 +365,10 @@ def run_experiment(
     with ``time.process_time()`` *inside* the unit body and shipped back in
     the :class:`GroupUnitResult`: a worker's CPU time is invisible to the
     parent's process clock, so measuring in the parent would report ~0 for
-    parallel runs.  Aggregation iterates groups in sorted order, so a
-    parallel run's Table II is identical to a serial one.
+    parallel runs.  Each unit runs under its spec's ``blas_threads``
+    budget, so those CPU times hold no idle BLAS helper threads.
+    Aggregation iterates groups in sorted order, so a parallel run's
+    Table II is identical to a serial one.
 
     A graceful-shutdown signal propagates out of ``runner.run_units`` as
     :class:`~repro.runtime.errors.ShutdownRequested` *between* units: every

@@ -35,6 +35,14 @@ class ModelSpec:
     ``factory`` must be picklable (a module-level callable or a
     ``functools.partial`` over one): specs cross the process boundary when
     (model, group) units run on the runner's process pool (``jobs > 1``).
+
+    ``blas_threads`` is the unit's BLAS thread budget, so Table II's CPU
+    rows count the threads that buy wall time and no idle helpers.  The
+    zoo gives the NNs and the tree models 1: the NNs' products are too
+    small for a second thread to pay, and the trees do almost no BLAS
+    work.  The SVM keeps ``None``, the count the unit starts with (the
+    process default when serial, 1 in a pool worker), because its kernel
+    rows do gain from a second thread.
     """
 
     name: str
@@ -46,6 +54,10 @@ class ModelSpec:
     #: ``fit(..., binned=...)`` — lets the experiment driver quantise each
     #: training split exactly once for grid search + final refit
     supports_binned: bool = False
+    #: OpenBLAS threads for the whole (model, group) unit, applied with
+    #: :func:`repro.runtime.blas.thread_budget` (lowers, never raises);
+    #: ``None`` keeps the count the unit starts with
+    blas_threads: int | None = None
 
 
 # Module-level builders bound with functools.partial rather than closures:
@@ -131,18 +143,21 @@ def model_zoo(
             partial(_make_rus, rus_rounds=rus_rounds, random_state=random_state),
             param_grid={"max_depth": [6, 10]} if full else {},
             supports_binned=True,
+            blas_threads=1,
         ),
         ModelSpec(
             "NN-1",
             partial(_make_nn, hidden_layers=(40,), nn_epochs=nn_epochs,
                     random_state=random_state),
             needs_scaling=True,
+            blas_threads=1,
         ),
         ModelSpec(
             "NN-2",
             partial(_make_nn, hidden_layers=(40, 10), nn_epochs=nn_epochs,
                     random_state=random_state),
             needs_scaling=True,
+            blas_threads=1,
         ),
         ModelSpec(
             "RF",
@@ -150,6 +165,7 @@ def model_zoo(
                     random_state=random_state, n_jobs=n_jobs),
             param_grid={"min_samples_leaf": [1, 4]} if full else {},
             supports_binned=True,
+            blas_threads=1,
         ),
     ]
 

@@ -39,6 +39,7 @@ active; telemetry is best-effort accounting, never load-bearing state.
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import sys
 import time
@@ -46,6 +47,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterator
+
+from . import blas
 
 #: Version stamp of the run manifest layout (2: the manifest carries ``spans``).
 TELEMETRY_SCHEMA_VERSION = 2
@@ -297,6 +300,9 @@ def build_manifest(
 
     ``spans`` is the full span tree (name, attrs, wall/CPU seconds, pid,
     children); ``stages`` is the per-stage table derived from it.
+    ``versions`` also records the environment that shapes the timings: the
+    CPU count, the loaded OpenBLAS thread counts at write time and the
+    process start method of ``--jobs`` pools.
     """
     import numpy as np
 
@@ -311,6 +317,10 @@ def build_manifest(
             "numpy": np.__version__,
             "platform": sys.platform,
             "git": _git_revision(),
+            "cpu_count": os.cpu_count(),
+            "blas_threads": blas.thread_counts(),
+            "start_method": (multiprocessing.get_start_method(allow_none=True)
+                             or multiprocessing.get_all_start_methods()[0]),
         },
         "pid": os.getpid(),
         "spans": [_span_doc(root) for root in tracer.roots],

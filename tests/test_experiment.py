@@ -1,12 +1,19 @@
 """Integration tests for the leave-one-group-out experiment protocol."""
 
+import ctypes
+import json
+from functools import partial
+
 import numpy as np
 import pytest
 
+from repro.cli import _blas_footnote
 from repro.core.evaluation import format_table2
 from repro.core.experiment import run_experiment
 from repro.core.models import ModelSpec, model_zoo, rf_spec
 from repro.ml.forest import RandomForestClassifier
+from repro.runtime import FaultTolerantRunner, blas
+from repro.runtime.telemetry import Tracer, activate
 
 
 def _fast_models():
@@ -131,3 +138,114 @@ class TestModelZoo:
         assert zoo["NN-1"].needs_scaling
         assert not zoo["RF"].needs_scaling
         assert not zoo["RUSBoost"].needs_scaling
+
+
+class _BlasProbe:
+    """A constant-score estimator whose ``fit`` logs the OpenBLAS thread counts
+    it runs with, one JSON line per fit (a file, so pool workers can log)."""
+
+    def __init__(self, log: str, fail: bool = False):
+        self.log, self.fail = log, fail
+
+    def fit(self, X, y):
+        with open(self.log, "a") as fh:
+            fh.write(json.dumps(blas.thread_counts()) + "\n")
+        if self.fail:
+            raise RuntimeError("probe fit failed")
+        self._p = float(y.mean())
+        return self
+
+    def predict_proba(self, X):
+        p = np.full(len(X), self._p)
+        return np.column_stack([1 - p, p])
+
+
+def _probe(log, name="probe", budget=None, fail=False) -> ModelSpec:
+    return ModelSpec(name, partial(_BlasProbe, str(log), fail), blas_threads=budget)
+
+
+def _fit_counts(log) -> list[int]:
+    """Every thread count any probe fit saw, over all loaded OpenBLAS builds."""
+    return [n for line in log.read_text().splitlines()
+            for n in json.loads(line).values()]
+
+
+@pytest.fixture()
+def caller_two_threads():
+    """This process's OpenBLAS builds at 2 threads, restored afterwards.
+
+    Set through the setter, so the budgets below are tested on a 1-CPU host
+    too."""
+    if not blas.thread_counts():
+        pytest.skip("no OpenBLAS thread setter loaded")
+    rows = blas._set_threads(lambda _: 2)
+    assert set(blas.thread_counts().values()) == {2}
+    yield
+    for _, set_fn, old, new in rows:
+        if new != old:
+            set_fn(ctypes.c_int(old))
+
+
+class TestBlasBudget:
+    def test_budget_lowers_never_raises(self, caller_two_threads):
+        with blas.thread_budget(1) as ran:
+            assert ran == 1 and set(blas.thread_counts().values()) == {1}
+            with blas.thread_budget(4) as inner:
+                assert inner == 1 and set(blas.thread_counts().values()) == {1}
+        with blas.thread_budget(None) as ran:
+            assert ran == 2
+        assert set(blas.thread_counts().values()) == {2}
+
+    def test_inline_nn_budget_unit_runs_one_thread(
+        self, mini_suite, tmp_path, caller_two_threads
+    ):
+        log = tmp_path / "fits.jsonl"
+        tracer = Tracer()
+        with activate(tracer):
+            run_experiment(mini_suite, [_probe(log, "NN-1", budget=1)], tune=False)
+        assert _fit_counts(log) and set(_fit_counts(log)) == {1}
+        # the caller's count is back once the units returned
+        assert set(blas.thread_counts().values()) == {2}
+        units = [n for n in tracer.roots if n.name == "experiment_unit"]
+        assert units and {n.attrs["blas_threads"] for n in units} == {1}
+
+    def test_none_budget_keeps_callers_count(
+        self, mini_suite, tmp_path, caller_two_threads
+    ):
+        log = tmp_path / "fits.jsonl"
+        run_experiment(mini_suite, [_probe(log, "SVM-RBF")], tune=False)
+        assert _fit_counts(log) and set(_fit_counts(log)) == {2}
+
+    def test_callers_count_restored_after_unit_raises(
+        self, mini_suite, tmp_path, caller_two_threads
+    ):
+        log = tmp_path / "fits.jsonl"
+        with pytest.raises(Exception, match="probe fit failed"):
+            run_experiment(mini_suite, [_probe(log, budget=1, fail=True)],
+                           tune=False)
+        assert set(_fit_counts(log)) == {1}
+        assert set(blas.thread_counts().values()) == {2}
+
+    def test_pool_worker_budget_stays_at_one(
+        self, mini_suite, tmp_path, caller_two_threads
+    ):
+        # workers are pinned to 1 thread: a None budget keeps that 1 and a
+        # larger budget never raises it
+        log = tmp_path / "fits.jsonl"
+        specs = [_probe(log, "SVM-RBF"), _probe(log, "wide", budget=4)]
+        run_experiment(mini_suite, specs, tune=False,
+                       runner=FaultTolerantRunner(fail_fast=True, jobs=2))
+        counts = _fit_counts(log)
+        assert len(counts) >= 4 and set(counts) == {1}
+        assert set(blas.thread_counts().values()) == {2}
+
+    def test_table2_footnote_names_thread_counts(self, caller_two_threads):
+        zoo = model_zoo("fast")
+        assert _blas_footnote(zoo, jobs=1) == (
+            "CPU rows count OpenBLAS threads: 1 for RUSBoost, NN-1, NN-2, RF; "
+            "2 for SVM-RBF"
+        )
+        assert _blas_footnote(zoo, jobs=2) == (
+            "CPU rows count OpenBLAS threads: "
+            "1 for SVM-RBF, RUSBoost, NN-1, NN-2, RF"
+        )

@@ -10,12 +10,14 @@ the git revision), the flow/runner instrumentation, the CLI flags and the
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
 
 import pytest
 
 import repro.core.pipeline as pipeline
 from repro.cli import main
-from repro.runtime import FailureLog, FailureRecord, FaultTolerantRunner
+from repro.runtime import FailureLog, FailureRecord, FaultTolerantRunner, blas
 from repro.runtime.telemetry import (
     TELEMETRY_SCHEMA_VERSION,
     Tracer,
@@ -220,6 +222,18 @@ class TestSinks:
         assert {"path": "suite/flow", "count": 2} in view["stages"]
         assert view["counters"] == {"cache.hits": 2}
         assert view["failures"][0]["unit"] == "c"
+
+    def test_manifest_records_environment(self, tmp_path):
+        manifest = build_manifest(self._run(), "suite")
+        path = write_manifest(manifest, tmp_path / "run.json")
+        versions = load_manifest(path)["versions"]
+        assert versions["cpu_count"] == os.cpu_count() >= 1
+        assert versions["blas_threads"] == blas.thread_counts()
+        assert versions["start_method"] in multiprocessing.get_all_start_methods()
+        # the environment is volatile: it never reaches the stable view
+        varied = json.loads(path.read_text())
+        varied["versions"].update(cpu_count=64, blas_threads={}, start_method="spawn")
+        assert stable_view(varied) == stable_view(manifest)
 
 
 class TestGitRevision:
@@ -484,6 +498,15 @@ class TestDeterminism:
         serial = self._run_suite(tmp_path, monkeypatch, "serial", 1, table2)
         par = self._run_suite(tmp_path, monkeypatch, "parallel", 2, table2)
         assert stable_view(serial) == stable_view(par)
+        # both record their environment, and every RF unit ran on one thread
+        for tag in ("serial", "parallel"):
+            doc = load_manifest(tmp_path / tag / "run.json")
+            assert {"cpu_count", "blas_threads", "start_method"} <= set(doc["versions"])
+            units = [n for root in doc["spans"] for n in root.children
+                     if n.name == "experiment_unit"]
+            assert len(units) == 3
+            if doc["versions"]["blas_threads"]:
+                assert {n.attrs["blas_threads"] for n in units} == {1}
         counts = {s["path"]: s["count"] for s in stable_view(serial)["stages"]}
         assert counts["table2/flow"] == 3
         assert counts["table2/experiment_unit"] == 3  # one RF unit per group
