@@ -14,8 +14,8 @@ paper, including every substrate it depends on:
   per-hotspot SHAP explanations;
 * :mod:`repro.runtime` — fault-tolerant runtime: checkpoints, retries,
   validation guards, fault injection;
-* :mod:`repro.analysis`— curves, threshold sweeps, calibration, SHAP
-  summaries, what-if interventions, reports.
+* :mod:`repro.analysis`— P-R curves, threshold sweeps, calibration, SHAP
+  summaries, reports.
 
 Quickstart::
 

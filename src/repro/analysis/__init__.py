@@ -1,18 +1,11 @@
 """Analysis toolkit: curves, threshold sweeps, SHAP summaries, reports."""
 
 from .calibration import CalibrationReport, ReliabilityBin, calibration_report
-from .curves import (
-    export_pr_points,
-    export_roc_points,
-    render_pr_curve,
-    render_roc_curve,
-)
+from .curves import render_pr_curve
 from .report import design_report
 from .shap_summary import ShapSummary, summarize_shap
-from .whatif import WhatIfResult, apply_intervention, relief_suggestions, what_if
 from .threshold import (
     ThresholdSweep,
-    best_f1_threshold,
     sweep_thresholds,
     threshold_for_recall,
 )
@@ -21,19 +14,11 @@ __all__ = [
     "CalibrationReport",
     "ReliabilityBin",
     "calibration_report",
-    "export_pr_points",
-    "export_roc_points",
     "render_pr_curve",
-    "render_roc_curve",
     "design_report",
     "ShapSummary",
     "summarize_shap",
     "ThresholdSweep",
-    "best_f1_threshold",
     "sweep_thresholds",
     "threshold_for_recall",
-    "WhatIfResult",
-    "apply_intervention",
-    "relief_suggestions",
-    "what_if",
 ]

@@ -1,17 +1,16 @@
-"""Text rendering and export of ROC / precision-recall curves.
+"""Text rendering of precision-recall curves.
 
 The paper's central methodological point (Sec. III-B) is that DRC hotspot
 predictors should be judged by *curves*, not single operating points.
-These helpers render the P-R and ROC curves of a scored design as compact
-ASCII plots (terminals are this repo's display surface) and export the
-curve points for external plotting.
+This module renders the P-R curve of a scored design as a compact ASCII
+plot (terminals are this repo's display surface).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..ml.metrics import auc_roc, average_precision, pr_curve, roc_curve
+from ..ml.metrics import average_precision, pr_curve
 
 
 def _ascii_plot(
@@ -43,32 +42,3 @@ def render_pr_curve(y_true: np.ndarray, scores: np.ndarray) -> str:
     ap = average_precision(y_true, scores)
     plot = _ascii_plot(recall, precision, x_label="recall", y_label="precision")
     return f"P-R curve (A_prc = {ap:.4f})\n{plot}"
-
-
-def render_roc_curve(y_true: np.ndarray, scores: np.ndarray) -> str:
-    """ASCII ROC curve with its area."""
-    fpr, tpr, _ = roc_curve(y_true, scores)
-    auc = auc_roc(y_true, scores)
-    plot = _ascii_plot(fpr, tpr, x_label="FPR", y_label="TPR")
-    return f"ROC curve (A_roc = {auc:.4f})\n{plot}"
-
-
-def export_pr_points(y_true: np.ndarray, scores: np.ndarray) -> str:
-    """The P-R curve as CSV text (threshold, recall, precision)."""
-    precision, recall, thresholds = pr_curve(y_true, scores)
-    lines = ["threshold,recall,precision"]
-    lines += [
-        f"{t:.6g},{r:.6g},{p:.6g}"
-        for t, r, p in zip(thresholds, recall, precision)
-    ]
-    return "\n".join(lines)
-
-
-def export_roc_points(y_true: np.ndarray, scores: np.ndarray) -> str:
-    """The ROC curve as CSV text (threshold, fpr, tpr)."""
-    fpr, tpr, thresholds = roc_curve(y_true, scores)
-    lines = ["threshold,fpr,tpr"]
-    lines += [
-        f"{t:.6g},{f:.6g},{r:.6g}" for t, f, r in zip(thresholds, fpr, tpr)
-    ]
-    return "\n".join(lines)

@@ -3,8 +3,8 @@
 "In practice, the designer is free to adjust the threshold to get
 different prediction results with the same model" (Sec. III-B).  This
 module turns a scored design into an operating-point table across
-false-positive-rate budgets, and picks thresholds for common intents
-(a recall target, an FPR budget, a max-F1 compromise).
+false-positive-rate budgets, and picks the loosest threshold that reaches
+a recall target.
 """
 
 from __future__ import annotations
@@ -62,16 +62,3 @@ def threshold_for_recall(
     if not ok.size:
         raise ValueError(f"no threshold reaches recall {min_recall}")
     return float(thresholds[ok[0]])
-
-
-def best_f1_threshold(y_true: np.ndarray, scores: np.ndarray) -> tuple[float, float]:
-    """(threshold, F1) maximising F1 over all distinct thresholds."""
-    precision, recall, thresholds = pr_curve(y_true, scores)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        f1 = np.where(
-            precision + recall > 0,
-            2 * precision * recall / (precision + recall),
-            0.0,
-        )
-    best = int(np.argmax(f1))
-    return float(thresholds[best]), float(f1[best])

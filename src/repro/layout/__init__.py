@@ -19,7 +19,6 @@ from .technology import (
     make_ispd2015_like_technology,
 )
 from .placemap import PlacementMaps
-from .render import render_window_layout
 from .design_stats import (
     DesignStats,
     GroupStats,
@@ -30,7 +29,6 @@ from .design_stats import (
 
 __all__ = [
     "PlacementMaps",
-    "render_window_layout",
     "Point",
     "Rect",
     "mean_pairwise_manhattan",

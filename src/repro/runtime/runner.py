@@ -67,8 +67,10 @@ segfaulting native lib) costs one unit re-dispatch, never the run:
   re-running with ``--resume`` recomputes exactly the quarantined units.
 * **one BLAS thread per worker** — workers pin OpenBLAS/OpenMP to one
   thread (:func:`repro.runtime.blas.pin_one_thread`), so ``jobs`` workers
-  never oversubscribe the CPUs with inherited BLAS helper threads.  Inline
-  runs keep the process's BLAS threads.
+  never oversubscribe the CPUs with inherited BLAS helper threads.  A
+  ``jobs > 1`` runner that runs a one-unit batch inline does so under a
+  one-thread budget (:func:`repro.runtime.blas.thread_budget`), as a pinned
+  worker would; a ``jobs == 1`` runner keeps the process's BLAS threads.
 
 Telemetry: when the ambient tracer is enabled, every attempt — inline or in
 a worker — runs under a fresh local :class:`~repro.runtime.telemetry.Tracer`
@@ -593,7 +595,8 @@ class FaultTolerantRunner:
             on_result,
         )
         try:
-            abandoned = self._dispatch(batch)
+            with blas.thread_budget(1 if self.jobs > 1 else None):
+                abandoned = self._dispatch(batch)
             executor.close(wait=True)
         except BaseException:
             for fut in batch.running:

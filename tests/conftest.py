@@ -12,7 +12,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.bench.generator import DesignRecipe, generate_design
+from repro.bench.generator import DesignRecipe
 from repro.core.pipeline import FlowResult, run_flow
 from repro.features.dataset import DesignDataset, SuiteDataset
 
@@ -35,12 +35,6 @@ SMALL_RECIPE = DesignRecipe(
 def small_flow() -> FlowResult:
     """One small design through the complete flow."""
     return run_flow(SMALL_RECIPE)
-
-
-@pytest.fixture(scope="session")
-def small_design():
-    """The small design, freshly generated and unplaced."""
-    return generate_design(SMALL_RECIPE)
 
 
 def _mini_recipe(name: str, seed: int, utilization: float) -> DesignRecipe:

@@ -4,12 +4,8 @@ import numpy as np
 import pytest
 
 from repro.analysis import (
-    best_f1_threshold,
     design_report,
-    export_pr_points,
-    export_roc_points,
     render_pr_curve,
-    render_roc_curve,
     summarize_shap,
     sweep_thresholds,
     threshold_for_recall,
@@ -32,28 +28,6 @@ class TestCurves:
         assert "A_prc" in text
         assert "*" in text
         assert "recall" in text
-
-    def test_roc_render(self, scored):
-        y, s = scored
-        text = render_roc_curve(y, s)
-        assert "A_roc" in text
-        assert "FPR" in text
-
-    def test_pr_export_csv(self, scored):
-        y, s = scored
-        csv = export_pr_points(y, s)
-        lines = csv.splitlines()
-        assert lines[0] == "threshold,recall,precision"
-        assert len(lines) > 10
-        for line in lines[1:5]:
-            parts = line.split(",")
-            assert len(parts) == 3
-            float(parts[0])
-
-    def test_roc_export_csv(self, scored):
-        y, s = scored
-        lines = export_roc_points(y, s).splitlines()
-        assert lines[0] == "threshold,fpr,tpr"
 
 
 class TestThresholds:
@@ -82,18 +56,6 @@ class TestThresholds:
         y, s = scored
         with pytest.raises(ValueError):
             threshold_for_recall(y, s, 1.5)
-
-    def test_best_f1(self, scored):
-        y, s = scored
-        thr, f1 = best_f1_threshold(y, s)
-        assert 0 < f1 <= 1
-        # manual F1 at that threshold matches
-        pred = s >= thr
-        tp = int((pred & (y == 1)).sum())
-        prec = tp / max(int(pred.sum()), 1)
-        rec = tp / int(y.sum())
-        manual = 2 * prec * rec / (prec + rec)
-        assert manual == pytest.approx(f1, abs=1e-9)
 
 
 class TestShapSummary:

@@ -239,6 +239,25 @@ class TestBlasBudget:
         assert len(counts) >= 4 and set(counts) == {1}
         assert set(blas.thread_counts().values()) == {2}
 
+    def test_resumed_pool_run_with_one_unit_left_runs_one_thread(
+        self, mini_suite, tmp_path, caller_two_threads
+    ):
+        # a -j 2 runner runs a lone pending unit inline; it must still run on
+        # one thread, as a pinned worker would
+        log, ckpt = tmp_path / "fits.jsonl", tmp_path / "ckpt"
+        spec = _probe(log, "SVM-RBF")
+        run_experiment(mini_suite, [spec], tune=False, checkpoint_dir=ckpt)
+        (ckpt / "SVM-RBF__g1.json").unlink()
+        log.unlink()
+        tracer = Tracer()
+        with activate(tracer):
+            run_experiment(mini_suite, [spec], tune=False, checkpoint_dir=ckpt,
+                           runner=FaultTolerantRunner(fail_fast=True, jobs=2))
+        assert set(_fit_counts(log)) == {1}
+        units = [n for n in tracer.roots if n.name == "experiment_unit"]
+        assert len(units) == 1 and units[0].attrs["blas_threads"] == 1
+        assert set(blas.thread_counts().values()) == {2}
+
     def test_table2_footnote_names_thread_counts(self, caller_two_threads):
         zoo = model_zoo("fast")
         assert _blas_footnote(zoo, jobs=1) == (
