@@ -185,10 +185,10 @@ def _runner_from_args(args: argparse.Namespace) -> FaultTolerantRunner:
     )
     return FaultTolerantRunner(
         policy, fail_fast=args.fail_fast, verbose=True,
-        jobs=getattr(args, "jobs", 1),
-        max_pool_respawns=getattr(args, "max_pool_respawns", 3),
-        quarantine_threshold=getattr(args, "quarantine_threshold", 2),
-        heartbeat_s=getattr(args, "heartbeat", None),
+        jobs=args.jobs,
+        max_pool_respawns=args.max_pool_respawns,
+        quarantine_threshold=args.quarantine_threshold,
+        heartbeat_s=args.heartbeat,
     )
 
 
@@ -223,10 +223,11 @@ def _table2(args: argparse.Namespace) -> int:
         args.scale, cache_path=default_cache_path(args.scale), runner=runner,
         resume=args.resume,
     )
-    # --jobs feeds both layers: >1 parallelises (model, group) units via the
-    # runner, and the RF grows trees in parallel whenever it is *not* already
-    # inside a unit worker (the forest detects nesting and stays serial)
-    models = model_zoo(args.preset, n_jobs=args.jobs)
+    # --jobs parallelises (model, group) units only: the RF grows its trees
+    # serially, so each unit's CPU minutes are its own process's CPU time.  A
+    # forest pool would hide its workers' CPU from a unit run inline (a
+    # one-unit batch, e.g. a resume with one RF unit left)
+    models = model_zoo(args.preset)
     if args.models:
         wanted = set(args.models.split(","))
         models = [m for m in models if m.name in wanted]
@@ -437,19 +438,9 @@ def main(argv: list[str] | None = None) -> int:
     # hard-exits.  Commands without resilience flags finish too fast to need
     # it, and `trace` is read-only.
     supervised = hasattr(args, "resume")
-    if getattr(args, "trace", None) is None:  # `trace` itself has no --trace
-        try:
-            with graceful_shutdown() if supervised else nullcontext():
-                return args.func(args)
-        except ShutdownRequested as exc:
-            print(f"interrupted: {exc}", file=sys.stderr)
-            return EXIT_INTERRUPTED
-        except ReproRuntimeError as exc:
-            print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-            return 1
-
-    tracer = Tracer(enabled=True, run_id=new_run_id())
-    argv_list = list(argv) if argv is not None else sys.argv[1:]
+    trace = getattr(args, "trace", None)  # `trace` itself has no --trace
+    tracer = Tracer(enabled=trace is not None,
+                    run_id=new_run_id() if trace is not None else "")
     try:
         with activate(tracer), tracer.span(args.command):
             with graceful_shutdown() if supervised else nullcontext():
@@ -460,10 +451,12 @@ def main(argv: list[str] | None = None) -> int:
     except ReproRuntimeError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         code = 1
-    # The manifest is written for success, degraded, interrupted and error exits
-    # alike — a KeyboardInterrupt outside the supervised block propagates
-    # before reaching here by design.
-    _write_telemetry(tracer, args, argv_list)
+    # With --trace the manifest is written for success, degraded, interrupted
+    # and error exits alike — a KeyboardInterrupt outside the supervised block
+    # propagates before reaching here by design.
+    if trace is not None:
+        argv_list = list(argv) if argv is not None else sys.argv[1:]
+        _write_telemetry(tracer, args, argv_list)
     return code
 
 

@@ -45,7 +45,7 @@ import numpy as np
 from ..bench.generator import DesignRecipe, generate_design
 from ..bench.suite import group_index_of, suite_recipes
 from ..drc.checker import DRCReport
-from ..drc.detailed import DRCSimConfig, simulate_drc
+from ..drc.detailed import simulate_drc
 from ..drc.labels import hotspot_labels
 from ..features.dataset import DesignDataset, SuiteDataset
 from ..features.extractor import extract_features
@@ -54,8 +54,8 @@ from ..layout.design_stats import DesignStats, design_statistics
 from ..layout.grid import GCellGrid
 from ..layout.netlist import Design
 from ..layout.placemap import PlacementMaps
-from ..place.placer import PlacerConfig, place_design
-from ..route.router import RouterConfig, RoutingResult, route_design
+from ..place.placer import place_design
+from ..route.router import RoutingResult, route_design
 from ..runtime.checkpoint import CheckpointStore
 from ..runtime.errors import CacheCorruptionError, StageFailure, ValidationError
 from ..runtime.runner import FaultTolerantRunner
@@ -104,12 +104,7 @@ def _safe_group(name: str) -> int:
 FLOW_STAGES = ("generate", "place", "global_route", "drc_sim", "features")
 
 
-def run_flow(
-    recipe: DesignRecipe,
-    placer_config: PlacerConfig | None = None,
-    router_config: RouterConfig | None = None,
-    drc_config: DRCSimConfig | None = None,
-) -> FlowResult:
+def run_flow(recipe: DesignRecipe) -> FlowResult:
     """Run the full Fig. 1 flow for one design recipe.
 
     Every stage is a span of the ambient tracer, nested under whatever span
@@ -122,15 +117,15 @@ def run_flow(
             design = generate_design(recipe)
 
         with tracer.span("place"):
-            place_design(design, placer_config)
+            place_design(design)
 
         grid = GCellGrid.for_design_die(design.die, design.technology)
         with tracer.span("global_route"):
-            routing = route_design(design, grid, router_config)
+            routing = route_design(design, grid)
 
         with tracer.span("drc_sim"):
             placemaps = PlacementMaps(design, grid)
-            report = simulate_drc(design, routing.rgrid, placemaps, drc_config)
+            report = simulate_drc(design, routing.rgrid, placemaps)
 
         with tracer.span("features"):
             X = extract_features(grid, routing.rgrid, placemaps)
@@ -150,14 +145,14 @@ def run_flow(
     )
 
 
-def _run_flow_validated(recipe: DesignRecipe, *args, **kwargs) -> FlowResult:
+def _run_flow_validated(recipe: DesignRecipe) -> FlowResult:
     """``run_flow`` plus the NaN/Inf/shape guard, as one fault-tolerant unit.
 
     Validating *inside* the unit means a design whose flow produces a
     non-finite feature matrix is retried/recorded/skipped by the runner like
     any other unit failure, instead of aborting a non-fail-fast suite build.
     """
-    result = run_flow(recipe, *args, **kwargs)
+    result = run_flow(recipe)
     validate_features(result.X, result.y, name=recipe.name,
                       expect_features=NUM_FEATURES)
     return result

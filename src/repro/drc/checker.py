@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from ..layout.geometry import Point, Rect
+from ..layout.geometry import Rect
 from ..layout.grid import GCellGrid
 
 
@@ -64,18 +64,7 @@ class DRCReport:
         A g-cell is a hotspot iff it overlaps at least one violation
         bounding box — the paper's labelling rule.
         """
-        mask = np.zeros((grid.nx, grid.ny), dtype=bool)
-        for v in self.violations:
-            lo = grid.cell_of_point(Point(v.bbox.xlo, v.bbox.ylo))
-            hi = grid.cell_of_point(Point(v.bbox.xhi, v.bbox.yhi))
-            # widen the candidate range by one cell: a box *touching* a
-            # boundary overlaps the cell on the other side too (closed
-            # rectangles), but cell_of_point assigns the boundary to one side
-            for ix in range(max(lo[0] - 1, 0), min(hi[0] + 2, grid.nx)):
-                for iy in range(max(lo[1] - 1, 0), min(hi[1] + 2, grid.ny)):
-                    if grid.cell_bbox(ix, iy).overlaps(v.bbox):
-                        mask[ix, iy] = True
-        return mask
+        return grid.overlap_mask(v.bbox for v in self.violations)
 
     def num_hotspots(self, grid: GCellGrid) -> int:
         return int(self.hotspot_mask(grid).sum())

@@ -16,14 +16,10 @@ from .checker import DRCReport
 
 def hotspot_labels(report: DRCReport, grid: GCellGrid) -> np.ndarray:
     """Binary label vector (int8) over all g-cells in raster order."""
-    mask = report.hotspot_mask(grid)
-    labels = np.zeros(grid.num_cells, dtype=np.int8)
-    for ix, iy in grid.iter_cells():
-        labels[grid.flat_index(ix, iy)] = 1 if mask[ix, iy] else 0
-    return labels
+    return grid.raster(report.hotspot_mask(grid)).astype(np.int8)
 
 
 def hotspot_cells(report: DRCReport, grid: GCellGrid) -> list[tuple[int, int]]:
     """Grid indices of all hotspot g-cells, raster order."""
-    mask = report.hotspot_mask(grid)
-    return [(ix, iy) for ix, iy in grid.iter_cells() if mask[ix, iy]]
+    rows = np.flatnonzero(grid.raster(report.hotspot_mask(grid)))
+    return [grid.from_flat_index(int(row)) for row in rows]

@@ -23,7 +23,6 @@ from __future__ import annotations
 import numpy as np
 from scipy.ndimage import uniform_filter
 
-from ..layout.geometry import Point
 from ..layout.placemap import PlacementMaps
 from ..route.graph import RoutingGrid
 
@@ -108,27 +107,10 @@ class TrackStressModel:
             demand = through + spill
             demand += _PIN_BLOCKAGE_PER_LAYER.get(m, 0.0) * pins
             # capacity lost to blockages (macros) — stress spikes at macro edges
-            cap = base_cap * (1.0 - self._blockage_derate(m))
+            derate = self.grid.area_fraction(rgrid.design.routing_blockage_rects(m))
+            cap = base_cap * (1.0 - np.clip(derate, 0.0, 0.95))
             stress[m] = demand / np.maximum(cap, 0.25 * base_cap)
         return stress
-
-    def _blockage_derate(self, metal_index: int) -> np.ndarray:
-        """Fraction of the cell's tracks lost to routing blockages."""
-        nx, ny = self.grid.nx, self.grid.ny
-        derate = np.zeros((nx, ny))
-        rects = self.rgrid.design.routing_blockage_rects(metal_index)
-        if not rects:
-            return derate
-        inv_area = 1.0 / (self.grid.size**2)
-        for rect in rects:
-            lo = self.grid.cell_of_point(Point(rect.xlo, rect.ylo))
-            hi = self.grid.cell_of_point(Point(rect.xhi - 1e-9, rect.yhi - 1e-9))
-            for ix in range(lo[0], hi[0] + 1):
-                for iy in range(lo[1], hi[1] + 1):
-                    derate[ix, iy] += (
-                        self.grid.cell_bbox(ix, iy).overlap_area(rect) * inv_area
-                    )
-        return np.clip(derate, 0.0, 0.95)
 
     def _compute_via_util(self) -> dict[int, np.ndarray]:
         rgrid = self.rgrid

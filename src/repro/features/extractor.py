@@ -54,11 +54,6 @@ def _shifted_lookup(
     return out
 
 
-def _raster(arr: np.ndarray) -> np.ndarray:
-    """Flatten an (nx, ny) array to raster (iy-major) sample order."""
-    return arr.T.reshape(-1)
-
-
 class FeatureExtractor:
     """Builds the (num_gcells, 387) feature matrix for one routed design."""
 
@@ -128,7 +123,7 @@ class FeatureExtractor:
                     col = np.repeat(ys[None, :], grid.nx, axis=0)
                 else:
                     col = _shifted_lookup(stats[stem], dx, dy, shape)
-                cols.append(_raster(col))
+                cols.append(grid.raster(col))
         return cols
 
     # -- congestion blocks --------------------------------------------------------------
@@ -160,9 +155,9 @@ class FeatureExtractor:
                     dx, dy = edge.cell_a
                 cap = _shifted_lookup(cap_arr, dx, dy, shape)
                 load = _shifted_lookup(load_arr, dx, dy, shape)
-                cols.append(_raster(cap))
-                cols.append(_raster(load))
-                cols.append(_raster(cap - load))
+                cols.append(grid.raster(cap))
+                cols.append(grid.raster(load))
+                cols.append(grid.raster(cap - load))
         return cols
 
     def _via_congestion_columns(self) -> list[np.ndarray]:
@@ -177,9 +172,9 @@ class FeatureExtractor:
                 dx, dy = WINDOW_OFFSETS[pos]
                 cap = _shifted_lookup(cap_arr, dx, dy, shape)
                 load = _shifted_lookup(load_arr, dx, dy, shape)
-                cols.append(_raster(cap))
-                cols.append(_raster(load))
-                cols.append(_raster(cap - load))
+                cols.append(grid.raster(cap))
+                cols.append(grid.raster(load))
+                cols.append(grid.raster(cap - load))
         return cols
 
 

@@ -35,7 +35,9 @@ zero-capacity edges.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
+
+import numpy as np
 
 from .geometry import Point, Rect
 from .technology import Technology
@@ -177,6 +179,96 @@ class GCellGrid:
         if not 0 <= flat < self.num_cells:
             raise IndexError(f"flat index {flat} outside grid")
         return (flat % self.nx, flat // self.nx)
+
+    # -- rasterisation ----------------------------------------------------------------
+
+    def raster(self, arr: np.ndarray) -> np.ndarray:
+        """Flatten an ``(nx, ny)`` array to sample order (raster, iy-major).
+
+        Row ``k`` of every feature matrix and label vector is the g-cell
+        :meth:`from_flat_index` ``(k)``; this is the one place that order is
+        applied to whole arrays.
+        """
+        return arr.T.reshape(-1)
+
+    def _lows(self, origin: float, start: int, stop: int) -> np.ndarray:
+        """Lower coordinate of g-cells ``start .. stop-1`` along one axis."""
+        return origin + np.arange(start, stop) * self.size
+
+    def area_fraction(self, rects: Iterable[Rect]) -> np.ndarray:
+        """Summed fraction of each g-cell's area covered by ``rects``.
+
+        Returns an unclipped ``(nx, ny)`` array: overlapping rectangles add
+        up, so callers clip to their own bound.  A rectangle is evaluated
+        only on the g-cells holding its lower-left corner through its
+        upper-right corner pulled in by 1e-9, so an edge snapped to a g-cell
+        boundary adds nothing to the cell beyond it, not even an ulp.
+        """
+        frac = np.zeros((self.nx, self.ny))
+        inv_area = 1.0 / (self.size * self.size)
+        for r in rects:
+            x0, y0 = self.cell_of_point(Point(r.xlo, r.ylo))
+            x1, y1 = self.cell_of_point(Point(r.xhi - 1e-9, r.yhi - 1e-9))
+            xs = self._lows(self.die.xlo, x0, x1 + 1)
+            ys = self._lows(self.die.ylo, y0, y1 + 1)
+            # the closed-rectangle intersection's extent; <= 0 is no overlap
+            w = np.maximum(np.minimum(xs + self.size, r.xhi) - np.maximum(xs, r.xlo), 0.0)
+            h = np.maximum(np.minimum(ys + self.size, r.yhi) - np.maximum(ys, r.ylo), 0.0)
+            frac[x0 : x1 + 1, y0 : y1 + 1] += np.outer(w, h) * inv_area
+        return frac
+
+    def overlap_mask(self, rects: Iterable[Rect]) -> np.ndarray:
+        """Boolean ``(nx, ny)``: the g-cell overlaps at least one of ``rects``.
+
+        Rectangles are closed, so a box merely touching a g-cell boundary
+        marks the cells on both sides — the paper's hotspot rule.
+        """
+        mask = np.zeros((self.nx, self.ny), dtype=bool)
+        for r in rects:
+            lo = self.cell_of_point(Point(r.xlo, r.ylo))
+            hi = self.cell_of_point(Point(r.xhi, r.yhi))
+            # cell_of_point assigns a boundary to one side: widen by one cell
+            x0, x1 = max(lo[0] - 1, 0), min(hi[0] + 2, self.nx)
+            y0, y1 = max(lo[1] - 1, 0), min(hi[1] + 2, self.ny)
+            xs = self._lows(self.die.xlo, x0, x1)
+            ys = self._lows(self.die.ylo, y0, y1)
+            in_x = (xs <= r.xhi) & (r.xlo <= xs + self.size)
+            in_y = (ys <= r.yhi) & (r.ylo <= ys + self.size)
+            mask[x0:x1, y0:y1] |= np.outer(in_x, in_y)
+        return mask
+
+    def edge_midpoints(self, horizontal: bool) -> tuple[np.ndarray, np.ndarray]:
+        """x and y axes of the midpoints of every routing edge's boundary.
+
+        Horizontal edges (shape ``(nx-1, ny)``) sit on the interior vertical
+        boundaries at row mid-heights; vertical edges (``(nx, ny-1)``) on
+        the interior horizontal boundaries at column mid-widths.
+        """
+        if horizontal:
+            return (
+                self.die.xlo + np.arange(1, self.nx) * self.size,
+                self.die.ylo + (np.arange(self.ny) + 0.5) * self.size,
+            )
+        return (
+            self.die.xlo + (np.arange(self.nx) + 0.5) * self.size,
+            self.die.ylo + np.arange(1, self.ny) * self.size,
+        )
+
+    def cell_centers(self) -> tuple[np.ndarray, np.ndarray]:
+        """x and y axes of every g-cell's centre, as :meth:`cell_center` computes it."""
+        xs = self._lows(self.die.xlo, 0, self.nx)
+        ys = self._lows(self.die.ylo, 0, self.ny)
+        return (xs + (xs + self.size)) / 2.0, (ys + (ys + self.size)) / 2.0
+
+    @staticmethod
+    def points_in_rects(
+        xs: np.ndarray, ys: np.ndarray, rects: Iterable[Rect]
+    ) -> np.ndarray:
+        """Boolean ``(len(xs), len(ys))``: point ``(xs[i], ys[j])`` lies in a closed rectangle."""
+        mask = np.zeros((len(xs), len(ys)), dtype=bool)
+        for r in rects:
+            mask |= np.outer((r.xlo <= xs) & (xs <= r.xhi), (r.ylo <= ys) & (ys <= r.yhi))
+        return mask
 
     # -- windows --------------------------------------------------------------------
 

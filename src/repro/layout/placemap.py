@@ -39,13 +39,14 @@ class PlacementMaps:
         self.num_local_nets = np.zeros((nx, ny), dtype=np.int32)
         self.num_local_net_pins = np.zeros((nx, ny), dtype=np.int32)
         self.pin_spacing = np.zeros((nx, ny), dtype=np.float64)
-        self.blockage_frac = np.zeros((nx, ny), dtype=np.float64)
         self.cell_area_frac = np.zeros((nx, ny), dtype=np.float64)
+        self.blockage_frac = np.clip(
+            grid.area_fraction(design.placement_blockage_rects()), 0.0, 1.0
+        )
 
         self._collect_cells()
         self._collect_pins()
         self._collect_local_nets()
-        self._collect_blockages()
 
     # -- builders ---------------------------------------------------------------
 
@@ -90,18 +91,3 @@ class PlacementMaps:
                 key = next(iter(cells))
                 self.num_local_nets[key] += 1
                 self.num_local_net_pins[key] += net.degree
-
-    def _collect_blockages(self) -> None:
-        grid = self.grid
-        inv_area = 1.0 / (grid.size * grid.size)
-        rects = self.design.placement_blockage_rects()
-        if not rects:
-            return
-        for rect in rects:
-            lo = grid.cell_of_point(Point(rect.xlo, rect.ylo))
-            hi = grid.cell_of_point(Point(rect.xhi - 1e-9, rect.yhi - 1e-9))
-            for ix in range(lo[0], hi[0] + 1):
-                for iy in range(lo[1], hi[1] + 1):
-                    overlap = grid.cell_bbox(ix, iy).overlap_area(rect)
-                    self.blockage_frac[ix, iy] += overlap * inv_area
-        np.clip(self.blockage_frac, 0.0, 1.0, out=self.blockage_frac)

@@ -30,7 +30,7 @@ from .model_selection import (
     positive_scores,
 )
 from .nn import MLPClassifier
-from .scaling import MinMaxScaler, StandardScaler
+from .scaling import StandardScaler
 from .svm import SVMClassifier, rbf_kernel
 from .tree import DecisionTreeClassifier, TreeArrays
 
@@ -62,7 +62,6 @@ __all__ = [
     "iterate_grid",
     "positive_scores",
     "MLPClassifier",
-    "MinMaxScaler",
     "StandardScaler",
     "SVMClassifier",
     "rbf_kernel",

@@ -39,26 +39,3 @@ class StandardScaler:
             raise RuntimeError("scaler not fitted")
         return np.asarray(Xs, dtype=np.float64) * self.scale_ + self.mean_
 
-
-class MinMaxScaler:
-    """Scale each feature to [0, 1] over the training range."""
-
-    def __init__(self):
-        self.min_: np.ndarray | None = None
-        self.range_: np.ndarray | None = None
-
-    def fit(self, X: np.ndarray) -> "MinMaxScaler":
-        X = np.asarray(X, dtype=np.float64)
-        self.min_ = X.min(axis=0)
-        rng = X.max(axis=0) - self.min_
-        rng[rng == 0.0] = 1.0
-        self.range_ = rng
-        return self
-
-    def transform(self, X: np.ndarray) -> np.ndarray:
-        if self.min_ is None or self.range_ is None:
-            raise RuntimeError("scaler not fitted")
-        return (np.asarray(X, dtype=np.float64) - self.min_) / self.range_
-
-    def fit_transform(self, X: np.ndarray) -> np.ndarray:
-        return self.fit(X).transform(X)

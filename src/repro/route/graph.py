@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..layout.geometry import Rect
 from ..layout.grid import GCellGrid
 from ..layout.netlist import Design
 from ..layout.technology import Technology
@@ -91,53 +90,24 @@ class RoutingGrid:
 
     # -- blockage handling -------------------------------------------------------
 
-    def _edge_blocked_fraction(
-        self, rect: Rect, horizontal_edges: bool
-    ) -> np.ndarray:
-        """Fraction (0/1) of each edge covered by a blockage rectangle.
+    def _apply_blockages(self) -> None:
+        """Zero the capacity of edges and vias under routing blockages.
 
-        An edge is blocked when the boundary segment it represents lies
-        inside the rectangle.  We use the segment midpoint as the test point
-        — adequate because the generator snaps macros to whole g-cells.
+        An edge is blocked when its boundary segment's midpoint lies inside
+        a blockage, a via site when its g-cell's centre does — adequate
+        because the generator snaps macros to whole g-cells.
         """
         g = self.grid
-        if horizontal_edges:
-            mask = np.zeros((g.nx - 1, g.ny), dtype=bool)
-            for ix in range(g.nx - 1):
-                x = g.die.xlo + (ix + 1) * g.size
-                for iy in range(g.ny):
-                    y = g.die.ylo + (iy + 0.5) * g.size
-                    mask[ix, iy] = (
-                        rect.xlo <= x <= rect.xhi and rect.ylo <= y <= rect.yhi
-                    )
-            return mask
-        mask = np.zeros((g.nx, g.ny - 1), dtype=bool)
-        for ix in range(g.nx):
-            x = g.die.xlo + (ix + 0.5) * g.size
-            for iy in range(g.ny - 1):
-                y = g.die.ylo + (iy + 1) * g.size
-                mask[ix, iy] = rect.xlo <= x <= rect.xhi and rect.ylo <= y <= rect.yhi
-        return mask
-
-    def _apply_blockages(self) -> None:
-        """Zero the capacity of edges and vias under routing blockages."""
-        g = self.grid
         for m in range(1, self.tech.num_metal_layers + 1):
-            layer = self.tech.metal(m)
-            for rect in self.design.routing_blockage_rects(m):
-                mask = self._edge_blocked_fraction(rect, layer.is_horizontal)
-                self.metal_cap[m][mask] = 0
+            xs, ys = g.edge_midpoints(self.tech.metal(m).is_horizontal)
+            blocked = g.points_in_rects(xs, ys, self.design.routing_blockage_rects(m))
+            self.metal_cap[m][blocked] = 0
         # a via layer is blocked where either of its metals is blocked
+        xs, ys = g.cell_centers()
         for v in range(1, self.tech.num_via_layers + 1):
-            blocked = np.zeros((g.nx, g.ny), dtype=bool)
-            for m in (v, v + 1):
-                for rect in self.design.routing_blockage_rects(m):
-                    for ix in range(g.nx):
-                        for iy in range(g.ny):
-                            c = g.cell_center(ix, iy)
-                            if rect.contains_point(c):
-                                blocked[ix, iy] = True
-            self.via_cap[v][blocked] = 0
+            rects = self.design.routing_blockage_rects(v)
+            rects += self.design.routing_blockage_rects(v + 1)
+            self.via_cap[v][g.points_in_rects(xs, ys, rects)] = 0
 
     # -- 2-D load bookkeeping -------------------------------------------------------
 

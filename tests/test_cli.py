@@ -113,6 +113,28 @@ class TestCLIHeavyPaths:
         dataset = suite.by_name("des_perf_1")
         assert (flows[0].grid.nx, flows[0].grid.ny) == (dataset.grid_nx, dataset.grid_ny)
 
+    def test_table2_resumed_lone_rf_unit_grows_forest_in_process(
+        self, tiny_cache, mini_suite, monkeypatch, capsys
+    ):
+        # regression: a -j 2 runner runs a lone pending unit inline, where an
+        # RF built with n_jobs=2 opened its own process pool, whose CPU the
+        # unit's train_minutes (this process's CPU time) never saw
+        import repro.cli as cli
+        import repro.ml.forest as forest
+
+        monkeypatch.setattr(cli, "build_suite_dataset", lambda *a, **kw: (mini_suite, []))
+        argv = ["table2", "--scale", "0.3", "--models", "RF"]
+        assert main(argv) == 0
+        ckpt = tiny_cache.with_suffix(".table2-fast.ckpt")
+        (ckpt / "RF__g1.json").unlink()
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("forest opened a process pool")
+
+        monkeypatch.setattr(forest, "ProcessPoolExecutor", no_pool)
+        assert main(argv + ["-j", "2"]) == 0
+        assert "RF" in capsys.readouterr().out
+
     def test_report_degrades_on_training_fault(self, tiny_cache, capsys):
         assert main(["suite", "--scale", "0.3"]) == 0
         capsys.readouterr()

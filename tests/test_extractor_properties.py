@@ -3,7 +3,14 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.features.extractor import _raster, _shifted_lookup
+from repro.features.extractor import _shifted_lookup
+from repro.layout.geometry import Rect
+from repro.layout.grid import GCellGrid
+
+
+def _raster(arr):
+    nx, ny = arr.shape
+    return GCellGrid(Rect(0, 0, nx, ny), 1.0, nx, ny).raster(arr)
 
 
 class TestShiftedLookup:

@@ -1,8 +1,15 @@
-"""Tests for the g-cell grid, windows and the 12-edge convention."""
+"""Tests for the g-cell grid, windows, the 12-edge convention and the
+rasterizer (rectangles and arrays onto g-cells)."""
 
+import math
+
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from repro.bench.generator import DesignRecipe, generate_design
+from repro.features.dataset import DesignDataset
+from repro.features.names import NUM_FEATURES
 from repro.layout.geometry import Point, Rect
 from repro.layout.grid import (
     GCellGrid,
@@ -11,6 +18,7 @@ from repro.layout.grid import (
     WINDOW_POSITIONS,
 )
 from repro.layout.technology import make_ispd2015_like_technology
+from repro.route.graph import RoutingGrid
 
 
 @pytest.fixture()
@@ -121,3 +129,145 @@ class TestWindow:
             a, b = grid.window_edge_cells(3, 2, e)
             assert a is not None and b is not None
             assert abs(a[0] - b[0]) + abs(a[1] - b[1]) == 1
+
+
+# -- reference loops: the per-g-cell rules the vectorised rasterizer replaces --
+
+
+def _area_fraction_loop(grid, rects):
+    frac = np.zeros((grid.nx, grid.ny))
+    inv_area = 1.0 / (grid.size * grid.size)
+    for rect in rects:
+        lo = grid.cell_of_point(Point(rect.xlo, rect.ylo))
+        hi = grid.cell_of_point(Point(rect.xhi - 1e-9, rect.yhi - 1e-9))
+        for ix in range(lo[0], hi[0] + 1):
+            for iy in range(lo[1], hi[1] + 1):
+                frac[ix, iy] += grid.cell_bbox(ix, iy).overlap_area(rect) * inv_area
+    return frac
+
+
+def _overlap_mask_loop(grid, rects):
+    mask = np.zeros((grid.nx, grid.ny), dtype=bool)
+    for rect in rects:
+        lo = grid.cell_of_point(Point(rect.xlo, rect.ylo))
+        hi = grid.cell_of_point(Point(rect.xhi, rect.yhi))
+        for ix in range(max(lo[0] - 1, 0), min(hi[0] + 2, grid.nx)):
+            for iy in range(max(lo[1] - 1, 0), min(hi[1] + 2, grid.ny)):
+                if grid.cell_bbox(ix, iy).overlaps(rect):
+                    mask[ix, iy] = True
+    return mask
+
+
+def _edge_blocked_loop(g, rect, horizontal_edges):
+    if horizontal_edges:
+        mask = np.zeros((g.nx - 1, g.ny), dtype=bool)
+        for ix in range(g.nx - 1):
+            x = g.die.xlo + (ix + 1) * g.size
+            for iy in range(g.ny):
+                y = g.die.ylo + (iy + 0.5) * g.size
+                mask[ix, iy] = rect.xlo <= x <= rect.xhi and rect.ylo <= y <= rect.yhi
+        return mask
+    mask = np.zeros((g.nx, g.ny - 1), dtype=bool)
+    for ix in range(g.nx):
+        x = g.die.xlo + (ix + 0.5) * g.size
+        for iy in range(g.ny - 1):
+            y = g.die.ylo + (iy + 1) * g.size
+            mask[ix, iy] = rect.xlo <= x <= rect.xhi and rect.ylo <= y <= rect.yhi
+    return mask
+
+
+def _centre_blocked_loop(grid, rects):
+    blocked = np.zeros((grid.nx, grid.ny), dtype=bool)
+    for rect in rects:
+        for ix in range(grid.nx):
+            for iy in range(grid.ny):
+                if rect.contains_point(grid.cell_center(ix, iy)):
+                    blocked[ix, iy] = True
+    return blocked
+
+
+_TECH = make_ispd2015_like_technology()
+_GRID = GCellGrid(
+    Rect(0, 0, 8 * _TECH.gcell_size, 5 * _TECH.gcell_size), _TECH.gcell_size, 8, 5
+)
+
+
+def _coordinate(origin, n):
+    """Any coordinate, with g-cell boundaries, their ±1-ulp neighbours and
+    points past the die drawn often."""
+    boundary = st.integers(-1, n + 1).map(lambda k: origin + k * _GRID.size)
+    return st.one_of(
+        boundary,
+        boundary.map(lambda c: math.nextafter(c, math.inf)),
+        boundary.map(lambda c: math.nextafter(c, -math.inf)),
+        st.floats(origin - _GRID.size, origin + (n + 1) * _GRID.size),
+    )
+
+
+@st.composite
+def _rect(draw):
+    """A rectangle, possibly zero-width or zero-height, possibly past the die."""
+    xs = sorted(draw(st.lists(_coordinate(_GRID.die.xlo, _GRID.nx), min_size=1, max_size=2)))
+    ys = sorted(draw(st.lists(_coordinate(_GRID.die.ylo, _GRID.ny), min_size=1, max_size=2)))
+    return Rect(xs[0], ys[0], xs[-1], ys[-1])
+
+
+_RECTS = st.lists(_rect(), max_size=6)
+
+
+class TestRasterizer:
+    @given(_RECTS)
+    @settings(max_examples=300)
+    def test_area_fraction_matches_loop(self, rects):
+        assert np.array_equal(_GRID.area_fraction(rects), _area_fraction_loop(_GRID, rects))
+
+    @given(_RECTS)
+    @settings(max_examples=300)
+    def test_overlap_mask_matches_loop(self, rects):
+        assert np.array_equal(_GRID.overlap_mask(rects), _overlap_mask_loop(_GRID, rects))
+
+    def test_routing_masks_match_loops_on_macro_design(self):
+        design = generate_design(DesignRecipe(
+            name="macros", grid_nx=12, grid_ny=10, num_macros=3,
+            macro_area_frac=0.15, seed=3,
+        ))
+        rgrid = RoutingGrid(design)
+        g = rgrid.grid
+        tech = design.technology
+        seen_blocked = False
+        for m in range(1, tech.num_metal_layers + 1):
+            horizontal = tech.metal(m).is_horizontal
+            rects = design.routing_blockage_rects(m)
+            xs, ys = g.edge_midpoints(horizontal)
+            expected = np.zeros(rgrid.metal_cap[m].shape, dtype=bool)
+            for rect in rects:
+                expected |= _edge_blocked_loop(g, rect, horizontal)
+            assert np.array_equal(g.points_in_rects(xs, ys, rects), expected)
+            assert (rgrid.metal_cap[m][expected] == 0).all()
+            seen_blocked |= expected.any()
+        xs, ys = g.cell_centers()
+        assert all(
+            g.cell_center(ix, iy) == Point(xs[ix], ys[iy])
+            for ix in range(g.nx) for iy in range(g.ny)
+        )
+        for v in range(1, tech.num_via_layers + 1):
+            rects = design.routing_blockage_rects(v) + design.routing_blockage_rects(v + 1)
+            expected = _centre_blocked_loop(g, rects)
+            assert np.array_equal(g.points_in_rects(xs, ys, rects), expected)
+            assert np.array_equal(rgrid.via_cap[v] == 0, expected)
+        assert seen_blocked, "the macro design must block some routing edges"
+
+    @given(st.integers(1, 9), st.integers(1, 9))
+    @settings(max_examples=40)
+    def test_dataset_indexing_inverts_raster(self, nx, ny):
+        grid = GCellGrid(Rect(0, 0, nx, ny), 1.0, nx, ny)
+        ix, iy = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
+        rows_x, rows_y = grid.raster(ix), grid.raster(iy)
+        d = DesignDataset(
+            "toy", 0, np.zeros((nx * ny, NUM_FEATURES)), np.zeros(nx * ny, dtype=np.int8),
+            nx, ny,
+        )
+        for row in range(nx * ny):
+            cell = (int(rows_x[row]), int(rows_y[row]))
+            assert d.cell_of_sample(row) == cell
+            assert d.sample_index(*cell) == row

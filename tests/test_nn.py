@@ -95,15 +95,6 @@ class TestScalers:
         Xs = StandardScaler().fit_transform(X)
         assert (Xs[:, 0] == 0).all()
 
-    def test_minmax_range(self):
-        from repro.ml.scaling import MinMaxScaler
-
-        rng = np.random.default_rng(1)
-        X = rng.normal(size=(100, 3)) * 10
-        Xs = MinMaxScaler().fit_transform(X)
-        assert Xs.min() == pytest.approx(0.0)
-        assert Xs.max() == pytest.approx(1.0)
-
     def test_unfitted_raises(self):
         with pytest.raises(RuntimeError):
             StandardScaler().transform(np.zeros((2, 2)))

@@ -26,6 +26,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.bench.suite import SUITE_ORDER
 from repro.core.pipeline import build_suite_dataset, checkpoint_dir_for
 from repro.runtime import (
     CheckpointStore,
@@ -48,7 +49,7 @@ from repro.runtime.supervision import (
     shutdown_requested,
     shutdown_signum,
 )
-from repro.runtime.telemetry import Tracer, activate
+from repro.runtime.telemetry import Tracer, activate, build_manifest
 
 SCALE = 0.3
 
@@ -385,7 +386,8 @@ class TestCrashSafetyAcceptance:
         # mult_1's flow SIGKILLs its worker on every attempt: the run must
         # degrade to a structured worker_crash failure, never abort
         runner = _supervised(quarantine_threshold=2)
-        with inject_faults(
+        tracer = Tracer(run_id="poison-suite")
+        with activate(tracer), inject_faults(
             FaultSpec(stage="flow/mult_1", kind="kill", times=99, delay_s=0.3)
         ):
             suite, _stats = build_suite_dataset(
@@ -396,17 +398,51 @@ class TestCrashSafetyAcceptance:
         rec = runner.failures.records[0]
         assert rec.kind == "worker_crash"
         assert rec.error_type == "WorkerCrashError"
+        # the run's manifest carries the quarantine and the failure record
+        manifest = build_manifest(tracer, "suite")
+        assert manifest["counters"]["runner.quarantined"] == 1
+        assert [f["kind"] for f in manifest["failures"]] == ["worker_crash"]
         # every design that did finish was checkpointed by the parent
-        saved = {p.stem for p in checkpoint_dir_for(cache).glob("*.npz")}
-        assert "mult_1" not in saved
-        assert len(saved) >= 1
+        ckpt_dir = checkpoint_dir_for(cache)
+        saved = {p.stem for p in ckpt_dir.glob("*.npz")}
+        assert saved == set(SUITE_ORDER) - {"mult_1"}
+
+        # a stale atomic-write temp (a writer killed mid-write): the resume's
+        # startup sweep removes and counts it
+        orphan = ckpt_dir / ".mult_1.npz.tmp-orphan"
+        orphan.write_bytes(b"torn write")
+        two_hours_ago = time.time() - 7200
+        os.utime(orphan, (two_hours_ago, two_hours_ago))
 
         # resume without faults: only the quarantined design is recomputed,
         # and the result is byte-identical to the uninterrupted run
-        build_suite_dataset(
-            SCALE, cache_path=cache, runner=FaultTolerantRunner(fail_fast=True)
-        )
+        with activate(Tracer(run_id="resume")) as resumed:
+            build_suite_dataset(
+                SCALE, cache_path=cache, runner=FaultTolerantRunner(fail_fast=True)
+            )
+        assert not orphan.exists()
+        assert resumed.counters["runtime.cache.orphans_swept"] == 1
         assert _store_digests(cache) == suite_baseline
+
+    def test_one_kill_and_one_hang_self_heal(self, tmp_path, suite_baseline):
+        # one SIGKILL and one hang past the heartbeat, each fired once: both
+        # designs are re-dispatched on a respawned pool and nothing fails.
+        # The heartbeat must exceed the slowest honest flow at SCALE.
+        cache = tmp_path / "suite.npz"
+        runner = _supervised(quarantine_threshold=2, heartbeat_s=5.0)
+        tracer = Tracer(run_id="self-heal")
+        with activate(tracer), inject_faults(
+            FaultSpec(stage="flow/mult_1", kind="kill", times=1, delay_s=0.3),
+            FaultSpec(stage="flow/fft_a", kind="hang", times=1, delay_s=500.0),
+        ) as plan:
+            build_suite_dataset(SCALE, cache_path=cache, runner=runner)
+        assert not runner.failures, runner.failures.records
+        assert sorted(kind for _stage, kind in plan.triggered) == ["hang", "kill"]
+        assert _store_digests(cache) == suite_baseline
+        counters = build_manifest(tracer, "suite")["counters"]
+        assert counters["runner.worker_crashes"] >= 2
+        assert counters["runner.pool_respawns"] >= 2
+        assert counters["runner.quarantined"] == 0
 
     def test_cli_kill_fault_terminates_despite_signal_handlers(self, tmp_path):
         # regression: forked workers inherited the CLI's graceful-shutdown
