@@ -54,7 +54,7 @@ def main() -> None:
             if cap or load:
                 print(f"   edge {edge.label:<3s} M{m}: C={cap:.0f} L={load:.0f} margin={cap - load:+.0f}")
 
-    row_idx = flow.grid.flat_index(cx, cy)
+    row_idx = flow.dataset.sample_index(cx, cy)
     x = flow.X[row_idx]
     names = feature_names()
     nonzero = [(names[j], x[j]) for j in range(len(names)) if x[j] != 0.0]

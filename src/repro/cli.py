@@ -52,6 +52,7 @@ import os
 import sys
 from contextlib import nullcontext
 from pathlib import Path
+from typing import Any, Callable
 
 from .bench.generator import DesignRecipe
 from .bench.suite import GROUPS, group_of, suite_recipes
@@ -64,8 +65,9 @@ from .core.pipeline import (
     default_cache_path,
     run_flow,
 )
+from .features.dataset import SuiteDataset
 from .features.names import describe_feature, feature_names
-from .layout.design_stats import format_table1, group_statistics
+from .layout.design_stats import DesignStats, format_table1, group_statistics
 from .runtime import (
     FaultTolerantRunner,
     ReproRuntimeError,
@@ -94,37 +96,31 @@ EXIT_DEGRADED = 3
 EXIT_INTERRUPTED = 4
 
 
-def _positive_int(text: str) -> int:
-    """argparse type: an integer >= 1 (worker counts)."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _number(kind: type, low: float, *, strict: bool = False) -> Callable[[str], Any]:
+    """argparse type: a ``kind`` number ``>= low``, or ``> low`` when ``strict``.
+
+    NaN is rejected like any other value outside the bound.
+    """
+
+    def parse(text: str) -> Any:
+        try:
+            value = kind(text)
+        except ValueError:
+            noun = "an integer" if kind is int else "a number"
+            raise argparse.ArgumentTypeError(f"{text!r} is not {noun}") from None
+        if not (value > low if strict else value >= low):
+            raise argparse.ArgumentTypeError(
+                f"must be {'>' if strict else '>='} {low}, got {value}"
+            )
+        return value
+
+    return parse
 
 
-def _nonneg_int(text: str) -> int:
-    """argparse type: an integer >= 0 (retry budgets)."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    """argparse type: a float > 0 (heartbeat windows)."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
-    return value
+_positive_int = _number(int, 1)  # worker counts, how many rows to list
+_nonneg_int = _number(int, 0)  # retry and respawn budgets
+_positive_float = _number(float, 0, strict=True)  # timeouts, heartbeat windows
+_nonneg_float = _number(float, 0)  # backoff bases
 
 
 def _trace_path(text: str) -> Path:
@@ -154,9 +150,9 @@ def _add_resilience_flags(p: argparse.ArgumentParser) -> None:
                         "still loaded)")
     p.add_argument("--max-retries", type=_nonneg_int, default=0, metavar="N",
                    help="retry budget per unit (default 0)")
-    p.add_argument("--retry-backoff", type=float, default=1.0, metavar="SEC",
+    p.add_argument("--retry-backoff", type=_nonneg_float, default=1.0, metavar="SEC",
                    help="base of the exponential retry backoff (default 1s)")
-    p.add_argument("--timeout", type=float, default=None, metavar="SEC",
+    p.add_argument("--timeout", type=_positive_float, default=None, metavar="SEC",
                    help="wall-clock budget per unit attempt (default none)")
     p.add_argument("--fail-fast", action="store_true",
                    help="abort on the first permanently failed unit instead "
@@ -201,12 +197,19 @@ def _report_failures(runner: FaultTolerantRunner) -> int:
     return 0
 
 
-def _suite(args: argparse.Namespace) -> int:
-    runner = _runner_from_args(args)
-    suite, stats = build_suite_dataset(
-        args.scale, cache_path=default_cache_path(args.scale), verbose=True,
+def _load_suite(
+    args: argparse.Namespace, runner: FaultTolerantRunner, verbose: bool = False
+) -> tuple[SuiteDataset, list[DesignStats]]:
+    """The suite at ``--scale``, built or resumed in its default store."""
+    return build_suite_dataset(
+        args.scale, cache_path=default_cache_path(args.scale), verbose=verbose,
         runner=runner, resume=args.resume,
     )
+
+
+def _suite(args: argparse.Namespace) -> int:
+    runner = _runner_from_args(args)
+    suite, stats = _load_suite(args, runner, verbose=True)
     by_name = {s.name: s for s in stats}
     rows = []
     for group_name, members in GROUPS.items():
@@ -219,10 +222,7 @@ def _suite(args: argparse.Namespace) -> int:
 
 def _table2(args: argparse.Namespace) -> int:
     runner = _runner_from_args(args)
-    suite, _ = build_suite_dataset(
-        args.scale, cache_path=default_cache_path(args.scale), runner=runner,
-        resume=args.resume,
-    )
+    suite, _ = _load_suite(args, runner)
     # --jobs parallelises (model, group) units only: the RF grows its trees
     # serially, so each unit's CPU minutes are its own process's CPU time.  A
     # forest pool would hide its workers' CPU from a unit run inline (a
@@ -269,10 +269,7 @@ def _blas_footnote(models: list[ModelSpec], jobs: int) -> str:
 def _explain(args: argparse.Namespace) -> int:
     group_of(args.design)  # validate the name early
     runner = _runner_from_args(args)
-    suite, _ = build_suite_dataset(
-        args.scale, cache_path=default_cache_path(args.scale), runner=runner,
-        resume=args.resume,
-    )
+    suite, _ = _load_suite(args, runner)
     # the flow of the very recipe the (scaled) suite was built from
     recipe = next(r for r in suite_recipes(args.scale) if r.name == args.design)
     outcome = runner.run_unit("explain", args.design, run_flow, recipe)
@@ -293,10 +290,7 @@ def _report(args: argparse.Namespace) -> int:
     from .core.explain import train_explanation_forest
 
     runner = _runner_from_args(args)
-    suite, _ = build_suite_dataset(
-        args.scale, cache_path=default_cache_path(args.scale), runner=runner,
-        resume=args.resume,
-    )
+    suite, _ = _load_suite(args, runner)
     dataset = suite.by_name(args.design)
     outcome = runner.run_unit(
         "report", args.design, train_explanation_forest,
@@ -396,7 +390,7 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser("explain", help="explain hotspots of one design")
     p.add_argument("design", help="suite design name, e.g. des_perf_1")
-    p.add_argument("--num", type=int, default=3)
+    p.add_argument("--num", type=_positive_int, default=3)
     p.add_argument("--scale", type=float, default=1.0)
     p.add_argument("--preset", choices=("fast", "full"), default="fast")
     _add_resilience_flags(p)
@@ -405,7 +399,7 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser("report", help="full prediction report for one design")
     p.add_argument("design", help="suite design name, e.g. mult_b")
-    p.add_argument("--top", type=int, default=10)
+    p.add_argument("--top", type=_positive_int, default=10)
     p.add_argument("--scale", type=float, default=1.0)
     p.add_argument("--preset", choices=("fast", "full"), default="fast")
     _add_resilience_flags(p)

@@ -8,7 +8,7 @@ and the complexity/cost rows.
 
 from __future__ import annotations
 
-from .experiment import ExperimentResult
+from .experiment import TABLE2_METRICS, ExperimentResult, winners
 
 
 def _fmt(v: float | None, best: bool) -> str:
@@ -31,30 +31,25 @@ def format_table2(result: ExperimentResult) -> str:
     for design in result.design_order:
         per_model = {m: result.score_of(design, m) for m in models}
         row = f"{design:<12s}"
-        bests = {}
-        for attr in ("tpr_star", "prec_star", "a_prc"):
-            vals = [getattr(r, attr) for r in per_model.values() if r is not None]
-            bests[attr] = max(vals) if vals else None
+        wins = {
+            attr: winners({m: getattr(r, attr) for m, r in per_model.items() if r is not None})
+            for attr in TABLE2_METRICS
+        }
         for m in models:
             r = per_model[m]
-            cells = []
-            for attr in ("tpr_star", "prec_star", "a_prc"):
-                if r is None:
-                    cells.append(_fmt(None, False))
-                else:
-                    v = getattr(r, attr)
-                    cells.append(_fmt(v, bests[attr] is not None and v >= bests[attr] - 1e-12))
+            cells = [
+                _fmt(None if r is None else getattr(r, attr), m in wins[attr])
+                for attr in TABLE2_METRICS
+            ]
             row += "| " + " ".join(cells) + " "
         lines.append(row)
 
     lines.append("-" * len(header2))
     row = f"{'Average':<12s}"
     avg = {m: result.averages(m) for m in models}
-    bests = [max(avg[m][k] for m in models) for k in range(3)]
+    avg_wins = [winners({m: avg[m][k] for m in models}) for k in range(3)]
     for m in models:
-        cells = [
-            _fmt(avg[m][k], avg[m][k] >= bests[k] - 1e-12) for k in range(3)
-        ]
+        cells = [_fmt(avg[m][k], m in avg_wins[k]) for k in range(3)]
         row += "| " + " ".join(cells) + " "
     lines.append(row)
 

@@ -59,6 +59,23 @@ from ..runtime.validation import validate_features
 from .models import ModelSpec
 
 
+#: Table II's metric columns, in table order.
+TABLE2_METRICS = ("tpr_star", "prec_star", "a_prc")
+
+
+#: A Table II score at most this far below the best still counts as a win.
+WIN_TOLERANCE = 1e-12
+
+
+def winners(values: dict[str, float]) -> set[str]:
+    """Table II's win rule: every key within :data:`WIN_TOLERANCE` of the
+    best value wins, so a tie counts as a win for every tied model."""
+    if not values:
+        return set()
+    best = max(values.values())
+    return {k for k, v in values.items() if v >= best - WIN_TOLERANCE}
+
+
 @dataclass
 class DesignScore:
     """One (model, design) cell block of Table II."""
@@ -123,16 +140,13 @@ class ExperimentResult:
         """How many designs this model wins per metric (ties count for all)."""
         wins = [0, 0, 0]
         for design in self.design_order:
-            per_model: dict[str, EvaluationResult] = {}
-            for m in self.model_order:
-                r = self.score_of(design, m)
-                if r is not None:
-                    per_model[m] = r
-            if model not in per_model:
+            per_model = {m: self.score_of(design, m) for m in self.model_order}
+            if per_model.get(model) is None:
                 continue
-            for k, attr in enumerate(("tpr_star", "prec_star", "a_prc")):
-                best = max(getattr(r, attr) for r in per_model.values())
-                if getattr(per_model[model], attr) >= best - 1e-12:
+            for k, attr in enumerate(TABLE2_METRICS):
+                if model in winners(
+                    {m: getattr(r, attr) for m, r in per_model.items() if r is not None}
+                ):
                     wins[k] += 1
         return tuple(wins)  # type: ignore[return-value]
 
@@ -390,34 +404,27 @@ def run_experiment(
 
     # ad-hoc sentinel groups (< 0) never form a test fold
     groups_present = sorted({d.group for d in suite.designs if d.group >= 0})
-    results: dict[str, GroupUnitResult] = {}  # by unit name, "<model>__g<group>"
-    pending = []
-    for spec in models:
-        for g in groups_present:
-            name = f"{spec.name}__g{g}"
-            key = f"{name}.json"
-            if store is not None and resume and store.has(key):
-                try:
-                    doc = store.load_json(key)
-                    if (
-                        not isinstance(doc, dict)
-                        or doc.get("suite_fingerprint") != fingerprint
-                    ):
-                        raise CacheCorruptionError(
-                            f"{key}: checkpoint was produced against a "
-                            "different suite or protocol (stale fingerprint)"
-                        )
-                    results[name] = GroupUnitResult.from_json(doc.get("unit", {}))
-                    tracer.counter("checkpoint.resume_skips")
-                    continue
-                except OSError:
-                    pass  # unreadable right now: re-run the unit, keep the file
-                except CacheCorruptionError:
-                    store.invalidate(key)
-            pending.append(
-                (name, _fit_and_score_group,
-                 (suite, spec, g, target_fpr, tune, verbose), {})
+    units = [(spec, g, f"{spec.name}__g{g}") for spec in models for g in groups_present]
+
+    def _load_unit(key: str) -> GroupUnitResult:
+        doc = store.load_json(key)
+        if not isinstance(doc, dict) or doc.get("suite_fingerprint") != fingerprint:
+            raise CacheCorruptionError(
+                f"{key}: checkpoint was produced against a "
+                "different suite or protocol (stale fingerprint)"
             )
+        return GroupUnitResult.from_json(doc.get("unit", {}))
+
+    results: dict[str, GroupUnitResult] = {}  # by unit name, "<model>__g<group>"
+    if store is not None and resume:
+        restored = store.restore([f"{name}.json" for *_, name in units], _load_unit, verbose)
+        results = {key.removesuffix(".json"): unit for key, unit in restored.items()}
+    tracer.counter("checkpoint.resume_skips", len(results))
+    pending = [
+        (name, _fit_and_score_group, (suite, spec, g, target_fpr, tune, verbose), {})
+        for spec, g, name in units
+        if name not in results
+    ]
 
     def _unit_done(name: str, outcome) -> None:
         # parent-side: checkpoint writes never happen in a worker

@@ -71,8 +71,7 @@ def train_explanation_forest(
     """Fit the RF on everything outside the design's group (paper protocol)."""
     target = suite.by_name(design_name)
     X_train, y_train, _ = suite.stacked(exclude_groups=(target.group,))
-    spec = rf_spec(preset, random_state, n_jobs)
-    model = spec.factory()
+    model = rf_spec(preset, random_state).factory(n_jobs=n_jobs)
     model.fit(X_train, y_train)
     return model
 

@@ -98,28 +98,19 @@ def _make_nn(learning_rate: float = 1e-3, *, hidden_layers: tuple[int, ...],
 
 
 def _make_rf(min_samples_leaf: int = 1, *, rf_trees: int, full: bool,
-             random_state: int, n_jobs: int = 1, **kw) -> RandomForestClassifier:
+             random_state: int, **kw) -> RandomForestClassifier:
     return RandomForestClassifier(
         n_estimators=rf_trees,
         min_samples_leaf=min_samples_leaf,
         max_features="sqrt",
         max_samples=None if full else 0.7,
         random_state=random_state,
-        n_jobs=n_jobs,
         **kw,
     )
 
 
-def model_zoo(
-    preset: str = "fast", random_state: int = 0, n_jobs: int = 1
-) -> list[ModelSpec]:
-    """The five Table II models under the given cost preset.
-
-    ``n_jobs`` is forwarded to the Random Forest's parallel tree growth; it
-    changes wall-clock only, never results (per-tree generators are
-    pre-spawned from the seed).  Under a ``--jobs`` flow pool the forest
-    detects it is already inside a worker and grows serially.
-    """
+def model_zoo(preset: str = "fast", random_state: int = 0) -> list[ModelSpec]:
+    """The five Table II models under the given cost preset."""
     if preset not in ("fast", "full"):
         raise ValueError(f"unknown preset {preset!r}")
     full = preset == "full"
@@ -162,7 +153,7 @@ def model_zoo(
         ModelSpec(
             "RF",
             partial(_make_rf, rf_trees=rf_trees, full=full,
-                    random_state=random_state, n_jobs=n_jobs),
+                    random_state=random_state),
             param_grid={"min_samples_leaf": [1, 4]} if full else {},
             supports_binned=True,
             blas_threads=1,
@@ -170,10 +161,6 @@ def model_zoo(
     ]
 
 
-def rf_spec(
-    preset: str = "fast", random_state: int = 0, n_jobs: int = 1
-) -> ModelSpec:
+def rf_spec(preset: str = "fast", random_state: int = 0) -> ModelSpec:
     """Just the RF column (used by the explanation workflow)."""
-    return next(
-        m for m in model_zoo(preset, random_state, n_jobs) if m.name == "RF"
-    )
+    return next(m for m in model_zoo(preset, random_state) if m.name == "RF")

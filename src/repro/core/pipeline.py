@@ -57,7 +57,7 @@ from ..layout.placemap import PlacementMaps
 from ..place.placer import place_design
 from ..route.router import RoutingResult, route_design
 from ..runtime.checkpoint import CheckpointStore
-from ..runtime.errors import CacheCorruptionError, StageFailure, ValidationError
+from ..runtime.errors import CacheCorruptionError, StageFailure
 from ..runtime.runner import FaultTolerantRunner
 from ..runtime.telemetry import get_tracer
 from ..runtime.validation import validate_features
@@ -228,34 +228,6 @@ def _load_design_checkpoint(
     return dataset, stats
 
 
-def _load_verified_checkpoints(
-    store: CheckpointStore, recipes: list[DesignRecipe], verbose: bool
-) -> dict[str, tuple[DesignDataset, DesignStats]]:
-    """Every design whose checkpoint verifies; unsound checkpoints are dropped.
-
-    A checkpoint that cannot be read right now (an ``OSError``: EACCES, an
-    NFS hiccup) is skipped for this run but kept: only a checkpoint proven
-    unsound is deleted.
-    """
-    loaded: dict[str, tuple[DesignDataset, DesignStats]] = {}
-    for recipe in recipes:
-        key = f"{recipe.name}.npz"
-        if not store.has(key):
-            continue
-        try:
-            loaded[recipe.name] = _load_design_checkpoint(store, recipe.name)
-        except OSError as exc:
-            if verbose:
-                print(f"  {recipe.name:<12s} checkpoint unreadable ({exc}); re-running",
-                      flush=True)
-        except (CacheCorruptionError, ValidationError) as exc:
-            store.invalidate(key)
-            if verbose:
-                print(f"  {recipe.name:<12s} checkpoint invalid ({exc}); re-running",
-                      flush=True)
-    return loaded
-
-
 # -- the resumable suite builder ----------------------------------------------------
 
 
@@ -296,7 +268,12 @@ def build_suite_dataset(
     if store is not None:
         # without resume only a complete store is worth reading: it is a hit
         if resume or all(store.has(f"{r.name}.npz") for r in recipes):
-            done = _load_verified_checkpoints(store, recipes, verbose)
+            loaded = store.restore(
+                [f"{r.name}.npz" for r in recipes],
+                lambda key: _load_design_checkpoint(store, key.removesuffix(".npz")),
+                verbose,
+            )
+            done = {key.removesuffix(".npz"): value for key, value in loaded.items()}
         if len(done) == len(recipes):
             tracer.counter("cache.suite.hits")
             return _assemble(recipes, done)

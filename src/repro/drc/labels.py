@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..layout.grid import GCellGrid
+from ..layout.grid import GCellGrid, cell_of_row
 from .checker import DRCReport
 
 
@@ -22,4 +22,4 @@ def hotspot_labels(report: DRCReport, grid: GCellGrid) -> np.ndarray:
 def hotspot_cells(report: DRCReport, grid: GCellGrid) -> list[tuple[int, int]]:
     """Grid indices of all hotspot g-cells, raster order."""
     rows = np.flatnonzero(grid.raster(report.hotspot_mask(grid)))
-    return [grid.from_flat_index(int(row)) for row in rows]
+    return [cell_of_row(int(row), grid.nx, grid.ny) for row in rows]

@@ -18,6 +18,7 @@ from typing import BinaryIO
 
 import numpy as np
 
+from ..layout.grid import cell_of_row, row_of_cell
 from ..runtime.checkpoint import npz_bytes
 from .names import NUM_FEATURES
 
@@ -53,12 +54,11 @@ class DesignDataset:
 
     def sample_index(self, ix: int, iy: int) -> int:
         """Row index of the g-cell (ix, iy) (raster order)."""
-        if not (0 <= ix < self.grid_nx and 0 <= iy < self.grid_ny):
-            raise IndexError(f"({ix}, {iy}) outside {self.grid_nx}x{self.grid_ny}")
-        return iy * self.grid_nx + ix
+        return row_of_cell(ix, iy, self.grid_nx, self.grid_ny)
 
     def cell_of_sample(self, row: int) -> tuple[int, int]:
-        return (row % self.grid_nx, row // self.grid_nx)
+        """G-cell (ix, iy) of sample row ``row``."""
+        return cell_of_row(row, self.grid_nx, self.grid_ny)
 
 
 @dataclass

@@ -35,7 +35,7 @@ zero-capacity edges.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -107,6 +107,24 @@ def _build_window_edges() -> tuple[WindowEdge, ...]:
 WINDOW_EDGES: tuple[WindowEdge, ...] = _build_window_edges()
 
 
+def row_of_cell(ix: int, iy: int, nx: int, ny: int) -> int:
+    """Sample row of g-cell ``(ix, iy)`` in an ``nx × ny`` grid (raster, iy-major).
+
+    Inverse of :func:`cell_of_row`; the single-g-cell form of
+    :meth:`GCellGrid.raster`'s order.
+    """
+    if not (0 <= ix < nx and 0 <= iy < ny):
+        raise IndexError(f"g-cell ({ix}, {iy}) outside {nx}x{ny} grid")
+    return iy * nx + ix
+
+
+def cell_of_row(row: int, nx: int, ny: int) -> tuple[int, int]:
+    """G-cell ``(ix, iy)`` of sample row ``row`` in an ``nx × ny`` grid."""
+    if not 0 <= row < nx * ny:
+        raise IndexError(f"sample row {row} outside {nx}x{ny} grid")
+    return (row % nx, row // nx)
+
+
 @dataclass(frozen=True)
 class GCellGrid:
     """A uniform grid of square g-cells covering the die.
@@ -163,31 +181,15 @@ class GCellGrid:
             (c.y - self.die.ylo) / self.die.height,
         )
 
-    def iter_cells(self) -> Iterator[tuple[int, int]]:
-        """All grid indices in raster order (iy-major)."""
-        for iy in range(self.ny):
-            for ix in range(self.nx):
-                yield (ix, iy)
-
-    def flat_index(self, ix: int, iy: int) -> int:
-        """Raster-order flat index, matching :meth:`iter_cells` order."""
-        if not self.in_bounds(ix, iy):
-            raise IndexError(f"g-cell ({ix}, {iy}) outside grid")
-        return iy * self.nx + ix
-
-    def from_flat_index(self, flat: int) -> tuple[int, int]:
-        if not 0 <= flat < self.num_cells:
-            raise IndexError(f"flat index {flat} outside grid")
-        return (flat % self.nx, flat // self.nx)
-
     # -- rasterisation ----------------------------------------------------------------
 
     def raster(self, arr: np.ndarray) -> np.ndarray:
         """Flatten an ``(nx, ny)`` array to sample order (raster, iy-major).
 
         Row ``k`` of every feature matrix and label vector is the g-cell
-        :meth:`from_flat_index` ``(k)``; this is the one place that order is
-        applied to whole arrays.
+        :func:`cell_of_row` ``(k, nx, ny)``; this is the one place that order
+        is applied to whole arrays, and that function pair the one place it
+        is applied to single g-cells.
         """
         return arr.T.reshape(-1)
 
@@ -269,32 +271,3 @@ class GCellGrid:
         for r in rects:
             mask |= np.outer((r.xlo <= xs) & (xs <= r.xhi), (r.ylo <= ys) & (ys <= r.yhi))
         return mask
-
-    # -- windows --------------------------------------------------------------------
-
-    def window_cells(self, ix: int, iy: int) -> list[tuple[str, int, int] | None]:
-        """The 9 window cells around (ix, iy) in canonical position order.
-
-        Each entry is ``(position_name, wx, wy)`` or ``None`` for blank
-        padding cells outside the die.
-        """
-        out: list[tuple[str, int, int] | None] = []
-        for pos in WINDOW_POSITIONS:
-            dx, dy = WINDOW_OFFSETS[pos]
-            wx, wy = ix + dx, iy + dy
-            out.append((pos, wx, wy) if self.in_bounds(wx, wy) else None)
-        return out
-
-    def window_edge_cells(
-        self, ix: int, iy: int, edge: WindowEdge
-    ) -> tuple[tuple[int, int] | None, tuple[int, int] | None]:
-        """Absolute grid indices of the two cells an edge separates.
-
-        Either side may be ``None`` when outside the die (padded edges carry
-        zero capacity and zero load).
-        """
-        ax, ay = ix + edge.cell_a[0], iy + edge.cell_a[1]
-        bx, by = ix + edge.cell_b[0], iy + edge.cell_b[1]
-        a = (ax, ay) if self.in_bounds(ax, ay) else None
-        b = (bx, by) if self.in_bounds(bx, by) else None
-        return a, b

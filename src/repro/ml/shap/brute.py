@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from itertools import combinations
 from math import factorial
+from typing import Callable
 
 import numpy as np
 
@@ -43,14 +44,9 @@ def conditional_expectation(
     return walk(0)
 
 
-def brute_force_shap_single_tree(
-    tree: TreeArrays, x: np.ndarray, num_features: int
-) -> np.ndarray:
-    """Exact Shapley values of one tree for one sample (exponential time)."""
+def value_function(tree: TreeArrays, x: np.ndarray) -> Callable[[frozenset[int]], float]:
+    """The memoised game ``v(S) = E[f(x) | x_S]`` of one tree at one sample."""
     x = np.asarray(x, dtype=np.float64).ravel()
-    features = list(range(num_features))
-    M = num_features
-    # memoise the value function over subsets
     cache: dict[frozenset[int], float] = {}
 
     def v(S: frozenset[int]) -> float:
@@ -58,15 +54,34 @@ def brute_force_shap_single_tree(
             cache[S] = conditional_expectation(tree, x, S)
         return cache[S]
 
+    return v
+
+
+def shapley_values(
+    v: Callable[[frozenset[int]], float], features: list[int]
+) -> np.ndarray:
+    """Shapley value of each of ``features`` in the game ``v`` restricted to them.
+
+    Eq. 2 summed literally: for feature ``j``, every subset ``S`` of the
+    other features adds ``|S|!(M−|S|−1)!/M! · (v(S ∪ {j}) − v(S))``.
+    """
+    M = len(features)
     phi = np.zeros(M)
-    for j in features:
+    for a, j in enumerate(features):
         others = [f for f in features if f != j]
         for size in range(M):
             weight = factorial(size) * factorial(M - size - 1) / factorial(M)
             for S in combinations(others, size):
                 S_set = frozenset(S)
-                phi[j] += weight * (v(S_set | {j}) - v(S_set))
+                phi[a] += weight * (v(S_set | {j}) - v(S_set))
     return phi
+
+
+def brute_force_shap_single_tree(
+    tree: TreeArrays, x: np.ndarray, num_features: int
+) -> np.ndarray:
+    """Exact Shapley values of one tree for one sample (exponential time)."""
+    return shapley_values(value_function(tree, x), list(range(num_features)))
 
 
 def brute_force_shap(

@@ -28,7 +28,7 @@ from math import factorial
 import numpy as np
 
 from ..tree import TreeArrays
-from .brute import conditional_expectation
+from .brute import shapley_values, value_function
 from .tree_explainer import TreeShapExplainer
 
 
@@ -43,17 +43,10 @@ def interaction_values_single_tree(
     game's ordinary Shapley values and the matrix total equals
     ``E[f | x_features] − E[f]``.
     """
-    x = np.asarray(x, dtype=np.float64).ravel()
     M = len(features)
     if M < 2:
         raise ValueError("need at least two features for interactions")
-
-    cache: dict[frozenset[int], float] = {}
-
-    def v(S: frozenset[int]) -> float:
-        if S not in cache:
-            cache[S] = conditional_expectation(tree, x, S)
-        return cache[S]
+    v = value_function(tree, x)
 
     phi_matrix = np.zeros((M, M))
     # off-diagonal terms
@@ -82,16 +75,9 @@ def interaction_values_single_tree(
             phi_matrix[a, b] = phi_matrix[b, a] = total
 
     # main effects from the restricted game's ordinary Shapley values
+    phi = shapley_values(v, features)
     for a in range(M):
-        i = features[a]
-        others = [f for f in features if f != i]
-        phi_i = 0.0
-        for size in range(M):
-            weight = factorial(size) * factorial(M - size - 1) / factorial(M)
-            for S in combinations(others, size):
-                S_set = frozenset(S)
-                phi_i += weight * (v(S_set | {i}) - v(S_set))
-        phi_matrix[a, a] = phi_i - phi_matrix[a].sum() + phi_matrix[a, a]
+        phi_matrix[a, a] = phi[a] - phi_matrix[a].sum() + phi_matrix[a, a]
     return phi_matrix
 
 

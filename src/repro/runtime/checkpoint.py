@@ -31,14 +31,16 @@ import re
 import time
 import zipfile
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any, Callable, Iterable, Iterator, TypeVar
 
 import numpy as np
 from numpy.lib import format as npy_format
 
 from . import faults
-from .errors import CacheCorruptionError
+from .errors import CacheCorruptionError, ValidationError
 from .telemetry import get_tracer
+
+_T = TypeVar("_T")
 
 #: Bump when the on-disk layout of checkpoints changes; old stores are
 #: invalidated wholesale rather than migrated.
@@ -294,6 +296,36 @@ class CheckpointStore:
         except (CacheCorruptionError, OSError):
             return False
         return True
+
+    def restore(
+        self, keys: Iterable[str], load: Callable[[str], _T], verbose: bool = False
+    ) -> dict[str, _T]:
+        """``load(key)`` of every key whose checkpoint loads, by key.
+
+        The package's one restore policy.  A key without a checkpoint is
+        skipped.  A checkpoint that cannot be read right now (an ``OSError``:
+        EACCES, an NFS hiccup) is skipped for this run but kept: only a
+        checkpoint proven unsound — a :class:`CacheCorruptionError` or
+        :class:`~repro.runtime.errors.ValidationError` from the read or from
+        ``load`` — is invalidated.  With ``verbose`` each skipped checkpoint
+        prints one line naming the key without its suffix.
+        """
+        loaded: dict[str, _T] = {}
+        for key in keys:
+            if not self.has(key):
+                continue
+            try:
+                loaded[key] = load(key)
+            except OSError as exc:
+                if verbose:
+                    print(f"  {Path(key).stem:<12s} checkpoint unreadable ({exc}); "
+                          "re-running", flush=True)
+            except (CacheCorruptionError, ValidationError) as exc:
+                self.invalidate(key)
+                if verbose:
+                    print(f"  {Path(key).stem:<12s} checkpoint invalid ({exc}); "
+                          "re-running", flush=True)
+        return loaded
 
     def file_digests(self) -> dict[str, str]:
         """SHA-256 of every file in the store directory (manifest included), by name."""

@@ -141,9 +141,21 @@ class RetryPolicy:
     backoff_cap_s: float = 30.0
     timeout_s: float | None = None  # wall-clock budget per attempt
 
+    def __post_init__(self) -> None:
+        if self.max_retries < 0:
+            raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
+        if not (self.backoff_base_s >= 0 and self.backoff_cap_s >= 0):
+            raise ValueError(
+                f"backoff must be >= 0, got base {self.backoff_base_s}, "
+                f"cap {self.backoff_cap_s}"
+            )
+        # a zero or negative budget would time out every attempt at once
+        if self.timeout_s is not None and not self.timeout_s > 0:
+            raise ValueError(f"timeout_s must be > 0, got {self.timeout_s}")
+
     @property
     def max_attempts(self) -> int:
-        return 1 + max(0, self.max_retries)
+        return 1 + self.max_retries
 
     def backoff(self, attempt: int) -> float:
         """Seconds to sleep after failed attempt number ``attempt`` (1-based)."""

@@ -43,6 +43,35 @@ class TestCLI:
         assert code == 2
 
 
+class TestCLIRejectsBadNumbers:
+    """Values that would silently fail or truncate every unit are usage errors."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["suite", "--timeout", "0"],
+            ["suite", "--timeout", "-5"],
+            ["suite", "--timeout", "nan"],
+            ["table2", "--retry-backoff", "-1"],
+            ["explain", "des_perf_1", "--num", "0"],
+            ["explain", "des_perf_1", "--num", "-1"],
+            ["report", "mult_b", "--top", "-1"],
+            ["report", "mult_b", "--top", "0"],
+        ],
+    )
+    def test_exits_2_before_any_flow(self, argv, monkeypatch, capsys):
+        import repro.cli as cli
+
+        def no_flow(*args, **kwargs):
+            raise AssertionError("the suite was built")
+
+        monkeypatch.setattr(cli, "build_suite_dataset", no_flow)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "must be" in capsys.readouterr().err
+
+
 class TestCLIHeavyPaths:
     """End-to-end CLI runs on a tiny (scale 0.3) suite, cached in tmp."""
 

@@ -43,8 +43,15 @@ class TestDesignDataset:
 
     def test_sample_index_bounds(self):
         d = _toy_design("a", 0)
-        with pytest.raises(IndexError):
-            d.sample_index(10, 0)
+        for ix, iy in [(10, 0), (-1, 0), (0, -1), (0, d.grid_ny)]:
+            with pytest.raises(IndexError):
+                d.sample_index(ix, iy)
+
+    def test_cell_of_sample_bounds(self):
+        d = _toy_design("a", 0, nx=4, ny=3)
+        for row in (-1, d.num_samples):
+            with pytest.raises(IndexError):
+                d.cell_of_sample(row)
 
 
 class TestSuiteDataset:

@@ -9,7 +9,7 @@ from repro.drc.detailed import DRCSimConfig, simulate_drc
 from repro.drc.labels import hotspot_cells, hotspot_labels
 from repro.drc.tracks import TrackStressModel
 from repro.layout.geometry import Rect
-from repro.layout.grid import GCellGrid
+from repro.layout.grid import GCellGrid, row_of_cell
 from repro.layout.placemap import PlacementMaps
 from repro.layout.technology import make_ispd2015_like_technology
 from repro.place import place_design
@@ -74,7 +74,7 @@ class TestChecker:
         assert labels.sum() == mask.sum()
         for ix, iy in hotspot_cells(report, grid):
             assert mask[ix, iy]
-            assert labels[grid.flat_index(ix, iy)] == 1
+            assert labels[row_of_cell(ix, iy, grid.nx, grid.ny)] == 1
 
 
 class TestStressModel:

@@ -9,7 +9,7 @@ from repro.features.names import (
     feature_index,
     feature_names,
 )
-from repro.layout.grid import WINDOW_EDGES, WINDOW_OFFSETS
+from repro.layout.grid import WINDOW_EDGES, WINDOW_OFFSETS, cell_of_row, row_of_cell
 from repro.route.congestion import (
     window_cell_via_cap_load,
     window_edge_cap_load,
@@ -62,12 +62,12 @@ class TestExtractor:
         assert np.isfinite(small_flow.X).all()
 
     def test_raster_order_matches_grid(self, small_flow):
-        """Row k of X describes g-cell grid.from_flat_index(k)."""
+        """Row k of X describes g-cell cell_of_row(k, nx, ny)."""
         X = small_flow.X
         grid = small_flow.grid
         idx = feature_index()
         for flat in (0, 7, grid.num_cells - 1):
-            ix, iy = grid.from_flat_index(flat)
+            ix, iy = cell_of_row(flat, grid.nx, grid.ny)
             x_norm, y_norm = grid.normalized_center(ix, iy)
             assert X[flat, idx["x_o"]] == pytest.approx(x_norm)
             assert X[flat, idx["y_o"]] == pytest.approx(y_norm)
@@ -78,7 +78,7 @@ class TestExtractor:
         pm = small_flow.placemaps
         idx = feature_index()
         for cell in [(2, 2), (5, 7), (0, 0)]:
-            row = grid.flat_index(*cell)
+            row = row_of_cell(*cell, grid.nx, grid.ny)
             assert X[row, idx["pins_o"]] == pm.num_pins[cell]
             assert X[row, idx["cells_o"]] == pm.num_cells[cell]
             assert X[row, idx["lnets_o"]] == pm.num_local_nets[cell]
@@ -90,10 +90,10 @@ class TestExtractor:
         grid = small_flow.grid
         idx = feature_index()
         for cell in [(2, 2), (4, 5)]:
-            row = grid.flat_index(*cell)
-            east = grid.flat_index(cell[0] + 1, cell[1])
+            row = row_of_cell(*cell, grid.nx, grid.ny)
+            east = row_of_cell(cell[0] + 1, cell[1], grid.nx, grid.ny)
             assert X[row, idx["pins_E"]] == X[east, idx["pins_o"]]
-            north = grid.flat_index(cell[0], cell[1] + 1)
+            north = row_of_cell(cell[0], cell[1] + 1, grid.nx, grid.ny)
             assert X[row, idx["cells_N"]] == X[north, idx["cells_o"]]
 
     def test_boundary_padding_zero(self, small_flow):
@@ -101,7 +101,7 @@ class TestExtractor:
         X = small_flow.X
         grid = small_flow.grid
         idx = feature_index()
-        corner = grid.flat_index(0, 0)
+        corner = row_of_cell(0, 0, grid.nx, grid.ny)
         for stem in ("cells", "pins", "lnets", "vlV1", "vcV1"):
             for pos in ("SW", "S", "W"):
                 assert X[corner, idx[f"{stem}_{pos}"]] == 0.0
@@ -112,7 +112,7 @@ class TestExtractor:
         rgrid = small_flow.routing.rgrid
         idx = feature_index()
         cell = (4, 4)
-        row = grid.flat_index(*cell)
+        row = row_of_cell(*cell, grid.nx, grid.ny)
         for edge in WINDOW_EDGES:
             for m in (2, 3, 4, 5):
                 cap, load = window_edge_cap_load(rgrid, cell, edge, m)
@@ -126,7 +126,7 @@ class TestExtractor:
         rgrid = small_flow.routing.rgrid
         idx = feature_index()
         cell = (5, 5)
-        row = grid.flat_index(*cell)
+        row = row_of_cell(*cell, grid.nx, grid.ny)
         for pos, off in WINDOW_OFFSETS.items():
             for v in (1, 2, 3, 4):
                 cap, load = window_cell_via_cap_load(rgrid, cell, off, v)

@@ -16,9 +16,15 @@ from repro.layout.grid import (
     WINDOW_EDGES,
     WINDOW_OFFSETS,
     WINDOW_POSITIONS,
+    cell_of_row,
+    row_of_cell,
 )
 from repro.layout.technology import make_ispd2015_like_technology
 from repro.route.graph import RoutingGrid
+
+
+def _cells(grid):
+    return [cell_of_row(row, grid.nx, grid.ny) for row in range(grid.num_cells)]
 
 
 @pytest.fixture()
@@ -47,28 +53,25 @@ class TestIndexing:
             grid.cell_bbox(8, 0)
 
     def test_center_inside_bbox(self, grid):
-        for ix, iy in grid.iter_cells():
+        for ix, iy in _cells(grid):
             assert grid.cell_bbox(ix, iy).contains_point(grid.cell_center(ix, iy))
 
     def test_normalized_center_range(self, grid):
-        for ix, iy in grid.iter_cells():
+        for ix, iy in _cells(grid):
             x, y = grid.normalized_center(ix, iy)
             assert 0.0 < x < 1.0
             assert 0.0 < y < 1.0
 
     @given(st.integers(0, 7), st.integers(0, 4))
     def test_flat_index_roundtrip(self, ix, iy):
-        tech = make_ispd2015_like_technology()
-        g = GCellGrid(Rect(0, 0, 8 * tech.gcell_size, 5 * tech.gcell_size),
-                      tech.gcell_size, 8, 5)
-        assert g.from_flat_index(g.flat_index(ix, iy)) == (ix, iy)
+        assert cell_of_row(row_of_cell(ix, iy, 8, 5), 8, 5) == (ix, iy)
 
     def test_iter_cells_matches_flat_order(self, grid):
-        for flat, (ix, iy) in enumerate(grid.iter_cells()):
-            assert grid.flat_index(ix, iy) == flat
+        """Rows run through the g-cells iy-major: all of row iy=0 first."""
+        assert _cells(grid) == [(ix, iy) for iy in range(grid.ny) for ix in range(grid.nx)]
 
     def test_point_roundtrip(self, grid):
-        for ix, iy in grid.iter_cells():
+        for ix, iy in _cells(grid):
             assert grid.cell_of_point(grid.cell_center(ix, iy)) == (ix, iy)
 
 
@@ -79,19 +82,6 @@ class TestWindow:
         assert WINDOW_OFFSETS["o"] == (0, 0)
         assert WINDOW_OFFSETS["NE"] == (1, 1)
         assert WINDOW_OFFSETS["SW"] == (-1, -1)
-
-    def test_window_cells_interior(self, grid):
-        cells = grid.window_cells(3, 2)
-        assert len(cells) == 9
-        assert all(c is not None for c in cells)
-        names = [c[0] for c in cells]
-        assert names == list(WINDOW_POSITIONS)
-
-    def test_window_cells_corner_padded(self, grid):
-        cells = grid.window_cells(0, 0)
-        # SW, S, SE, W, NW are off-die for the lower-left corner
-        padded = [c for c in cells if c is None]
-        assert len(padded) == 5
 
     def test_twelve_edges_six_per_orientation(self):
         assert len(WINDOW_EDGES) == 12
@@ -119,16 +109,6 @@ class TestWindow:
                 assert -1 <= cell[0] <= 1
                 assert -1 <= cell[1] <= 1
 
-    def test_window_edge_cells_boundary_none(self, grid):
-        edge = WINDOW_EDGES[0]  # 1H: between SW and S
-        a, b = grid.window_edge_cells(0, 0, edge)
-        assert a is None and b is None
-
-    def test_window_edge_cells_interior(self, grid):
-        for e in WINDOW_EDGES:
-            a, b = grid.window_edge_cells(3, 2, e)
-            assert a is not None and b is not None
-            assert abs(a[0] - b[0]) + abs(a[1] - b[1]) == 1
 
 
 # -- reference loops: the per-g-cell rules the vectorised rasterizer replaces --

@@ -1,10 +1,14 @@
 """Tests for SHAP interaction values."""
 
+from itertools import combinations
+from math import factorial
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.ml.forest import RandomForestClassifier
-from repro.ml.shap.brute import conditional_expectation
+from repro.ml.shap.brute import brute_force_shap, conditional_expectation
 from repro.ml.shap.interactions import (
     interaction_values,
     interaction_values_single_tree,
@@ -92,3 +96,90 @@ class TestInteractionValues:
         assert len(feats) == 3
         assert mat.shape == (3, 3)
         assert np.allclose(mat, mat.T)
+
+
+# -- reference loops: each game's own value cache and Shapley sum, as they were
+# written before brute.py owned one enumerator for both --
+
+
+def _brute_force_shap_single_tree_loop(tree, x, num_features):
+    x = np.asarray(x, dtype=np.float64).ravel()
+    features = list(range(num_features))
+    M = num_features
+    cache = {}
+
+    def v(S):
+        if S not in cache:
+            cache[S] = conditional_expectation(tree, x, S)
+        return cache[S]
+
+    phi = np.zeros(M)
+    for j in features:
+        others = [f for f in features if f != j]
+        for size in range(M):
+            weight = factorial(size) * factorial(M - size - 1) / factorial(M)
+            for S in combinations(others, size):
+                S_set = frozenset(S)
+                phi[j] += weight * (v(S_set | {j}) - v(S_set))
+    return phi
+
+
+def _interaction_values_single_tree_loop(tree, x, features):
+    x = np.asarray(x, dtype=np.float64).ravel()
+    M = len(features)
+    cache = {}
+
+    def v(S):
+        if S not in cache:
+            cache[S] = conditional_expectation(tree, x, S)
+        return cache[S]
+
+    phi_matrix = np.zeros((M, M))
+    for a in range(M):
+        for b in range(a + 1, M):
+            i, j = features[a], features[b]
+            others = [f for f in features if f not in (i, j)]
+            total = 0.0
+            for size in range(M - 1):
+                weight = factorial(size) * factorial(M - size - 2) / (2.0 * factorial(M - 1))
+                for S in combinations(others, size):
+                    S_set = frozenset(S)
+                    total += weight * (
+                        v(S_set | {i, j}) - v(S_set | {i}) - v(S_set | {j}) + v(S_set)
+                    )
+            phi_matrix[a, b] = phi_matrix[b, a] = total
+    for a in range(M):
+        i = features[a]
+        others = [f for f in features if f != i]
+        phi_i = 0.0
+        for size in range(M):
+            weight = factorial(size) * factorial(M - size - 1) / factorial(M)
+            for S in combinations(others, size):
+                S_set = frozenset(S)
+                phi_i += weight * (v(S_set | {i}) - v(S_set))
+        phi_matrix[a, a] = phi_i - phi_matrix[a].sum() + phi_matrix[a, a]
+    return phi_matrix
+
+
+class TestOneShapleyEnumerator:
+    """brute_force_shap and interaction_values share one value function and
+    one Shapley sum; both stay bit-identical to their former own loops."""
+
+    @given(st.integers(0, 10_000), st.integers(1, 4), st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_bit_identical_to_reference_loops(self, seed, depth, data):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(200, 5))
+        y = ((X[:, 0] + X[:, 1] * X[:, 2] + 0.3 * rng.normal(size=200)) > 0).astype(int)
+        rf = RandomForestClassifier(
+            n_estimators=2, max_depth=depth, max_features=None, random_state=seed
+        ).fit(X, y)
+        x = X[seed % len(X)]
+        features = data.draw(st.lists(st.integers(0, 4), min_size=2, max_size=5, unique=True))
+
+        phi = np.mean([_brute_force_shap_single_tree_loop(t, x, 5) for t in rf.trees], axis=0)
+        assert np.array_equal(brute_force_shap(rf.trees, x, 5), phi)
+        mat = np.mean(
+            [_interaction_values_single_tree_loop(t, x, features) for t in rf.trees], axis=0
+        )
+        assert np.array_equal(interaction_values(rf.trees, x, features), mat)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.runtime import CacheCorruptionError, CheckpointStore
+from repro.runtime import CacheCorruptionError, CheckpointStore, ValidationError
 from repro.runtime.checkpoint import (
     CHECKPOINT_FORMAT_VERSION,
     atomic_write_bytes,
@@ -168,3 +168,58 @@ class TestCheckpointStore:
         store.save_bytes("x.json", b"\xff\xfe{nope")
         with pytest.raises(CacheCorruptionError, match="JSON payload"):
             store.load_json("x.json")
+
+
+class TestRestorePolicy:
+    """``CheckpointStore.restore``: skip what is absent or unreadable, drop
+    only what is proven unsound."""
+
+    def test_sound_checkpoint_is_returned(self, store):
+        store.save_json("a.json", {"v": 1})
+        store.save_json("b.json", {"v": 2})
+        assert store.restore(["a.json", "missing.json", "b.json"], store.load_json) == {
+            "a.json": {"v": 1},
+            "b.json": {"v": 2},
+        }
+
+    def test_read_error_skips_key_and_keeps_file(self, store, monkeypatch, capsys):
+        store.save_json("a.json", {"v": 1})
+        store.save_json("b.json", {"v": 2})
+        before = store.file_digests()
+        real_read = Path.read_bytes
+
+        def denied(path):
+            if path.name == "a.json":
+                raise PermissionError("transient EACCES")
+            return real_read(path)
+
+        monkeypatch.setattr(Path, "read_bytes", denied)
+        loaded = store.restore(["a.json", "b.json"], store.load_json, verbose=True)
+        monkeypatch.undo()
+        assert loaded == {"b.json": {"v": 2}}
+        assert store.file_digests() == before
+        assert "a            checkpoint unreadable (transient EACCES); re-running" in (
+            capsys.readouterr().out
+        )
+
+    @pytest.mark.parametrize("error", [CacheCorruptionError, ValidationError])
+    def test_unsound_checkpoint_is_invalidated(self, store, error, capsys):
+        store.save_json("a.json", {"v": 1})
+        store.save_json("b.json", {"v": 2})
+
+        def load(key):
+            doc = store.load_json(key)
+            if doc["v"] == 1:
+                raise error("stale")
+            return doc
+
+        assert store.restore(["a.json", "b.json"], load, verbose=True) == {"b.json": {"v": 2}}
+        assert list(store.keys()) == ["b.json"]
+        assert not (store.root / "a.json").exists()
+        assert "a            checkpoint invalid (stale); re-running" in capsys.readouterr().out
+
+    def test_corrupt_payload_is_invalidated(self, store):
+        store.save_json("a.json", {"v": 1})
+        (store.root / "a.json").write_bytes(b"tampered")
+        assert store.restore(["a.json"], store.load_json) == {}
+        assert list(store.keys()) == []

@@ -24,6 +24,7 @@ from repro.runtime import (
     StageFailure,
     inject_faults,
 )
+from repro.runtime.telemetry import Tracer, activate
 
 SCALE = 0.3  # tiny grids: the full 14-design suite flows in seconds
 
@@ -179,16 +180,20 @@ class TestSuiteStore:
                 raise PermissionError("transient EACCES")
             return real_read(path)
 
-        recipes = suite_recipes(SCALE)
+        keys = [f"{r.name}.npz" for r in suite_recipes(SCALE)]
+
+        def load(key):
+            return pipeline._load_design_checkpoint(store, key.removesuffix(".npz"))
+
         with monkeypatch.context() as m:
             m.setattr(Path, "read_bytes", denied)
-            loaded = pipeline._load_verified_checkpoints(store, recipes, verbose=False)
+            loaded = store.restore(keys, load)
         # an NFS hiccup re-runs the design this time, but must not destroy
         # its sound, expensive-to-rebuild checkpoint
-        assert sorted(loaded) == sorted(n for n in SUITE_ORDER if n != victim)
+        assert sorted(loaded) == sorted(f"{n}.npz" for n in SUITE_ORDER if n != victim)
         assert store.has(f"{victim}.npz")
         assert store.file_digests() == before
-        assert victim in pipeline._load_verified_checkpoints(store, recipes, verbose=False)
+        assert f"{victim}.npz" in store.restore(keys, load)
 
     def test_no_resume_reads_no_checkpoint_of_an_incomplete_store(
         self, tmp_path, monkeypatch, counted_run_flow
@@ -390,6 +395,39 @@ class TestExperimentFaultTolerance:
         )
         assert _DummyModel.fit_calls == 2  # only the failed unit re-ran
         assert {s.design for s in result.scores} == {"d0", "d1", "d2", "d3"}
+
+
+    def test_unreadable_unit_checkpoint_is_recomputed_and_kept(self, tmp_path, monkeypatch):
+        # a transient read error (EACCES, an NFS hiccup) re-runs the unit this
+        # time, but must not invalidate its sound checkpoint
+        suite = _synthetic_suite()
+        ckpt = tmp_path / "exp.ckpt"
+        _DummyModel.fit_calls = 0
+        first = run_experiment(suite, [_dummy_spec()], tune=False, checkpoint_dir=ckpt)
+        victim = ckpt / "Dummy__g0.json"
+        real_read = Path.read_bytes
+        denied_once = []
+
+        def denied(path):
+            if path == victim and not denied_once:
+                denied_once.append(path)
+                raise PermissionError("transient EACCES")
+            return real_read(path)
+
+        tracer = Tracer()
+        with monkeypatch.context() as m, activate(tracer):
+            m.setattr(Path, "read_bytes", denied)
+            second = run_experiment(
+                suite, [_dummy_spec()], tune=False, checkpoint_dir=ckpt
+            )
+        assert denied_once == [victim]
+        assert _DummyModel.fit_calls == 3  # only the unreadable unit refit
+        assert tracer.counters.get("checkpoint.invalidated", 0) == 0
+        assert tracer.counters["checkpoint.resume_skips"] == 1
+        assert CheckpointStore(ckpt).verify("Dummy__g0.json")
+        assert [(s.design, s.metrics.a_prc) for s in second.scores] == [
+            (s.design, s.metrics.a_prc) for s in first.scores
+        ]
 
 
 class TestAdhocGroupSentinel:

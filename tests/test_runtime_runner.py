@@ -23,7 +23,17 @@ class TestRetryPolicy:
     def test_attempt_budget(self):
         assert RetryPolicy().max_attempts == 1
         assert RetryPolicy(max_retries=3).max_attempts == 4
-        assert RetryPolicy(max_retries=-5).max_attempts == 1
+        with pytest.raises(ValueError):
+            RetryPolicy(max_retries=-5)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"timeout_s": 0.0}, {"timeout_s": -5.0}, {"timeout_s": float("nan")},
+         {"backoff_base_s": -1.0}, {"backoff_cap_s": -1.0}],
+    )
+    def test_rejects_invalid_budgets(self, kwargs):
+        with pytest.raises(ValueError):
+            RetryPolicy(**kwargs)
 
     def test_exponential_backoff_with_cap(self):
         p = RetryPolicy(max_retries=5, backoff_base_s=1.0, backoff_cap_s=5.0)
