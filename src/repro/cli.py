@@ -55,7 +55,7 @@ from pathlib import Path
 from typing import Any, Callable
 
 from .bench.generator import DesignRecipe
-from .bench.suite import GROUPS, group_of, suite_recipes
+from .bench.suite import GROUPS, SUITE_ORDER, suite_recipes
 from .core.evaluation import format_table2, summarize_shape
 from .core.experiment import run_experiment
 from .core.explain import explain_hotspots
@@ -119,7 +119,7 @@ def _number(kind: type, low: float, *, strict: bool = False) -> Callable[[str], 
 
 _positive_int = _number(int, 1)  # worker counts, how many rows to list
 _nonneg_int = _number(int, 0)  # retry and respawn budgets
-_positive_float = _number(float, 0, strict=True)  # timeouts, heartbeat windows
+_positive_float = _number(float, 0, strict=True)  # scales, timeouts, heartbeats
 _nonneg_float = _number(float, 0)  # backoff bases
 
 
@@ -223,10 +223,6 @@ def _suite(args: argparse.Namespace) -> int:
 def _table2(args: argparse.Namespace) -> int:
     runner = _runner_from_args(args)
     suite, _ = _load_suite(args, runner)
-    # --jobs parallelises (model, group) units only: the RF grows its trees
-    # serially, so each unit's CPU minutes are its own process's CPU time.  A
-    # forest pool would hide its workers' CPU from a unit run inline (a
-    # one-unit batch, e.g. a resume with one RF unit left)
     models = model_zoo(args.preset)
     if args.models:
         wanted = set(args.models.split(","))
@@ -267,7 +263,6 @@ def _blas_footnote(models: list[ModelSpec], jobs: int) -> str:
 
 
 def _explain(args: argparse.Namespace) -> int:
-    group_of(args.design)  # validate the name early
     runner = _runner_from_args(args)
     suite, _ = _load_suite(args, runner)
     # the flow of the very recipe the (scaled) suite was built from
@@ -375,13 +370,13 @@ def main(argv: list[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("suite", help="run the 14-design flow; print Table I")
-    p.add_argument("--scale", type=float, default=1.0)
+    p.add_argument("--scale", type=_positive_float, default=1.0)
     _add_resilience_flags(p)
     _add_telemetry_flags(p)
     p.set_defaults(func=_suite)
 
     p = sub.add_parser("table2", help="model comparison (Table II)")
-    p.add_argument("--scale", type=float, default=1.0)
+    p.add_argument("--scale", type=_positive_float, default=1.0)
     p.add_argument("--preset", choices=("fast", "full"), default="fast")
     p.add_argument("--models", help="comma-separated subset, e.g. RF,SVM-RBF")
     _add_resilience_flags(p)
@@ -389,18 +384,20 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(func=_table2)
 
     p = sub.add_parser("explain", help="explain hotspots of one design")
-    p.add_argument("design", help="suite design name, e.g. des_perf_1")
+    p.add_argument("design", choices=SUITE_ORDER, metavar="design",
+                   help="suite design name, e.g. des_perf_1")
     p.add_argument("--num", type=_positive_int, default=3)
-    p.add_argument("--scale", type=float, default=1.0)
+    p.add_argument("--scale", type=_positive_float, default=1.0)
     p.add_argument("--preset", choices=("fast", "full"), default="fast")
     _add_resilience_flags(p)
     _add_telemetry_flags(p)
     p.set_defaults(func=_explain)
 
     p = sub.add_parser("report", help="full prediction report for one design")
-    p.add_argument("design", help="suite design name, e.g. mult_b")
+    p.add_argument("design", choices=SUITE_ORDER, metavar="design",
+                   help="suite design name, e.g. mult_b")
     p.add_argument("--top", type=_positive_int, default=10)
-    p.add_argument("--scale", type=float, default=1.0)
+    p.add_argument("--scale", type=_positive_float, default=1.0)
     p.add_argument("--preset", choices=("fast", "full"), default="fast")
     _add_resilience_flags(p)
     _add_telemetry_flags(p)

@@ -25,6 +25,7 @@ from ..ml.forest import RandomForestClassifier
 from ..ml.shap.plots import Explanation, build_explanation, force_plot_text
 from ..ml.shap.tree_explainer import TreeShapExplainer
 from ..route.congestion import render_layer_congestion
+from ..runtime.runner import FaultTolerantRunner
 from .models import rf_spec
 from .pipeline import FlowResult
 
@@ -68,11 +69,16 @@ def train_explanation_forest(
     random_state: int = 0,
     n_jobs: int = 1,
 ) -> RandomForestClassifier:
-    """Fit the RF on everything outside the design's group (paper protocol)."""
+    """Fit the RF on everything outside the design's group (paper protocol).
+
+    The tree groups grow as ``forest`` units on an ``n_jobs``-worker
+    runner: inline for 1, on its supervised process pool otherwise.
+    """
     target = suite.by_name(design_name)
     X_train, y_train, _ = suite.stacked(exclude_groups=(target.group,))
-    model = rf_spec(preset, random_state).factory(n_jobs=n_jobs)
-    model.fit(X_train, y_train)
+    model = rf_spec(preset, random_state).factory()
+    model.fit(X_train, y_train,
+              runner=FaultTolerantRunner(jobs=n_jobs, fail_fast=True))
     return model
 
 

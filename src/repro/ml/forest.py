@@ -18,16 +18,17 @@ Implementation notes:
   next preorder node of every tree in the group and scans all their
   histograms in one batched split kernel call, so kernel calls scale with
   tree depth and size, not with the forest's node count;
-* every tree owns a generator pre-spawned from the forest's root generator
-  (``rng.spawn``) and draws its bootstrap, then its per-node feature
-  subsets, from *that*, so each tree is a pure function of
-  ``(random_state, tree index)`` — the same whether grown in a group or
-  alone, serially or in parallel;
-* ``n_jobs`` spreads the groups over a process pool.  The grouping depends
-  on the tree count only, so serial and parallel fits run the same kernel
-  batches and emit the same counters.  Inside an already-parallel flow
-  worker (``--jobs``) the pool is skipped entirely to avoid
-  oversubscription;
+* every tree owns a seed spawned from the forest's root seed
+  (``SeedSequence.spawn``) and draws its bootstrap, then its per-node
+  feature subsets, from a generator built on *that*, so each tree is a
+  pure function of ``(random_state, tree index)`` — the same whether grown
+  in a group or alone, serially or in parallel;
+* ``fit(..., runner=...)`` runs each group as one ``forest`` unit of a
+  :class:`~repro.runtime.runner.FaultTolerantRunner` (inline or on its
+  supervised process pool).  The grouping depends on the tree count only,
+  so inline and runner fits run the same kernel batches and emit the same
+  counters, and a unit carries seeds, never live generators, so a retried
+  unit regrows the same trees;
 * fitted trees are stacked into one padded :class:`ForestArrays` so
   ``predict_proba`` walks all trees of all samples in a single
   level-synchronous vectorized traversal instead of a Python loop;
@@ -37,12 +38,10 @@ Implementation notes:
 
 from __future__ import annotations
 
-import multiprocessing
-import os
-from concurrent.futures import ProcessPoolExecutor
-
 import numpy as np
 
+from ..runtime.errors import StageFailure
+from ..runtime.runner import FaultTolerantRunner
 from ..runtime.telemetry import get_tracer
 from .binning import BinnedDataset, as_binned_dataset
 from .tree import FIT_COUNTERS, LEAF, DecisionTreeClassifier, TreeArrays
@@ -186,8 +185,8 @@ class ForestArrays:
 
 
 # ---------------------------------------------------------------------------
-# lock-step growth of one group of trees: a module-level function (and a
-# fork-friendly payload global) so the process pool can run it
+# lock-step growth of one group of trees: a module-level function so a
+# runner's process pool can run it
 
 #: Most trees grown in lock-step at once.  A step holds one node histogram
 #: pair per tree in flight plus the split scan's temporaries, each at most
@@ -202,9 +201,9 @@ TREES_IN_FLIGHT = 16
 def _tree_groups(n_trees: int) -> list[range]:
     """Consecutive, near-equal groups of at most ``TREES_IN_FLIGHT`` trees.
 
-    The grouping depends on the tree count only, never on ``n_jobs``: a
-    group is one lock-step pass and the process pool's unit of work, so
-    serial and parallel fits run the same batches.
+    The grouping depends on the tree count only, never on the runner: a
+    group is one lock-step pass and one runner unit, so inline and pool
+    fits run the same batches.
     """
     n_groups = -(-n_trees // TREES_IN_FLIGHT)
     bounds = [n_trees * i // n_groups for i in range(n_groups + 1)]
@@ -212,7 +211,7 @@ def _tree_groups(n_trees: int) -> list[range]:
 
 
 def _grow_group(
-    rngs: list[np.random.Generator],
+    seeds: list[np.random.SeedSequence],
     template: DecisionTreeClassifier,
     dataset: BinnedDataset,
     y: np.ndarray,
@@ -220,34 +219,21 @@ def _grow_group(
     n_draw: int,
     bootstrap: bool,
 ) -> tuple[list[TreeArrays], dict[str, int]]:
-    """Grow one group of trees in lock-step, each from its own generator.
+    """Grow one group of trees in lock-step, each from its own seed.
 
-    Each bootstrap multinomial is drawn *here*, from the tree's pre-spawned
-    generator and before its feature draws — never from a shared stream —
-    which is what makes the forest's output a pure function of
-    (random_state, tree index) regardless of grouping or scheduling.
+    Each tree's generator is built *here* from its seed, and its bootstrap
+    multinomial is drawn from that generator before its feature draws —
+    never from a shared stream — which is what makes the forest's output a
+    pure function of (random_state, tree index) regardless of grouping,
+    scheduling or retries.
     """
     n = dataset.n_samples
+    rngs = [np.random.default_rng(seed) for seed in seeds]
     weights = [
         base_w * rng.multinomial(n_draw, np.full(n, 1.0 / n)) if bootstrap else base_w
         for rng in rngs
     ]
     return template.grow(dataset, y, weights, rngs)
-
-
-_WORKER_PAYLOAD: tuple | None = None
-
-
-def _init_worker(payload: tuple) -> None:
-    global _WORKER_PAYLOAD
-    _WORKER_PAYLOAD = payload
-
-
-def _grow_group_worker(
-    rngs: list[np.random.Generator],
-) -> tuple[list[TreeArrays], dict[str, int]]:
-    assert _WORKER_PAYLOAD is not None
-    return _grow_group(rngs, *_WORKER_PAYLOAD)
 
 
 class RandomForestClassifier:
@@ -269,14 +255,11 @@ class RandomForestClassifier:
         class_weight: str | None = None,
         max_bins: int = 256,
         random_state: int | None = None,
-        n_jobs: int | None = 1,
     ):
         if n_estimators < 1:
             raise ValueError("n_estimators must be >= 1")
         if class_weight not in (None, "balanced"):
             raise ValueError("class_weight must be None or 'balanced'")
-        if n_jobs is not None and n_jobs == 0:
-            raise ValueError("n_jobs must be a positive int, -1, or None")
         self.n_estimators = n_estimators
         self.max_depth = max_depth
         self.min_samples_split = min_samples_split
@@ -288,7 +271,6 @@ class RandomForestClassifier:
         self.class_weight = class_weight
         self.max_bins = max_bins
         self.random_state = random_state
-        self.n_jobs = n_jobs
         self.estimators_: list[DecisionTreeClassifier] = []
         self.base_rate_: float | None = None
         self.fit_stats_: dict[str, int] = {}
@@ -296,24 +278,18 @@ class RandomForestClassifier:
 
     # -- API ---------------------------------------------------------------------
 
-    def _effective_jobs(self) -> int:
-        """Worker count for this fit: 1 unless parallelism is safe and useful."""
-        if self.n_jobs in (None, 1):
-            return 1
-        # Inside a runner pool worker (--jobs) the CPUs are already claimed by
-        # the outer pool — nested pools would oversubscribe, so grow serially.
-        if multiprocessing.parent_process() is not None:
-            return 1
-        jobs = self.n_jobs if self.n_jobs > 0 else (os.cpu_count() or 1)
-        return max(1, min(jobs, len(_tree_groups(self.n_estimators))))
-
     def fit(
         self,
         X: np.ndarray | None,
         y: np.ndarray,
         sample_weight: np.ndarray | None = None,
         binned: BinnedDataset | None = None,
+        *,
+        runner: FaultTolerantRunner | None = None,
     ) -> "RandomForestClassifier":
+        """Grow the forest; ``runner`` runs each lock-step group as one
+        ``forest`` unit, ``None`` grows every group inline.  Raises
+        :class:`~repro.runtime.errors.StageFailure` if a unit fails."""
         y = np.asarray(y).astype(np.int8).ravel()
         dataset = as_binned_dataset(binned, X, self.max_bins)
         if dataset.n_samples != len(y):
@@ -339,21 +315,24 @@ class RandomForestClassifier:
             max_bins=self.max_bins,
         )
         template = DecisionTreeClassifier(**params)
-        rng = np.random.default_rng(self.random_state)
-        tree_rngs = rng.spawn(self.n_estimators)
-        groups = [[tree_rngs[i] for i in g] for g in _tree_groups(self.n_estimators)]
+        seeds = np.random.SeedSequence(self.random_state).spawn(self.n_estimators)
+        groups = _tree_groups(self.n_estimators)
         payload = (template, dataset, y, base_w, n_draw, self.bootstrap)
-        jobs = self._effective_jobs()
 
         self._stacked = None
-        if jobs == 1:
-            results = [_grow_group(g, *payload) for g in groups]
+        if runner is None:
+            results = [_grow_group(seeds[g.start:g.stop], *payload) for g in groups]
         else:
-            chunk = -(-len(groups) // jobs)  # ceil: one batch per worker
-            with ProcessPoolExecutor(
-                max_workers=jobs, initializer=_init_worker, initargs=(payload,)
-            ) as pool:
-                results = list(pool.map(_grow_group_worker, groups, chunksize=chunk))
+            outcomes = runner.run_units("forest", [
+                (f"trees{g.start}-{g.stop - 1}", _grow_group,
+                 (seeds[g.start:g.stop], *payload), {})
+                for g in groups
+            ])
+            for o in outcomes:
+                if o.failure is not None:
+                    f = o.failure
+                    raise StageFailure(f.stage, f.unit, f.attempts, f.message)
+            results = [o.value for o in outcomes]
         self.estimators_ = []
         self.fit_stats_ = dict.fromkeys(FIT_COUNTERS, 0)
         for trees, stats in results:
@@ -364,8 +343,8 @@ class RandomForestClassifier:
                 self.estimators_.append(est)
             for name, v in stats.items():
                 self.fit_stats_[name] += v
-        # once per fit, in the parent: pool workers' tracers are discarded,
-        # so serial and parallel fits emit identical counter totals
+        # once per fit, from the returned stats: units emit no counters, so
+        # inline and pool fits emit identical counter totals
         tracer = get_tracer()
         for name, v in self.fit_stats_.items():
             tracer.counter(name, v)

@@ -1,14 +1,17 @@
 """Fault-tolerant unit runner: one dispatch loop, inline or process-pool execution.
 
 A *unit* is one independently restartable chunk of pipeline work — one
-design's Fig. 1 flow, or one (model, group) cell of the leave-one-group-out
-grid.  :class:`FaultTolerantRunner` executes a batch of units so that one
-bad unit degrades the run instead of killing it.  A single dispatch loop
-owns the unit queue, retries, the failure log, fail-fast and the
+design's Fig. 1 flow, one (model, group) cell of the leave-one-group-out
+grid, or one lock-step group of an explanation forest's trees.
+:class:`FaultTolerantRunner` executes a batch of units so that one bad
+unit degrades the run instead of killing it.  A single dispatch loop owns
+the unit queue, retries, the failure log, fail-fast and the
 graceful-shutdown drain:
 
 * every attempt is isolated: ``Exception``\\ s become failed attempts,
-  ``KeyboardInterrupt``/``SystemExit`` propagate;
+  ``KeyboardInterrupt``/``SystemExit`` propagate, and so does a
+  :class:`~repro.runtime.errors.ShutdownRequested` raised by a unit body
+  that runs a nested batch;
 * a :class:`RetryPolicy` grants each unit ``1 + max_retries`` attempts with
   exponential backoff between them, and an optional wall-clock budget per
   attempt (the unit body runs on a daemon thread whose ``join`` timeout is
@@ -722,7 +725,9 @@ class FaultTolerantRunner:
         """
         try:
             value, snapshot = fut.result()
-        except (KeyboardInterrupt, SystemExit):
+        except (KeyboardInterrupt, SystemExit, ShutdownRequested):
+            # a unit body that runs its own batch (a forest fit inside a
+            # ``report`` unit) stops with it on a shutdown signal
             raise
         except BrokenProcessPool:
             return True

@@ -57,6 +57,8 @@ class TestCLIRejectsBadNumbers:
             ["explain", "des_perf_1", "--num", "-1"],
             ["report", "mult_b", "--top", "-1"],
             ["report", "mult_b", "--top", "0"],
+            ["suite", "--scale", "0"],
+            ["table2", "--scale", "-1"],
         ],
     )
     def test_exits_2_before_any_flow(self, argv, monkeypatch, capsys):
@@ -70,6 +72,19 @@ class TestCLIRejectsBadNumbers:
             main(argv)
         assert exc.value.code == 2
         assert "must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["explain", "report"])
+    def test_unknown_design_exits_2_before_any_flow(self, command, monkeypatch, capsys):
+        import repro.cli as cli
+
+        def no_flow(*args, **kwargs):
+            raise AssertionError("the suite was built")
+
+        monkeypatch.setattr(cli, "build_suite_dataset", no_flow)
+        with pytest.raises(SystemExit) as exc:
+            main([command, "nosuch", "--scale", "0.3"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'nosuch'" in capsys.readouterr().err
 
 
 class TestCLIHeavyPaths:
@@ -145,24 +160,28 @@ class TestCLIHeavyPaths:
     def test_table2_resumed_lone_rf_unit_grows_forest_in_process(
         self, tiny_cache, mini_suite, monkeypatch, capsys
     ):
-        # regression: a -j 2 runner runs a lone pending unit inline, where an
-        # RF built with n_jobs=2 opened its own process pool, whose CPU the
-        # unit's train_minutes (this process's CPU time) never saw
+        # a -j 2 runner runs a lone pending unit inline; its RF must grow in
+        # that process too, or the unit's train_minutes (this process's CPU
+        # time) would miss the trees grown in forest units elsewhere
         import repro.cli as cli
-        import repro.ml.forest as forest
+        from repro.runtime import FaultTolerantRunner
 
         monkeypatch.setattr(cli, "build_suite_dataset", lambda *a, **kw: (mini_suite, []))
+        stages = []
+        run_units = FaultTolerantRunner.run_units
+
+        def spy(self, stage, units, on_result=None):
+            stages.append(stage)
+            return run_units(self, stage, units, on_result)
+
+        monkeypatch.setattr(FaultTolerantRunner, "run_units", spy)
         argv = ["table2", "--scale", "0.3", "--models", "RF"]
         assert main(argv) == 0
         ckpt = tiny_cache.with_suffix(".table2-fast.ckpt")
         (ckpt / "RF__g1.json").unlink()
-
-        def no_pool(*args, **kwargs):
-            raise AssertionError("forest opened a process pool")
-
-        monkeypatch.setattr(forest, "ProcessPoolExecutor", no_pool)
         assert main(argv + ["-j", "2"]) == 0
         assert "RF" in capsys.readouterr().out
+        assert "experiment" in stages and "forest" not in stages
 
     def test_report_degrades_on_training_fault(self, tiny_cache, capsys):
         assert main(["suite", "--scale", "0.3"]) == 0

@@ -9,6 +9,8 @@ from repro.core.explain import (
 )
 from repro.core.pipeline import run_flow
 from repro.features.dataset import DesignDataset, SuiteDataset
+from repro.runtime import StageFailure
+from repro.runtime.faults import FaultSpec, inject_faults
 from tests.conftest import SMALL_RECIPE
 
 
@@ -106,3 +108,20 @@ class TestTrainExplanationForest:
         p = model.predict_proba(target.X)[:, 1]
         assert p.shape == (target.num_samples,)
         assert (0 <= p).all() and (p <= 1).all()
+
+    def test_two_workers_grow_the_same_trees(self, mini_suite):
+        serial = train_explanation_forest(mini_suite, "mini_a", n_jobs=1)
+        pooled = train_explanation_forest(mini_suite, "mini_a", n_jobs=2)
+        assert len(serial.trees) == len(pooled.trees) > 16  # several units
+        assert max(t.node_count for t in serial.trees) > 1
+        for a, b in zip(serial.trees, pooled.trees):
+            for name in ("children_left", "children_right", "feature",
+                         "threshold", "cover", "value"):
+                assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    def test_failed_forest_unit_raises(self, mini_suite, n_jobs):
+        with inject_faults(FaultSpec(stage="forest/trees15-*", times=1)):
+            with pytest.raises(StageFailure) as exc:
+                train_explanation_forest(mini_suite, "mini_a", n_jobs=n_jobs)
+        assert (exc.value.stage, exc.value.unit) == ("forest", "trees15-29")

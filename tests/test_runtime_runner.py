@@ -1,6 +1,7 @@
 """Tests for the fault-tolerant runner: retries, timeouts, failure log."""
 
 import json
+import signal
 import time
 
 import pytest
@@ -10,9 +11,11 @@ from repro.runtime import (
     FailureRecord,
     FaultTolerantRunner,
     RetryPolicy,
+    ShutdownRequested,
     StageFailure,
     StageTimeout,
 )
+from repro.runtime.telemetry import Tracer, activate
 
 
 def _no_sleep(_s: float) -> None:
@@ -140,6 +143,23 @@ class TestRunner:
         with pytest.raises(KeyboardInterrupt):
             runner.run_unit("s", "u", interrupted)
         assert not runner.failures  # not a unit failure
+
+    def test_nested_shutdown_propagates(self):
+        # a unit that runs its own batch (a forest fit inside a report unit)
+        # raises the inner batch's ShutdownRequested: the outer run stops
+        # too, instead of recording and retrying the unit
+        stop = ShutdownRequested("forest", signal.SIGTERM, ["trees15-29"])
+
+        def nested_batch_stopped():
+            raise stop
+
+        runner = FaultTolerantRunner(RetryPolicy(max_retries=5), sleep=_no_sleep)
+        tracer = Tracer()
+        with activate(tracer), pytest.raises(ShutdownRequested) as exc:
+            runner.run_unit("report", "mult_b", nested_batch_stopped)
+        assert exc.value is stop
+        assert not runner.failures
+        assert tracer.counters["runner.retries"] == 0
 
 
 class TestFailureLog:

@@ -10,9 +10,9 @@ Five contracts keep the fast paths honest:
 * gathering only a node's sampled feature rows and live (non-zero-weight)
   rows leaves every fitted array unchanged — pinned by digests recorded
   before the engine gathered less;
-* a parallel forest fit is bit-identical to a serial one at the same
-  seed — each tree's random stream is a pure function of
-  ``(random_state, tree index)``, regardless of scheduling;
+* a forest fit on a runner's process pool is bit-identical to an inline
+  one at the same seed — each tree's random stream is a pure function of
+  ``(random_state, tree index)``, regardless of scheduling or retries;
 * stacked :class:`ForestArrays` prediction matches per-tree traversal,
   and the training drivers quantise each split exactly once (proved via
   the ``ml.binning.*`` telemetry counters).
@@ -33,6 +33,8 @@ from repro.ml.boosting import RUSBoostClassifier
 from repro.ml.forest import ForestArrays, RandomForestClassifier
 from repro.ml.model_selection import grid_search
 from repro.ml.tree import DecisionTreeClassifier, _impurity, best_splits
+from repro.runtime import FaultTolerantRunner, RetryPolicy, StageFailure
+from repro.runtime.faults import FaultSpec, inject_faults
 from repro.runtime.telemetry import Tracer, activate
 from tests.conftest import make_separable
 
@@ -243,13 +245,15 @@ class TestLockStep:
         dict(min_samples_leaf=3),
         dict(class_weight="balanced"),
         dict(max_samples=0.6, max_features=0.5),
-        dict(max_depth=8, n_jobs=2),
+        dict(max_depth=8, jobs=2),  # the groups as units on a 2-worker pool
     ])
     def test_forest_equals_trees_grown_one_at_a_time(self, kw):
         X, y = make_separable(n=300, n_features=12, seed=36)
         n_trees = forest_mod.TREES_IN_FLIGHT + 3  # two lock-step groups
-        rf = RandomForestClassifier(n_estimators=n_trees, random_state=9, **kw)
-        rf.fit(X, y)
+        params = {k: v for k, v in kw.items() if k != "jobs"}
+        runner = FaultTolerantRunner(jobs=kw["jobs"], fail_fast=True) if "jobs" in kw else None
+        rf = RandomForestClassifier(n_estimators=n_trees, random_state=9, **params)
+        rf.fit(X, y, runner=runner)
         dataset = BinnedDataset.from_matrix(X)
         base_w = np.ones(len(y))
         if rf.class_weight == "balanced":
@@ -341,13 +345,14 @@ class TestPinnedTrees:
 
     def test_random_forest_sqrt_bootstrap(self):
         X, y = _pin_matrix()
-        rf = RandomForestClassifier(
-            n_estimators=4, max_features="sqrt", max_samples=0.7, random_state=5
-        ).fit(X, y)
-        assert [t.node_count for t in rf.trees] == [39, 41, 39, 31]
-        assert _trees_digest(rf.trees) == (
-            "eeb669fc3dbacfebcdb3c223db968658a873109a2c7459e3ca7134da7f234ad7"
-        )
+        for runner in (None, FaultTolerantRunner(jobs=2, fail_fast=True)):
+            rf = RandomForestClassifier(
+                n_estimators=4, max_features="sqrt", max_samples=0.7, random_state=5
+            ).fit(X, y, runner=runner)
+            assert [t.node_count for t in rf.trees] == [39, 41, 39, 31]
+            assert _trees_digest(rf.trees) == (
+                "eeb669fc3dbacfebcdb3c223db968658a873109a2c7459e3ca7134da7f234ad7"
+            )
 
     def test_rusboost_full_features(self):
         # learning_rate=0 keeps the boosting distribution free of exp/log,
@@ -369,11 +374,11 @@ class TestParallelFit:
         Xte, _ = make_separable(n=200, seed=41)
         n_trees = 2 * forest_mod.TREES_IN_FLIGHT + 3  # three lock-step groups
         serial = RandomForestClassifier(
-            n_estimators=n_trees, max_depth=6, random_state=7, n_jobs=1
+            n_estimators=n_trees, max_depth=6, random_state=7
         ).fit(X, y)
         parallel = RandomForestClassifier(
-            n_estimators=n_trees, max_depth=6, random_state=7, n_jobs=3
-        ).fit(X, y)
+            n_estimators=n_trees, max_depth=6, random_state=7
+        ).fit(X, y, runner=FaultTolerantRunner(jobs=3, fail_fast=True))
         assert len(parallel.estimators_) == n_trees
         for a, b in zip(serial.trees, parallel.trees):
             _assert_trees_identical(a, b)
@@ -383,12 +388,12 @@ class TestParallelFit:
         X, y = make_separable(n=300, seed=42)
         n_trees = 2 * forest_mod.TREES_IN_FLIGHT + 3  # three lock-step groups
 
-        def totals(n_jobs):
+        def totals(runner):
             tracer = Tracer()
             with activate(tracer):
                 rf = RandomForestClassifier(
-                    n_estimators=n_trees, max_depth=4, random_state=1, n_jobs=n_jobs
-                ).fit(X, y)
+                    n_estimators=n_trees, max_depth=4, random_state=1
+                ).fit(X, y, runner=runner)
             assert rf.fit_stats_ == {
                 k: tracer.counters[k] for k in rf.fit_stats_
             }
@@ -397,7 +402,8 @@ class TestParallelFit:
                 or k.startswith("ml.tree")
             }
 
-        serial, parallel = totals(1), totals(2)
+        serial = totals(None)
+        parallel = totals(FaultTolerantRunner(jobs=2, fail_fast=True))
         assert serial == parallel
         assert serial["ml.tree.nodes"] > 0
         assert serial["ml.hist.cells"] > 0
@@ -405,20 +411,46 @@ class TestParallelFit:
         # lock-step: one kernel call scans a node of every tree in flight
         assert 0 < serial["ml.hist.batches"] < serial["ml.hist.builds"]
 
-    def test_n_jobs_validation_and_capping(self):
-        with pytest.raises(ValueError):
-            RandomForestClassifier(n_jobs=0)
-        rf = RandomForestClassifier(n_estimators=3, n_jobs=-1)
-        assert 1 <= rf._effective_jobs() <= 3  # capped by n_estimators
-        assert rf._effective_jobs() == 1  # one lock-step group
-        assert RandomForestClassifier(n_jobs=None)._effective_jobs() == 1
+    def test_failed_unit_raises_without_fail_fast(self):
+        X, y = make_separable(n=200, seed=44)
+        runner = FaultTolerantRunner()
+        rf = RandomForestClassifier(n_estimators=20, random_state=0)  # two units
+        with inject_faults(FaultSpec(stage="forest/trees0-*")):
+            with pytest.raises(StageFailure, match="forest/trees0-9"):
+                rf.fit(X, y, runner=runner)
+        assert runner.failures.units() == ["forest/trees0-9"]
 
-    def test_nested_worker_grows_serially(self, monkeypatch):
-        rf = RandomForestClassifier(n_estimators=8, n_jobs=4)
-        monkeypatch.setattr(
-            forest_mod.multiprocessing, "parent_process", lambda: object()
-        )
-        assert rf._effective_jobs() == 1
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_retried_group_regrows_identical_trees(self, jobs, tmp_path, monkeypatch):
+        # the first group to start draws from its generators, then dies; the
+        # retry must regrow from the seeds, not from the advanced streams
+        X, y = make_separable(n=300, seed=43)
+        n_trees = forest_mod.TREES_IN_FLIGHT + 3  # two lock-step groups
+        reference = RandomForestClassifier(
+            n_estimators=n_trees, max_depth=5, random_state=4
+        ).fit(X, y)
+        grow = DecisionTreeClassifier.grow
+        marker = tmp_path / "failed-once"  # a file: pool workers share no memory
+
+        def flaky_grow(self, dataset, y, weights, rngs):
+            try:
+                marker.open("x").close()
+            except FileExistsError:
+                return grow(self, dataset, y, weights, rngs)
+            for rng in rngs:
+                rng.random(7)
+            raise RuntimeError("died mid-growth")
+
+        monkeypatch.setattr(DecisionTreeClassifier, "grow", flaky_grow)
+        tracer = Tracer()
+        runner = FaultTolerantRunner(RetryPolicy(max_retries=1), fail_fast=True, jobs=jobs)
+        with activate(tracer):
+            rf = RandomForestClassifier(
+                n_estimators=n_trees, max_depth=5, random_state=4
+            ).fit(X, y, runner=runner)
+        assert marker.exists() and tracer.counters["runner.retries"] == 1
+        for a, b in zip(reference.trees, rf.trees, strict=True):
+            _assert_trees_identical(a, b)
 
 
 class TestStackedPrediction:
