@@ -36,6 +36,34 @@ from ..layout.technology import Technology
 BLOCKED_EDGE_COST = 1.0e6
 
 
+def edge_cost(load: float, cap: float, hist: float) -> float:
+    """Traversal cost of one 2-D edge: the router's only cost formula.
+
+    Cost = 1 (wirelength) + quadratic congestion penalty from 60 %
+    utilisation up + 12 per unit of overflow the next wire would cause +
+    accumulated history cost; an edge without capacity costs
+    :data:`BLOCKED_EDGE_COST`.  Capacities are whole track counts.
+    """
+    if cap <= 0:
+        return BLOCKED_EDGE_COST
+    util = load / cap
+    if util < 0.6:
+        penalty = 0.0
+    else:
+        d = util - 0.6
+        penalty = 4.0 * (d * d) * 10.0
+    over = load + 1.0 - cap
+    if over < 0.0:
+        over = 0.0
+    return 1.0 + penalty + 12.0 * over + hist
+
+
+def _cost_array(load: np.ndarray, cap: np.ndarray, hist: np.ndarray) -> np.ndarray:
+    costs = map(edge_cost, load.ravel().tolist(), cap.ravel().tolist(),
+                hist.ravel().tolist())
+    return np.fromiter(costs, dtype=np.float64, count=load.size).reshape(load.shape)
+
+
 class RoutingGrid:
     """Capacity/load bookkeeping for one design's global routing."""
 
@@ -133,25 +161,31 @@ class RoutingGrid:
         return float(over_h + over_v)
 
     def edge_cost_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-edge traversal costs for the pattern and maze routers.
-
-        Cost = 1 (wirelength) + quadratic congestion penalty near/above
-        capacity + accumulated history cost; fully blocked edges get
-        :data:`BLOCKED_EDGE_COST`.
-        """
-
-        def cost(load: np.ndarray, cap: np.ndarray, hist: np.ndarray) -> np.ndarray:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                util = np.where(cap > 0, load / np.maximum(cap, 1e-9), np.inf)
-            penalty = np.where(util < 0.6, 0.0, 4.0 * (util - 0.6) ** 2 * 10.0)
-            over = np.maximum(load + 1.0 - cap, 0.0)
-            c = 1.0 + penalty + 12.0 * over + hist
-            return np.where(cap > 0, c, BLOCKED_EDGE_COST)
-
+        """Per-edge traversal costs (:func:`edge_cost`) for the pattern and
+        maze routers, as arrays shaped like the 2-D load arrays."""
         return (
-            cost(self.load2d_h, self.cap2d_h, self.hist_h),
-            cost(self.load2d_v, self.cap2d_v, self.hist_v),
+            _cost_array(self.load2d_h, self.cap2d_h, self.hist_h),
+            _cost_array(self.load2d_v, self.cap2d_v, self.hist_v),
         )
+
+    def refresh_path_costs(
+        self, path: list[tuple[int, int]], cost_h: np.ndarray, cost_v: np.ndarray
+    ) -> None:
+        """Recompute, in place, the costs of the edges a cell path crosses.
+
+        After :meth:`add_path_load` or :meth:`remove_path_load` on ``path``,
+        this brings arrays from :meth:`edge_cost_arrays` back to exactly
+        what a fresh call would return, at the price of the path's length.
+        """
+        for (ax, ay), (bx, by) in zip(path, path[1:]):
+            if ay == by:
+                e = (min(ax, bx), ay)
+                cost_h[e] = edge_cost(self.load2d_h.item(e), self.cap2d_h.item(e),
+                                      self.hist_h.item(e))
+            else:
+                e = (ax, min(ay, by))
+                cost_v[e] = edge_cost(self.load2d_v.item(e), self.cap2d_v.item(e),
+                                      self.hist_v.item(e))
 
     def bump_history(self, increment: float = 1.0) -> None:
         """Raise history cost on currently overflowed edges (PathFinder)."""

@@ -5,6 +5,15 @@ after pattern routing.  The search runs over g-cells with 4-connected moves;
 the move cost is the current per-edge cost (wirelength + congestion penalty
 + history), and the admissible heuristic is the remaining Manhattan distance
 scaled by the cheapest edge cost in the grid.
+
+The search runs on flat Python lists, not numpy: cell ``(x, y)`` is index
+``x * ny + y``, which is also the flat index of horizontal edge ``(x, y)``
+(``cost_h`` has ``ny`` columns); vertical edge ``(x, y)`` is
+``x * (ny - 1) + y``.  Flat indices order exactly like ``(x, y)`` tuples,
+so heap entries ``(f, g, cell)`` tie-break as a tuple-keyed search would,
+and neighbours are relaxed in the fixed order +x, -x, +y, -y.  Every ``g``
+is the same left-to-right float sum of edge costs, so the path, its cost
+and the expansion count are a deterministic function of the cost arrays.
 """
 
 from __future__ import annotations
@@ -34,63 +43,77 @@ def route_maze(
     if a == b:
         return [a], 0.0
 
-    INF = float("inf")
-    g_cost = np.full((nx, ny), INF)
-    g_cost[a] = 0.0
-    parent: dict[tuple[int, int], tuple[int, int]] = {}
     # admissible heuristic: remaining Manhattan distance times the cheapest
     # edge anywhere (production costs are >= 1, but stay correct for any)
     min_edge = float(min(cost_h.min() if cost_h.size else 0.0,
                          cost_v.min() if cost_v.size else 0.0))
     min_edge = max(min_edge, 0.0)
+
+    ch = cost_h.ravel().tolist()
+    cv = cost_v.ravel().tolist()
+    ny1 = ny - 1
+    last_x = nx - 1
+    bx, by = b
+    start = a[0] * ny + a[1]
+    target = bx * ny + by
+    inf = float("inf")
+    g_cost = [inf] * (nx * ny)
+    g_cost[start] = 0.0
+    parent: dict[int, int] = {}
     # heap entries: (f, g, cell); stale entries skipped via g comparison
-    heap: list[tuple[float, float, tuple[int, int]]] = [
-        (min_edge * (abs(a[0] - b[0]) + abs(a[1] - b[1])), 0.0, a)
+    heap: list[tuple[float, float, int]] = [
+        (min_edge * (abs(a[0] - bx) + abs(a[1] - by)), 0.0, start)
     ]
+    pop = heapq.heappop
+    push = heapq.heappush
 
     expansions = 0
     while heap:
-        f, g, cell = heapq.heappop(heap)
+        _, g, cell = pop(heap)
         if g > g_cost[cell]:
             continue
         expansions += 1
-        if cell == b:
+        if cell == target:
             break
-        x, y = cell
-        # neighbours: (next cell, edge cost)
-        if x + 1 < nx:
-            _relax(g_cost, parent, heap, b, cell, (x + 1, y), g + cost_h[x, y], min_edge)
-        if x - 1 >= 0:
-            _relax(g_cost, parent, heap, b, cell, (x - 1, y), g + cost_h[x - 1, y], min_edge)
-        if y + 1 < ny:
-            _relax(g_cost, parent, heap, b, cell, (x, y + 1), g + cost_v[x, y], min_edge)
-        if y - 1 >= 0:
-            _relax(g_cost, parent, heap, b, cell, (x, y - 1), g + cost_v[x, y - 1], min_edge)
+        x, y = divmod(cell, ny)
+        dy = abs(y - by)
+        if x < last_x:
+            nxt = cell + ny
+            new_g = g + ch[cell]
+            if new_g < g_cost[nxt]:
+                g_cost[nxt] = new_g
+                parent[nxt] = cell
+                push(heap, (new_g + min_edge * (abs(x + 1 - bx) + dy), new_g, nxt))
+        if x > 0:
+            nxt = cell - ny
+            new_g = g + ch[nxt]
+            if new_g < g_cost[nxt]:
+                g_cost[nxt] = new_g
+                parent[nxt] = cell
+                push(heap, (new_g + min_edge * (abs(x - 1 - bx) + dy), new_g, nxt))
+        dx = abs(x - bx)
+        if y < ny1:
+            nxt = cell + 1
+            new_g = g + cv[x * ny1 + y]
+            if new_g < g_cost[nxt]:
+                g_cost[nxt] = new_g
+                parent[nxt] = cell
+                push(heap, (new_g + min_edge * (dx + abs(y + 1 - by)), new_g, nxt))
+        if y > 0:
+            nxt = cell - 1
+            new_g = g + cv[x * ny1 + y - 1]
+            if new_g < g_cost[nxt]:
+                g_cost[nxt] = new_g
+                parent[nxt] = cell
+                push(heap, (new_g + min_edge * (dx + abs(y - 1 - by)), new_g, nxt))
 
     tracer = get_tracer()
     tracer.counter("router.maze.routes")
     tracer.counter("router.maze.expansions", expansions)
-    if g_cost[b] == INF:
+    if g_cost[target] == inf:
         raise RuntimeError(f"maze route failed {a} -> {b}")
-    path = [b]
-    while path[-1] != a:
+    path = [target]
+    while path[-1] != start:
         path.append(parent[path[-1]])
     path.reverse()
-    return path, float(g_cost[b])
-
-
-def _relax(
-    g_cost: np.ndarray,
-    parent: dict[tuple[int, int], tuple[int, int]],
-    heap: list[tuple[float, float, tuple[int, int]]],
-    target: tuple[int, int],
-    cur: tuple[int, int],
-    nxt: tuple[int, int],
-    new_g: float,
-    min_edge: float,
-) -> None:
-    if new_g < g_cost[nxt]:
-        g_cost[nxt] = new_g
-        parent[nxt] = cur
-        h = min_edge * (abs(nxt[0] - target[0]) + abs(nxt[1] - target[1]))
-        heapq.heappush(heap, (new_g + h, new_g, nxt))
+    return [divmod(cell, ny) for cell in path], float(g_cost[target])

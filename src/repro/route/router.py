@@ -134,11 +134,15 @@ class GlobalRouter:
                 self.rgrid.bump_history(self.config.history_increment)
                 victims = [s for s in segments if s.crosses_overflow(self.rgrid)]
                 ripped_up += len(victims)
+                # full cost arrays once per iteration; each rip-up and
+                # re-route then changes loads only along its two paths
+                cost_h, cost_v = self.rgrid.edge_cost_arrays()
                 for seg in victims:
                     self.rgrid.remove_path_load(seg.path, seg.demand)
-                    cost_h, cost_v = self.rgrid.edge_cost_arrays()
+                    self.rgrid.refresh_path_costs(seg.path, cost_h, cost_v)
                     seg.path, _ = route_maze(seg.a, seg.b, cost_h, cost_v)
                     self.rgrid.add_path_load(seg.path, seg.demand)
+                    self.rgrid.refresh_path_costs(seg.path, cost_h, cost_v)
                 after = self.rgrid.overflow2d()
                 overflow_history.append(after)
                 if before > 0 and (before - after) / before < self.config.min_improvement:

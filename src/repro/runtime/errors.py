@@ -13,6 +13,19 @@ from __future__ import annotations
 class ReproRuntimeError(Exception):
     """Base class for every error raised by :mod:`repro.runtime`."""
 
+    def __reduce__(self):
+        # Exception's default pickling re-calls ``cls(*self.args)``, which
+        # breaks every subclass whose __init__ takes the fields rather than
+        # the message; rebuild from the message and the attributes instead,
+        # so an error raised in a pool worker reaches the parent intact.
+        return _rebuild, (type(self), self.args), self.__dict__
+
+
+def _rebuild(cls: type[ReproRuntimeError], args: tuple) -> ReproRuntimeError:
+    err = cls.__new__(cls)
+    err.args = args
+    return err
+
 
 class CacheCorruptionError(ReproRuntimeError, ValueError):
     """A cached artefact is truncated, checksum-mismatched, or the wrong

@@ -1,11 +1,15 @@
 """Tests for pattern routing and A* maze routing."""
 
+import heapq
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.route.graph import BLOCKED_EDGE_COST
 from repro.route.maze import route_maze
 from repro.route.patterns import route_pattern
+from repro.runtime.telemetry import Tracer, activate
 
 
 def _path_is_4connected(path):
@@ -136,3 +140,106 @@ class TestMazeRouting:
         expected = nx.shortest_path_length(g, (0, 0), (n - 1, n - 1), weight="weight")
         _, cost = route_maze((0, 0), (n - 1, n - 1), ch, cv)
         assert cost == pytest.approx(expected)
+
+
+# -- the tuple-keyed A* the flat-index kernel must reproduce exactly ----------------
+
+
+def _reference_route_maze(a, b, cost_h, cost_v):
+    """The original numpy-indexed A*: returns ``(path, cost, expansions)``.
+
+    Heap entries are ``(f, g, (x, y))`` and neighbours are relaxed +x, -x,
+    +y, -y; ``route_maze`` must pop, relax and tie-break identically.
+    """
+    nx = cost_v.shape[0]
+    ny = cost_h.shape[1]
+    if a == b:
+        return [a], 0.0, 0
+    INF = float("inf")
+    g_cost = np.full((nx, ny), INF)
+    g_cost[a] = 0.0
+    parent = {}
+    min_edge = float(min(cost_h.min() if cost_h.size else 0.0,
+                         cost_v.min() if cost_v.size else 0.0))
+    min_edge = max(min_edge, 0.0)
+    heap = [(min_edge * (abs(a[0] - b[0]) + abs(a[1] - b[1])), 0.0, a)]
+
+    def relax(cur, nxt, new_g):
+        if new_g < g_cost[nxt]:
+            g_cost[nxt] = new_g
+            parent[nxt] = cur
+            h = min_edge * (abs(nxt[0] - b[0]) + abs(nxt[1] - b[1]))
+            heapq.heappush(heap, (new_g + h, new_g, nxt))
+
+    expansions = 0
+    while heap:
+        f, g, cell = heapq.heappop(heap)
+        if g > g_cost[cell]:
+            continue
+        expansions += 1
+        if cell == b:
+            break
+        x, y = cell
+        if x + 1 < nx:
+            relax(cell, (x + 1, y), g + cost_h[x, y])
+        if x - 1 >= 0:
+            relax(cell, (x - 1, y), g + cost_h[x - 1, y])
+        if y + 1 < ny:
+            relax(cell, (x, y + 1), g + cost_v[x, y])
+        if y - 1 >= 0:
+            relax(cell, (x, y - 1), g + cost_v[x, y - 1])
+    path = [b]
+    while path[-1] != a:
+        path.append(parent[path[-1]])
+    path.reverse()
+    return path, float(g_cost[b]), expansions
+
+
+#: Edge costs that force exact ties (small integers), the production floor
+#: (1.0, so all-ones stretches) and soft-blocked edges.
+_TIE_COSTS = st.sampled_from([1.0, 1.0, 1.0, 2.0, 3.0, BLOCKED_EDGE_COST])
+
+
+@st.composite
+def _maze_case(draw):
+    """A cost grid (1xN and Nx1 included) and two endpoints (possibly equal)."""
+    nx_ = draw(st.integers(1, 7))
+    ny_ = draw(st.integers(1 if nx_ > 1 else 2, 7))
+    edge = st.one_of(_TIE_COSTS, st.floats(0.5, 20.0))
+    ch = np.array(draw(st.lists(edge, min_size=(nx_ - 1) * ny_,
+                                max_size=(nx_ - 1) * ny_)),
+                  dtype=np.float64).reshape(nx_ - 1, ny_)
+    cv = np.array(draw(st.lists(edge, min_size=nx_ * (ny_ - 1),
+                                max_size=nx_ * (ny_ - 1))),
+                  dtype=np.float64).reshape(nx_, ny_ - 1)
+    if draw(st.booleans()):  # an all-ones window: many equal-cost paths
+        x0, x1 = sorted(draw(st.integers(0, nx_)) for _ in range(2))
+        y0, y1 = sorted(draw(st.integers(0, ny_)) for _ in range(2))
+        ch[x0:x1, y0:y1] = 1.0
+        cv[x0:x1, y0:y1] = 1.0
+    cell = st.tuples(st.integers(0, nx_ - 1), st.integers(0, ny_ - 1))
+    a = draw(cell)
+    b = a if draw(st.integers(0, 5)) == 0 else draw(cell)
+    return a, b, ch, cv
+
+
+class TestMazeMatchesReference:
+    @given(_maze_case())
+    @settings(max_examples=300, deadline=None)
+    def test_same_path_cost_and_expansions(self, case):
+        a, b, ch, cv = case
+        ref_path, ref_cost, ref_expansions = _reference_route_maze(a, b, ch, cv)
+        with activate(Tracer()) as tracer:
+            path, cost = route_maze(a, b, ch, cv)
+        assert path == ref_path
+        assert type(cost) is float and cost == ref_cost
+        assert tracer.counters.get("router.maze.expansions", 0) == ref_expansions
+
+    @pytest.mark.parametrize("shape", [(1, 6), (6, 1)])
+    def test_single_row_and_column(self, shape):
+        nx_, ny_ = shape
+        ch, cv = _uniform(nx_, ny_)
+        far = (nx_ - 1, ny_ - 1)
+        path, cost = route_maze((0, 0), far, ch, cv)
+        assert path == _reference_route_maze((0, 0), far, ch, cv)[0]
+        assert len(path) == 6 and cost == 5.0

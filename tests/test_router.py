@@ -1,12 +1,17 @@
 """Tests for the routing grid and the negotiated-congestion global router."""
 
+import hashlib
+
+import numpy as np
 import pytest
 
 from repro.bench.generator import DesignRecipe, generate_design
+from repro.bench.suite import suite_recipes
 from repro.layout.grid import GCellGrid
 from repro.place import place_design
-from repro.route.graph import RoutingGrid
+from repro.route.graph import BLOCKED_EDGE_COST, RoutingGrid, edge_cost
 from repro.route.router import GlobalRouter, RouterConfig, route_design
+from repro.runtime.telemetry import Tracer, activate
 
 
 @pytest.fixture(scope="module")
@@ -152,3 +157,107 @@ class TestGlobalRouter:
     def test_runtime_recorded(self, routed):
         _, _, rr = routed
         assert rr.runtime_sec > 0
+
+
+# -- negotiated routing on a congested suite design ---------------------------------
+
+
+@pytest.fixture(scope="module")
+def congested():
+    """``mult_b`` at scale 0.35, placed: 17x17 g-cells, 185 units of overflow
+    after the pattern pass, two negotiation rounds."""
+    (recipe,) = [r for r in suite_recipes(0.35) if r.name == "mult_b"]
+    d = generate_design(recipe)
+    place_design(d)
+    return d, GCellGrid.for_design_die(d.die, d.technology)
+
+
+def _routing_digest(rr) -> str:
+    rg = rr.rgrid
+    h = hashlib.sha256()
+    for a in (rg.load2d_h, rg.load2d_v):
+        h.update(a.tobytes())
+    for m in sorted(rg.metal_load):
+        h.update(rg.metal_load[m].tobytes())
+    for v in sorted(rg.via_load):
+        h.update(rg.via_load[v].tobytes())
+    for seg in rr.segments:
+        h.update(repr(seg.path).encode())
+    return h.hexdigest()
+
+
+def _numpy_edge_costs(load, cap, hist):
+    """The whole-array form of the cost formula that ``edge_cost`` replaced."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        util = np.where(cap > 0, load / np.maximum(cap, 1e-9), np.inf)
+    penalty = np.where(util < 0.6, 0.0, 4.0 * (util - 0.6) ** 2 * 10.0)
+    over = np.maximum(load + 1.0 - cap, 0.0)
+    c = 1.0 + penalty + 12.0 * over + hist
+    return np.where(cap > 0, c, BLOCKED_EDGE_COST)
+
+
+class TestNegotiatedRouting:
+    def test_routed_output_pinned(self, congested):
+        """Loads, layer loads, via loads and every segment path, byte for
+        byte: any change to the maze search, its tie order or the cost
+        arrays it sees moves this digest (and the paper's features)."""
+        d, grid = congested
+        with activate(Tracer()) as tracer:
+            rr = route_design(d, grid)
+        assert rr.overflow_history == [185.0, 3.0, 0.0]
+        assert tracer.counters["router.maze.routes"] == 270
+        assert tracer.counters["router.maze.expansions"] == 16025
+        assert _routing_digest(rr) == (
+            "c43477dfbf5c59fee9091cd8a031e8516e11a5a8786fe75c92886c5c8cd7a8b0"
+        )
+
+    def test_refreshed_costs_equal_fresh_arrays_after_every_victim(
+        self, congested, monkeypatch
+    ):
+        d, grid = congested
+        refresh = RoutingGrid.refresh_path_costs
+        checked = []
+
+        def checked_refresh(rgrid, path, cost_h, cost_v):
+            refresh(rgrid, path, cost_h, cost_v)
+            fresh_h, fresh_v = rgrid.edge_cost_arrays()
+            assert cost_h.tobytes() == fresh_h.tobytes()
+            assert cost_v.tobytes() == fresh_v.tobytes()
+            checked.append(len(path))
+
+        monkeypatch.setattr(RoutingGrid, "refresh_path_costs", checked_refresh)
+        rr = route_design(d, grid)
+        assert len(checked) == 2 * 270  # after each rip-up and each re-route
+        rg = rr.rgrid
+        assert (rg.hist_h > 0).any() and (rg.hist_v > 0).any()
+        cost_h, cost_v = rg.edge_cost_arrays()
+        assert cost_h.tobytes() == _numpy_edge_costs(
+            rg.load2d_h, rg.cap2d_h, rg.hist_h).tobytes()
+        assert cost_v.tobytes() == _numpy_edge_costs(
+            rg.load2d_v, rg.cap2d_v, rg.hist_v).tobytes()
+
+    def test_cost_formula_boundaries(self, congested):
+        d, grid = congested
+        rg = RoutingGrid(d, grid)
+        cases = [  # (load, cap, hist)
+            (3.0, 5.0, 0.0),   # utilisation exactly 0.6: no penalty yet
+            (6.0, 10.0, 1.5),  # 0.6 again, with history
+            (4.0, 5.0, 0.0),   # 0.8: penalty, no overflow
+            (7.0, 5.0, 3.0),   # load above capacity
+            (5.0, 5.0, 0.0),   # the next wire overflows
+            (2.0, 0.0, 4.5),   # no capacity: blocked
+            (0.0, 0.0, 0.0),
+        ]
+        for i, (load, cap, hist) in enumerate(cases):
+            rg.load2d_h[i, 0], rg.cap2d_h[i, 0], rg.hist_h[i, 0] = load, cap, hist
+        cost_h, _ = rg.edge_cost_arrays()
+        assert cost_h.tobytes() == _numpy_edge_costs(
+            rg.load2d_h, rg.cap2d_h, rg.hist_h).tobytes()
+        got = [edge_cost(*c) for c in cases]
+        assert got == cost_h[: len(cases), 0].tolist()
+        assert got[0] == 1.0 and got[1] == 2.5
+        d08, d14, d10 = 0.8 - 0.6, 1.4 - 0.6, 1.0 - 0.6
+        assert got[2] == 1.0 + 4.0 * (d08 * d08) * 10.0
+        assert got[3] == 1.0 + 4.0 * (d14 * d14) * 10.0 + 12.0 * 3.0 + 3.0
+        assert got[4] == 1.0 + 4.0 * (d10 * d10) * 10.0 + 12.0
+        assert got[5] == got[6] == BLOCKED_EDGE_COST

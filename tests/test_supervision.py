@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -40,6 +41,8 @@ from repro.runtime import faults as faults_mod
 from repro.runtime.errors import (
     PoolRespawnLimitError,
     ShutdownRequested,
+    StageFailure,
+    StageTimeout,
     WorkerCrashError,
 )
 from repro.runtime.faults import FaultSpec, execute_directive, inject_faults
@@ -598,6 +601,44 @@ class TestFailureRecordKinds:
         assert doc["kind"] == "worker_crash"
         assert json.loads(json.dumps(doc))["kind"] == "worker_crash"
 
+    def test_pooled_stage_failure_is_an_error_not_a_crash(self):
+        # a unit body that raises a runtime error (a nested batch's
+        # StageFailure) in a pool worker must reach the parent as that
+        # error: an unpicklable one broke the pool and was quarantined
+        runner = FaultTolerantRunner(policy=RetryPolicy(max_retries=0), jobs=2)
+        with activate(Tracer()) as tracer:
+            out = runner.run_units(
+                "stage",
+                [("bad", _raise_stage_failure, (), {}), ("ok", _double, (3,), {})],
+            )
+        assert not out[0].ok and out[1].value == 6
+        rec = out[0].failure
+        assert (rec.error_type, rec.kind) == ("StageFailure", "error")
+        assert tracer.counters["runner.worker_crashes"] == 0
+        assert tracer.counters["runner.quarantined"] == 0
+
+
+class TestErrorPickling:
+    @pytest.mark.parametrize("err", [
+        StageFailure("forest", "trees0-14", 2, "inner"),
+        StageFailure("flow", "mult_b", 1),
+        StageTimeout("flow", "mult_b", 3, 1.5),
+        WorkerCrashError("flow", "mult_b", 2, "SIGKILL"),
+        PoolRespawnLimitError("flow", 4, 3),
+        ShutdownRequested("forest", signal.SIGTERM, ["trees15-29"]),
+        ShutdownRequested("flow", signal.SIGINT),
+    ], ids=lambda e: type(e).__name__)
+    def test_round_trip_keeps_attributes_and_message(self, err):
+        back = pickle.loads(pickle.dumps(err))
+        assert type(back) is type(err)
+        assert str(back) == str(err)
+        assert back.args == err.args
+        assert vars(back) == vars(err)
+
 
 def _raise_boom():
     raise RuntimeError("boom")
+
+
+def _raise_stage_failure():
+    raise StageFailure("forest", "trees0-14", 1, "inner batch failed")
