@@ -1,9 +1,12 @@
 """Integration tests: the Fig. 1 flow and the suite builder."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.bench.generator import DesignRecipe
+from repro.bench.suite import suite_recipes
 from repro.core.pipeline import build_suite_dataset, checkpoint_dir_for, run_flow
 from repro.features.names import NUM_FEATURES
 from repro.layout.design_stats import design_statistics
@@ -72,3 +75,63 @@ class TestSuiteBuilder:
 
         for d in suite.designs:
             assert d.group == group_index_of(d.name)
+
+
+# -- the whole flow, pinned byte for byte ------------------------------------------
+
+
+def _sha(*parts) -> str:
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(part if isinstance(part, bytes) else repr(part).encode())
+    return h.hexdigest()
+
+
+def _netlist_digest(design) -> str:
+    return _sha(
+        [(c.name, c.width, c.height, c.is_fixed,
+          [(p.name, p.offset.as_tuple(), p.is_clock) for p in c.pins])
+         for c in design.cells],
+        [(m.name, m.bbox.as_tuple(), m.blocked_metal_indices) for m in design.macros],
+        [(n.name, n.ndr, n.is_clock, [p.full_name for p in n.pins])
+         for n in design.nets],
+    )
+
+
+@pytest.fixture(scope="module")
+def mult_b_flow():
+    """``mult_b`` at scale 0.35, the design ``test_router.py`` routes."""
+    (recipe,) = [r for r in suite_recipes(0.35) if r.name == "mult_b"]
+    return run_flow(recipe)
+
+
+class TestFlowPinned:
+    """SHA-256 digests of each stage's output: the netlist, the placed
+    positions, the DRC violations, and X and y.  Any change to generation,
+    placement or the DRC simulator's random draws moves one of them, and
+    with it the paper's features or labels."""
+
+    def test_generated_netlist(self, mult_b_flow):
+        assert _netlist_digest(mult_b_flow.design) == (
+            "943557336263f2038a80dcc8519187b56bc0064462240903f2035228959f71c4"
+        )
+
+    def test_placed_positions(self, mult_b_flow):
+        positions = [c.position.as_tuple() for c in mult_b_flow.design.cells]
+        assert _sha(positions) == (
+            "ab00836e944c0eed8c10b8fea1ce3879bbe72a83724616be9563d5fda2624cac"
+        )
+
+    def test_drc_violations(self, mult_b_flow):
+        violations = [(v.vtype.value, v.layer, v.bbox.as_tuple())
+                      for v in mult_b_flow.drc_report.violations]
+        assert _sha(violations) == (
+            "fbecd81af948d689c94e02a45a853752ca301500ffe8e487b45ea0bc6b3844c7"
+        )
+
+    def test_features_and_labels(self, mult_b_flow):
+        X, y = mult_b_flow.X, mult_b_flow.y
+        assert _sha(str(X.dtype), X.shape, X.tobytes(),
+                    str(y.dtype), y.shape, y.tobytes()) == (
+            "7c7106142c1a1138c1c6264a654d2ccc7904608029a96e6683580abf5e36114e"
+        )
