@@ -1,6 +1,6 @@
 """Benchmark substrate: synthetic ISPD-2015-like designs and the 14-design suite."""
 
-from .generator import DesignGenerator, DesignRecipe, generate_design
+from .generator import DesignRecipe, generate_design
 from .suite import (
     GROUPS,
     SUITE_ORDER,
@@ -12,7 +12,6 @@ from .suite import (
 )
 
 __all__ = [
-    "DesignGenerator",
     "DesignRecipe",
     "generate_design",
     "GROUPS",

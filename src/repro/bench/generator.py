@@ -90,248 +90,248 @@ class _Cluster:
     cell_ids: list[int] = field(default_factory=list)
 
 
-class DesignGenerator:
-    """Generates a :class:`~repro.layout.netlist.Design` from a recipe."""
+def generate_design(recipe: DesignRecipe) -> Design:
+    """Build the full unplaced design (cells, macros, nets, blockages).
 
-    def __init__(self, recipe: DesignRecipe, technology: Technology | None = None):
-        self.recipe = recipe
-        self.technology = technology or make_ispd2015_like_technology()
-        self.rng = np.random.default_rng(recipe.seed)
+    One generator, seeded with ``recipe.seed``, feeds every random draw, in
+    the order of the stages below.
+    """
+    rng = np.random.default_rng(recipe.seed)
+    technology = make_ispd2015_like_technology()
+    design = Design(name=recipe.name, technology=technology, die=recipe.die(technology))
+    _add_macros(design, recipe, rng)
+    clusters, cluster_dims = _build_clusters(design, recipe, rng)
+    _add_cells(design, recipe, clusters, rng)
+    _add_signal_nets(design, recipe, clusters, cluster_dims, rng)
+    _add_clock_nets(design, recipe, rng)
+    design.validate()
+    return design
 
-    # -- public API -------------------------------------------------------------
 
-    def generate(self) -> Design:
-        """Build the full unplaced design (cells, macros, nets, blockages)."""
-        recipe = self.recipe
-        design = Design(
-            name=recipe.name,
-            technology=self.technology,
-            die=recipe.die(self.technology),
-        )
-        self._add_macros(design)
-        clusters = self._build_clusters(design)
-        self._add_cells(design, clusters)
-        self._add_signal_nets(design, clusters)
-        self._add_clock_nets(design)
-        design.validate()
-        return design
+# -- macros -------------------------------------------------------------------------
 
-    # -- macros -------------------------------------------------------------------
 
-    def _add_macros(self, design: Design) -> None:
-        recipe = self.recipe
-        if recipe.num_macros == 0 or recipe.macro_area_frac <= 0.0:
-            return
-        die = design.die
-        g = self.technology.gcell_size
-        per_macro_area = recipe.macro_area_frac * die.area / recipe.num_macros
-        side = math.sqrt(per_macro_area)
-        # Snap macro dimensions to whole g-cells so blockage features are crisp.
-        w = max(g, round(side / g) * g)
-        h = max(g, round(per_macro_area / w / g) * g)
-        placed: list[Rect] = []
-        attempts = 0
-        while len(placed) < recipe.num_macros and attempts < 200:
-            attempts += 1
-            max_ix = int((die.width - w) / g)
-            max_iy = int((die.height - h) / g)
-            if max_ix < 0 or max_iy < 0:
+def _add_macros(design: Design, recipe: DesignRecipe, rng: np.random.Generator) -> None:
+    if recipe.num_macros == 0 or recipe.macro_area_frac <= 0.0:
+        return
+    die = design.die
+    g = design.technology.gcell_size
+    per_macro_area = recipe.macro_area_frac * die.area / recipe.num_macros
+    side = math.sqrt(per_macro_area)
+    # Snap macro dimensions to whole g-cells so blockage features are crisp.
+    w = max(g, round(side / g) * g)
+    h = max(g, round(per_macro_area / w / g) * g)
+    placed: list[Rect] = []
+    attempts = 0
+    while len(placed) < recipe.num_macros and attempts < 200:
+        attempts += 1
+        max_ix = int((die.width - w) / g)
+        max_iy = int((die.height - h) / g)
+        if max_ix < 0 or max_iy < 0:
+            break
+        x = die.xlo + int(rng.integers(0, max_ix + 1)) * g
+        y = die.ylo + int(rng.integers(0, max_iy + 1)) * g
+        bbox = Rect(x, y, x + w, y + h)
+        # keep macros disjoint with one g-cell of clearance between them
+        if any(bbox.expanded(g).overlaps(p) for p in placed):
+            continue
+        placed.append(bbox)
+        design.add_macro(f"macro_{len(placed)}", bbox)
+
+
+# -- clusters -----------------------------------------------------------------------
+
+
+def _build_clusters(
+    design: Design, recipe: DesignRecipe, rng: np.random.Generator
+) -> tuple[list[_Cluster], tuple[int, int]]:
+    """The leaf clusters in raster order, and the cluster grid's (nx, ny)."""
+    nx = max(2, recipe.grid_nx // recipe.cluster_size_gcells)
+    ny = max(2, recipe.grid_ny // recipe.cluster_size_gcells)
+    die = design.die
+    cw, ch = die.width / nx, die.height / ny
+    clusters: list[_Cluster] = []
+    num_dense = max(1, round(nx * ny * recipe.dense_cluster_frac))
+    dense_ids = set(
+        rng.choice(nx * ny, size=min(num_dense, nx * ny), replace=False).tolist()
+    )
+    for iy in range(ny):
+        for ix in range(nx):
+            idx = iy * nx + ix
+            region = Rect(
+                die.xlo + ix * cw,
+                die.ylo + iy * ch,
+                die.xlo + (ix + 1) * cw,
+                die.ylo + (iy + 1) * ch,
+            )
+            clusters.append(_Cluster(idx, region, dense=idx in dense_ids))
+    return clusters, (nx, ny)
+
+
+def _cluster_weight(cluster: _Cluster, macro_rects: list[Rect]) -> float:
+    """Capacity weight of a cluster for cell assignment.
+
+    Regions covered by macros cannot hold cells, so their clusters get
+    proportionally fewer of them.
+    """
+    free = cluster.region.area
+    for m in macro_rects:
+        free -= cluster.region.overlap_area(m)
+    return max(free, 0.0)
+
+
+# -- cells --------------------------------------------------------------------------
+
+
+def _add_cells(
+    design: Design,
+    recipe: DesignRecipe,
+    clusters: list[_Cluster],
+    rng: np.random.Generator,
+) -> None:
+    tech = design.technology
+    die = design.die
+    macro_rects = [m.bbox for m in design.macros]
+    macro_area = sum(r.overlap_area(die) for r in macro_rects)
+    placeable = die.area - macro_area
+    # Cell widths in sites: a small library of 1x/2x/3x/4x footprints
+    # with a realistic frequency skew toward small cells.
+    site = tech.site_width
+    widths = np.array([4, 6, 8, 12, 16]) * site
+    width_probs = np.array([0.3, 0.3, 0.2, 0.12, 0.08])
+    mean_cell_area = float(np.dot(widths, width_probs)) * tech.row_height
+    num_cells = max(8, int(recipe.utilization * placeable / mean_cell_area))
+
+    weights = np.array([_cluster_weight(c, macro_rects) for c in clusters])
+    if weights.sum() <= 0:
+        raise ValueError(f"design {recipe.name}: no placeable area")
+    # Dense clusters attract disproportionally many cells.
+    for i, c in enumerate(clusters):
+        if c.dense:
+            weights[i] *= 1.5
+    weights = weights / weights.sum()
+    assignment = rng.choice(len(clusters), size=num_cells, p=weights)
+    chosen_widths = rng.choice(widths, size=num_cells, p=width_probs)
+
+    for cid in range(num_cells):
+        cluster = clusters[int(assignment[cid])]
+        width = float(chosen_widths[cid])
+        cell = design.add_cell(f"c{cid}", width, tech.row_height)
+        cluster.cell_ids.append(cid)
+        n_pins = 2 + int(rng.geometric(0.55))
+        n_pins = min(n_pins, 6)
+        for p in range(n_pins):
+            off = Point(
+                float(rng.uniform(0.1, 0.9)) * width,
+                float(rng.uniform(0.1, 0.9)) * tech.row_height,
+            )
+            cell.add_pin(f"p{p}", off)
+
+
+# -- nets ---------------------------------------------------------------------------
+
+
+def _free_pins_by_cell(design: Design) -> list[list[int]]:
+    """Indices of not-yet-connected pins, per cell."""
+    return [
+        [i for i, pin in enumerate(cell.pins) if pin.net is None]
+        for cell in design.cells
+    ]
+
+
+def _add_signal_nets(
+    design: Design,
+    recipe: DesignRecipe,
+    clusters: list[_Cluster],
+    cluster_dims: tuple[int, int],
+    rng: np.random.Generator,
+) -> None:
+    free = _free_pins_by_cell(design)
+    cells_with_free = [i for i, f in enumerate(free) if f]
+
+    cluster_of_cell = np.empty(design.num_cells, dtype=np.int64)
+    for cluster in clusters:
+        for cid in cluster.cell_ids:
+            cluster_of_cell[cid] = cluster.index
+
+    def pick_cell(pool: list[int]) -> int | None:
+        candidates = [c for c in pool if free[c]]
+        if not candidates:
+            return None
+        return int(rng.choice(candidates))
+
+    target_nets = int(design.num_cells * recipe.nets_per_cell)
+    net_id = 0
+    budget = target_nets * 4  # generation attempts, to guarantee termination
+    while net_id < target_nets and budget > 0:
+        budget -= 1
+        cells_with_free = [i for i in cells_with_free if free[i]]
+        if len(cells_with_free) < 2:
+            break
+        root = int(rng.choice(cells_with_free))
+        cluster = clusters[int(cluster_of_cell[root])]
+        boost = recipe.dense_net_boost if cluster.dense else 1.0
+        # Net degree: 2 + geometric tail, boosted in dense clusters.
+        degree = 2 + int(rng.geometric(min(0.95, 1.0 / (recipe.mean_net_degree - 1.0) / boost)) - 1)
+        degree = min(degree, 9)
+
+        members = [root]
+        for _ in range(degree - 1):
+            local = rng.random() < recipe.cluster_locality
+            if local:
+                pool = cluster.cell_ids
+            else:
+                # Non-local connections follow a distance-decaying
+                # preference over clusters (multi-scale Rent locality):
+                # mostly adjacent clusters, occasionally truly global.
+                # Without this, big dies drown in cross-die nets.
+                pool = clusters[_pick_nearby_cluster(cluster, cluster_dims, rng)].cell_ids
+            pick = pick_cell([c for c in pool if c not in members])
+            if pick is None:
+                pick = pick_cell([c for c in cells_with_free if c not in members])
+            if pick is None:
                 break
-            x = die.xlo + int(self.rng.integers(0, max_ix + 1)) * g
-            y = die.ylo + int(self.rng.integers(0, max_iy + 1)) * g
-            bbox = Rect(x, y, x + w, y + h)
-            # keep macros disjoint with one g-cell of clearance between them
-            if any(bbox.expanded(g).overlaps(p) for p in placed):
-                continue
-            placed.append(bbox)
-            design.add_macro(f"macro_{len(placed)}", bbox)
+            members.append(pick)
+        if len(members) < 2:
+            continue
 
-    # -- clusters --------------------------------------------------------------------
-
-    def _build_clusters(self, design: Design) -> list[_Cluster]:
-        recipe = self.recipe
-        nx = max(2, recipe.grid_nx // recipe.cluster_size_gcells)
-        ny = max(2, recipe.grid_ny // recipe.cluster_size_gcells)
-        self._cluster_dims = (nx, ny)
-        die = design.die
-        cw, ch = die.width / nx, die.height / ny
-        clusters: list[_Cluster] = []
-        num_dense = max(1, round(nx * ny * recipe.dense_cluster_frac))
-        dense_ids = set(
-            self.rng.choice(
-                nx * ny, size=min(num_dense, nx * ny), replace=False
-            ).tolist()
-        )
-        for iy in range(ny):
-            for ix in range(nx):
-                idx = iy * nx + ix
-                region = Rect(
-                    die.xlo + ix * cw,
-                    die.ylo + iy * ch,
-                    die.xlo + (ix + 1) * cw,
-                    die.ylo + (iy + 1) * ch,
-                )
-                clusters.append(_Cluster(idx, region, dense=idx in dense_ids))
-        return clusters
-
-    def _cluster_weight(self, cluster: _Cluster, macro_rects: list[Rect]) -> float:
-        """Capacity weight of a cluster for cell assignment.
-
-        Regions covered by macros cannot hold cells, so their clusters get
-        proportionally fewer of them.
-        """
-        free = cluster.region.area
-        for m in macro_rects:
-            free -= cluster.region.overlap_area(m)
-        return max(free, 0.0)
-
-    # -- cells ------------------------------------------------------------------------
-
-    def _add_cells(self, design: Design, clusters: list[_Cluster]) -> None:
-        recipe = self.recipe
-        tech = self.technology
-        die = design.die
-        macro_rects = [m.bbox for m in design.macros]
-        macro_area = sum(
-            r.overlap_area(die) for r in macro_rects
-        )
-        placeable = die.area - macro_area
-        # Cell widths in sites: a small library of 1x/2x/3x/4x footprints
-        # with a realistic frequency skew toward small cells.
-        site = tech.site_width
-        widths = np.array([4, 6, 8, 12, 16]) * site
-        width_probs = np.array([0.3, 0.3, 0.2, 0.12, 0.08])
-        mean_cell_area = float(np.dot(widths, width_probs)) * tech.row_height
-        num_cells = max(8, int(recipe.utilization * placeable / mean_cell_area))
-
-        weights = np.array([self._cluster_weight(c, macro_rects) for c in clusters])
-        if weights.sum() <= 0:
-            raise ValueError(f"design {recipe.name}: no placeable area")
-        # Dense clusters attract disproportionally many cells.
-        for i, c in enumerate(clusters):
-            if c.dense:
-                weights[i] *= 1.5
-        weights = weights / weights.sum()
-        assignment = self.rng.choice(len(clusters), size=num_cells, p=weights)
-        chosen_widths = self.rng.choice(widths, size=num_cells, p=width_probs)
-
-        for cid in range(num_cells):
-            cluster = clusters[int(assignment[cid])]
-            width = float(chosen_widths[cid])
-            cell = design.add_cell(f"c{cid}", width, tech.row_height)
-            cluster.cell_ids.append(cid)
-            n_pins = 2 + int(self.rng.geometric(0.55))
-            n_pins = min(n_pins, 6)
-            for p in range(n_pins):
-                off = Point(
-                    float(self.rng.uniform(0.1, 0.9)) * width,
-                    float(self.rng.uniform(0.1, 0.9)) * tech.row_height,
-                )
-                cell.add_pin(f"p{p}", off)
-
-    # -- nets ---------------------------------------------------------------------------
-
-    def _free_pins_by_cell(self, design: Design) -> list[list[int]]:
-        """Indices of not-yet-connected pins, per cell."""
-        return [
-            [i for i, pin in enumerate(cell.pins) if pin.net is None]
-            for cell in design.cells
-        ]
-
-    def _add_signal_nets(self, design: Design, clusters: list[_Cluster]) -> None:
-        recipe = self.recipe
-        rng = self.rng
-        free = self._free_pins_by_cell(design)
-        cells_with_free = [i for i, f in enumerate(free) if f]
-
-        cluster_of_cell = np.empty(design.num_cells, dtype=np.int64)
-        for cluster in clusters:
-            for cid in cluster.cell_ids:
-                cluster_of_cell[cid] = cluster.index
-
-        def pick_cell(pool: list[int]) -> int | None:
-            candidates = [c for c in pool if free[c]]
-            if not candidates:
-                return None
-            return int(rng.choice(candidates))
-
-        target_nets = int(design.num_cells * recipe.nets_per_cell)
-        net_id = 0
-        budget = target_nets * 4  # generation attempts, to guarantee termination
-        while net_id < target_nets and budget > 0:
-            budget -= 1
-            cells_with_free = [i for i in cells_with_free if free[i]]
-            if len(cells_with_free) < 2:
-                break
-            root = int(rng.choice(cells_with_free))
-            cluster = clusters[int(cluster_of_cell[root])]
-            boost = recipe.dense_net_boost if cluster.dense else 1.0
-            # Net degree: 2 + geometric tail, boosted in dense clusters.
-            degree = 2 + int(rng.geometric(min(0.95, 1.0 / (recipe.mean_net_degree - 1.0) / boost)) - 1)
-            degree = min(degree, 9)
-
-            members = [root]
-            for _ in range(degree - 1):
-                local = rng.random() < recipe.cluster_locality
-                if local:
-                    pool = cluster.cell_ids
-                else:
-                    # Non-local connections follow a distance-decaying
-                    # preference over clusters (multi-scale Rent locality):
-                    # mostly adjacent clusters, occasionally truly global.
-                    # Without this, big dies drown in cross-die nets.
-                    pool = clusters[self._pick_nearby_cluster(cluster)].cell_ids
-                pick = pick_cell([c for c in pool if c not in members])
-                if pick is None:
-                    pick = pick_cell([c for c in cells_with_free if c not in members])
-                if pick is None:
-                    break
-                members.append(pick)
-            if len(members) < 2:
-                continue
-
-            ndr = None
-            if rng.random() < recipe.ndr_frac:
-                ndr = design.technology.ndr_rules[0].name
-            net = design.add_net(f"n{net_id}", ndr=ndr)
-            for cid in members:
-                pin_idx = free[cid].pop(int(rng.integers(0, len(free[cid]))))
-                net.connect(design.cells[cid].pins[pin_idx])
-            net_id += 1
-
-    def _pick_nearby_cluster(self, cluster: _Cluster) -> int:
-        """A cluster index at geometric-decaying Chebyshev distance.
-
-        Distance 1 (the 8 neighbours) with probability ~0.72, distance 2
-        with ~0.2, and so on; clipped to the cluster grid.
-        """
-        nx, ny = self._cluster_dims
-        cx, cy = cluster.index % nx, cluster.index // nx
-        radius = int(self.rng.geometric(0.72))
-        dx = int(self.rng.integers(-radius, radius + 1))
-        dy = int(self.rng.integers(-radius, radius + 1))
-        tx = min(max(cx + dx, 0), nx - 1)
-        ty = min(max(cy + dy, 0), ny - 1)
-        return ty * nx + tx
-
-    def _add_clock_nets(self, design: Design) -> None:
-        recipe = self.recipe
-        rng = self.rng
-        free = self._free_pins_by_cell(design)
-        for k in range(recipe.num_clock_nets):
-            candidates = [i for i, f in enumerate(free) if f]
-            if len(candidates) < 2:
-                break
-            fanout = min(recipe.clock_fanout, len(candidates))
-            members = rng.choice(candidates, size=fanout, replace=False)
-            net = design.add_net(f"clk{k}", is_clock=True)
-            for cid in members.tolist():
-                pin_idx = free[cid].pop(int(rng.integers(0, len(free[cid]))))
-                net.connect(design.cells[cid].pins[pin_idx])
+        ndr = None
+        if rng.random() < recipe.ndr_frac:
+            ndr = design.technology.ndr_rules[0].name
+        net = design.add_net(f"n{net_id}", ndr=ndr)
+        for cid in members:
+            pin_idx = free[cid].pop(int(rng.integers(0, len(free[cid]))))
+            net.connect(design.cells[cid].pins[pin_idx])
+        net_id += 1
 
 
-def generate_design(
-    recipe: DesignRecipe, technology: Technology | None = None
-) -> Design:
-    """Convenience wrapper: build the design for ``recipe``."""
-    return DesignGenerator(recipe, technology).generate()
+def _pick_nearby_cluster(
+    cluster: _Cluster, cluster_dims: tuple[int, int], rng: np.random.Generator
+) -> int:
+    """A cluster index at geometric-decaying Chebyshev distance.
+
+    Distance 1 (the 8 neighbours) with probability ~0.72, distance 2
+    with ~0.2, and so on; clipped to the cluster grid.
+    """
+    nx, ny = cluster_dims
+    cx, cy = cluster.index % nx, cluster.index // nx
+    radius = int(rng.geometric(0.72))
+    dx = int(rng.integers(-radius, radius + 1))
+    dy = int(rng.integers(-radius, radius + 1))
+    tx = min(max(cx + dx, 0), nx - 1)
+    ty = min(max(cy + dy, 0), ny - 1)
+    return ty * nx + tx
+
+
+def _add_clock_nets(design: Design, recipe: DesignRecipe, rng: np.random.Generator) -> None:
+    free = _free_pins_by_cell(design)
+    for k in range(recipe.num_clock_nets):
+        candidates = [i for i, f in enumerate(free) if f]
+        if len(candidates) < 2:
+            break
+        fanout = min(recipe.clock_fanout, len(candidates))
+        members = rng.choice(candidates, size=fanout, replace=False)
+        net = design.add_net(f"clk{k}", is_clock=True)
+        for cid in members.tolist():
+            pin_idx = free[cid].pop(int(rng.integers(0, len(free[cid]))))
+            net.connect(design.cells[cid].pins[pin_idx])

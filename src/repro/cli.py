@@ -68,6 +68,7 @@ from .core.pipeline import (
 from .features.dataset import SuiteDataset
 from .features.names import describe_feature, feature_names
 from .layout.design_stats import DesignStats, format_table1, group_statistics
+from .place.legalizer import LegalizationError
 from .runtime import (
     FaultTolerantRunner,
     ReproRuntimeError,
@@ -96,11 +97,17 @@ EXIT_DEGRADED = 3
 EXIT_INTERRUPTED = 4
 
 
-def _number(kind: type, low: float, *, strict: bool = False) -> Callable[[str], Any]:
-    """argparse type: a ``kind`` number ``>= low``, or ``> low`` when ``strict``.
+def _number(
+    kind: type, low: float, *, strict: bool = False, below: float | None = None
+) -> Callable[[str], Any]:
+    """argparse type: a ``kind`` number ``>= low``, or ``> low`` when ``strict``,
+    and ``< below`` when ``below`` is given.
 
-    NaN is rejected like any other value outside the bound.
+    NaN is rejected like any other value outside the bounds.
     """
+    bounds = f"{'>' if strict else '>='} {low}"
+    if below is not None:
+        bounds += f" and < {below}"
 
     def parse(text: str) -> Any:
         try:
@@ -108,10 +115,11 @@ def _number(kind: type, low: float, *, strict: bool = False) -> Callable[[str], 
         except ValueError:
             noun = "an integer" if kind is int else "a number"
             raise argparse.ArgumentTypeError(f"{text!r} is not {noun}") from None
-        if not (value > low if strict else value >= low):
-            raise argparse.ArgumentTypeError(
-                f"must be {'>' if strict else '>='} {low}, got {value}"
-            )
+        in_range = value > low if strict else value >= low
+        if below is not None:
+            in_range = in_range and value < below
+        if not in_range:
+            raise argparse.ArgumentTypeError(f"must be {bounds}, got {value}")
         return value
 
     return parse
@@ -121,6 +129,8 @@ _positive_int = _number(int, 1)  # worker counts, how many rows to list
 _nonneg_int = _number(int, 0)  # retry and respawn budgets
 _positive_float = _number(float, 0, strict=True)  # scales, timeouts, heartbeats
 _nonneg_float = _number(float, 0)  # backoff bases
+_grid_size = _number(int, 2)  # a 1x1 g-cell die cannot hold the generator's 8 cells
+_fraction = _number(float, 0, strict=True, below=1)  # utilisations
 
 
 def _trace_path(text: str) -> Path:
@@ -310,8 +320,14 @@ def _flow(args: argparse.Namespace) -> int:
     )
     # the stage times printed below are the flow span's children, so trace
     # the flow even without --trace (and hand the spans on to a --trace run)
-    with activate(Tracer()) as local:
-        result = run_flow(recipe)
+    try:
+        with activate(Tracer()) as local:
+            result = run_flow(recipe)
+    except LegalizationError as exc:
+        # whether a utilisation fits depends on the whole design, so it
+        # cannot be checked with the other arguments
+        print(f"error: LegalizationError: {exc}", file=sys.stderr)
+        return 1
     get_tracer().adopt(local.snapshot())
     from .route.report import routing_report
 
@@ -405,10 +421,10 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser("flow", help="run the flow on one ad-hoc design")
     p.add_argument("--name", default="adhoc")
-    p.add_argument("--grid", type=int, default=20)
-    p.add_argument("--utilization", type=float, default=0.65)
-    p.add_argument("--macros", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--grid", type=_grid_size, default=20)
+    p.add_argument("--utilization", type=_fraction, default=0.65)
+    p.add_argument("--macros", type=_nonneg_int, default=0)
+    p.add_argument("--seed", type=_nonneg_int, default=0)
     _add_telemetry_flags(p)
     p.set_defaults(func=_flow)
 

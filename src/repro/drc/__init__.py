@@ -1,18 +1,17 @@
 """DRC substrate: track-stress model, detailed-routing simulator, checker, labels."""
 
 from .checker import DRCReport, Violation, ViolationType
-from .detailed import DetailedRoutingSimulator, DRCSimConfig, simulate_drc
+from .detailed import simulate_drc
 from .labels import hotspot_cells, hotspot_labels
-from .tracks import TrackStressModel
+from .tracks import layer_stress, via_utilization
 
 __all__ = [
     "DRCReport",
     "Violation",
     "ViolationType",
-    "DetailedRoutingSimulator",
-    "DRCSimConfig",
     "simulate_drc",
     "hotspot_cells",
     "hotspot_labels",
-    "TrackStressModel",
+    "layer_stress",
+    "via_utilization",
 ]

@@ -27,7 +27,6 @@ hotspot labels can spread to neighbouring cells like real error boxes do.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,25 +36,22 @@ from ..layout.netlist import Design
 from ..layout.placemap import PlacementMaps
 from ..route.graph import RoutingGrid
 from .checker import DRCReport, Violation, ViolationType
-from .tracks import TrackStressModel
+from .tracks import layer_stress, via_utilization
 
 
-@dataclass(frozen=True)
-class DRCSimConfig:
-    """Rates of the violation model (tuned to yield Table-I-like spreads)."""
-
-    short_rate: float = 1.4
-    short_threshold: float = 1.15
-    spacing_rate: float = 0.9
-    spacing_threshold: float = 1.0
-    eol_rate: float = 0.8
-    eol_threshold: float = 1.9
-    pin_short_rate: float = 0.5
-    pin_count_threshold: float = 26.0
-    #: probability that an error box straddles into a neighbouring g-cell
-    straddle_prob: float = 0.25
-    #: box half-size as a fraction of the g-cell size
-    box_frac: float = 0.12
+# Rates of the violation model (tuned to yield Table-I-like spreads).
+SHORT_RATE = 1.4
+SHORT_THRESHOLD = 1.15
+SPACING_RATE = 0.9
+SPACING_THRESHOLD = 1.0
+EOL_RATE = 0.8
+EOL_THRESHOLD = 1.9
+PIN_SHORT_RATE = 0.5
+PIN_COUNT_THRESHOLD = 26.0
+#: probability that an error box straddles into a neighbouring g-cell
+STRADDLE_PROB = 0.25
+#: box half-size as a fraction of the g-cell size
+BOX_FRAC = 0.12
 
 
 def _design_seed(design_name: str) -> int:
@@ -64,116 +60,90 @@ def _design_seed(design_name: str) -> int:
     return int.from_bytes(digest[:4], "little")
 
 
-class DetailedRoutingSimulator:
-    """Simulates detailed routing + DRC for one globally routed design."""
+def simulate_drc(design: Design, rgrid: RoutingGrid, placemaps: PlacementMaps) -> DRCReport:
+    """Run the detailed-routing + DRC simulation for one design.
 
-    def __init__(
-        self,
-        design: Design,
-        rgrid: RoutingGrid,
-        placemaps: PlacementMaps,
-        config: DRCSimConfig | None = None,
-    ):
-        self.design = design
-        self.rgrid = rgrid
-        self.grid: GCellGrid = rgrid.grid
-        self.placemaps = placemaps
-        self.config = config or DRCSimConfig()
-        self.rng = np.random.default_rng(_design_seed(design.name))
+    One generator, seeded from the design name, draws every count and box.
+    """
+    rng = np.random.default_rng(_design_seed(design.name))
+    grid = rgrid.grid
+    stress = layer_stress(rgrid, placemaps)
+    via_util = via_utilization(rgrid)
+    tech = design.technology
+    violations: list[Violation] = []
 
-    # -- public API ---------------------------------------------------------------
+    for m in tech.gr_metal_indices:
+        s = stress[m]
+        # shorts: forced track double-booking well above capacity
+        lam_short = SHORT_RATE * np.maximum(s - SHORT_THRESHOLD, 0.0) ** 2
+        violations += _sample(lam_short, ViolationType.SHORT, f"M{m}", grid, rng)
+        # spacing: margin erosion near capacity, worse with NDR pins
+        ndr_boost = 1.0 + 0.15 * placemaps.num_ndr_pins
+        lam_sp = SPACING_RATE * np.maximum(s - SPACING_THRESHOLD, 0.0) * ndr_boost
+        violations += _sample(lam_sp, ViolationType.SPACING, f"M{m}", grid, rng)
+        # EOL: via crowding on the via layers touching this metal
+        vu = np.zeros_like(s)
+        if m - 1 >= 1 and m - 1 <= tech.num_via_layers:
+            vu = vu + via_util[m - 1]
+        if m <= tech.num_via_layers:
+            vu = vu + via_util[m]
+        lam_eol = EOL_RATE * np.maximum(vu - EOL_THRESHOLD, 0.0)
+        violations += _sample(lam_eol, ViolationType.EOL, f"M{m}", grid, rng)
 
-    def run(self) -> DRCReport:
-        """Simulate detailed routing and return the DRC report."""
-        model = TrackStressModel(self.rgrid, self.placemaps)
-        stress = model.layer_stress()
-        via_util = model.via_utilization()
-        cfg = self.config
-        tech = self.design.technology
-        violations: list[Violation] = []
+    # pin-access shorts on M2: many pins packed tightly
+    pins = placemaps.num_pins.astype(float)
+    spacing = placemaps.pin_spacing
+    tight = np.where((spacing > 0) & (spacing < 0.35 * grid.size), 1.5, 1.0)
+    lam_pin = (
+        PIN_SHORT_RATE
+        * np.maximum(pins - PIN_COUNT_THRESHOLD, 0.0)
+        / PIN_COUNT_THRESHOLD
+        * tight
+    )
+    violations += _sample(lam_pin, ViolationType.SHORT, "M2", grid, rng)
 
-        for m in tech.gr_metal_indices:
-            s = stress[m]
-            # shorts: forced track double-booking well above capacity
-            lam_short = cfg.short_rate * np.maximum(s - cfg.short_threshold, 0.0) ** 2
-            violations += self._sample(lam_short, ViolationType.SHORT, f"M{m}")
-            # spacing: margin erosion near capacity, worse with NDR pins
-            ndr_boost = 1.0 + 0.15 * self.placemaps.num_ndr_pins
-            lam_sp = (
-                cfg.spacing_rate
-                * np.maximum(s - cfg.spacing_threshold, 0.0)
-                * ndr_boost
+    return DRCReport(design_name=design.name, violations=violations)
+
+
+# -- sampling --------------------------------------------------------------------------
+
+
+def _sample(
+    lam: np.ndarray,
+    vtype: ViolationType,
+    layer: str,
+    grid: GCellGrid,
+    rng: np.random.Generator,
+) -> list[Violation]:
+    """Poisson-sample violation counts per g-cell and materialise boxes."""
+    counts = rng.poisson(np.maximum(lam, 0.0))
+    out: list[Violation] = []
+    for ix, iy in zip(*np.nonzero(counts)):
+        for _ in range(int(counts[ix, iy])):
+            out.append(
+                Violation(vtype=vtype, layer=layer, bbox=_box(int(ix), int(iy), grid, rng))
             )
-            violations += self._sample(lam_sp, ViolationType.SPACING, f"M{m}")
-            # EOL: via crowding on the via layers touching this metal
-            vu = np.zeros_like(s)
-            if m - 1 >= 1 and m - 1 <= tech.num_via_layers:
-                vu = vu + via_util[m - 1]
-            if m <= tech.num_via_layers:
-                vu = vu + via_util[m]
-            lam_eol = cfg.eol_rate * np.maximum(vu - cfg.eol_threshold, 0.0)
-            violations += self._sample(lam_eol, ViolationType.EOL, f"M{m}")
-
-        # pin-access shorts on M2: many pins packed tightly
-        pins = self.placemaps.num_pins.astype(float)
-        spacing = self.placemaps.pin_spacing
-        tight = np.where(
-            (spacing > 0) & (spacing < 0.35 * self.grid.size), 1.5, 1.0
-        )
-        lam_pin = (
-            cfg.pin_short_rate
-            * np.maximum(pins - cfg.pin_count_threshold, 0.0)
-            / cfg.pin_count_threshold
-            * tight
-        )
-        violations += self._sample(lam_pin, ViolationType.SHORT, "M2")
-
-        return DRCReport(design_name=self.design.name, violations=violations)
-
-    # -- sampling --------------------------------------------------------------------
-
-    def _sample(
-        self, lam: np.ndarray, vtype: ViolationType, layer: str
-    ) -> list[Violation]:
-        """Poisson-sample violation counts per g-cell and materialise boxes."""
-        counts = self.rng.poisson(np.maximum(lam, 0.0))
-        out: list[Violation] = []
-        for ix, iy in zip(*np.nonzero(counts)):
-            for _ in range(int(counts[ix, iy])):
-                out.append(
-                    Violation(vtype=vtype, layer=layer, bbox=self._box(int(ix), int(iy)))
-                )
-        return out
-
-    def _box(self, ix: int, iy: int) -> Rect:
-        """A small error box inside the g-cell, sometimes straddling a border."""
-        cfg = self.config
-        cell = self.grid.cell_bbox(ix, iy)
-        half = cfg.box_frac * self.grid.size
-        cx = float(self.rng.uniform(cell.xlo + half, cell.xhi - half))
-        cy = float(self.rng.uniform(cell.ylo + half, cell.yhi - half))
-        if self.rng.random() < cfg.straddle_prob:
-            # push the box across a random border (clipped to the die)
-            direction = int(self.rng.integers(0, 4))
-            shift = 0.8 * self.grid.size * cfg.box_frac + half
-            if direction == 0:
-                cx = cell.xhi - half / 2 + shift
-            elif direction == 1:
-                cx = cell.xlo + half / 2 - shift
-            elif direction == 2:
-                cy = cell.yhi - half / 2 + shift
-            else:
-                cy = cell.ylo + half / 2 - shift
-        box = Rect(cx - half, cy - half, cx + half, cy + half)
-        clipped = box.intersection(self.grid.die)
-        return clipped if clipped is not None else box
+    return out
 
 
-def simulate_drc(
-    design: Design,
-    rgrid: RoutingGrid,
-    placemaps: PlacementMaps,
-    config: DRCSimConfig | None = None,
-) -> DRCReport:
-    """Run the detailed-routing + DRC simulation for one design."""
-    return DetailedRoutingSimulator(design, rgrid, placemaps, config).run()
+def _box(ix: int, iy: int, grid: GCellGrid, rng: np.random.Generator) -> Rect:
+    """A small error box inside the g-cell, sometimes straddling a border."""
+    cell = grid.cell_bbox(ix, iy)
+    half = BOX_FRAC * grid.size
+    cx = float(rng.uniform(cell.xlo + half, cell.xhi - half))
+    cy = float(rng.uniform(cell.ylo + half, cell.yhi - half))
+    if rng.random() < STRADDLE_PROB:
+        # push the box across a random border (clipped to the die)
+        direction = int(rng.integers(0, 4))
+        shift = 0.8 * grid.size * BOX_FRAC + half
+        if direction == 0:
+            cx = cell.xhi - half / 2 + shift
+        elif direction == 1:
+            cx = cell.xlo + half / 2 - shift
+        elif direction == 2:
+            cy = cell.yhi - half / 2 + shift
+        else:
+            cy = cell.ylo + half / 2 - shift
+    box = Rect(cx - half, cy - half, cx + half, cy + half)
+    clipped = box.intersection(grid.die)
+    return clipped if clipped is not None else box

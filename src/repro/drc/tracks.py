@@ -58,65 +58,40 @@ def _adjacent_edge_stats(
     return through, overflow_in
 
 
-class TrackStressModel:
-    """Computes per-layer stress and via utilisation for one routed design."""
+def layer_stress(rgrid: RoutingGrid, placemaps: PlacementMaps) -> dict[int, np.ndarray]:
+    """Stress per metal layer: dict metal index → (nx, ny) array."""
+    tech = rgrid.tech
+    grid = rgrid.grid
+    pins = placemaps.num_pins.astype(float)
+    stress: dict[int, np.ndarray] = {}
+    for m in range(1, tech.num_metal_layers + 1):
+        layer = tech.metal(m)
+        base_cap = float(tech.edge_capacity(m)) if m in tech.gr_metal_indices else float(
+            tech.gcell_size / layer.pitch
+        )
+        through, overflow_in = _adjacent_edge_stats(
+            rgrid.metal_load[m],
+            rgrid.metal_cap[m].astype(float),
+            layer.is_horizontal,
+            grid.nx,
+            grid.ny,
+        )
+        # detours spread one g-cell further out with attenuation
+        spill = overflow_in + 0.6 * uniform_filter(overflow_in, size=3, mode="constant")
+        demand = through + spill
+        demand += _PIN_BLOCKAGE_PER_LAYER.get(m, 0.0) * pins
+        # capacity lost to blockages (macros) — stress spikes at macro edges
+        derate = grid.area_fraction(rgrid.design.routing_blockage_rects(m))
+        cap = base_cap * (1.0 - np.clip(derate, 0.0, 0.95))
+        stress[m] = demand / np.maximum(cap, 0.25 * base_cap)
+    return stress
 
-    def __init__(self, rgrid: RoutingGrid, placemaps: PlacementMaps):
-        self.rgrid = rgrid
-        self.placemaps = placemaps
-        self.grid = rgrid.grid
-        self._stress: dict[int, np.ndarray] | None = None
-        self._via_util: dict[int, np.ndarray] | None = None
 
-    # -- public API -----------------------------------------------------------------
-
-    def layer_stress(self) -> dict[int, np.ndarray]:
-        """Stress per metal layer: dict metal index → (nx, ny) array."""
-        if self._stress is None:
-            self._stress = self._compute_stress()
-        return self._stress
-
-    def via_utilization(self) -> dict[int, np.ndarray]:
-        """Utilisation per via layer: dict via index → (nx, ny) array."""
-        if self._via_util is None:
-            self._via_util = self._compute_via_util()
-        return self._via_util
-
-    # -- internals ---------------------------------------------------------------------
-
-    def _compute_stress(self) -> dict[int, np.ndarray]:
-        rgrid = self.rgrid
-        tech = rgrid.tech
-        nx, ny = self.grid.nx, self.grid.ny
-        pins = self.placemaps.num_pins.astype(float)
-        stress: dict[int, np.ndarray] = {}
-        for m in range(1, tech.num_metal_layers + 1):
-            layer = tech.metal(m)
-            base_cap = float(tech.edge_capacity(m)) if m in tech.gr_metal_indices else float(
-                tech.gcell_size / layer.pitch
-            )
-            through, overflow_in = _adjacent_edge_stats(
-                rgrid.metal_load[m],
-                rgrid.metal_cap[m].astype(float),
-                layer.is_horizontal,
-                nx,
-                ny,
-            )
-            # detours spread one g-cell further out with attenuation
-            spill = overflow_in + 0.6 * uniform_filter(overflow_in, size=3, mode="constant")
-            demand = through + spill
-            demand += _PIN_BLOCKAGE_PER_LAYER.get(m, 0.0) * pins
-            # capacity lost to blockages (macros) — stress spikes at macro edges
-            derate = self.grid.area_fraction(rgrid.design.routing_blockage_rects(m))
-            cap = base_cap * (1.0 - np.clip(derate, 0.0, 0.95))
-            stress[m] = demand / np.maximum(cap, 0.25 * base_cap)
-        return stress
-
-    def _compute_via_util(self) -> dict[int, np.ndarray]:
-        rgrid = self.rgrid
-        util: dict[int, np.ndarray] = {}
-        for v in range(1, rgrid.tech.num_via_layers + 1):
-            cap = rgrid.via_cap[v].astype(float)
-            base = float(rgrid.tech.via_capacity(v))
-            util[v] = rgrid.via_load[v] / np.maximum(cap, 0.25 * base)
-        return util
+def via_utilization(rgrid: RoutingGrid) -> dict[int, np.ndarray]:
+    """Utilisation per via layer: dict via index → (nx, ny) array."""
+    util: dict[int, np.ndarray] = {}
+    for v in range(1, rgrid.tech.num_via_layers + 1):
+        cap = rgrid.via_cap[v].astype(float)
+        base = float(rgrid.tech.via_capacity(v))
+        util[v] = rgrid.via_load[v] / np.maximum(cap, 0.25 * base)
+    return util

@@ -1,7 +1,7 @@
 """Feature subsystem: the paper's 387 features, naming and dataset containers."""
 
 from .dataset import DesignDataset, SuiteDataset
-from .extractor import FeatureExtractor, extract_features
+from .extractor import extract_features
 from .names import (
     CONGESTION_KINDS,
     FEATURE_METAL_LAYERS,
@@ -16,7 +16,6 @@ from .names import (
 __all__ = [
     "DesignDataset",
     "SuiteDataset",
-    "FeatureExtractor",
     "extract_features",
     "CONGESTION_KINDS",
     "FEATURE_METAL_LAYERS",

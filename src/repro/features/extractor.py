@@ -29,7 +29,6 @@ from .names import (
     FEATURE_VIA_LAYERS,
     NUM_FEATURES,
     PLACEMENT_STEMS,
-    feature_names,
 )
 
 
@@ -54,132 +53,104 @@ def _shifted_lookup(
     return out
 
 
-class FeatureExtractor:
-    """Builds the (num_gcells, 387) feature matrix for one routed design."""
-
-    def __init__(
-        self,
-        grid: GCellGrid,
-        rgrid: RoutingGrid,
-        placemaps: PlacementMaps,
-    ):
-        self.grid = grid
-        self.rgrid = rgrid
-        self.placemaps = placemaps
-        self.names = feature_names()
-
-    # -- public API ----------------------------------------------------------------
-
-    def extract(self) -> np.ndarray:
-        """The full feature matrix, columns in :func:`feature_names` order."""
-        nx, ny = self.grid.nx, self.grid.ny
-        columns: list[np.ndarray] = []
-        columns.extend(self._placement_columns())
-        columns.extend(self._edge_congestion_columns())
-        columns.extend(self._via_congestion_columns())
-        X = np.column_stack(columns)
-        if X.shape != (nx * ny, NUM_FEATURES):
-            raise AssertionError(
-                f"feature matrix shape {X.shape} != ({nx * ny}, {NUM_FEATURES})"
-            )
-        return X
-
-    # -- placement block ---------------------------------------------------------------
-
-    def _placement_stat_arrays(self) -> dict[str, np.ndarray]:
-        pm = self.placemaps
-        grid = self.grid
-        # normalised centre coordinates of every in-die g-cell
-        xs = (np.arange(grid.nx) + 0.5) / grid.nx
-        ys = (np.arange(grid.ny) + 0.5) / grid.ny
-        return {
-            "x": np.repeat(xs[:, None], grid.ny, axis=1),
-            "y": np.repeat(ys[None, :], grid.nx, axis=0),
-            "cells": pm.num_cells.astype(np.float64),
-            "pins": pm.num_pins.astype(np.float64),
-            "clkpins": pm.num_clock_pins.astype(np.float64),
-            "lnets": pm.num_local_nets.astype(np.float64),
-            "lpins": pm.num_local_net_pins.astype(np.float64),
-            "ndrpins": pm.num_ndr_pins.astype(np.float64),
-            "pinspace": pm.pin_spacing,
-            "blkg": pm.blockage_frac,
-            "cellarea": pm.cell_area_frac,
-        }
-
-    def _placement_columns(self) -> list[np.ndarray]:
-        grid = self.grid
-        shape = (grid.nx, grid.ny)
-        stats = self._placement_stat_arrays()
-        cols: list[np.ndarray] = []
-        for pos in WINDOW_POSITIONS:
-            dx, dy = WINDOW_OFFSETS[pos]
-            for stem in PLACEMENT_STEMS:
-                if stem == "x":
-                    # would-be coordinate of the window cell (may pad off-die)
-                    xs = (np.arange(grid.nx) + dx + 0.5) / grid.nx
-                    col = np.repeat(xs[:, None], grid.ny, axis=1)
-                elif stem == "y":
-                    ys = (np.arange(grid.ny) + dy + 0.5) / grid.ny
-                    col = np.repeat(ys[None, :], grid.nx, axis=0)
-                else:
-                    col = _shifted_lookup(stats[stem], dx, dy, shape)
-                cols.append(grid.raster(col))
-        return cols
-
-    # -- congestion blocks --------------------------------------------------------------
-
-    def _edge_congestion_columns(self) -> list[np.ndarray]:
-        grid = self.grid
-        shape = (grid.nx, grid.ny)
-        rgrid = self.rgrid
-        zeros = np.zeros(grid.num_cells)
-        cols: list[np.ndarray] = []
-        for m in FEATURE_METAL_LAYERS:
-            layer = rgrid.tech.metal(m)
-            layer_dir = "H" if layer.is_horizontal else "V"
-            cap_arr = rgrid.metal_cap[m].astype(np.float64)
-            load_arr = rgrid.metal_load[m]
-            for edge in WINDOW_EDGES:
-                if edge.orientation != layer_dir:
-                    # direction mismatch: no tracks of this layer cross the
-                    # edge; all three features are structurally zero
-                    for _ in CONGESTION_KINDS:
-                        cols.append(zeros)
-                    continue
-                if edge.orientation == "H":
-                    # edge between (dxa, dy) and (dxa+1, dy): h-edge index
-                    # (ix + dxa, iy + dy)
-                    dx, dy = edge.cell_a
-                else:
-                    # v-edge index (ix + dx, iy + dya)
-                    dx, dy = edge.cell_a
-                cap = _shifted_lookup(cap_arr, dx, dy, shape)
-                load = _shifted_lookup(load_arr, dx, dy, shape)
-                cols.append(grid.raster(cap))
-                cols.append(grid.raster(load))
-                cols.append(grid.raster(cap - load))
-        return cols
-
-    def _via_congestion_columns(self) -> list[np.ndarray]:
-        grid = self.grid
-        shape = (grid.nx, grid.ny)
-        rgrid = self.rgrid
-        cols: list[np.ndarray] = []
-        for v in FEATURE_VIA_LAYERS:
-            cap_arr = rgrid.via_cap[v].astype(np.float64)
-            load_arr = rgrid.via_load[v]
-            for pos in WINDOW_POSITIONS:
-                dx, dy = WINDOW_OFFSETS[pos]
-                cap = _shifted_lookup(cap_arr, dx, dy, shape)
-                load = _shifted_lookup(load_arr, dx, dy, shape)
-                cols.append(grid.raster(cap))
-                cols.append(grid.raster(load))
-                cols.append(grid.raster(cap - load))
-        return cols
-
-
 def extract_features(
     grid: GCellGrid, rgrid: RoutingGrid, placemaps: PlacementMaps
 ) -> np.ndarray:
-    """Convenience wrapper around :class:`FeatureExtractor`."""
-    return FeatureExtractor(grid, rgrid, placemaps).extract()
+    """The (num_gcells, 387) feature matrix, columns in :func:`~repro.features.names.feature_names` order."""
+    columns: list[np.ndarray] = []
+    columns.extend(_placement_columns(grid, placemaps))
+    columns.extend(_edge_congestion_columns(grid, rgrid))
+    columns.extend(_via_congestion_columns(grid, rgrid))
+    X = np.column_stack(columns)
+    if X.shape != (grid.num_cells, NUM_FEATURES):
+        raise AssertionError(
+            f"feature matrix shape {X.shape} != ({grid.num_cells}, {NUM_FEATURES})"
+        )
+    return X
+
+
+# -- placement block ---------------------------------------------------------------
+
+
+def _placement_stat_arrays(grid: GCellGrid, pm: PlacementMaps) -> dict[str, np.ndarray]:
+    # normalised centre coordinates of every in-die g-cell
+    xs = (np.arange(grid.nx) + 0.5) / grid.nx
+    ys = (np.arange(grid.ny) + 0.5) / grid.ny
+    return {
+        "x": np.repeat(xs[:, None], grid.ny, axis=1),
+        "y": np.repeat(ys[None, :], grid.nx, axis=0),
+        "cells": pm.num_cells.astype(np.float64),
+        "pins": pm.num_pins.astype(np.float64),
+        "clkpins": pm.num_clock_pins.astype(np.float64),
+        "lnets": pm.num_local_nets.astype(np.float64),
+        "lpins": pm.num_local_net_pins.astype(np.float64),
+        "ndrpins": pm.num_ndr_pins.astype(np.float64),
+        "pinspace": pm.pin_spacing,
+        "blkg": pm.blockage_frac,
+        "cellarea": pm.cell_area_frac,
+    }
+
+
+def _placement_columns(grid: GCellGrid, placemaps: PlacementMaps) -> list[np.ndarray]:
+    shape = (grid.nx, grid.ny)
+    stats = _placement_stat_arrays(grid, placemaps)
+    cols: list[np.ndarray] = []
+    for pos in WINDOW_POSITIONS:
+        dx, dy = WINDOW_OFFSETS[pos]
+        for stem in PLACEMENT_STEMS:
+            if stem == "x":
+                # would-be coordinate of the window cell (may pad off-die)
+                xs = (np.arange(grid.nx) + dx + 0.5) / grid.nx
+                col = np.repeat(xs[:, None], grid.ny, axis=1)
+            elif stem == "y":
+                ys = (np.arange(grid.ny) + dy + 0.5) / grid.ny
+                col = np.repeat(ys[None, :], grid.nx, axis=0)
+            else:
+                col = _shifted_lookup(stats[stem], dx, dy, shape)
+            cols.append(grid.raster(col))
+    return cols
+
+
+# -- congestion blocks --------------------------------------------------------------
+
+
+def _edge_congestion_columns(grid: GCellGrid, rgrid: RoutingGrid) -> list[np.ndarray]:
+    shape = (grid.nx, grid.ny)
+    zeros = np.zeros(grid.num_cells)
+    cols: list[np.ndarray] = []
+    for m in FEATURE_METAL_LAYERS:
+        layer = rgrid.tech.metal(m)
+        layer_dir = "H" if layer.is_horizontal else "V"
+        cap_arr = rgrid.metal_cap[m].astype(np.float64)
+        load_arr = rgrid.metal_load[m]
+        for edge in WINDOW_EDGES:
+            if edge.orientation != layer_dir:
+                # direction mismatch: no tracks of this layer cross the
+                # edge; all three features are structurally zero
+                for _ in CONGESTION_KINDS:
+                    cols.append(zeros)
+                continue
+            # edge arrays are indexed by their lower/left cell, cell_a
+            dx, dy = edge.cell_a
+            cap = _shifted_lookup(cap_arr, dx, dy, shape)
+            load = _shifted_lookup(load_arr, dx, dy, shape)
+            cols.append(grid.raster(cap))
+            cols.append(grid.raster(load))
+            cols.append(grid.raster(cap - load))
+    return cols
+
+
+def _via_congestion_columns(grid: GCellGrid, rgrid: RoutingGrid) -> list[np.ndarray]:
+    shape = (grid.nx, grid.ny)
+    cols: list[np.ndarray] = []
+    for v in FEATURE_VIA_LAYERS:
+        cap_arr = rgrid.via_cap[v].astype(np.float64)
+        load_arr = rgrid.via_load[v]
+        for pos in WINDOW_POSITIONS:
+            dx, dy = WINDOW_OFFSETS[pos]
+            cap = _shifted_lookup(cap_arr, dx, dy, shape)
+            load = _shifted_lookup(load_arr, dx, dy, shape)
+            cols.append(grid.raster(cap))
+            cols.append(grid.raster(load))
+            cols.append(grid.raster(cap - load))
+    return cols

@@ -1,12 +1,10 @@
 """Placement substrate: force-directed global placement and row legalisation."""
 
 from .legalizer import LegalizationError, legalize
-from .placer import ForceDirectedPlacer, PlacerConfig, place_design
+from .placer import place_design
 
 __all__ = [
     "LegalizationError",
     "legalize",
-    "ForceDirectedPlacer",
-    "PlacerConfig",
     "place_design",
 ]

@@ -11,8 +11,6 @@ from .maze import route_maze
 from .patterns import route_pattern
 from .report import LayerUtilization, layer_utilizations, routing_report
 from .router import (
-    GlobalRouter,
-    RouterConfig,
     RoutedSegment,
     RoutingResult,
     route_design,
@@ -31,8 +29,6 @@ __all__ = [
     "RoutingGrid",
     "route_maze",
     "route_pattern",
-    "GlobalRouter",
-    "RouterConfig",
     "RoutedSegment",
     "RoutingResult",
     "route_design",

@@ -52,13 +52,9 @@ def window_edge_cap_load(
 
     if edge.orientation == "H":  # horizontal wires, edge between (ax,ay)-(ax+1,ay)
         e = (min(ax, bx), ay)
-        cap = rgrid.metal_cap[metal_index]
-        load = rgrid.metal_load[metal_index]
     else:  # vertical wires, edge between (ax,ay)-(ax,ay+1)
         e = (ax, min(ay, by))
-        cap = rgrid.metal_cap[metal_index]
-        load = rgrid.metal_load[metal_index]
-    return (float(cap[e]), float(load[e]))
+    return (float(rgrid.metal_cap[metal_index][e]), float(rgrid.metal_load[metal_index][e]))
 
 
 def window_cell_via_cap_load(

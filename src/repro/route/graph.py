@@ -67,10 +67,10 @@ def _cost_array(load: np.ndarray, cap: np.ndarray, hist: np.ndarray) -> np.ndarr
 class RoutingGrid:
     """Capacity/load bookkeeping for one design's global routing."""
 
-    def __init__(self, design: Design, grid: GCellGrid | None = None):
+    def __init__(self, design: Design, grid: GCellGrid):
         self.design = design
         self.tech: Technology = design.technology
-        self.grid = grid or GCellGrid.for_design_die(design.die, self.tech)
+        self.grid = grid
         nx, ny = self.grid.nx, self.grid.ny
 
         #: metal layers available to GR, split by direction

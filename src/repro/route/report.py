@@ -67,7 +67,6 @@ def routing_report(result: RoutingResult, design_name: str = "") -> str:
         f"overflow history    : "
         + " -> ".join(f"{v:.0f}" for v in result.overflow_history),
         f"final 2-D overflow  : {result.final_overflow:.0f}",
-        f"runtime             : {result.runtime_sec:.2f} s",
         "",
         f"{'layer':>6s} {'capacity':>10s} {'load':>10s} {'util':>7s} {'ovfl edges':>11s}",
     ]

@@ -25,7 +25,6 @@ is exactly the congestion map the paper extracts features from.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 from ..layout.grid import GCellGrid
@@ -37,16 +36,12 @@ from .patterns import route_pattern
 from .steiner import decompose_net
 
 
-@dataclass(frozen=True)
-class RouterConfig:
-    """Global-router knobs."""
-
-    #: negotiation iterations after the initial pattern pass
-    negotiation_iterations: int = 5
-    #: history cost added to overflowed edges each iteration
-    history_increment: float = 1.5
-    #: stop negotiating when overflow improves less than this fraction
-    min_improvement: float = 0.02
+#: negotiation rounds after the initial pattern pass
+NEGOTIATION_ROUNDS = 5
+#: history cost added to overflowed edges each round
+HISTORY_INCREMENT = 1.5
+#: stop negotiating when overflow improves less than this fraction
+MIN_IMPROVEMENT = 0.02
 
 
 @dataclass
@@ -77,7 +72,6 @@ class RoutingResult:
     rgrid: RoutingGrid
     segments: list[RoutedSegment]
     overflow_history: list[float]
-    runtime_sec: float
 
     @property
     def final_overflow(self) -> float:
@@ -88,216 +82,194 @@ class RoutingResult:
         return sum(max(len(s.path) - 1, 0) for s in self.segments)
 
 
-class GlobalRouter:
-    """Routes one placed design."""
-
-    def __init__(
-        self,
-        design: Design,
-        grid: GCellGrid | None = None,
-        config: RouterConfig | None = None,
-    ):
-        if not design.is_placed:
-            raise ValueError(f"design {design.name} must be placed before routing")
-        self.design = design
-        self.config = config or RouterConfig()
-        self.rgrid = RoutingGrid(design, grid)
-
-    # -- public API ----------------------------------------------------------------
-
-    def run(self) -> RoutingResult:
-        tracer = get_tracer()
-        start = time.perf_counter()
-        segments = self._build_segments()
-        overflow_history: list[float] = []
-
-        # Initial pattern pass, shortest segments first so long nets see the
-        # congestion that short, inflexible nets create.
-        with tracer.span("pattern_pass"):
-            segments.sort(key=lambda s: abs(s.a[0] - s.b[0]) + abs(s.a[1] - s.b[1]))
-            cost_h, cost_v = self.rgrid.edge_cost_arrays()
-            for i, seg in enumerate(segments):
-                seg.path, _ = route_pattern(seg.a, seg.b, cost_h, cost_v)
-                self.rgrid.add_path_load(seg.path, seg.demand)
-                if (i + 1) % 128 == 0:  # refresh congestion view periodically
-                    cost_h, cost_v = self.rgrid.edge_cost_arrays()
-            overflow_history.append(self.rgrid.overflow2d())
-
-        # PathFinder negotiation.
-        iterations = ripped_up = 0
-        with tracer.span("negotiation") as neg_span:
-            for _ in range(self.config.negotiation_iterations):
-                before = overflow_history[-1]
-                if before == 0.0:
-                    break
-                iterations += 1
-                self.rgrid.bump_history(self.config.history_increment)
-                victims = [s for s in segments if s.crosses_overflow(self.rgrid)]
-                ripped_up += len(victims)
-                # full cost arrays once per iteration; each rip-up and
-                # re-route then changes loads only along its two paths
-                cost_h, cost_v = self.rgrid.edge_cost_arrays()
-                for seg in victims:
-                    self.rgrid.remove_path_load(seg.path, seg.demand)
-                    self.rgrid.refresh_path_costs(seg.path, cost_h, cost_v)
-                    seg.path, _ = route_maze(seg.a, seg.b, cost_h, cost_v)
-                    self.rgrid.add_path_load(seg.path, seg.demand)
-                    self.rgrid.refresh_path_costs(seg.path, cost_h, cost_v)
-                after = self.rgrid.overflow2d()
-                overflow_history.append(after)
-                if before > 0 and (before - after) / before < self.config.min_improvement:
-                    break
-            neg_span.set(iterations=iterations, ripped_up=ripped_up,
-                         overflow_final=overflow_history[-1])
-
-        with tracer.span("layer_assignment"):
-            self._assign_layers(segments)
-            self._account_pin_access_vias()
-        tracer.counter("router.negotiation.iterations", iterations)
-        tracer.counter("router.ripup.segments", ripped_up)
-        tracer.gauge("router.overflow.final", overflow_history[-1])
-        runtime = time.perf_counter() - start
-        return RoutingResult(
-            rgrid=self.rgrid,
-            segments=segments,
-            overflow_history=overflow_history,
-            runtime_sec=runtime,
-        )
-
-    # -- segment construction ----------------------------------------------------------
-
-    def _net_demand(self, net: Net) -> float:
-        if net.ndr is None:
-            return 1.0
-        return float(self.design.technology.ndr(net.ndr).track_cost)
-
-    def _build_segments(self) -> list[RoutedSegment]:
-        grid = self.rgrid.grid
-        segments: list[RoutedSegment] = []
-        # clock nets first: pre-routed, same machinery, negotiated like the rest
-        ordered = [n for n in self.design.nets if n.is_clock and n.degree >= 2]
-        ordered += self.design.signal_nets()
-        for net in ordered:
-            demand = self._net_demand(net)
-            for a, b in decompose_net(net, grid):
-                segments.append(RoutedSegment(net=net, a=a, b=b, demand=demand))
-        return segments
-
-    # -- layer assignment ------------------------------------------------------------------
-
-    @staticmethod
-    def _straight_runs(
-        path: list[tuple[int, int]],
-    ) -> list[tuple[str, list[tuple[int, int]]]]:
-        """Split a 4-connected path into maximal straight runs.
-
-        Returns (direction, cells) with direction 'H' or 'V'; a run's cells
-        include both endpoints.
-        """
-        if len(path) < 2:
-            return []
-        runs: list[tuple[str, list[tuple[int, int]]]] = []
-        cur_dir = "H" if path[1][1] == path[0][1] else "V"
-        cur = [path[0], path[1]]
-        for nxt in path[2:]:
-            d = "H" if nxt[1] == cur[-1][1] else "V"
-            if d == cur_dir:
-                cur.append(nxt)
-            else:
-                runs.append((cur_dir, cur))
-                cur = [cur[-1], nxt]
-                cur_dir = d
-        runs.append((cur_dir, cur))
-        return runs
-
-    def _run_edges(
-        self, direction: str, cells: list[tuple[int, int]]
-    ) -> list[tuple[int, int]]:
-        """Edge array indices touched by a straight run."""
-        edges = []
-        for (ax, ay), (bx, by) in zip(cells, cells[1:]):
-            if direction == "H":
-                edges.append((min(ax, bx), ay))
-            else:
-                edges.append((ax, min(ay, by)))
-        return edges
-
-    def _choose_layer(
-        self, direction: str, edges: list[tuple[int, int]], demand: float
-    ) -> int:
-        """Pick the least-utilised metal layer of the given direction."""
-        rgrid = self.rgrid
-        layers = rgrid.h_layers if direction == "H" else rgrid.v_layers
-        best_layer, best_util = layers[-1], float("inf")
-        for m in layers:
-            cap = rgrid.metal_cap[m]
-            load = rgrid.metal_load[m]
-            util = 0.0
-            for e in edges:
-                c = cap[e]
-                if c <= 0:
-                    util = float("inf")
-                    break
-                util = max(util, (load[e] + demand) / c)
-            if util < best_util:
-                best_layer, best_util = m, util
-        if best_util == float("inf"):
-            # every candidate blocked somewhere along the run: use the top
-            # layer of this direction (top layers are blocked least often)
-            best_layer = layers[-1]
-        return best_layer
-
-    def _add_via_stack(self, cell: tuple[int, int], m_lo: int, m_hi: int, demand: float) -> None:
-        """Load the via layers connecting metals ``m_lo``..``m_hi`` at a cell."""
-        if m_lo > m_hi:
-            m_lo, m_hi = m_hi, m_lo
-        for v in range(m_lo, m_hi):
-            self.rgrid.via_load[v][cell] += demand
-
-    def _assign_layers(self, segments: list[RoutedSegment]) -> None:
-        for seg in segments:
-            runs = self._straight_runs(seg.path)
-            if not runs:
-                continue
-            run_layers: list[int] = []
-            for direction, cells in runs:
-                edges = self._run_edges(direction, cells)
-                layer = self._choose_layer(direction, edges, seg.demand)
-                load = self.rgrid.metal_load[layer]
-                for e in edges:
-                    load[e] += seg.demand
-                run_layers.append(layer)
-            # pin-access stacks at both segment endpoints (M1 up to wire layer)
-            self._add_via_stack(seg.path[0], 1, run_layers[0], seg.demand)
-            self._add_via_stack(seg.path[-1], 1, run_layers[-1], seg.demand)
-            # bend vias where consecutive runs meet on different layers
-            for (d1, cells1), l1, (_, _), l2 in zip(
-                runs, run_layers, runs[1:], run_layers[1:]
-            ):
-                bend_cell = cells1[-1]
-                self._add_via_stack(bend_cell, l1, l2, seg.demand)
-
-    # -- pin access for unrouted pins ----------------------------------------------------------
-
-    def _account_pin_access_vias(self) -> None:
-        """Every placed pin consumes one V1 pin-access via in its g-cell.
-
-        This covers local nets (never seen by GR) and the M1-M2 escape of
-        every routed pin, making V1/V2 congestion track pin density — the
-        mechanism behind the paper's via-congestion features.
-        """
-        grid = self.rgrid.grid
-        v1 = self.rgrid.via_load[1]
-        for net in self.design.nets:
-            for pin in net.pins:
-                v1[grid.cell_of_point(pin.position)] += 1.0
-
-
-def route_design(
-    design: Design,
-    grid: GCellGrid | None = None,
-    config: RouterConfig | None = None,
-) -> RoutingResult:
+def route_design(design: Design, grid: GCellGrid) -> RoutingResult:
     """Globally route a placed design and return the loaded routing grid."""
-    return GlobalRouter(design, grid, config).run()
+    if not design.is_placed:
+        raise ValueError(f"design {design.name} must be placed before routing")
+    tracer = get_tracer()
+    rgrid = RoutingGrid(design, grid)
+    segments = _build_segments(design, grid)
+    overflow_history: list[float] = []
 
+    # Initial pattern pass, shortest segments first so long nets see the
+    # congestion that short, inflexible nets create.
+    with tracer.span("pattern_pass"):
+        segments.sort(key=lambda s: abs(s.a[0] - s.b[0]) + abs(s.a[1] - s.b[1]))
+        cost_h, cost_v = rgrid.edge_cost_arrays()
+        for i, seg in enumerate(segments):
+            seg.path, _ = route_pattern(seg.a, seg.b, cost_h, cost_v)
+            rgrid.add_path_load(seg.path, seg.demand)
+            if (i + 1) % 128 == 0:  # refresh congestion view periodically
+                cost_h, cost_v = rgrid.edge_cost_arrays()
+        overflow_history.append(rgrid.overflow2d())
+
+    # PathFinder negotiation.
+    iterations = ripped_up = 0
+    with tracer.span("negotiation") as neg_span:
+        for _ in range(NEGOTIATION_ROUNDS):
+            before = overflow_history[-1]
+            if before == 0.0:
+                break
+            iterations += 1
+            rgrid.bump_history(HISTORY_INCREMENT)
+            victims = [s for s in segments if s.crosses_overflow(rgrid)]
+            ripped_up += len(victims)
+            # full cost arrays once per iteration; each rip-up and
+            # re-route then changes loads only along its two paths
+            cost_h, cost_v = rgrid.edge_cost_arrays()
+            for seg in victims:
+                rgrid.remove_path_load(seg.path, seg.demand)
+                rgrid.refresh_path_costs(seg.path, cost_h, cost_v)
+                seg.path, _ = route_maze(seg.a, seg.b, cost_h, cost_v)
+                rgrid.add_path_load(seg.path, seg.demand)
+                rgrid.refresh_path_costs(seg.path, cost_h, cost_v)
+            after = rgrid.overflow2d()
+            overflow_history.append(after)
+            if before > 0 and (before - after) / before < MIN_IMPROVEMENT:
+                break
+        neg_span.set(iterations=iterations, ripped_up=ripped_up,
+                     overflow_final=overflow_history[-1])
+
+    with tracer.span("layer_assignment"):
+        _assign_layers(rgrid, segments)
+        _account_pin_access_vias(design, rgrid)
+    tracer.counter("router.negotiation.iterations", iterations)
+    tracer.counter("router.ripup.segments", ripped_up)
+    tracer.gauge("router.overflow.final", overflow_history[-1])
+    return RoutingResult(rgrid=rgrid, segments=segments, overflow_history=overflow_history)
+
+
+# -- segment construction --------------------------------------------------------------
+
+
+def _net_demand(design: Design, net: Net) -> float:
+    if net.ndr is None:
+        return 1.0
+    return float(design.technology.ndr(net.ndr).track_cost)
+
+
+def _build_segments(design: Design, grid: GCellGrid) -> list[RoutedSegment]:
+    segments: list[RoutedSegment] = []
+    # clock nets first: pre-routed, same machinery, negotiated like the rest
+    ordered = [n for n in design.nets if n.is_clock and n.degree >= 2]
+    ordered += design.signal_nets()
+    for net in ordered:
+        demand = _net_demand(design, net)
+        for a, b in decompose_net(net, grid):
+            segments.append(RoutedSegment(net=net, a=a, b=b, demand=demand))
+    return segments
+
+
+# -- layer assignment ------------------------------------------------------------------
+
+
+def _straight_runs(
+    path: list[tuple[int, int]],
+) -> list[tuple[str, list[tuple[int, int]]]]:
+    """Split a 4-connected path into maximal straight runs.
+
+    Returns (direction, cells) with direction 'H' or 'V'; a run's cells
+    include both endpoints.
+    """
+    if len(path) < 2:
+        return []
+    runs: list[tuple[str, list[tuple[int, int]]]] = []
+    cur_dir = "H" if path[1][1] == path[0][1] else "V"
+    cur = [path[0], path[1]]
+    for nxt in path[2:]:
+        d = "H" if nxt[1] == cur[-1][1] else "V"
+        if d == cur_dir:
+            cur.append(nxt)
+        else:
+            runs.append((cur_dir, cur))
+            cur = [cur[-1], nxt]
+            cur_dir = d
+    runs.append((cur_dir, cur))
+    return runs
+
+
+def _run_edges(direction: str, cells: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Edge array indices touched by a straight run."""
+    edges = []
+    for (ax, ay), (bx, by) in zip(cells, cells[1:]):
+        if direction == "H":
+            edges.append((min(ax, bx), ay))
+        else:
+            edges.append((ax, min(ay, by)))
+    return edges
+
+
+def _choose_layer(
+    rgrid: RoutingGrid, direction: str, edges: list[tuple[int, int]], demand: float
+) -> int:
+    """Pick the least-utilised metal layer of the given direction."""
+    layers = rgrid.h_layers if direction == "H" else rgrid.v_layers
+    best_layer, best_util = layers[-1], float("inf")
+    for m in layers:
+        cap = rgrid.metal_cap[m]
+        load = rgrid.metal_load[m]
+        util = 0.0
+        for e in edges:
+            c = cap[e]
+            if c <= 0:
+                util = float("inf")
+                break
+            util = max(util, (load[e] + demand) / c)
+        if util < best_util:
+            best_layer, best_util = m, util
+    if best_util == float("inf"):
+        # every candidate blocked somewhere along the run: use the top
+        # layer of this direction (top layers are blocked least often)
+        best_layer = layers[-1]
+    return best_layer
+
+
+def _add_via_stack(
+    rgrid: RoutingGrid, cell: tuple[int, int], m_lo: int, m_hi: int, demand: float
+) -> None:
+    """Load the via layers connecting metals ``m_lo``..``m_hi`` at a cell."""
+    if m_lo > m_hi:
+        m_lo, m_hi = m_hi, m_lo
+    for v in range(m_lo, m_hi):
+        rgrid.via_load[v][cell] += demand
+
+
+def _assign_layers(rgrid: RoutingGrid, segments: list[RoutedSegment]) -> None:
+    for seg in segments:
+        runs = _straight_runs(seg.path)
+        if not runs:
+            continue
+        run_layers: list[int] = []
+        for direction, cells in runs:
+            edges = _run_edges(direction, cells)
+            layer = _choose_layer(rgrid, direction, edges, seg.demand)
+            load = rgrid.metal_load[layer]
+            for e in edges:
+                load[e] += seg.demand
+            run_layers.append(layer)
+        # pin-access stacks at both segment endpoints (M1 up to wire layer)
+        _add_via_stack(rgrid, seg.path[0], 1, run_layers[0], seg.demand)
+        _add_via_stack(rgrid, seg.path[-1], 1, run_layers[-1], seg.demand)
+        # bend vias where consecutive runs meet on different layers
+        for (d1, cells1), l1, (_, _), l2 in zip(
+            runs, run_layers, runs[1:], run_layers[1:]
+        ):
+            bend_cell = cells1[-1]
+            _add_via_stack(rgrid, bend_cell, l1, l2, seg.demand)
+
+
+# -- pin access for unrouted pins --------------------------------------------------------
+
+
+def _account_pin_access_vias(design: Design, rgrid: RoutingGrid) -> None:
+    """Every placed pin consumes one V1 pin-access via in its g-cell.
+
+    This covers local nets (never seen by GR) and the M1-M2 escape of
+    every routed pin, making V1/V2 congestion track pin density — the
+    mechanism behind the paper's via-congestion features.
+    """
+    grid = rgrid.grid
+    v1 = rgrid.via_load[1]
+    for net in design.nets:
+        for pin in net.pins:
+            v1[grid.cell_of_point(pin.position)] += 1.0

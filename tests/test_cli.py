@@ -59,19 +59,41 @@ class TestCLIRejectsBadNumbers:
             ["report", "mult_b", "--top", "0"],
             ["suite", "--scale", "0"],
             ["table2", "--scale", "-1"],
+            ["flow", "--grid", "0"],
+            ["flow", "--grid", "-3"],
+            ["flow", "--grid", "1"],
+            ["flow", "--macros", "-2"],
+            ["flow", "--seed", "-1"],
+            ["flow", "--utilization", "5"],
+            ["flow", "--utilization", "1"],
+            ["flow", "--utilization", "nan"],
+            ["flow", "--utilization", "0"],
         ],
     )
     def test_exits_2_before_any_flow(self, argv, monkeypatch, capsys):
         import repro.cli as cli
 
         def no_flow(*args, **kwargs):
-            raise AssertionError("the suite was built")
+            raise AssertionError("a flow ran")
 
         monkeypatch.setattr(cli, "build_suite_dataset", no_flow)
+        monkeypatch.setattr(cli, "run_flow", no_flow)
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
         assert "must be" in capsys.readouterr().err
+
+    def test_flow_bounds_are_inclusive_where_they_run(self, capsys):
+        assert main(["flow", "--grid", "2", "--macros", "0", "--utilization", "0.01"]) == 0
+        assert "violations" in capsys.readouterr().out
+
+    def test_unlegalizable_utilization_is_one_error_line(self, capsys):
+        # 0.97 is a valid fraction, but the default 20x20 design cannot
+        # legalize it: that is a runtime error, reported without a traceback
+        assert main(["flow", "--utilization", "0.97"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: LegalizationError: no legal position for cell")
+        assert len(err.strip().splitlines()) == 1
 
     @pytest.mark.parametrize("command", ["explain", "report"])
     def test_unknown_design_exits_2_before_any_flow(self, command, monkeypatch, capsys):

@@ -211,7 +211,7 @@ class TestRasterizer:
             name="macros", grid_nx=12, grid_ny=10, num_macros=3,
             macro_area_frac=0.15, seed=3,
         ))
-        rgrid = RoutingGrid(design)
+        rgrid = RoutingGrid(design, GCellGrid.for_design_die(design.die, design.technology))
         g = rgrid.grid
         tech = design.technology
         seen_blocked = False

@@ -3,9 +3,10 @@
 import pytest
 
 from repro.layout.geometry import Point, Rect
+from repro.layout.grid import GCellGrid
 from repro.layout.netlist import Design
 from repro.layout.technology import make_ispd2015_like_technology
-from repro.route.router import GlobalRouter
+from repro.route.router import _straight_runs, route_design
 
 
 def _line_design(horizontal: bool = True, ndr: str | None = None) -> Design:
@@ -27,10 +28,14 @@ def _line_design(horizontal: bool = True, ndr: str | None = None) -> Design:
     return d
 
 
+def _route(d: Design):
+    return route_design(d, GCellGrid.for_design_die(d.die, d.technology))
+
+
 class TestLayerAssignment:
     def test_horizontal_net_loads_horizontal_layers(self):
         d = _line_design(horizontal=True)
-        rr = GlobalRouter(d).run()
+        rr = _route(d)
         rg = rr.rgrid
         h_load = sum(rg.metal_load[m].sum() for m in rg.h_layers)
         v_load = sum(rg.metal_load[m].sum() for m in rg.v_layers)
@@ -39,7 +44,7 @@ class TestLayerAssignment:
 
     def test_vertical_net_loads_vertical_layers(self):
         d = _line_design(horizontal=False)
-        rr = GlobalRouter(d).run()
+        rr = _route(d)
         rg = rr.rgrid
         h_load = sum(rg.metal_load[m].sum() for m in rg.h_layers)
         v_load = sum(rg.metal_load[m].sum() for m in rg.v_layers)
@@ -48,7 +53,7 @@ class TestLayerAssignment:
 
     def test_pin_access_via_stacks(self):
         d = _line_design(horizontal=True)
-        rr = GlobalRouter(d).run()
+        rr = _route(d)
         rg = rr.rgrid
         # wire rides a horizontal GR layer (M3 or M5); each endpoint grows a
         # via stack from M1 up to that layer, plus 1 V1 per pin access
@@ -61,8 +66,8 @@ class TestLayerAssignment:
         assert rg.via_load[1].sum() >= 2.0
 
     def test_ndr_net_consumes_double_tracks(self):
-        plain = GlobalRouter(_line_design(horizontal=True)).run()
-        ndr = GlobalRouter(_line_design(horizontal=True, ndr="ndr_2w2s")).run()
+        plain = _route(_line_design(horizontal=True))
+        ndr = _route(_line_design(horizontal=True, ndr="ndr_2w2s"))
         plain_load = sum(plain.rgrid.metal_load[m].sum() for m in (3, 5))
         ndr_load = sum(ndr.rgrid.metal_load[m].sum() for m in (3, 5))
         assert ndr_load == pytest.approx(2 * plain_load)
@@ -80,7 +85,7 @@ class TestLayerAssignment:
         net = d.add_net("n0")
         net.connect(a.add_pin("p", Point(1, 1)))
         net.connect(b.add_pin("p", Point(1, 1)))
-        rr = GlobalRouter(d).run()
+        rr = _route(d)
         rg = rr.rgrid
         # both directions carry load
         assert sum(rg.metal_load[m].sum() for m in rg.h_layers) > 0
@@ -89,7 +94,7 @@ class TestLayerAssignment:
         assert sum(rg.via_load[v].sum() for v in (2, 3, 4)) > 0
 
     def test_straight_runs_helper(self):
-        runs = GlobalRouter._straight_runs(
+        runs = _straight_runs(
             [(0, 0), (1, 0), (2, 0), (2, 1), (2, 2), (3, 2)]
         )
         assert [r[0] for r in runs] == ["H", "V", "H"]
@@ -97,4 +102,4 @@ class TestLayerAssignment:
         assert runs[1][1] == [(2, 0), (2, 1), (2, 2)]
 
     def test_straight_runs_single_cell(self):
-        assert GlobalRouter._straight_runs([(1, 1)]) == []
+        assert _straight_runs([(1, 1)]) == []

@@ -8,7 +8,12 @@ from repro.layout.geometry import Point, Rect
 from repro.layout.netlist import Design
 from repro.layout.technology import make_ispd2015_like_technology
 from repro.place.legalizer import LegalizationError, legalize
-from repro.place.placer import ForceDirectedPlacer, PlacerConfig, place_design
+from repro.place.placer import (
+    SEED,
+    _net_membership,
+    _spectral_positions,
+    place_design,
+)
 
 
 def _check_legal(design):
@@ -61,9 +66,15 @@ class TestPlaceDesign:
 
     def test_placement_improves_wirelength(self):
         recipe = DesignRecipe(name="wl", grid_nx=12, grid_ny=12, seed=5)
+        # the spectral start, legalized without the force loop
         d_random = generate_design(recipe)
-        placer = ForceDirectedPlacer(d_random, PlacerConfig(iterations=0))
-        placer.place()
+        nets = _net_membership(d_random, {id(c): i for i, c in enumerate(d_random.cells)})
+        pos = _spectral_positions(
+            d_random, d_random.num_cells, nets, np.random.default_rng(SEED)
+        )
+        for cell, (x, y) in zip(d_random.cells, pos):
+            cell.position = Point(x - cell.width / 2.0, y - cell.height / 2.0)
+        legalize(d_random)
         hpwl_random = d_random.total_hpwl()
 
         d_placed = generate_design(recipe)

@@ -3,9 +3,18 @@
 import numpy as np
 
 from repro.layout.geometry import Point, Rect
+from repro.layout.grid import GCellGrid
 from repro.layout.netlist import Design
 from repro.layout.technology import make_ispd2015_like_technology
-from repro.place.placer import ForceDirectedPlacer, PlacerConfig
+from repro.place.placer import (
+    MACRO_HALO_GCELLS,
+    SEED,
+    _density_force,
+    _net_membership,
+    _push_out_of_macros,
+    _spectral_positions,
+    _wirelength_force,
+)
 
 
 def _two_cluster_design() -> Design:
@@ -42,10 +51,9 @@ def _two_cluster_design() -> Design:
 class TestSpectralInit:
     def test_separates_clusters(self):
         d = _two_cluster_design()
-        placer = ForceDirectedPlacer(d, PlacerConfig())
         cell_index = {id(c): i for i, c in enumerate(d.cells)}
-        nets = placer._net_membership(cell_index)
-        pos = placer._spectral_positions(len(d.cells), nets)
+        nets = _net_membership(d, cell_index)
+        pos = _spectral_positions(d, len(d.cells), nets, np.random.default_rng(SEED))
         a = pos[:8]
         b = pos[8:]
         # within-cluster spread must be smaller than the cluster separation
@@ -58,9 +66,8 @@ class TestSpectralInit:
         d = Design(name="tiny", technology=tech, die=Rect(0, 0, 1200, 1200))
         for i in range(4):
             d.add_cell(f"c{i}", 40, tech.row_height).add_pin("p", Point(1, 1))
-        placer = ForceDirectedPlacer(d)
-        nets = placer._net_membership({id(c): i for i, c in enumerate(d.cells)})
-        pos = placer._spectral_positions(4, nets)
+        nets = _net_membership(d, {id(c): i for i, c in enumerate(d.cells)})
+        pos = _spectral_positions(d, 4, nets, np.random.default_rng(SEED))
         assert pos.shape == (4, 2)
         assert np.isfinite(pos).all()
 
@@ -68,23 +75,22 @@ class TestSpectralInit:
 class TestForces:
     def test_wirelength_force_pulls_together(self):
         d = _two_cluster_design()
-        placer = ForceDirectedPlacer(d)
         cell_index = {id(c): i for i, c in enumerate(d.cells)}
-        nets = placer._net_membership(cell_index)
+        nets = _net_membership(d, cell_index)
         rng = np.random.default_rng(0)
         pos = rng.uniform(100, 2300, size=(16, 2))
         hpwl_proxy_before = _net_span(pos, nets)
         for _ in range(30):
-            pos += 0.4 * placer._wirelength_force(pos, nets)
+            pos += 0.4 * _wirelength_force(pos, nets)
         assert _net_span(pos, nets) < hpwl_proxy_before
 
     def test_density_force_spreads_overfull_bin(self):
         d = _two_cluster_design()
-        placer = ForceDirectedPlacer(d)
+        grid = GCellGrid.for_design_die(d.die, d.technology)
         # all cells piled into one point -> the bin is over target density
         pos = np.full((16, 2), 1200.0)
         areas = np.array([c.area for c in d.cells])
-        force = placer._density_force(pos, areas)
+        force = _density_force(pos, areas, grid, np.random.default_rng(SEED))
         assert np.abs(force).sum() > 0.0
 
     def test_macro_pushout(self):
@@ -92,10 +98,9 @@ class TestForces:
         d = Design(name="m", technology=tech, die=Rect(0, 0, 2400, 2400))
         d.add_macro("blk", Rect(960, 960, 1440, 1440))
         d.add_cell("c", 40, tech.row_height).add_pin("p", Point(1, 1))
-        placer = ForceDirectedPlacer(d)
         pos = np.array([[1200.0, 1200.0]])  # inside the macro
-        out = placer._push_out_of_macros(pos.copy())
-        macro = d.macros[0].bbox.expanded(placer.config.macro_halo_gcells * tech.gcell_size)
+        out = _push_out_of_macros(d, pos.copy())
+        macro = d.macros[0].bbox.expanded(MACRO_HALO_GCELLS * tech.gcell_size)
         x, y = out[0]
         assert not (macro.xlo < x < macro.xhi and macro.ylo < y < macro.yhi)
 
