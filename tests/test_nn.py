@@ -1,12 +1,24 @@
 """Tests for the numpy MLP."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from repro.core.models import model_zoo
 from repro.ml.metrics import auc_roc
 from repro.ml.nn import MLPClassifier
 from repro.ml.scaling import StandardScaler
-from tests.conftest import make_separable
+from repro.runtime import blas
+from tests.conftest import make_separable, svm_matrix
+
+
+def nn_digest(m) -> str:
+    """SHA-256 over every fitted output of an MLP."""
+    h = hashlib.sha256()
+    for a in (*m.weights_, *m.biases_, np.asarray(m.loss_curve_)):
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
 
 
 class TestMLP:
@@ -78,6 +90,26 @@ class TestMLP:
     def test_not_fitted_raises(self):
         with pytest.raises(RuntimeError):
             MLPClassifier().predict_proba(np.zeros((1, 3)))
+
+
+class TestPinnedNN:
+    """NN-1 and NN-2 as Table II builds them (``model_zoo("fast")``
+    factories on standardised inputs, one BLAS thread), every fitted
+    weight, bias and per-epoch loss pinned by SHA-256."""
+
+    @pytest.mark.parametrize("name, epochs, digest", [
+        # every epoch runs
+        ("NN-1", 25, "60f9f06830226882d78305ce1457cc0ff75a5795496cdbfb2c14cb4e55666846"),
+        # early stopping ends it and restores the best epoch's parameters
+        ("NN-2", 6, "a66506245ba4a44ef06676bfdf4f7abc3fde1d17411337967574f3e034fb9038"),
+    ])
+    def test_zoo_network(self, name, epochs, digest):
+        X, y = svm_matrix(600, 7)
+        spec = next(s for s in model_zoo("fast") if s.name == name)
+        with blas.thread_budget(spec.blas_threads):
+            m = spec.factory().fit(StandardScaler().fit_transform(X), y)
+        assert len(m.loss_curve_) == epochs
+        assert nn_digest(m) == digest
 
 
 class TestScalers:
