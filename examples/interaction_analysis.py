@@ -18,6 +18,7 @@ from repro.bench.suite import SUITE_RECIPES
 from repro.core import build_suite_dataset, default_cache_path
 from repro.core.explain import train_explanation_forest
 from repro.features import feature_names
+from repro.ml.forest import ForestArrays
 from repro.ml.shap import TreeShapExplainer, top_interactions
 
 
@@ -31,17 +32,16 @@ def main() -> None:
     suite, _ = build_suite_dataset(args.scale, cache_path=default_cache_path(args.scale))
     dataset = suite.by_name(args.design)
     # interactions enumerate 2^k coalitions per tree: keep the forest modest
-    model = train_explanation_forest(suite, args.design)
-    model.estimators_ = model.estimators_[:30]
-    scores = model.predict_proba(dataset.X)[:, 1]
+    trees = train_explanation_forest(suite, args.design).trees[:30]
+    scores = ForestArrays.from_trees(trees).predict_proba_positive(dataset.X)
     row = int(np.argmax(scores))
     x = dataset.X[row]
     cell = dataset.cell_of_sample(row)
     print(f"strongest predicted hotspot of {args.design}: g-cell {cell} "
           f"(P = {scores[row]:.3f})")
 
-    explainer = TreeShapExplainer(model.trees, dataset.X.shape[1])
-    feats, mat = top_interactions(explainer, model.trees, x, k=args.k)
+    explainer = TreeShapExplainer(trees, dataset.X.shape[1])
+    feats, mat = top_interactions(explainer, trees, x, k=args.k)
     names = feature_names()
 
     print(f"\ninteraction matrix over the top {args.k} features "

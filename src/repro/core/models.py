@@ -50,9 +50,9 @@ class ModelSpec:
     param_grid: dict[str, list[Any]] = field(default_factory=dict)
     #: whether inputs must be standardised (SVM, NNs)
     needs_scaling: bool = False
-    #: whether the estimator accepts a shared BinnedDataset via
-    #: ``fit(..., binned=...)`` — lets the experiment driver quantise each
-    #: training split exactly once for grid search + final refit
+    #: whether the estimator trains on binned codes: the experiment driver
+    #: then quantises each training split exactly once and hands it to grid
+    #: search (fold row slices) and the final refit via ``fit(..., binned=)``
     supports_binned: bool = False
     #: OpenBLAS threads for the whole (model, group) unit, applied with
     #: :func:`repro.runtime.blas.thread_budget` (lowers, never raises);
@@ -102,7 +102,6 @@ def _make_rf(min_samples_leaf: int = 1, *, rf_trees: int, full: bool,
     return RandomForestClassifier(
         n_estimators=rf_trees,
         min_samples_leaf=min_samples_leaf,
-        max_features="sqrt",
         max_samples=None if full else 0.7,
         random_state=random_state,
         **kw,

@@ -2,9 +2,12 @@
 
 The comparison model from the paper's [4] (Tabrizi et al., VLSI-DAT'17).
 Each boosting round draws a *balanced* subsample — every minority (hotspot)
-sample plus an equal-weight random draw of majority samples according to the
-current boosting distribution — fits a shallow CART on it, and performs a
-standard discrete AdaBoost weight update **on the full training set**.
+sample plus as many majority samples, drawn without replacement according
+to the current boosting distribution — fits a shallow CART over all
+features on it, and performs a standard discrete AdaBoost weight update
+**on the full training set**.  The fitted trees are kept as their flat
+:class:`~repro.ml.tree.TreeArrays` in ``trees``, one ``alphas_`` entry
+each.
 
 Scores are the usual weighted-vote margin mapped through a logistic link so
 ``predict_proba`` is well-behaved; ranking metrics (A_prc) only depend on
@@ -23,30 +26,20 @@ from .tree import DecisionTreeClassifier, TreeArrays
 class RUSBoostClassifier:
     """Boosted shallow trees over balanced undersamples."""
 
-    #: grid search / experiment drivers may pass a shared BinnedDataset
-    accepts_binned = True
-
     def __init__(
         self,
         n_estimators: int = 100,
         max_depth: int = 8,
-        min_samples_leaf: int = 1,
-        minority_ratio: float = 1.0,
         learning_rate: float = 1.0,
-        max_bins: int = 256,
         random_state: int | None = None,
     ):
         if n_estimators < 1:
             raise ValueError("n_estimators must be >= 1")
         self.n_estimators = n_estimators
         self.max_depth = max_depth
-        self.min_samples_leaf = min_samples_leaf
-        #: majority samples drawn per minority sample in each round
-        self.minority_ratio = minority_ratio
         self.learning_rate = learning_rate
-        self.max_bins = max_bins
         self.random_state = random_state
-        self.estimators_: list[DecisionTreeClassifier] = []
+        self.trees: list[TreeArrays] = []
         self.alphas_: list[float] = []
         self._stacked: ForestArrays | None = None
 
@@ -64,18 +57,20 @@ class RUSBoostClassifier:
         if len(pos_idx) == 0 or len(neg_idx) == 0:
             raise ValueError("RUSBoost needs both classes")
         rng = np.random.default_rng(self.random_state)
-        dataset = as_binned_dataset(binned, X, self.max_bins)
+        dataset = as_binned_dataset(binned, X)
         if dataset.n_samples != n:
             raise ValueError("binned codes / y length mismatch")
         self._stacked = None
+        # every round refits this tree from the one shared generator
+        tree = DecisionTreeClassifier(max_depth=self.max_depth, max_features=None,
+                                      random_state=rng)
 
         D = np.full(n, 1.0 / n)  # boosting distribution over the full set
-        self.estimators_ = []
+        self.trees = []
         self.alphas_ = []
         for _ in range(self.n_estimators):
             # --- random undersampling according to D -------------------------
-            n_neg_draw = max(1, int(len(pos_idx) * self.minority_ratio))
-            n_neg_draw = min(n_neg_draw, len(neg_idx))
+            n_neg_draw = min(len(pos_idx), len(neg_idx))
             p_neg = D[neg_idx] / D[neg_idx].sum()
             drawn_neg = rng.choice(neg_idx, size=n_neg_draw, replace=False, p=p_neg)
             sample_w = np.zeros(n)
@@ -85,14 +80,6 @@ class RUSBoostClassifier:
             wp, wn = sample_w[pos_idx].sum(), sample_w[drawn_neg].sum()
             if wn > 0:
                 sample_w[drawn_neg] *= wp / wn
-
-            tree = DecisionTreeClassifier(
-                max_depth=self.max_depth,
-                min_samples_leaf=self.min_samples_leaf,
-                max_features=None,  # boosting's trees see all features
-                max_bins=self.max_bins,
-                random_state=rng,
-            )
             tree.fit(None, y, sample_weight=sample_w, binned=dataset)
 
             # --- AdaBoost update on the FULL set ------------------------------
@@ -110,24 +97,17 @@ class RUSBoostClassifier:
             alpha = self.learning_rate * 0.5 * np.log((1 - err) / err)
             D *= np.exp(alpha * np.where(miss, 1.0, -1.0))
             D /= D.sum()
-            self.estimators_.append(tree)
+            self.trees.append(tree.tree_)
             self.alphas_.append(float(alpha))
 
-        if not self.estimators_:
+        if not self.trees:
             # Degenerate data (no round ever beat chance): fall back to a
             # single balanced tree so the model still ranks sensibly.
-            tree = DecisionTreeClassifier(
-                max_depth=self.max_depth,
-                min_samples_leaf=self.min_samples_leaf,
-                max_features=None,
-                max_bins=self.max_bins,
-                random_state=rng,
-            )
             w = np.zeros(n)
             w[pos_idx] = 0.5 / len(pos_idx)
             w[neg_idx] = 0.5 / len(neg_idx)
             tree.fit(None, y, sample_weight=w, binned=dataset)
-            self.estimators_.append(tree)
+            self.trees.append(tree.tree_)
             self.alphas_.append(1.0)
         return self
 
@@ -140,7 +120,7 @@ class RUSBoostClassifier:
         probabilities give the margin enough granularity to rank samples —
         essential for the threshold-free metrics (A_prc) the paper uses.
         """
-        if not self.estimators_:
+        if not self.trees:
             raise RuntimeError("model not fitted")
         X = np.asarray(X, dtype=np.float64)
         leaf_p = self.stacked.leaf_values(X)  # (n, T) per-tree P(class 1)
@@ -161,15 +141,6 @@ class RUSBoostClassifier:
         if self._stacked is None:
             self._stacked = ForestArrays.from_trees(self.trees)
         return self._stacked
-
-    @property
-    def trees(self) -> list[TreeArrays]:
-        out = []
-        for est in self.estimators_:
-            if est.tree_ is None:
-                raise RuntimeError("model not fitted")
-            out.append(est.tree_)
-        return out
 
     def num_parameters(self) -> int:
         """Stored parameters: per-node tuple per tree plus one alpha each."""

@@ -1,18 +1,18 @@
 """Random Forest classifier (Breiman 2001) — the paper's model.
 
-An ensemble of unpruned CART trees, each grown on a bootstrap resample of
-the training set with per-node random feature subsets (``max_features =
-sqrt`` by default), predictions aggregated by averaging the trees' class
-probability estimates (soft voting, matching scikit-learn's
-``RandomForestClassifier`` which the paper used).
+An ensemble of unpruned gini CART trees, each grown on a bootstrap
+resample of the training set with a random ``sqrt(F)`` features per node,
+predictions aggregated by averaging the trees' class probability estimates
+(soft voting): scikit-learn's ``RandomForestClassifier`` defaults, which
+the paper used, with no class weighting.
 
 Implementation notes:
 
 * all trees share one :class:`~repro.ml.binning.BinnedDataset` — callers
   that already binned the split (grid search, the experiment driver) pass
   it via ``fit(..., binned=...)`` and the forest never re-quantises;
-* bootstrap is by sample *weights* (a multinomial draw folded into each
-  tree's sample_weight vector) so the binned codes never need reshuffling;
+* bootstrap is by sample *weights* (each tree's multinomial draw counts
+  are its sample weights) so the binned codes never need reshuffling;
 * trees grow in **lock-step** groups of at most ``TREES_IN_FLIGHT``
   (:meth:`~repro.ml.tree.DecisionTreeClassifier.grow`): each step pops the
   next preorder node of every tree in the group and scans all their
@@ -29,11 +29,11 @@ Implementation notes:
   so inline and runner fits run the same kernel batches and emit the same
   counters, and a unit carries seeds, never live generators, so a retried
   unit regrows the same trees;
-* fitted trees are stacked into one padded :class:`ForestArrays` so
-  ``predict_proba`` walks all trees of all samples in a single
-  level-synchronous vectorized traversal instead of a Python loop;
-* ``class_weight="balanced"`` mirrors sklearn: positives are up-weighted by
-  ``n / (2 · n_pos)`` — with hotspot rates of a few percent this matters.
+* the fitted trees are the flat :class:`~repro.ml.tree.TreeArrays` in
+  ``trees`` (the SHAP explainer's input), stacked lazily into one padded
+  :class:`ForestArrays` so ``predict_proba`` walks all trees of all
+  samples in a single level-synchronous vectorized traversal instead of a
+  Python loop.
 """
 
 from __future__ import annotations
@@ -215,9 +215,7 @@ def _grow_group(
     template: DecisionTreeClassifier,
     dataset: BinnedDataset,
     y: np.ndarray,
-    base_w: np.ndarray,
     n_draw: int,
-    bootstrap: bool,
 ) -> tuple[list[TreeArrays], dict[str, int]]:
     """Grow one group of trees in lock-step, each from its own seed.
 
@@ -229,50 +227,31 @@ def _grow_group(
     """
     n = dataset.n_samples
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    weights = [
-        base_w * rng.multinomial(n_draw, np.full(n, 1.0 / n)) if bootstrap else base_w
-        for rng in rngs
-    ]
+    weights = [rng.multinomial(n_draw, np.full(n, 1.0 / n)).astype(np.float64)
+               for rng in rngs]
     return template.grow(dataset, y, weights, rngs)
 
 
 class RandomForestClassifier:
     """Bagged ensemble of binned CART trees for binary classification."""
 
-    #: grid search / experiment drivers may pass a shared BinnedDataset
-    accepts_binned = True
-
     def __init__(
         self,
         n_estimators: int = 100,
         max_depth: int | None = None,
-        min_samples_split: int = 2,
         min_samples_leaf: int = 1,
-        max_features: str | int | float | None = "sqrt",
-        criterion: str = "gini",
-        bootstrap: bool = True,
         max_samples: float | None = None,
-        class_weight: str | None = None,
-        max_bins: int = 256,
         random_state: int | None = None,
     ):
         if n_estimators < 1:
             raise ValueError("n_estimators must be >= 1")
-        if class_weight not in (None, "balanced"):
-            raise ValueError("class_weight must be None or 'balanced'")
         self.n_estimators = n_estimators
         self.max_depth = max_depth
-        self.min_samples_split = min_samples_split
         self.min_samples_leaf = min_samples_leaf
-        self.max_features = max_features
-        self.criterion = criterion
-        self.bootstrap = bootstrap
         self.max_samples = max_samples
-        self.class_weight = class_weight
-        self.max_bins = max_bins
         self.random_state = random_state
-        self.estimators_: list[DecisionTreeClassifier] = []
-        self.base_rate_: float | None = None
+        #: the fitted trees' flat arrays (input to the SHAP tree explainer)
+        self.trees: list[TreeArrays] = []
         self.fit_stats_: dict[str, int] = {}
         self._stacked: ForestArrays | None = None
 
@@ -282,7 +261,6 @@ class RandomForestClassifier:
         self,
         X: np.ndarray | None,
         y: np.ndarray,
-        sample_weight: np.ndarray | None = None,
         binned: BinnedDataset | None = None,
         *,
         runner: FaultTolerantRunner | None = None,
@@ -291,33 +269,17 @@ class RandomForestClassifier:
         ``forest`` unit, ``None`` grows every group inline.  Raises
         :class:`~repro.runtime.errors.StageFailure` if a unit fails."""
         y = np.asarray(y).astype(np.int8).ravel()
-        dataset = as_binned_dataset(binned, X, self.max_bins)
+        dataset = as_binned_dataset(binned, X)
         if dataset.n_samples != len(y):
             raise ValueError("binned codes / y length mismatch")
         n = dataset.n_samples
-
-        base_w = (
-            np.ones(n) if sample_weight is None else np.asarray(sample_weight, float)
-        )
-        if self.class_weight == "balanced":
-            pos = max(int(y.sum()), 1)
-            neg = max(n - pos, 1)
-            cw = np.where(y == 1, n / (2.0 * pos), n / (2.0 * neg))
-            base_w = base_w * cw
-
         n_draw = n if self.max_samples is None else max(1, int(self.max_samples * n))
-        params = dict(
-            max_depth=self.max_depth,
-            min_samples_split=self.min_samples_split,
-            min_samples_leaf=self.min_samples_leaf,
-            max_features=self.max_features,
-            criterion=self.criterion,
-            max_bins=self.max_bins,
+        template = DecisionTreeClassifier(
+            max_depth=self.max_depth, min_samples_leaf=self.min_samples_leaf
         )
-        template = DecisionTreeClassifier(**params)
         seeds = np.random.SeedSequence(self.random_state).spawn(self.n_estimators)
         groups = _tree_groups(self.n_estimators)
-        payload = (template, dataset, y, base_w, n_draw, self.bootstrap)
+        payload = (template, dataset, y, n_draw)
 
         self._stacked = None
         if runner is None:
@@ -333,14 +295,9 @@ class RandomForestClassifier:
                     f = o.failure
                     raise StageFailure(f.stage, f.unit, f.attempts, f.message)
             results = [o.value for o in outcomes]
-        self.estimators_ = []
+        self.trees = [tree for trees, _ in results for tree in trees]
         self.fit_stats_ = dict.fromkeys(FIT_COUNTERS, 0)
-        for trees, stats in results:
-            for arrays in trees:
-                est = DecisionTreeClassifier(**params)
-                est.tree_ = arrays
-                est._mapper = dataset.mapper
-                self.estimators_.append(est)
+        for _, stats in results:
             for name, v in stats.items():
                 self.fit_stats_[name] += v
         # once per fit, from the returned stats: units emit no counters, so
@@ -348,11 +305,10 @@ class RandomForestClassifier:
         tracer = get_tracer()
         for name, v in self.fit_stats_.items():
             tracer.counter(name, v)
-        self.base_rate_ = float(np.average(y, weights=base_w))
         return self
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        if not self.estimators_:
+        if not self.trees:
             raise RuntimeError("forest not fitted")
         p1 = self.stacked.predict_proba_positive(np.asarray(X, dtype=np.float64))
         return np.column_stack([1.0 - p1, p1])
@@ -368,16 +324,6 @@ class RandomForestClassifier:
         if self._stacked is None:
             self._stacked = ForestArrays.from_trees(self.trees)
         return self._stacked
-
-    @property
-    def trees(self) -> list[TreeArrays]:
-        """The fitted trees' flat arrays (input to the SHAP tree explainer)."""
-        out = []
-        for est in self.estimators_:
-            if est.tree_ is None:
-                raise RuntimeError("forest not fitted")
-            out.append(est.tree_)
-        return out
 
     def num_parameters(self) -> int:
         """Total stored parameters, counted like the paper's Table II.

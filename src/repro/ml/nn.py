@@ -5,13 +5,23 @@ output, weighted binary cross-entropy loss, Adam optimiser, mini-batches.
 NN-1 of the paper is one hidden layer of 40 units ([6]'s architecture with
 the paper's cross-validated width); NN-2 adds a second layer of 10.
 
-Class imbalance is handled by weighting positive samples in the loss
-(``class_weight="balanced"``), mirroring common Keras practice.
+Class imbalance is handled by weighting each class's samples in the loss
+by ``n / (2 n_class)`` (scikit-learn's ``class_weight="balanced"``),
+mirroring common Keras practice.  Mini-batches of :data:`BATCH_SIZE`,
+L2 penalty :data:`L2`, and early stopping on a random
+:data:`VALIDATION_FRACTION` of the rows are fixed.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+#: rows per Adam step
+BATCH_SIZE = 128
+#: L2 penalty on the weights (not the biases)
+L2 = 1e-5
+#: share of the rows held out to score early stopping
+VALIDATION_FRACTION = 0.1
 
 
 def _relu(z: np.ndarray) -> np.ndarray:
@@ -34,24 +44,16 @@ class MLPClassifier:
         self,
         hidden_layers: tuple[int, ...] = (40,),
         learning_rate: float = 1e-3,
-        batch_size: int = 128,
         epochs: int = 40,
-        l2: float = 1e-5,
-        class_weight: str | None = "balanced",
         early_stopping_patience: int | None = 5,
-        validation_fraction: float = 0.1,
         random_state: int | None = None,
     ):
         if not hidden_layers:
             raise ValueError("need at least one hidden layer")
         self.hidden_layers = tuple(int(h) for h in hidden_layers)
         self.learning_rate = learning_rate
-        self.batch_size = batch_size
         self.epochs = epochs
-        self.l2 = l2
-        self.class_weight = class_weight
         self.early_stopping_patience = early_stopping_patience
-        self.validation_fraction = validation_fraction
         self.random_state = random_state
         self.weights_: list[np.ndarray] = []
         self.biases_: list[np.ndarray] = []
@@ -85,18 +87,15 @@ class MLPClassifier:
         ]
         self.biases_ = [np.zeros(sizes[i + 1]) for i in range(len(sizes) - 1)]
 
-        # per-sample loss weights
-        if self.class_weight == "balanced":
-            pos = max(y.sum(), 1.0)
-            neg = max(n - y.sum(), 1.0)
-            sw = np.where(y == 1, n / (2.0 * pos), n / (2.0 * neg))
-        else:
-            sw = np.ones(n)
+        # per-sample loss weights, balanced over the two classes
+        pos = max(y.sum(), 1.0)
+        neg = max(n - y.sum(), 1.0)
+        sw = np.where(y == 1, n / (2.0 * pos), n / (2.0 * neg))
 
         # validation split for early stopping (stratified-ish random)
         if self.early_stopping_patience is not None and n > 50:
             idx = rng.permutation(n)
-            n_val = max(1, int(self.validation_fraction * n))
+            n_val = max(1, int(VALIDATION_FRACTION * n))
             val_idx, tr_idx = idx[:n_val], idx[n_val:]
         else:
             val_idx, tr_idx = np.empty(0, dtype=int), np.arange(n)
@@ -116,8 +115,8 @@ class MLPClassifier:
         for _ in range(self.epochs):
             order = rng.permutation(tr_idx)
             epoch_loss = 0.0
-            for s in range(0, len(order), self.batch_size):
-                batch = order[s : s + self.batch_size]
+            for s in range(0, len(order), BATCH_SIZE):
+                batch = order[s : s + BATCH_SIZE]
                 Xb, yb, wb = X[batch], y[batch], sw[batch]
                 loss = self._adam_step(
                     Xb, yb, wb, m, v, mb, vb, beta1, beta2, eps, step := step + 1
@@ -180,7 +179,7 @@ class MLPClassifier:
         grads_W: list[np.ndarray] = [None] * len(self.weights_)  # type: ignore[list-item]
         grads_b: list[np.ndarray] = [None] * len(self.biases_)  # type: ignore[list-item]
         for layer in range(len(self.weights_) - 1, -1, -1):
-            grads_W[layer] = acts[layer].T @ delta + self.l2 * self.weights_[layer]
+            grads_W[layer] = acts[layer].T @ delta + L2 * self.weights_[layer]
             grads_b[layer] = delta.sum(axis=0)
             if layer > 0:
                 delta = (delta @ self.weights_[layer].T) * (acts[layer] > 0)

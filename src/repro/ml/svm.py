@@ -6,8 +6,10 @@ via scikit-learn/libsvm).  We solve the standard dual
     max  Σαᵢ − ½ ΣᵢΣⱼ αᵢαⱼ yᵢyⱼ K(xᵢ,xⱼ)    s.t.  0 ≤ αᵢ ≤ Cᵢ,  Σαᵢyᵢ = 0
 
 with sequential minimal optimisation using maximal-violating-pair working
-set selection and an LRU kernel-row cache.  Per-class C weighting
-(``class_weight="balanced"``) handles the heavy label imbalance.
+set selection (stopping at a violation below :data:`TOL`) and an LRU
+kernel-row cache.  Per-class C weighting, always on and the same as
+scikit-learn's ``class_weight="balanced"``, handles the heavy label
+imbalance.
 
 Exact kernel SVM training is O(n²)–O(n³); the paper reports it as by far
 the most expensive model (65.7 min vs 8.9 min for RF).  We keep that cost
@@ -23,6 +25,10 @@ from collections import OrderedDict
 import numpy as np
 
 from ..runtime.telemetry import get_tracer
+
+#: SMO stops once the maximal violating pair violates by less than this
+#: (LIBSVM's and scikit-learn's default)
+TOL = 1e-3
 
 
 class KernelCache:
@@ -77,18 +83,14 @@ class SVMClassifier:
         self,
         C: float = 1.0,
         gamma: float | str = "scale",
-        tol: float = 1e-3,
         max_iter: int = 200_000,
-        class_weight: str | None = "balanced",
         max_train_samples: int | None = 4000,
         cache_rows: int = 1024,
         random_state: int | None = None,
     ):
         self.C = C
         self.gamma = gamma
-        self.tol = tol
         self.max_iter = max_iter
-        self.class_weight = class_weight
         self.max_train_samples = max_train_samples
         self.cache_rows = cache_rows
         self.random_state = random_state
@@ -133,13 +135,12 @@ class SVMClassifier:
         else:
             self.gamma_ = float(self.gamma)
 
-        # per-sample box constraints
+        # per-sample box constraints, C scaled by n / (2 n_class)
         C_i = np.full(n, self.C)
-        if self.class_weight == "balanced":
-            pos = max(int((y > 0).sum()), 1)
-            neg = max(n - pos, 1)
-            C_i[y > 0] *= n / (2.0 * pos)
-            C_i[y < 0] *= n / (2.0 * neg)
+        pos = max(int((y > 0).sum()), 1)
+        neg = max(n - pos, 1)
+        C_i[y > 0] *= n / (2.0 * pos)
+        C_i[y < 0] *= n / (2.0 * neg)
 
         alpha = np.zeros(n)
         yg = y.copy()  # -y * grad; the dual gradient is -1 at alpha = 0
@@ -156,7 +157,7 @@ class SVMClassifier:
             # empty, argmax/argmin land on a row outside it
             i = int(np.argmax(np.where(up, yg, -np.inf)))
             j = int(np.argmin(np.where(low, yg, np.inf)))
-            if not (up[i] and low[j]) or yg[i] - yg[j] < self.tol:
+            if not (up[i] and low[j]) or yg[i] - yg[j] < TOL:
                 break
 
             Ki = cache.row(i)

@@ -24,8 +24,8 @@ the widest about 140).
   weight) only; the class histogram bincounts only the live rows with a
   positive label.  Every omitted term is ``+0.0`` and a bin's rows keep
   their order, so every bin is bit-identical to a dense per-node build.
-  ``min_samples_split`` and the exact child sums (``cover``, ``value``)
-  still run over the node's full ``indices``.
+  The two-row split guard and the exact child sums (``cover``,
+  ``value``) still run over the node's full ``indices``.
 * **Score only cuts after occupied bins.** A cut after an empty bin has
   exactly the previous cut's sums (``x + 0.0 == x``), so it ties with its
   lower-index twin, which wins the first-wins tie-break; cuts before the
@@ -48,8 +48,12 @@ sample count) and ``value`` (P(class 1)) per node.
 Split convention: a sample goes **left iff x[feature] < threshold** (real
 thresholds reconstructed from bin boundaries).
 
-Supports: gini or entropy criterion, per-node random feature subsets
-(``max_features``), sample weights (for boosting), depth/leaf limits.
+Supports what the Table II models use: the gini criterion, a node splits
+when it holds at least two rows, per-node random feature subsets of
+``sqrt(F)`` features (``max_features="sqrt"``, the Random Forest) or all
+of them (``None``, RUSBoost), sample weights (bootstrap counts, boosting)
+and depth/leaf limits.  A fit without a shared ``binned`` dataset bins
+``X`` at :data:`~repro.ml.binning.MAX_BINS`.
 """
 
 from __future__ import annotations
@@ -138,19 +142,11 @@ class TreeArrays:
         return lengths
 
 
-def _impurity(pos: np.ndarray, tot: np.ndarray, criterion: str) -> np.ndarray:
-    """Vector impurity of (pos, tot) weighted counts; 0 where tot == 0."""
+def _impurity(pos: np.ndarray, tot: np.ndarray) -> np.ndarray:
+    """Vector gini impurity of (pos, tot) weighted counts; 0 where tot == 0."""
     with np.errstate(divide="ignore", invalid="ignore"):
         p = np.where(tot > 0, pos / np.maximum(tot, 1e-300), 0.0)
-    if criterion == "gini":
-        return 2.0 * p * (1.0 - p)
-    # entropy (in nats)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        h = -(
-            np.where(p > 0, p * np.log(p), 0.0)
-            + np.where(p < 1, (1 - p) * np.log(1 - p), 0.0)
-        )
-    return h
+    return 2.0 * p * (1.0 - p)
 
 
 def best_splits(
@@ -160,7 +156,6 @@ def best_splits(
     k: int,
     w_tot: np.ndarray,
     w_pos: np.ndarray,
-    criterion: str,
     min_samples_leaf: int,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """The batched split kernel: the best cut of each of ``m`` nodes.
@@ -228,7 +223,6 @@ def best_splits(
     imp = _impurity(
         np.concatenate((prefix[at + 1], w_pos[node] - prefix[at + 1], w_pos)),
         np.concatenate((left_tot, right_tot, w_tot)),
-        criterion,
     )
     child_imp = (left_tot * imp[:n] + right_tot * imp[n:2 * n]) / node_tot
     gain = imp[2 * n:][node] - child_imp
@@ -407,35 +401,27 @@ FIT_COUNTERS = ("ml.hist.builds", "ml.hist.cells", "ml.hist.scan_cells",
 
 
 class DecisionTreeClassifier:
-    """CART for binary classification over binned features.
+    """Gini CART for binary classification over binned features.
 
     Parameters mirror scikit-learn where they share names.  ``max_features``
-    may be ``"sqrt"``, ``"log2"``, ``None`` (all), an int, or a float
-    fraction.
+    is ``"sqrt"`` (a random ``sqrt(F)`` features per node) or ``None`` (all).
     """
 
     def __init__(
         self,
         max_depth: int | None = None,
-        min_samples_split: int = 2,
         min_samples_leaf: int = 1,
-        max_features: str | int | float | None = "sqrt",
-        criterion: str = "gini",
-        max_bins: int = 256,
+        max_features: str | None = "sqrt",
         random_state: int | np.random.Generator | None = None,
     ):
-        if criterion not in ("gini", "entropy"):
-            raise ValueError(f"unknown criterion {criterion!r}")
+        if max_features not in ("sqrt", None):
+            raise ValueError(f"max_features must be 'sqrt' or None, not {max_features!r}")
         self.max_depth = max_depth
-        self.min_samples_split = max(2, min_samples_split)
         self.min_samples_leaf = max(1, min_samples_leaf)
         self.max_features = max_features
-        self.criterion = criterion
-        self.max_bins = max_bins
         self.random_state = random_state
         self.tree_: TreeArrays | None = None
         self.fit_stats_: dict[str, int] = {}
-        self._mapper: BinMapper | None = None
 
     # -- sklearn-ish API ------------------------------------------------------------
 
@@ -460,7 +446,7 @@ class DecisionTreeClassifier:
                 raise ValueError("bad X/y shapes")
         if not np.isin(y, (0, 1)).all():
             raise ValueError("labels must be binary 0/1")
-        dataset = as_binned_dataset(binned, X, self.max_bins)
+        dataset = as_binned_dataset(binned, X)
         if dataset.n_samples != len(y):
             raise ValueError("binned codes / y length mismatch")
         n = dataset.n_samples
@@ -476,7 +462,6 @@ class DecisionTreeClassifier:
             if isinstance(self.random_state, np.random.Generator)
             else np.random.default_rng(self.random_state)
         )
-        self._mapper = dataset.mapper
         (self.tree_,), self.fit_stats_ = self.grow(dataset, y, [w], [rng])
         tracer = get_tracer()
         for name, v in self.fit_stats_.items():
@@ -499,7 +484,7 @@ class DecisionTreeClassifier:
         the trees in flight); the gathers are bounded here.
         """
         n, n_features = dataset.n_samples, dataset.n_features
-        k = self._resolve_max_features(n_features)
+        k = n_features if self.max_features is None else max(1, int(np.sqrt(n_features)))
         sampled = k < n_features
         codes_T = dataset.codes_T
         mapper = dataset.mapper
@@ -516,13 +501,13 @@ class DecisionTreeClassifier:
             # against weighted counts) keep their "effective samples" meaning
             # regardless of the caller's weight scale (boosting uses ~1/n).
             # Zero-weight rows stay in the index sets: they count toward
-            # min_samples_split and the exact child sums.
+            # the two-row split guard and the exact child sums.
             w = w * (n / w.sum())
             growths.append(_Growth(w, w * is_pos, rng))
 
         def may_split(n_rows: int, depth: int, tot: float, pos: float) -> bool:
             """Whether a node can possibly be split."""
-            if not can_split or n_rows < self.min_samples_split:
+            if not can_split or n_rows < 2:
                 return False
             if self.max_depth is not None and depth >= self.max_depth:
                 return False
@@ -549,7 +534,7 @@ class DecisionTreeClassifier:
                     hist_tot, hist_pos, row_start, k,
                     np.array([task.tot for _, task, _, _ in batch]),
                     np.array([task.pos for _, task, _, _ in batch]),
-                    self.criterion, self.min_samples_leaf,
+                    self.min_samples_leaf,
                 )
                 stats["ml.hist.builds"] += len(batch)
                 stats["ml.hist.cells"] += n_cells
@@ -575,19 +560,3 @@ class DecisionTreeClassifier:
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return (self.predict_proba(X)[:, 1] >= 0.5).astype(np.int8)
-
-    # -- internals -----------------------------------------------------------------------
-
-    def _resolve_max_features(self, n_features: int) -> int:
-        mf = self.max_features
-        if mf is None:
-            return n_features
-        if mf == "sqrt":
-            return max(1, int(np.sqrt(n_features)))
-        if mf == "log2":
-            return max(1, int(np.log2(n_features)))
-        if isinstance(mf, float):
-            return max(1, min(n_features, int(mf * n_features)))
-        if isinstance(mf, int):
-            return max(1, min(n_features, mf))
-        raise ValueError(f"bad max_features {mf!r}")

@@ -64,7 +64,7 @@ class TestRUSBoost:
     def test_num_parameters(self, imbalanced):
         X, y, _, _ = imbalanced
         m = RUSBoostClassifier(n_estimators=5, max_depth=3, random_state=0).fit(X, y)
-        assert m.num_parameters() > len(m.estimators_)
+        assert m.num_parameters() > len(m.trees)
 
     def test_not_fitted_raises(self):
         with pytest.raises(RuntimeError):

@@ -12,24 +12,21 @@ from repro.core.evaluation import format_table2
 from repro.core.experiment import run_experiment
 from repro.core.models import ModelSpec, model_zoo, rf_spec
 from repro.ml.forest import RandomForestClassifier
+from repro.ml.tree import DecisionTreeClassifier
 from repro.runtime import FaultTolerantRunner, blas
 from repro.runtime.telemetry import Tracer, activate
 
 
 def _fast_models():
     def make_rf(**kw):
-        return RandomForestClassifier(
-            n_estimators=40, class_weight="balanced", random_state=0, **kw
-        )
+        return RandomForestClassifier(n_estimators=40, random_state=0, **kw)
 
     def make_shallow(**kw):
         # a deterministic single stump (no bootstrap, all features): a
         # zero-variance baseline, so "deeper beats stumps" does not hinge
-        # on which random stream the stump forest happens to draw
-        return RandomForestClassifier(
-            n_estimators=1, max_depth=1, bootstrap=False, max_features=None,
-            random_state=0, **kw
-        )
+        # on which random stream a stump forest happens to draw
+        return DecisionTreeClassifier(max_depth=1, max_features=None,
+                                      random_state=0, **kw)
 
     return [
         ModelSpec("RF", make_rf),

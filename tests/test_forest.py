@@ -20,7 +20,7 @@ class TestFit:
     def test_basic_fit_predict(self, data):
         X, y, Xte, yte = data
         rf = RandomForestClassifier(n_estimators=30, random_state=0).fit(X, y)
-        assert len(rf.estimators_) == 30
+        assert len(rf.trees) == 30
         acc = (rf.predict(Xte) == yte).mean()
         assert acc > 0.8
 
@@ -35,9 +35,7 @@ class TestFit:
     def test_proba_is_tree_average(self, data):
         X, y, Xte, _ = data
         rf = RandomForestClassifier(n_estimators=7, random_state=0).fit(X, y)
-        manual = np.mean(
-            [t.tree_.predict_proba_positive(Xte) for t in rf.estimators_], axis=0
-        )
+        manual = np.mean([t.predict_proba_positive(Xte) for t in rf.trees], axis=0)
         assert np.allclose(rf.predict_proba(Xte)[:, 1], manual)
 
     def test_deterministic(self, data):
@@ -52,14 +50,6 @@ class TestFit:
         p2 = RandomForestClassifier(n_estimators=10, random_state=6).fit(X, y).predict_proba(Xte)
         assert not np.array_equal(p1, p2)
 
-    def test_class_weight_balanced_raises_positive_probs(self):
-        X, y = make_separable(n=900, pos_rate=0.05, seed=22)
-        plain = RandomForestClassifier(n_estimators=20, random_state=0).fit(X, y)
-        balanced = RandomForestClassifier(
-            n_estimators=20, class_weight="balanced", random_state=0
-        ).fit(X, y)
-        assert balanced.predict_proba(X)[:, 1].mean() > plain.predict_proba(X)[:, 1].mean()
-
     def test_max_samples_subsampling(self, data):
         X, y, Xte, yte = data
         rf = RandomForestClassifier(
@@ -70,8 +60,6 @@ class TestFit:
     def test_invalid_args(self):
         with pytest.raises(ValueError):
             RandomForestClassifier(n_estimators=0)
-        with pytest.raises(ValueError):
-            RandomForestClassifier(class_weight="bogus")
 
     def test_not_fitted_raises(self):
         with pytest.raises(RuntimeError):
@@ -91,8 +79,3 @@ class TestIntrospection:
         small = RandomForestClassifier(n_estimators=5, random_state=0).fit(X, y)
         big = RandomForestClassifier(n_estimators=20, random_state=0).fit(X, y)
         assert 0 < small.num_parameters() < big.num_parameters()
-
-    def test_base_rate_recorded(self, data):
-        X, y, _, _ = data
-        rf = RandomForestClassifier(n_estimators=3, random_state=0).fit(X, y)
-        assert rf.base_rate_ == pytest.approx(y.mean(), abs=0.01)

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.ml.forest import RandomForestClassifier
 from repro.ml.shap.brute import brute_force_shap, conditional_expectation
 from repro.ml.shap.interactions import (
     interaction_values,
@@ -18,54 +17,65 @@ from repro.ml.shap.tree_explainer import TreeShapExplainer
 from repro.ml.tree import DecisionTreeClassifier
 
 
+def _bagged_trees(X, y, n_trees: int, max_depth: int, seed: int):
+    """Bootstrap trees that consider every feature at every node, each from
+    its own child generator of ``seed`` drawing its bootstrap first, as the
+    Random Forest draws them."""
+    n = len(y)
+    trees = []
+    for rng in np.random.default_rng(seed).spawn(n_trees):
+        w = rng.multinomial(n, np.full(n, 1.0 / n))
+        tree = DecisionTreeClassifier(max_depth=max_depth, max_features=None,
+                                      random_state=rng)
+        trees.append(tree.fit(X, y, sample_weight=w).tree_)
+    return trees
+
+
 def _and_forest(seed: int = 0):
     """A model with a genuine x0-x1 interaction (AND-like target)."""
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(500, 4))
     y = ((X[:, 0] > 0) & (X[:, 1] > 0)).astype(int)
-    # all features at every node: a 4-tree forest under "sqrt" sampling can
-    # miss the AND structure in some trees, making the interaction mass a
-    # coin flip on the per-node draws rather than a property of the model
-    rf = RandomForestClassifier(
-        n_estimators=4, max_depth=3, max_features=None, random_state=seed
-    ).fit(X, y)
-    return rf, X
+    # all features at every node: 4 trees under "sqrt" sampling can miss
+    # the AND structure in some trees, making the interaction mass a coin
+    # flip on the per-node draws rather than a property of the model
+    return _bagged_trees(X, y, 4, 3, seed), X
 
 
 class TestInteractionValues:
     def test_symmetry(self):
-        rf, X = _and_forest()
-        mat = interaction_values(rf.trees, X[0], [0, 1, 2, 3])
+        trees, X = _and_forest()
+        mat = interaction_values(trees, X[0], [0, 1, 2, 3])
         assert np.allclose(mat, mat.T)
 
     def test_matrix_total_matches_value_difference(self):
         """Σ_ij Phi_ij = v(features) − v(∅), exactly (restricted game)."""
-        rf, X = _and_forest()
+        trees, X = _and_forest()
         feats = [0, 1, 2, 3]
         x = X[1]
-        mat = interaction_values(rf.trees, x, feats)
+        mat = interaction_values(trees, x, feats)
         expect = np.mean(
             [
                 conditional_expectation(t, x, frozenset(feats))
                 - conditional_expectation(t, x, frozenset())
-                for t in rf.trees
+                for t in trees
             ]
         )
         assert mat.sum() == pytest.approx(expect, abs=1e-10)
 
     def test_row_sums_equal_full_shap_when_all_features_included(self):
         """With the full feature set, row sums are the ordinary SHAP values."""
-        rf, X = _and_forest(seed=1)
+        trees, X = _and_forest(seed=1)
         x = X[2]
-        mat = interaction_values(rf.trees, x, [0, 1, 2, 3])
-        phi = TreeShapExplainer(rf.trees, 4).shap_values_single(x)
+        mat = interaction_values(trees, x, [0, 1, 2, 3])
+        phi = TreeShapExplainer(trees, 4).shap_values_single(x)
         assert np.allclose(mat.sum(axis=1), phi, atol=1e-10)
 
     def test_and_interaction_is_captured(self):
         """The AND structure puts real mass on the (x0, x1) off-diagonal."""
-        rf, X = _and_forest(seed=2)
+        trees, X = _and_forest(seed=2)
         both_high = X[(X[:, 0] > 0.5) & (X[:, 1] > 0.5)][0]
-        mat = interaction_values(rf.trees, both_high, [0, 1, 2, 3])
+        mat = interaction_values(trees, both_high, [0, 1, 2, 3])
         assert abs(mat[0, 1]) > 1e-3
         # the signal interaction dominates spurious noise-pair interactions
         assert abs(mat[0, 1]) > 10 * abs(mat[2, 3])
@@ -85,14 +95,14 @@ class TestInteractionValues:
         assert np.allclose(off_diag, 0.0, atol=1e-12)
 
     def test_needs_two_features(self):
-        rf, X = _and_forest()
+        trees, X = _and_forest()
         with pytest.raises(ValueError):
-            interaction_values_single_tree(rf.trees[0], X[0], [0])
+            interaction_values_single_tree(trees[0], X[0], [0])
 
     def test_top_interactions_workflow(self):
-        rf, X = _and_forest(seed=4)
-        explainer = TreeShapExplainer(rf.trees, 4)
-        feats, mat = top_interactions(explainer, rf.trees, X[0], k=3)
+        trees, X = _and_forest(seed=4)
+        explainer = TreeShapExplainer(trees, 4)
+        feats, mat = top_interactions(explainer, trees, X[0], k=3)
         assert len(feats) == 3
         assert mat.shape == (3, 3)
         assert np.allclose(mat, mat.T)
@@ -171,15 +181,13 @@ class TestOneShapleyEnumerator:
         rng = np.random.default_rng(seed)
         X = rng.normal(size=(200, 5))
         y = ((X[:, 0] + X[:, 1] * X[:, 2] + 0.3 * rng.normal(size=200)) > 0).astype(int)
-        rf = RandomForestClassifier(
-            n_estimators=2, max_depth=depth, max_features=None, random_state=seed
-        ).fit(X, y)
+        trees = _bagged_trees(X, y, 2, depth, seed)
         x = X[seed % len(X)]
         features = data.draw(st.lists(st.integers(0, 4), min_size=2, max_size=5, unique=True))
 
-        phi = np.mean([_brute_force_shap_single_tree_loop(t, x, 5) for t in rf.trees], axis=0)
-        assert np.array_equal(brute_force_shap(rf.trees, x, 5), phi)
+        phi = np.mean([_brute_force_shap_single_tree_loop(t, x, 5) for t in trees], axis=0)
+        assert np.array_equal(brute_force_shap(trees, x, 5), phi)
         mat = np.mean(
-            [_interaction_values_single_tree_loop(t, x, features) for t in rf.trees], axis=0
+            [_interaction_values_single_tree_loop(t, x, features) for t in trees], axis=0
         )
-        assert np.array_equal(interaction_values(rf.trees, x, features), mat)
+        assert np.array_equal(interaction_values(trees, x, features), mat)

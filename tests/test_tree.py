@@ -75,14 +75,10 @@ class TestFitting:
         with pytest.raises(ValueError):
             DecisionTreeClassifier().fit(np.zeros((3, 2)), np.array([0, 1, 2]))
 
-    def test_entropy_criterion_works(self):
-        X, y = make_separable(n=300, seed=7)
-        t = DecisionTreeClassifier(criterion="entropy", max_features=None, random_state=0).fit(X, y)
-        assert (t.predict(X) == y).mean() > 0.95
-
-    def test_unknown_criterion_raises(self):
-        with pytest.raises(ValueError):
-            DecisionTreeClassifier(criterion="mse")
+    def test_unknown_max_features_raises(self):
+        for max_features in ("log2", 0.6, 5):
+            with pytest.raises(ValueError):
+                DecisionTreeClassifier(max_features=max_features)
 
 
 class TestPrediction:
