@@ -35,6 +35,7 @@ import numpy as np
 from ..layout.geometry import Point, Rect
 from ..layout.netlist import Design
 from ..layout.technology import Technology, make_ispd2015_like_technology
+from ..place.legalizer import LegalizationError
 
 
 @dataclass(frozen=True)
@@ -112,6 +113,8 @@ def generate_design(recipe: DesignRecipe) -> Design:
 
 
 def _add_macros(design: Design, recipe: DesignRecipe, rng: np.random.Generator) -> None:
+    """Place ``recipe.num_macros`` disjoint macros at random g-cell-aligned
+    spots; raises :class:`LegalizationError` if 200 draws cannot fit them."""
     if recipe.num_macros == 0 or recipe.macro_area_frac <= 0.0:
         return
     die = design.die
@@ -137,6 +140,11 @@ def _add_macros(design: Design, recipe: DesignRecipe, rng: np.random.Generator) 
             continue
         placed.append(bbox)
         design.add_macro(f"macro_{len(placed)}", bbox)
+    if len(placed) < recipe.num_macros:
+        raise LegalizationError(
+            f"placed {len(placed)} of {recipe.num_macros} requested macros "
+            f"after {attempts} attempts"
+        )
 
 
 # -- clusters -----------------------------------------------------------------------

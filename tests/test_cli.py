@@ -95,6 +95,16 @@ class TestCLIRejectsBadNumbers:
         assert err.startswith("error: LegalizationError: no legal position for cell")
         assert len(err.strip().splitlines()) == 1
 
+    def test_macros_that_do_not_fit_are_one_error_line(self, capsys):
+        # 50 macros overfill the default 20x20 design: no Table I row with
+        # fewer macros than asked for
+        assert main(["flow", "--macros", "50"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            "error: LegalizationError: placed 30 of 50 requested macros")
+        assert len(captured.err.strip().splitlines()) == 1
+        assert "violations" not in captured.out
+
     @pytest.mark.parametrize("command", ["explain", "report"])
     def test_unknown_design_exits_2_before_any_flow(self, command, monkeypatch, capsys):
         import repro.cli as cli

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.bench.generator import DesignRecipe, generate_design
+from repro.place.legalizer import LegalizationError
 from repro.bench.suite import (
     GROUPS,
     SUITE_ORDER,
@@ -50,6 +51,13 @@ class TestGenerator:
             assert d.die.contains_rect(a.bbox)
             for b in d.macros[i + 1 :]:
                 assert not a.bbox.overlaps(b.bbox)
+
+    def test_macros_that_do_not_fit_raise(self):
+        # the 20x20 design of `drcshap flow` fits 30 macros of this size
+        recipe = DesignRecipe(name="crowded", grid_nx=20, grid_ny=20,
+                              num_macros=50, macro_area_frac=0.08)
+        with pytest.raises(LegalizationError, match="placed 30 of 50 requested macros"):
+            generate_design(recipe)
 
     def test_ndr_fraction_applied(self):
         r = DesignRecipe(name="ndr", grid_nx=14, grid_ny=14, ndr_frac=0.2, seed=3)
