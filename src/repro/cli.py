@@ -35,10 +35,11 @@ The heavy commands run under two-stage signal handling: the first
 SIGTERM/SIGINT stops dispatching new units, drains and checkpoints what is
 in flight, writes the ``--trace`` manifest, and exits with the resumable code
 4 — rerunning with ``--resume`` (the default) continues exactly where the
-run stopped.  A second signal hard-exits immediately.  Worker supervision
-flags ``--max-pool-respawns``, ``--quarantine-threshold`` and
-``--heartbeat`` control how ``--jobs N`` runs survive SIGKILLed or hung
-worker processes (see :mod:`repro.runtime.runner`).
+run stopped.  A second signal hard-exits immediately.  Under ``--jobs N``
+a unit whose worker process dies (SIGKILL, OOM, segfault) is re-dispatched
+on a fresh worker until ``--quarantine-threshold`` crashes quarantine it,
+and ``--timeout`` kills a hung attempt together with its worker (see
+:mod:`repro.runtime.runner`).
 
 Exit codes: 0 success, 1 runtime error, 2 usage error, 3 completed but
 degraded (some units failed and were skipped; the failure log is printed
@@ -126,8 +127,8 @@ def _number(
 
 
 _positive_int = _number(int, 1)  # worker counts, how many rows to list
-_nonneg_int = _number(int, 0)  # retry and respawn budgets
-_positive_float = _number(float, 0, strict=True)  # scales, timeouts, heartbeats
+_nonneg_int = _number(int, 0)  # retry budgets, macro counts, seeds
+_positive_float = _number(float, 0, strict=True)  # scales, timeouts
 _nonneg_float = _number(float, 0)  # backoff bases
 _grid_size = _number(int, 2)  # a 1x1 g-cell die cannot hold the generator's 8 cells
 _fraction = _number(float, 0, strict=True, below=1)  # utilisations
@@ -167,20 +168,11 @@ def _add_resilience_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--fail-fast", action="store_true",
                    help="abort on the first permanently failed unit instead "
                         "of recording + skipping it")
-    p.add_argument("--max-pool-respawns", type=_nonneg_int, default=3,
-                   metavar="N",
-                   help="how many worker-pool breakages (SIGKILLed/hung "
-                        "workers) to survive per stage before aborting "
-                        "(default 3; parallel runs only)")
     p.add_argument("--quarantine-threshold", type=_positive_int, default=2,
                    metavar="N",
                    help="crashes charged to one unit before it is "
                         "quarantined as a worker_crash failure instead of "
                         "re-dispatched (default 2; parallel runs only)")
-    p.add_argument("--heartbeat", type=_positive_float, default=None, metavar="SEC",
-                   help="declare a worker hung (kill + respawn the pool) "
-                        "when a unit attempt completes nothing for SEC "
-                        "seconds (default off; parallel runs only)")
 
 
 def _runner_from_args(args: argparse.Namespace) -> FaultTolerantRunner:
@@ -191,10 +183,7 @@ def _runner_from_args(args: argparse.Namespace) -> FaultTolerantRunner:
     )
     return FaultTolerantRunner(
         policy, fail_fast=args.fail_fast, verbose=True,
-        jobs=args.jobs,
-        max_pool_respawns=args.max_pool_respawns,
-        quarantine_threshold=args.quarantine_threshold,
-        heartbeat_s=args.heartbeat,
+        jobs=args.jobs, quarantine_threshold=args.quarantine_threshold,
     )
 
 

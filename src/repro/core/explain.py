@@ -72,7 +72,7 @@ def train_explanation_forest(
     """Fit the RF on everything outside the design's group (paper protocol).
 
     The tree groups grow as ``forest`` units on an ``n_jobs``-worker
-    runner: inline for 1, on its supervised process pool otherwise.
+    runner: inline for 1, on its worker processes otherwise.
     """
     target = suite.by_name(design_name)
     X_train, y_train, _ = suite.stacked(exclude_groups=(target.group,))

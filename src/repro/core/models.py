@@ -34,7 +34,7 @@ class ModelSpec:
 
     ``factory`` must be picklable (a module-level callable or a
     ``functools.partial`` over one): specs cross the process boundary when
-    (model, group) units run on the runner's process pool (``jobs > 1``).
+    (model, group) units run on the runner's worker processes (``jobs > 1``).
 
     ``blas_threads`` is the unit's BLAS thread budget, so Table II's CPU
     rows count the threads that buy wall time and no idle helpers.  The

@@ -207,9 +207,7 @@ class BinnedDataset:
         return BinnedDataset(self.mapper, self.codes[np.asarray(rows)])
 
 
-def as_binned_dataset(
-    binned, X: np.ndarray | None, max_bins: int = MAX_BINS
-) -> BinnedDataset:
+def as_binned_dataset(binned, X: np.ndarray | None) -> BinnedDataset:
     """Coerce an estimator's ``binned`` argument into a :class:`BinnedDataset`.
 
     Accepts a ready dataset, or ``None`` (bin ``X`` now — the
@@ -218,7 +216,7 @@ def as_binned_dataset(
     if binned is None:
         if X is None:
             raise ValueError("either X or binned data must be provided")
-        return BinnedDataset.from_matrix(X, max_bins)
+        return BinnedDataset.from_matrix(X)
     if not isinstance(binned, BinnedDataset):
         raise TypeError(f"binned must be a BinnedDataset, got {type(binned).__name__}")
     return binned

@@ -25,7 +25,7 @@ Implementation notes:
   in a group or alone, serially or in parallel;
 * ``fit(..., runner=...)`` runs each group as one ``forest`` unit of a
   :class:`~repro.runtime.runner.FaultTolerantRunner` (inline or on its
-  supervised process pool).  The grouping depends on the tree count only,
+  worker processes).  The grouping depends on the tree count only,
   so inline and runner fits run the same kernel batches and emit the same
   counters, and a unit carries seeds, never live generators, so a retried
   unit regrows the same trees;
@@ -186,7 +186,7 @@ class ForestArrays:
 
 # ---------------------------------------------------------------------------
 # lock-step growth of one group of trees: a module-level function so a
-# runner's process pool can run it
+# runner's worker processes can run it
 
 #: Most trees grown in lock-step at once.  A step holds one node histogram
 #: pair per tree in flight plus the split scan's temporaries, each at most

@@ -8,10 +8,11 @@ long-running path resumable and failure-isolated:
   with SHA-256 content checksums and format-version stamping;
 * :mod:`repro.runtime.runner` — one fault-tolerant runner: per-unit
   isolation, retry with backoff, wall-clock timeouts and a structured
-  failure log, executing units inline or (``jobs > 1``) on a *supervised*
-  process pool — dead workers are detected and respawned with backoff, hung
-  attempts are heartbeat-killed, and poison units are quarantined as
-  structured ``worker_crash`` failures instead of breaking pools forever;
+  failure log, executing units inline or (``jobs > 1``) on worker processes
+  it owns, one pipe each — a dead worker costs only the unit it ran (which
+  is re-dispatched on a fresh worker, or quarantined as a structured
+  ``worker_crash`` failure after repeated crashes), and an attempt past its
+  timeout is killed together with its worker;
 * :mod:`repro.runtime.supervision` — two-stage SIGTERM/SIGINT handling:
   first signal drains, checkpoints and flushes (resumable exit), second
   hard-exits;
@@ -38,7 +39,6 @@ from .checkpoint import (
 from .errors import (
     CacheCorruptionError,
     FaultInjected,
-    PoolRespawnLimitError,
     ReproRuntimeError,
     ShutdownRequested,
     StageFailure,
@@ -82,7 +82,6 @@ __all__ = [
     "FaultSpec",
     "FaultTolerantRunner",
     "ParallelRunner",
-    "PoolRespawnLimitError",
     "ReproRuntimeError",
     "RetryPolicy",
     "ShutdownRequested",

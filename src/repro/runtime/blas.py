@@ -1,6 +1,6 @@
 """Thread control for the OpenBLAS builds already loaded into this process.
 
-Forked pool workers inherit the parent's multi-threaded OpenBLAS, so two
+Forked worker processes inherit the parent's multi-threaded OpenBLAS, so two
 workers on two CPUs run up to four BLAS threads and oversubscribe the
 machine.  :func:`pin_one_thread` caps a worker at one thread with no extra
 package: it sets ``OPENBLAS_NUM_THREADS``/``OMP_NUM_THREADS`` for libraries

@@ -17,7 +17,7 @@ class ReproRuntimeError(Exception):
         # Exception's default pickling re-calls ``cls(*self.args)``, which
         # breaks every subclass whose __init__ takes the fields rather than
         # the message; rebuild from the message and the attributes instead,
-        # so an error raised in a pool worker reaches the parent intact.
+        # so an error raised in a worker process reaches the parent intact.
         return _rebuild, (type(self), self.args), self.__dict__
 
 
@@ -63,10 +63,10 @@ class StageTimeout(StageFailure):
 
 
 class WorkerCrashError(ReproRuntimeError):
-    """A worker process died mid-unit (SIGKILL, OOM, segfault) or stopped
-    heartbeating.  Carries the unit identity and how many times that unit has
-    now been co-resident with a crash, so the supervisor can decide between
-    re-dispatch and quarantine."""
+    """The worker process running a unit died mid-attempt (SIGKILL, OOM,
+    segfault).  Carries the unit identity and how many worker deaths that
+    unit has now caused, so the runner can decide between re-dispatch and
+    quarantine."""
 
     def __init__(self, stage: str, unit: str, crashes: int, detail: str = ""):
         self.stage = stage
@@ -75,23 +75,6 @@ class WorkerCrashError(ReproRuntimeError):
         super().__init__(
             f"{stage}/{unit}: worker crashed ({detail or 'process died'}; "
             f"crash #{crashes} for this unit)"
-        )
-
-
-class PoolRespawnLimitError(ReproRuntimeError):
-    """The supervised pool broke more times than ``max_pool_respawns`` allows.
-
-    This is an infrastructure failure (the machine keeps killing workers),
-    not a per-unit one, so it aborts the stage instead of degrading it.
-    """
-
-    def __init__(self, stage: str, respawns: int, limit: int):
-        self.stage = stage
-        self.respawns = respawns
-        self.limit = limit
-        super().__init__(
-            f"{stage}: worker pool broke {respawns} time(s); respawn limit "
-            f"is {limit} — aborting (is the machine out of memory?)"
         )
 
 

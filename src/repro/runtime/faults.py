@@ -23,12 +23,12 @@ Five fault kinds:
 * ``"corrupt"`` — flip bytes of an artefact file just after it is written
   (trips checksums on the next load);
 * ``"kill"``   — ``os.kill(os.getpid(), SIGKILL)`` *inside a worker
-  process* (exercises pool breakage and the supervision layer);
+  process* (exercises crash re-dispatch and quarantine);
 * ``"hang"``   — sleep ``delay_s`` inside a worker without returning
-  (exercises the per-task heartbeat timeout).
+  (exercises the timeout, which kills the attempt with its worker).
 
 ``kill`` and ``hang`` are worker-side faults: the parent consumes the spec
-deterministically at submit time (:func:`worker_directive`) and ships a
+deterministically at dispatch (:func:`worker_directive`) and ships a
 plain directive tuple to the worker, so the plan's trigger bookkeeping
 stays in one process even though the crash happens in another.  They are
 deliberately ignored by :func:`fire` — an inline (``jobs == 1``) run
@@ -164,7 +164,7 @@ def fire(stage: str) -> None:
 
 
 def worker_directive(stage: str) -> tuple[str, float] | None:
-    """Hook called by the runner when submitting an attempt to its process pool."""
+    """Hook called by the runner when dispatching an attempt to a worker process."""
     if _ACTIVE is not None:
         return _ACTIVE.worker_directive(stage)
     return None
@@ -182,10 +182,9 @@ def execute_directive(directive: tuple[str, float] | None) -> None:
 
     ``kill`` raises SIGKILL against the *current* process — exactly what the
     OOM killer or a preempting scheduler does — after sleeping ``delay_s``
-    (a deterministic window for co-resident units to finish, keeping crash
-    schedules reproducible); ``hang`` sleeps ``delay_s`` without any
-    cooperation with timeouts, which is how a stuck native library looks
-    from the parent.
+    (a deterministic point in the attempt at which it dies); ``hang`` sleeps
+    ``delay_s`` without any cooperation with timeouts, which is how a stuck
+    native library looks from the parent.
     """
     if directive is None:
         return

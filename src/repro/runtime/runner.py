@@ -1,4 +1,4 @@
-"""Fault-tolerant unit runner: one dispatch loop, inline or process-pool execution.
+"""Fault-tolerant unit runner: one dispatch loop, inline or worker-process execution.
 
 A *unit* is one independently restartable chunk of pipeline work — one
 design's Fig. 1 flow, one (model, group) cell of the leave-one-group-out
@@ -14,9 +14,7 @@ graceful-shutdown drain:
   that runs a nested batch;
 * a :class:`RetryPolicy` grants each unit ``1 + max_retries`` attempts with
   exponential backoff between them, and an optional wall-clock budget per
-  attempt (the unit body runs on a daemon thread whose ``join`` timeout is
-  the budget; a timed-out attempt's thread is abandoned, which is safe for
-  our pure-compute units but means the budget should be generous);
+  attempt;
 * exhausted units are recorded in a structured :class:`FailureLog` and the
   runner either raises (``fail_fast=True``) or returns a not-ok
   :class:`UnitOutcome` so the caller can skip the unit, mirroring the
@@ -27,47 +25,43 @@ graceful-shutdown drain:
   :class:`~repro.runtime.errors.ShutdownRequested` names the units that
   never started, so ``--resume`` picks up exactly there.
 
-The loop hands each attempt to one of two executors:
+The loop runs each attempt in one of two ways:
 
 * **inline** (``jobs == 1``, or a one-unit batch) — the attempt runs in the
-  calling process, on the calling thread when there is no timeout.  A
-  unit's attempts run back to back (the backoff is slept out before the
-  next unit starts), so a serial run executes units, and fires injected
-  faults, in input order.  Injected faults fire inside the attempt budget,
-  so a ``delay`` fault counts against the timeout; worker-side
-  ``kill``/``hang`` faults are never consumed;
-* **supervised process pool** (``jobs > 1``) — at most ``jobs`` attempts in
-  flight on a ``ProcessPoolExecutor``; a failed unit backs off while other
-  units keep the workers busy.  Injected faults fire in the parent at
-  submit time, and ``kill``/``hang`` faults are consumed there too
-  (:func:`repro.runtime.faults.worker_directive`) and shipped to the worker
-  as a plain directive, so fault schedules stay deterministic.
+  calling process, on the calling thread when there is no timeout.  With a
+  budget the body runs on a daemon thread whose ``join`` timeout is the
+  budget; a timed-out attempt's thread is abandoned, which is safe for our
+  pure-compute units but means the budget should be generous.  A unit's
+  attempts run back to back (the backoff is slept out before the next unit
+  starts), so a serial run executes units, and fires injected faults, in
+  input order.  Injected faults fire inside the attempt budget, so a
+  ``delay`` fault counts against the timeout; worker-side ``kill``/``hang``
+  faults are never consumed;
+* **owned workers** (``jobs > 1``) — up to ``jobs`` long-lived
+  ``multiprocessing.Process`` workers, started as the batch needs them and
+  stopped before :meth:`FaultTolerantRunner.run_units` returns or raises.
+  Each worker runs one attempt at a time, read from its own ``Pipe``; the
+  parent waits on the pipes and the worker sentinels together, so it always
+  knows which unit a dead or overdue worker was running.  A failed unit
+  backs off while other units keep the workers busy.  Injected faults fire
+  in the parent at dispatch, and ``kill``/``hang`` faults are consumed there
+  too (:func:`repro.runtime.faults.worker_directive`) and shipped to the
+  worker as a plain directive, so fault schedules stay deterministic.
+  Workers are not daemonic, so a unit body may run workers of its own.
 
-The pool is *supervised* — a SIGKILLed worker (OOM killer, preemption, a
-segfaulting native lib) costs one unit re-dispatch, never the run:
+A worker is expendable — a SIGKILLed worker (OOM killer, preemption, a
+segfaulting native lib) costs its own unit one re-dispatch, never the run:
 
-* **crash detection** — a dead worker surfaces as ``BrokenProcessPool``;
-  every in-flight unit of the broken pool is re-queued and the pool is
-  respawned with exponential backoff, up to ``max_pool_respawns`` breakages
-  per ``run_units`` call (beyond that the machine itself is suspect and
-  :class:`~repro.runtime.errors.PoolRespawnLimitError` aborts the stage);
-* **heartbeat timeout** — with ``heartbeat_s`` set, an attempt that has
-  produced no completion for that long is declared hung (a worker stuck in
-  uncooperative native code never trips the in-worker timeout); the pool's
-  workers are killed, breaking it into the same respawn path, and the hung
-  unit alone is charged with the crash;
-* **poison-task quarantine** — a unit charged with ``quarantine_threshold``
-  crashes stops being re-dispatched and becomes a :class:`FailureRecord`
-  with ``kind="worker_crash"``.  Attribution uses start announcements: each
-  worker reports "task N started in pid P" over a pipe before touching the
-  unit body, so units still queued inside the executor when the pool broke
-  re-queue for free and only units that had *started and not completed*
-  are charged.  Among those, a unit whose worker the broken executor tore
-  down with SIGTERM is innocent: only units whose worker exited on its own
-  are charged.  When no worker's exit status says so (unknown, or every
-  worker SIGTERMed), every started unit is charged, so an innocent unit
-  repeatedly co-resident with a poison one can be quarantined too —
-  re-running with ``--resume`` recomputes exactly the quarantined units.
+* **crashes** — a worker that dies mid-attempt charges that unit alone and
+  is replaced.  The unit is re-queued without using up its retry budget,
+  until it has been charged ``quarantine_threshold`` crashes; then it stops
+  being re-dispatched and becomes a :class:`FailureRecord` with
+  ``kind="worker_crash"``.  A crash loop therefore ends once each crashing
+  unit is quarantined, and re-running with ``--resume`` recomputes exactly
+  the quarantined units;
+* **timeouts** — an attempt that passes ``timeout_s``, measured from
+  dispatch, is killed together with its worker and recorded as a timeout,
+  so the budget also catches a worker stuck in uncooperative native code;
 * **one BLAS thread per worker** — workers pin OpenBLAS/OpenMP to one
   thread (:func:`repro.runtime.blas.pin_one_thread`), so ``jobs`` workers
   never oversubscribe the CPUs with inherited BLAS helper threads.  A
@@ -81,51 +75,44 @@ whose snapshot travels back with the value.  Before :meth:`run_units`
 returns, the snapshots of successful outcomes are adopted in input order,
 so serial and parallel runs produce the same span tree.  Runner counters:
 ``runner.retries``, ``runner.timeouts``, ``runner.failed_units``,
-``runner.worker_crashes`` (pool-breakage events), ``runner.pool_respawns``,
+``runner.worker_crashes`` (worker deaths mid-attempt),
 ``runner.quarantined`` and (from the shutdown coordinator)
 ``runner.signal_shutdowns``.
 
 Checkpoint writes belong in the ``on_result`` callback, which always runs
-in the calling process, so every store keeps a single writer.  Under a pool,
-unit functions and their arguments travel by pickle and must be module-level
-picklable objects, and per-attempt CPU time must be measured inside the unit
-body — a child's CPU time is invisible to the parent's
-``time.process_time()``.
+in the calling process, so every store keeps a single writer.  Under
+workers, unit functions, their arguments and their results travel by pickle
+and must be module-level picklable objects, and per-attempt CPU time must be
+measured inside the unit body — a child's CPU time is invisible to the
+parent's ``time.process_time()``.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import os
 import signal
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
+from contextlib import suppress
 from dataclasses import dataclass, field
+from multiprocessing import connection
 from typing import Any, Callable
 
 from . import blas, faults
-from .errors import (
-    PoolRespawnLimitError,
-    ShutdownRequested,
-    StageFailure,
-    StageTimeout,
-    WorkerCrashError,
-)
+from .errors import ShutdownRequested, StageFailure, StageTimeout, WorkerCrashError
 from .supervision import shutdown_requested, shutdown_signum
 from .telemetry import TelemetrySnapshot, Tracer, activate, get_tracer
 
 #: One schedulable unit of work: ``(unit_name, fn, args, kwargs)``.
 UnitSpec = tuple[str, Callable[..., Any], tuple, dict]
 
-#: How long the dispatch loop blocks waiting for worker completions before
-#: re-checking backoff expiries, heartbeats and the shutdown flag (seconds).
+#: How long the dispatch loop blocks waiting for worker replies before
+#: re-checking backoff expiries and the shutdown flag (seconds).
 _POLL_S = 0.05
 
 
 class _AttemptTimeout(Exception):
-    """Picklable marker: an attempt exhausted its wall-clock budget.
+    """Marker: an attempt exhausted its wall-clock budget.
 
     Distinct from :class:`TimeoutError` on purpose — on Python 3.11+ the
     builtin is an alias of ``concurrent.futures.TimeoutError`` (and of
@@ -292,57 +279,51 @@ def _run_attempt(
     return result[0]
 
 
-#: Worker-side start-announcement channel, installed by ``_worker_init``.
-_ANNOUNCE: Any = None
+class _WorkerDied(Exception):
+    """Marker: the worker running an attempt died before it replied."""
 
 
-def _worker_init(announce: Any) -> None:
-    """Pool initializer: announcement queue, one BLAS thread, clean signals.
+#: A settled attempt: ``(True, (value, snapshot))`` or ``(False, exception)``.
+_Settled = tuple[bool, Any]
+
+
+def _worker_main(conn: connection.Connection) -> None:
+    """A worker's life: run attempts read from ``conn`` until told to stop.
 
     Forked workers inherit the parent's graceful-shutdown handlers
-    (:mod:`repro.runtime.supervision`); left in place they would swallow the
-    SIGTERM that ``ProcessPoolExecutor`` sends when tearing down a broken
-    pool, leaving an unkillable worker the executor joins forever.  SIGTERM
-    is restored to its default so ``Process.terminate()`` works; SIGINT is
-    ignored so a terminal Ctrl-C (delivered to the whole foreground process
-    group) is coordinated by the parent alone.
+    (:mod:`repro.runtime.supervision`); SIGTERM is restored to its default so
+    the worker dies of it like any process, and SIGINT is ignored so a
+    terminal Ctrl-C (delivered to the whole foreground process group) is
+    coordinated by the parent alone.  ``directive`` is a parent-consumed
+    kill/hang fault, executed before the unit body: an injected hang is
+    uncooperative, so only the parent's timeout stops it.
     """
-    global _ANNOUNCE
-    _ANNOUNCE = announce
     blas.pin_one_thread()
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-
-
-def _worker_attempt(
-    fn: Callable[..., Any],
-    args: tuple,
-    kwargs: dict,
-    timeout_s: float | None,
-    trace: bool,
-    directive: tuple[str, float] | None,
-    task_id: int,
-) -> tuple[Any, TelemetrySnapshot | None]:
-    """Run one unit attempt inside a worker process.
-
-    The start announcement ``(task_id, pid)`` goes out first, over a
-    ``multiprocessing.SimpleQueue`` whose ``put`` writes the pipe
-    synchronously — no feeder thread that a SIGKILL could take down with
-    the message still buffered.  ``directive``
-    is a parent-consumed kill/hang fault: it executes *before* the budget
-    starts, so an injected hang is uncooperative — only the parent's
-    heartbeat can catch it, exactly like a stuck native call.
-    """
-    if _ANNOUNCE is not None:
+    while True:
         try:
-            _ANNOUNCE.put((task_id, os.getpid()))
-        except (OSError, ValueError):
-            pass  # parent gone or queue closed: attribution degrades gracefully
-    faults.execute_directive(directive)
-    return _run_attempt(lambda: fn(*args, **kwargs), timeout_s, trace)
+            task = conn.recv()
+        except EOFError:  # the parent is gone
+            return
+        if task is None:
+            return
+        fn, args, kwargs, trace, directive = task
+        faults.execute_directive(directive)
+        reply: _Settled
+        try:
+            reply = (True, _run_attempt(lambda: fn(*args, **kwargs), None, trace))
+        except BaseException as exc:  # noqa: B036 - the parent decides what propagates
+            reply = (False, exc)
+        try:
+            conn.send(reply)
+        except OSError:  # the parent is gone
+            return
+        except Exception as exc:  # an unpicklable result: nothing was written
+            conn.send((False, RuntimeError(f"cannot send the attempt's result: {exc!r}")))
 
 
-# -- the two executors ----------------------------------------------------------------
+# -- the workers ---------------------------------------------------------------------
 
 
 @dataclass(eq=False)
@@ -359,65 +340,36 @@ class _UnitState:
     t_attempt: float = 0.0  # dispatch time of the latest attempt
     eligible_at: float = 0.0
     crashes: int = 0  # worker deaths this unit has been charged with
-    hung: bool = False  # latest attempt exceeded the heartbeat deadline
-    task_id: int = -1  # unique id of the latest pool attempt
 
 
-class _Inline:
-    """Runs each attempt to completion in the calling process."""
+@dataclass(eq=False)
+class _Worker:
+    """One worker process and the parent's end of its pipe."""
 
-    capacity = 1
+    process: multiprocessing.Process
+    conn: connection.Connection
+    st: _UnitState | None = None  # the attempt in flight, if any
 
-    def __init__(self, stage: str, timeout_s: float | None, trace: bool):
+
+class _Workers:
+    """Up to ``capacity`` worker processes, one attempt and one pipe each."""
+
+    def __init__(self, stage: str, capacity: int, timeout_s: float | None, trace: bool):
         self.stage = stage
+        self.capacity = capacity
         self.timeout_s = timeout_s
         self.trace = trace
+        self.workers: list[_Worker] = []
 
-    def submit(self, st: _UnitState) -> Future:
-        """Run the attempt now; returns an already settled future."""
-        name = f"{self.stage}/{st.unit}"
+    @property
+    def busy(self) -> int:
+        return sum(w.st is not None for w in self.workers)
 
-        def body() -> Any:
-            faults.fire(name)  # inside the budget: a delay fault counts against it
-            return st.fn(*st.args, **st.kwargs)
+    def submit(self, st: _UnitState) -> _Settled | None:
+        """Fire parent-side faults, then hand the attempt to an idle worker.
 
-        fut: Future = Future()
-        try:
-            fut.set_result(_run_attempt(body, self.timeout_s, self.trace))
-        except Exception as exc:
-            fut.set_exception(exc)
-        return fut
-
-    def close(self, wait: bool) -> None:
-        pass
-
-
-class _Pool:
-    """A supervised ``ProcessPoolExecutor``: start announcements, kills, respawns."""
-
-    def __init__(self, stage: str, jobs: int, timeout_s: float | None, trace: bool):
-        self.stage = stage
-        self.capacity = jobs
-        self.timeout_s = timeout_s
-        self.trace = trace
-        self.started: dict[int, int] = {}  # announced task id -> worker pid
-        self.respawns = 0
-        self._next_task = 0
-        self._announce = multiprocessing.SimpleQueue()
-        self._executor = self._spawn()
-
-    def _spawn(self) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(
-            max_workers=self.capacity,
-            initializer=_worker_init,
-            initargs=(self._announce,),
-        )
-
-    def submit(self, st: _UnitState) -> Future:
-        """Fire parent-side faults, then hand the attempt to a worker.
-
-        Raises ``BrokenProcessPool``/``RuntimeError`` when the pool died
-        before the attempt could start.
+        Returns the settled attempt when it failed before reaching a worker
+        (an injected error, an unpicklable unit), else ``None``.
         """
         name = f"{self.stage}/{st.unit}"
         try:
@@ -425,72 +377,85 @@ class _Pool:
             # worker, so injection is deterministic
             faults.fire(name)
         except Exception as exc:
-            fut: Future = Future()
-            fut.set_exception(exc)
-            return fut
-        directive = faults.worker_directive(name)
-        st.task_id = self._next_task
-        self._next_task += 1
-        return self._executor.submit(
-            _worker_attempt, st.fn, st.args, st.kwargs,
-            self.timeout_s, self.trace, directive, st.task_id,
-        )
-
-    def drain_announcements(self) -> None:
-        """Pull all pending start announcements into :attr:`started`."""
+            return False, exc
+        task = (st.fn, st.args, st.kwargs, self.trace, faults.worker_directive(name))
+        worker = self._idle()
         try:
-            while not self._announce.empty():
-                task_id, pid = self._announce.get()
-                self.started[task_id] = pid
-        except (OSError, EOFError, ValueError):
-            pass  # torn pipe after a crash: attribution degrades gracefully
+            worker.conn.send(task)
+        except Exception as exc:  # pickling failed before anything was written
+            return False, exc
+        worker.st = st
+        return None
 
-    def kill_workers(self) -> None:
-        """SIGKILL every live worker of a pool whose tasks stopped heartbeating.
+    def _idle(self) -> _Worker:
+        """An idle live worker, started if there is none; reaps idle deaths."""
+        for w in list(self.workers):
+            if w.st is None:
+                if w.process.is_alive():
+                    return w
+                self._retire(w)
+        ours, theirs = multiprocessing.Pipe()
+        process = multiprocessing.Process(
+            target=_worker_main, args=(theirs,), name=f"{self.stage}-worker"
+        )
+        process.start()
+        theirs.close()
+        worker = _Worker(process, ours)
+        self.workers.append(worker)
+        return worker
 
-        Reaches into ``ProcessPoolExecutor._processes`` (a pid → Process
-        map); there is no public API for this, but a hung worker ignores
-        cooperative shutdown by definition.  Killing the workers breaks the
-        pool, which the dispatch loop then recovers exactly like an organic
-        worker death.
+    def wait(self, timeout: float) -> list[tuple[_UnitState, bool, Any]]:
+        """Settle the attempts whose worker replied, died or overran the budget.
+
+        Blocks up to ``timeout`` seconds (less when a budget expires sooner)
+        for a reply or a worker death.  A dead or overdue worker is retired,
+        so the next dispatch starts a fresh one.
         """
-        processes = getattr(self._executor, "_processes", None) or {}
-        for proc in list(processes.values()):
-            try:
-                proc.kill()
-            except (OSError, AttributeError, ValueError):
-                pass  # already dead, or platform without kill(): best effort
+        busy = [w for w in self.workers if w.st is not None]
+        if self.timeout_s is not None:
+            expiry = min(w.st.t_attempt for w in busy) + self.timeout_s
+            timeout = max(0.0, min(timeout, expiry - time.monotonic()))
+        connection.wait([w.conn for w in busy] + [w.process.sentinel for w in busy], timeout)
+        now = time.monotonic()
+        settled = []
+        for w in busy:
+            st = w.st
+            if w.conn.poll():
+                try:
+                    ok, payload = w.conn.recv()
+                except (EOFError, OSError):  # died before or while replying
+                    ok, payload = False, _WorkerDied()
+                except Exception as exc:  # a reply this process cannot unpickle
+                    ok, payload = False, exc
+            elif not w.process.is_alive():
+                ok, payload = False, _WorkerDied()
+            elif self.timeout_s is not None and now - st.t_attempt >= self.timeout_s:
+                ok, payload = False, _AttemptTimeout()
+            else:
+                continue
+            w.st = None
+            if isinstance(payload, (_WorkerDied, _AttemptTimeout)):
+                self._retire(w)
+            settled.append((st, ok, payload))
+        return settled
 
-    def exit_codes(self) -> dict[int, int | None]:
-        """Exit status of each worker of the broken executor, by pid.
+    def _retire(self, w: _Worker) -> None:
+        """Kill ``w`` if it still runs, reap it and close its pipe."""
+        if w.process.is_alive():
+            w.process.kill()
+        w.process.join()
+        w.process.close()
+        w.conn.close()
+        self.workers.remove(w)
 
-        A breaking ``ProcessPoolExecutor`` SIGTERMs its surviving workers;
-        this waits up to a second for them to be reaped.  ``None`` means
-        unknown.  Reads ``_processes`` like :meth:`kill_workers` (CPython
-        keeps it populated after a break until ``shutdown``).
-        """
-        processes = getattr(self._executor, "_processes", None) or {}
-        deadline = time.monotonic() + 1.0
-        codes: dict[int, int | None] = {}
-        for pid, proc in list(processes.items()):
-            try:
-                while proc.exitcode is None and time.monotonic() < deadline:
-                    time.sleep(0.01)
-                codes[pid] = proc.exitcode
-            except ValueError:  # a closed process handle
-                codes[pid] = None
-        return codes
-
-    def discard(self) -> None:
-        """Abandon the broken executor (its futures are settled or cancelled)."""
-        self._executor.shutdown(wait=False, cancel_futures=True)
-
-    def respawn(self) -> None:
-        self._executor = self._spawn()
-
-    def close(self, wait: bool) -> None:
-        self._executor.shutdown(wait=wait, cancel_futures=not wait)
-        self._announce.close()
+    def close(self) -> None:
+        """Stop every worker: idle ones exit on request, busy ones are killed."""
+        for w in list(self.workers):
+            if w.st is None:
+                with suppress(OSError):  # a dead worker cannot be asked
+                    w.conn.send(None)
+                w.process.join()
+            self._retire(w)
 
 
 @dataclass
@@ -498,10 +463,9 @@ class _Batch:
     """The dispatch loop's state for one :meth:`FaultTolerantRunner.run_units` call."""
 
     stage: str
-    executor: _Inline | _Pool
+    workers: _Workers | None  # None: attempts run inline
     queue: list[_UnitState]  # waiting for (re-)dispatch
     on_result: Callable[[str, UnitOutcome], None] | None
-    running: dict[Future, _UnitState] = field(default_factory=dict)
     outcomes: dict[int, UnitOutcome] = field(default_factory=dict)
     snapshots: dict[int, TelemetrySnapshot] = field(default_factory=dict)
 
@@ -522,10 +486,9 @@ class _Batch:
 class FaultTolerantRunner:
     """Executes pipeline units under a retry/timeout/isolation policy.
 
-    ``jobs > 1`` runs batches on a supervised pool of that many worker
-    processes; ``max_pool_respawns``, ``quarantine_threshold``,
-    ``heartbeat_s`` and ``respawn_backoff_s`` tune its supervision (see the
-    module docstring).
+    ``jobs > 1`` runs batches on up to that many worker processes;
+    ``quarantine_threshold`` is how many worker crashes one unit may cause
+    before it is quarantined (see the module docstring).
     """
 
     def __init__(
@@ -536,37 +499,21 @@ class FaultTolerantRunner:
         sleep: Callable[[float], None] = time.sleep,
         *,
         jobs: int = 1,
-        max_pool_respawns: int = 3,
         quarantine_threshold: int = 2,
-        heartbeat_s: float | None = None,
-        respawn_backoff_s: float = 0.5,
     ):
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
-        if max_pool_respawns < 0:
-            raise ValueError(f"max_pool_respawns must be >= 0, got {max_pool_respawns}")
         if quarantine_threshold < 1:
             raise ValueError(
                 f"quarantine_threshold must be >= 1, got {quarantine_threshold}"
             )
-        if heartbeat_s is not None and heartbeat_s <= 0:
-            raise ValueError(f"heartbeat_s must be > 0, got {heartbeat_s}")
         self.policy = policy or RetryPolicy()
         self.fail_fast = fail_fast
         self.verbose = verbose
         self.failures = FailureLog()
         self._sleep = sleep
         self.jobs = jobs
-        self.max_pool_respawns = max_pool_respawns
         self.quarantine_threshold = quarantine_threshold
-        self.heartbeat_s = heartbeat_s
-        self.respawn_backoff_s = respawn_backoff_s
-
-    def respawn_backoff(self, respawn: int) -> float:
-        """Seconds to pause before pool respawn number ``respawn`` (1-based)."""
-        if self.respawn_backoff_s <= 0:
-            return 0.0
-        return min(30.0, self.respawn_backoff_s * 2 ** (respawn - 1))
 
     def run_unit(
         self,
@@ -595,30 +542,26 @@ class FaultTolerantRunner:
         ``on_result(unit_name, outcome)`` is invoked in the calling process
         as each unit finishes, in completion order; that is where callers
         perform checkpoint writes.  ``fail_fast`` raises out of the batch at
-        the first permanently failed unit.
+        the first permanently failed unit.  No worker process outlives the
+        call, however it ends.
         """
         self._register_counters()
         tracer = get_tracer()
-        if self.jobs == 1 or len(units) <= 1:
-            executor: _Inline | _Pool = _Inline(stage, self.policy.timeout_s, tracer.enabled)
-        else:
-            executor = _Pool(stage, self.jobs, self.policy.timeout_s, tracer.enabled)
+        workers = None
+        if self.jobs > 1 and len(units) > 1:
+            workers = _Workers(stage, self.jobs, self.policy.timeout_s, tracer.enabled)
         batch = _Batch(
             stage,
-            executor,
+            workers,
             [_UnitState(i, u, fn, a, k) for i, (u, fn, a, k) in enumerate(units)],
             on_result,
         )
         try:
             with blas.thread_budget(1 if self.jobs > 1 else None):
                 abandoned = self._dispatch(batch)
-            executor.close(wait=True)
-        except BaseException:
-            for fut in batch.running:
-                fut.cancel()
-            executor.close(wait=False)
-            raise
         finally:
+            if workers is not None:
+                workers.close()
             for i in sorted(batch.snapshots):  # input order, whatever finished first
                 tracer.adopt(batch.snapshots[i])
         if abandoned:
@@ -631,9 +574,9 @@ class FaultTolerantRunner:
     def _register_counters() -> None:
         """Zero-register the runner's metric keys so every run reports them.
 
-        The supervision counters are registered here too — a serial run can
-        never crash a worker, but its manifest must stay semantically
-        identical to a ``--jobs N`` run's (``stable_view`` equality).
+        The crash counters are registered here too — a serial run can never
+        crash a worker, but its manifest must stay semantically identical to
+        a ``--jobs N`` run's (``stable_view`` equality).
         """
         tracer = get_tracer()
         for key in (
@@ -641,7 +584,6 @@ class FaultTolerantRunner:
             "runner.timeouts",
             "runner.failed_units",
             "runner.worker_crashes",
-            "runner.pool_respawns",
             "runner.quarantined",
             "runner.signal_shutdowns",
         ):
@@ -652,92 +594,77 @@ class FaultTolerantRunner:
     def _dispatch(self, b: _Batch) -> list[_UnitState]:
         """Run the batch to completion; returns the units a shutdown abandoned."""
         abandoned: list[_UnitState] = []
-        while b.queue or b.running:
+        capacity = 1 if b.workers is None else b.workers.capacity
+        while b.queue or (b.workers is not None and b.workers.busy):
             if shutdown_requested() and b.queue:
                 # first signal: stop dispatching, drain what is in flight
                 abandoned.extend(b.queue)
                 b.queue = []
             now = time.monotonic()
             backlog: list[_UnitState] = []
-            broken = False
+            settled: list[tuple[_UnitState, bool, Any]] = []
+            in_flight = 0 if b.workers is None else b.workers.busy
             for st in b.queue:
-                # At most ``capacity`` attempts in flight: a submitted attempt
-                # starts (almost) immediately, so the heartbeat clock measures
-                # *running* time, not executor-queue waiting — and a shutdown
-                # signal finds re-dispatchable units here in the parent queue
-                # instead of buried inside the pool.
-                if broken or st.eligible_at > now or len(b.running) >= b.executor.capacity:
+                # At most ``capacity`` attempts in flight: a dispatched attempt
+                # starts at once, so its timeout measures *running* time — and
+                # a shutdown signal finds the rest re-dispatchable right here.
+                if st.eligible_at > now or in_flight + len(settled) >= capacity:
                     backlog.append(st)
                     continue
                 if st.t_start is None:
                     st.t_start = now
                 st.attempt += 1
                 st.t_attempt = now
-                st.hung = False
-                try:
-                    fut = b.executor.submit(st)
-                except (BrokenProcessPool, RuntimeError):
-                    # the pool died under us before this attempt started:
-                    # the attempt never ran, so hand it back unconsumed
-                    st.attempt -= 1
-                    backlog.append(st)
-                    broken = True
-                    continue
-                b.running[fut] = st
+                if b.workers is None:
+                    result = self._run_inline(b.stage, st)
+                else:
+                    result = b.workers.submit(st)
+                if result is None:
+                    in_flight += 1
+                else:
+                    settled.append((st, *result))
             b.queue = backlog
 
-            if not broken:
-                if not b.running:
-                    if b.queue:  # everything is backing off: sleep it out
-                        pause = min(st.eligible_at for st in b.queue) - time.monotonic()
-                        if pause > 0:
-                            self._sleep(pause)
-                    continue
-                done, _ = wait(b.running, timeout=_POLL_S, return_when=FIRST_COMPLETED)
-                for fut in done:
-                    st = b.running.pop(fut)
-                    if self._settle(b, fut, st):
-                        # this unit was in flight when its worker died;
-                        # recovery below decides re-dispatch vs quarantine
-                        b.running[fut] = st
-                        broken = True
-
-            if not broken and self.heartbeat_s is not None:
-                hung = [
-                    st for fut, st in b.running.items()
-                    if not fut.done() and now - st.t_attempt > self.heartbeat_s
-                ]
-                for st in hung:
-                    st.hung = True
-                if hung:
-                    b.executor.kill_workers()
-                    broken = True
-
-            if broken:
-                self._recover_pool(b)
+            if b.workers is not None and b.workers.busy:
+                settled += b.workers.wait(0.0 if settled else _POLL_S)
+            elif not settled:
+                if b.queue:  # everything is backing off: sleep it out
+                    pause = min(st.eligible_at for st in b.queue) - time.monotonic()
+                    if pause > 0:
+                        self._sleep(pause)
+                continue
+            for st, ok, payload in settled:
+                self._settle(b, st, ok, payload)
         return abandoned
 
-    def _settle(self, b: _Batch, fut: Future, st: _UnitState) -> bool:
-        """Settle one completed attempt: finish the unit, retry it, or fail it.
+    def _run_inline(self, stage: str, st: _UnitState) -> _Settled:
+        """Run one attempt to completion in this process."""
+        name = f"{stage}/{st.unit}"
 
-        Returns ``True`` when the future carries ``BrokenProcessPool`` — the
-        unit is still unresolved and pool recovery must decide its fate.
-        """
+        def body() -> Any:
+            faults.fire(name)  # inside the budget: a delay fault counts against it
+            return st.fn(*st.args, **st.kwargs)
+
         try:
-            value, snapshot = fut.result()
-        except (KeyboardInterrupt, SystemExit, ShutdownRequested):
+            return True, _run_attempt(body, self.policy.timeout_s, get_tracer().enabled)
+        except Exception as exc:
+            return False, exc
+
+    def _settle(self, b: _Batch, st: _UnitState, ok: bool, payload: Any) -> None:
+        """Settle one attempt: finish the unit, retry it, or fail it."""
+        if ok:
+            value, snapshot = payload
+            b.finish(st, UnitOutcome(value=value), snapshot)
+        elif isinstance(payload, (KeyboardInterrupt, SystemExit, ShutdownRequested)):
             # a unit body that runs its own batch (a forest fit inside a
             # ``report`` unit) stops with it on a shutdown signal
-            raise
-        except BrokenProcessPool:
-            return True
-        except _AttemptTimeout:
+            raise payload
+        elif isinstance(payload, _WorkerDied):
+            self._worker_crashed(b, st)
+        elif isinstance(payload, _AttemptTimeout):
             self._attempt_failed(b, st, True, None)
-        except Exception as exc:
-            self._attempt_failed(b, st, False, exc)
         else:
-            b.finish(st, UnitOutcome(value=value), snapshot)
-        return False
+            self._attempt_failed(b, st, False, payload)
 
     def _attempt_failed(
         self, b: _Batch, st: _UnitState, timed_out: bool, exc: Exception | None
@@ -756,7 +683,7 @@ class FaultTolerantRunner:
                     flush=True,
                 )
             pause = self.policy.backoff(st.attempt)
-            if isinstance(b.executor, _Inline):
+            if b.workers is None:
                 # attempts run back to back: sleep the backoff out and retry
                 # this unit before the next one starts
                 if pause > 0:
@@ -800,7 +727,7 @@ class FaultTolerantRunner:
             error_type=error_type,
             message=message,
             elapsed_s=now - (st.t_start or now),
-            # dispatch-to-settle of the final attempt (pool queue wait included)
+            # dispatch-to-settle of the final attempt
             last_attempt_s=now - st.t_attempt,
             run_id=get_tracer().run_id,
             kind=kind,
@@ -813,85 +740,29 @@ class FaultTolerantRunner:
             raise error from cause
         b.finish(st, UnitOutcome(failure=rec))
 
-    # -- supervision ------------------------------------------------------------------
-
-    def _recover_pool(self, b: _Batch) -> None:
-        """Handle a broken pool: charge crashes, quarantine or re-queue, respawn.
-
-        Crash charges go to the units that can actually be guilty: on a
-        heartbeat kill, exactly the units marked hung; on an organic
-        breakage, the in-flight units whose task a worker announced as
-        started but that never completed — narrowed, when several had
-        started, to those whose worker did not exit by the executor's
-        SIGTERM teardown.  Units still queued inside the dead executor
-        re-queue for free.  If no in-flight unit had started
-        (a worker died while idle or mid-spawn), nobody is charged — the
-        respawn limit still bounds that failure mode.
-        """
-        pool = b.executor
+    def _worker_crashed(self, b: _Batch, st: _UnitState) -> None:
+        """Charge a worker death to the unit it was running: re-queue or quarantine."""
         tracer = get_tracer()
         tracer.counter("runner.worker_crashes")
-        pool.drain_announcements()
-        # Harvest futures that settled before the breakage reached them — a
-        # completed unit must keep its result, not be re-run or charged.
-        in_flight: list[_UnitState] = []
-        for fut, st in list(b.running.items()):
-            if fut.done():
-                if self._settle(b, fut, st):
-                    in_flight.append(st)
-            else:
-                fut.cancel()
-                in_flight.append(st)
-        b.running.clear()
-        hung = [st for st in in_flight if st.hung]
-        started = [st for st in in_flight if st.task_id in pool.started]
-        if not hung and len(started) > 1:
-            codes = pool.exit_codes()
-            died = [st for st in started
-                    if codes.get(pool.started[st.task_id]) != -signal.SIGTERM]
-            started = died or started
-        pool.discard()
-
-        culprits = hung or started
-        detail = "heartbeat expired" if hung else "worker process died"
-        for st in in_flight:
-            if st in culprits:
-                st.crashes += 1
-                if self.verbose:
-                    print(
-                        f"  worker crash running {b.stage}/{st.unit} "
-                        f"({detail}; crash #{st.crashes})",
-                        flush=True,
-                    )
-                if st.crashes >= self.quarantine_threshold:
-                    tracer.counter("runner.quarantined")
-                    self._give_up(
-                        b, st, "worker_crash", WorkerCrashError.__name__,
-                        f"{detail}; {st.crashes} crash(es) charged to this unit — "
-                        "quarantined as a poison task",
-                        WorkerCrashError(b.stage, st.unit, st.crashes, detail), None,
-                    )
-                    continue
-            # not chargeable, or below the quarantine threshold: a crash is an
-            # infrastructure failure, so the attempt is handed back unconsumed
-            st.attempt -= 1
-            st.eligible_at = 0.0
-            b.queue.append(st)
-
-        pool.respawns += 1
-        if pool.respawns > self.max_pool_respawns:
-            raise PoolRespawnLimitError(b.stage, pool.respawns, self.max_pool_respawns)
-        tracer.counter("runner.pool_respawns")
-        pause = self.respawn_backoff(pool.respawns)
+        st.crashes += 1
         if self.verbose:
             print(
-                f"  respawning worker pool (break {pool.respawns}/"
-                f"{self.max_pool_respawns}, backoff {pause:g}s)",
+                f"  worker crash running {b.stage}/{st.unit} (crash #{st.crashes})",
                 flush=True,
             )
-        if pause > 0:
-            self._sleep(pause)
-        pool.respawn()
+        if st.crashes >= self.quarantine_threshold:
+            tracer.counter("runner.quarantined")
+            detail = "worker process died"
+            self._give_up(
+                b, st, "worker_crash", WorkerCrashError.__name__,
+                f"{detail}; {st.crashes} crash(es) charged to this unit — "
+                "quarantined as a poison task",
+                WorkerCrashError(b.stage, st.unit, st.crashes, detail), None,
+            )
+            return
+        # a crash is an infrastructure failure: the attempt is handed back unconsumed
+        st.attempt -= 1
+        b.queue.append(st)
 
 
 class ParallelRunner(FaultTolerantRunner):
@@ -904,9 +775,13 @@ class ParallelRunner(FaultTolerantRunner):
         fail_fast: bool = False,
         verbose: bool = False,
         sleep: Callable[[float], None] = time.sleep,
-        **supervision: Any,
+        *,
+        quarantine_threshold: int = 2,
     ):
-        super().__init__(policy, fail_fast, verbose, sleep, jobs=jobs, **supervision)
+        super().__init__(
+            policy, fail_fast, verbose, sleep,
+            jobs=jobs, quarantine_threshold=quarantine_threshold,
+        )
 
 
 def _describe(

@@ -19,8 +19,8 @@ signal handlers with two-stage semantics:
 
 The coordinator is intentionally a module-level ambient (like the fault plan
 and the tracer): exactly one command runs per process, and worker processes
-never install it — a worker hit by SIGTERM simply dies and is handled by the
-supervision layer in :mod:`repro.runtime.runner`.
+never install it — a worker hit by SIGTERM simply dies, and
+:mod:`repro.runtime.runner` charges that to the unit it was running.
 """
 
 from __future__ import annotations

@@ -302,7 +302,7 @@ def build_manifest(
     children); ``stages`` is the per-stage table derived from it.
     ``versions`` also records the environment that shapes the timings: the
     CPU count, the loaded OpenBLAS thread counts at write time and the
-    process start method of ``--jobs`` pools.
+    process start method of ``--jobs`` workers.
     """
     import numpy as np
 

@@ -190,7 +190,7 @@ class TestBinnedDataset:
     def test_as_binned_dataset_coercions(self, dataset):
         assert as_binned_dataset(dataset, None) is dataset
         X = np.random.default_rng(6).normal(size=(10, 2))
-        fresh = as_binned_dataset(None, X, max_bins=4)
+        fresh = BinnedDataset.from_matrix(X, max_bins=4)
         assert fresh.n_samples == 10
         with pytest.raises(TypeError):  # the old (mapper, codes) tuple form
             as_binned_dataset((dataset.mapper, dataset.codes), None)

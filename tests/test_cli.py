@@ -118,6 +118,19 @@ class TestCLIRejectsBadNumbers:
         assert exc.value.code == 2
         assert "invalid choice: 'nosuch'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--heartbeat", "--max-pool-respawns"])
+    def test_removed_pool_flags_exit_2_before_any_flow(self, flag, monkeypatch, capsys):
+        import repro.cli as cli
+
+        def no_flow(*args, **kwargs):
+            raise AssertionError("the suite was built")
+
+        monkeypatch.setattr(cli, "build_suite_dataset", no_flow)
+        with pytest.raises(SystemExit) as exc:
+            main(["suite", flag, "1"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
 
 class TestCLIHeavyPaths:
     """End-to-end CLI runs on a tiny (scale 0.3) suite, cached in tmp."""

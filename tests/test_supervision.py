@@ -1,21 +1,21 @@
-"""Crash-safe supervised execution: pool supervision, quarantine, shutdown.
+"""Crash-safe execution on owned workers: crashes, timeouts, quarantine, shutdown.
 
-Covers the supervision layer in isolation (crash recovery, poison-task
-quarantine, heartbeat hang detection, respawn limits), the graceful
-SIGTERM/SIGINT path (serial and parallel runners, the resumable CLI exit
-code), and the durability satellites (orphan temp sweep, failure-record
-kinds).
+Covers the worker layer in isolation (crash recovery charged to the dead
+worker's unit alone, poison-task quarantine, hung attempts killed by the
+timeout, no worker outliving a batch), the graceful SIGTERM/SIGINT path
+(serial and parallel runners, the resumable CLI exit code), and the
+durability satellites (orphan temp sweep, failure-record kinds).
 
 The acceptance bar, per the crash-safety design: SIGKILLing a worker
-mid-suite never aborts the run — the affected design is retried on a
-respawned pool or quarantined as a ``worker_crash`` failure, and a
-subsequent ``--resume`` completes with output byte-identical to an
-uninterrupted run.
+mid-suite never aborts the run — the affected design is retried on a fresh
+worker or quarantined as a ``worker_crash`` failure, and a subsequent
+``--resume`` completes with output byte-identical to an uninterrupted run.
 """
 
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import pickle
 import signal
@@ -39,7 +39,6 @@ from repro.runtime import (
 )
 from repro.runtime import faults as faults_mod
 from repro.runtime.errors import (
-    PoolRespawnLimitError,
     ShutdownRequested,
     StageFailure,
     StageTimeout,
@@ -78,8 +77,20 @@ def _touch_then_sleep(flag, seconds, value):
     return value
 
 
+def _sleep_then_touch(seconds, marker):
+    time.sleep(seconds)
+    Path(marker).touch()
+    return "late"
+
+
+def _log_touch_then_sleep(log, flag, seconds, value):
+    with open(log, "a") as fh:
+        fh.write(f"{os.getpid()}\n")
+    return _touch_then_sleep(flag, seconds, value)
+
+
 def _die_once_flagged(flag):
-    """SIGKILL this worker once ``flag`` exists (a co-resident unit started)."""
+    """SIGKILL this worker once ``flag`` exists (a co-running unit started)."""
     while not Path(flag).exists():
         time.sleep(0.005)
     os.kill(os.getpid(), signal.SIGKILL)
@@ -100,12 +111,7 @@ def _expected(n=4):
 
 
 def _supervised(**kw):
-    defaults = dict(
-        jobs=2,
-        max_pool_respawns=10,
-        respawn_backoff_s=0.02,
-        **FAST_RETRIES,
-    )
+    defaults = dict(jobs=2, **FAST_RETRIES)
     defaults.update(kw)
     return ParallelRunner(**defaults)
 
@@ -113,17 +119,19 @@ def _supervised(**kw):
 class TestSupervisionConfig:
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
-            ParallelRunner(2, max_pool_respawns=-1)
-        with pytest.raises(ValueError):
             ParallelRunner(2, quarantine_threshold=0)
         with pytest.raises(ValueError):
-            ParallelRunner(2, heartbeat_s=0.0)
+            FaultTolerantRunner(jobs=2, quarantine_threshold=0)
 
-    def test_respawn_backoff_doubles_and_caps(self):
-        runner = ParallelRunner(2, respawn_backoff_s=0.5)
-        assert [runner.respawn_backoff(n) for n in (1, 2, 3)] == [0.5, 1.0, 2.0]
-        assert runner.respawn_backoff(20) == 30.0
-        assert ParallelRunner(2, respawn_backoff_s=0.0).respawn_backoff(5) == 0.0
+    @pytest.mark.parametrize(
+        "knob", ["max_pool_respawns", "heartbeat_s", "respawn_backoff_s"]
+    )
+    def test_pool_knobs_are_gone(self, knob):
+        # owned workers leave no pool to respawn and no heartbeat to tune
+        with pytest.raises(TypeError):
+            FaultTolerantRunner(jobs=2, **{knob: 1})
+        with pytest.raises(TypeError):
+            ParallelRunner(2, **{knob: 1})
 
 
 class TestWorkerCrashRecovery:
@@ -135,8 +143,7 @@ class TestWorkerCrashRecovery:
         assert [o.value for o in out] == _expected()
         assert not runner.failures
         assert plan.triggered == [("stage/u1", "kill")]
-        assert tracer.counters["runner.worker_crashes"] >= 1
-        assert tracer.counters["runner.pool_respawns"] >= 1
+        assert tracer.counters["runner.worker_crashes"] == 1
         assert tracer.counters["runner.quarantined"] == 0
 
     def test_crash_redispatch_does_not_consume_retry_budget(self):
@@ -149,8 +156,8 @@ class TestWorkerCrashRecovery:
         assert not runner.failures
 
     def test_poison_unit_quarantined_innocents_survive(self):
-        # delay_s gives co-resident units a window to finish, so crash
-        # charges land on the poison unit alone (start-announce attribution)
+        # each worker runs one unit, so a crash is charged to the poison
+        # unit alone however the co-running units are scheduled
         runner = _supervised(quarantine_threshold=2)
         with activate(Tracer(run_id="poison")) as tracer:
             with inject_faults(
@@ -168,8 +175,7 @@ class TestWorkerCrashRecovery:
 
     def test_innocent_co_resident_unit_never_charged(self, tmp_path):
         # the poison unit kills its worker only after the innocent one has
-        # started in the other worker, so both were in flight when the pool
-        # broke; the innocent worker died of the executor's SIGTERM teardown
+        # started in the other worker, so both are in flight at the crash
         flag = str(tmp_path / "innocent-started")
         runner = _supervised(quarantine_threshold=1)
         with activate(Tracer(run_id="innocent")) as tracer:
@@ -200,11 +206,20 @@ class TestWorkerCrashRecovery:
         assert not runner.failures
         assert plan.triggered == []
 
-    def test_respawn_limit_aborts_stage(self):
-        runner = _supervised(max_pool_respawns=0, quarantine_threshold=99)
-        with inject_faults(FaultSpec(stage="stage/u0", kind="kill", times=1)):
-            with pytest.raises(PoolRespawnLimitError):
-                runner.run_units("stage", _units())
+    def test_killed_unit_costs_only_its_own_attempt(self, tmp_path):
+        # the co-running unit logs each start: a worker's death must never
+        # touch it, so it is dispatched exactly once
+        flag, log = str(tmp_path / "started"), tmp_path / "starts.log"
+        runner = _supervised(quarantine_threshold=2)
+        with activate(Tracer(run_id="one-attempt")) as tracer:
+            out = runner.run_units("stage", [
+                ("poison", _die_once_flagged, (flag,), {}),
+                ("co", _log_touch_then_sleep, (str(log), flag, 1.0, "ok"), {}),
+            ])
+        assert out[1].value == "ok"
+        assert len(log.read_text().splitlines()) == 1
+        assert runner.failures.units() == ["stage/poison"]
+        assert tracer.counters["runner.worker_crashes"] == 2
 
 
 class TestWorkerBlasThreads:
@@ -223,31 +238,83 @@ class TestWorkerBlasThreads:
         assert blas.thread_counts() == before
 
 
-class TestHeartbeat:
-    def test_hang_detected_and_retried(self):
-        runner = _supervised(heartbeat_s=0.5, quarantine_threshold=2)
-        with inject_faults(
-            FaultSpec(stage="stage/u2", kind="hang", times=1, delay_s=30.0)
-        ) as plan:
-            out = runner.run_units("stage", _units())
+class TestPooledTimeout:
+    def test_hang_killed_and_retried(self):
+        # an uncooperative hang never returns: the timeout kills its worker
+        # and the retry runs on a fresh one
+        runner = _supervised(
+            policy=RetryPolicy(max_retries=1, backoff_base_s=0.01, timeout_s=0.5)
+        )
+        with activate(Tracer(run_id="hang")) as tracer:
+            with inject_faults(
+                FaultSpec(stage="stage/u2", kind="hang", times=1, delay_s=30.0)
+            ) as plan:
+                out = runner.run_units("stage", _units())
         assert [o.value for o in out] == _expected()
         assert not runner.failures
         assert plan.triggered == [("stage/u2", "hang")]
+        assert tracer.counters["runner.timeouts"] == 1
+        assert tracer.counters["runner.worker_crashes"] == 0
 
-    def test_hung_unit_quarantined_alone(self):
-        # heartbeat kills identify the culprit exactly: only the hung unit
-        # is charged, co-resident units re-dispatch for free
-        runner = _supervised(heartbeat_s=0.5, quarantine_threshold=1)
+    def test_hung_unit_fails_alone(self):
+        # the timeout knows which unit its worker ran: only the hung unit
+        # fails, the others finish on their first attempt
+        runner = _supervised(policy=RetryPolicy(timeout_s=0.5))
         with inject_faults(
             FaultSpec(stage="stage/u2", kind="hang", times=1, delay_s=30.0)
         ):
             out = runner.run_units("stage", _units())
         assert not out[2].ok
         assert [o.value for i, o in enumerate(out) if i != 2] == [0, 2, 6]
+        assert runner.failures.units() == ["stage/u2"]
         rec = runner.failures.records[0]
-        assert rec.unit == "u2"
-        assert rec.kind == "worker_crash"
-        assert "heartbeat expired" in rec.message
+        assert (rec.kind, rec.error_type, rec.attempts) == ("timeout", "StageTimeout", 1)
+
+    def test_timed_out_attempt_is_stopped(self, tmp_path):
+        # the body of a timed-out attempt must not keep running in its
+        # worker: the marker it would write after 1 s never appears
+        marker = tmp_path / "late-marker"
+        runner = ParallelRunner(2, RetryPolicy(timeout_s=0.5))
+        units = [("slow", _sleep_then_touch, (1.0, str(marker)), {})]
+        units += [(f"busy{i}", _sleep_then, (0.1, i), {}) for i in range(30)]
+        t0 = time.monotonic()
+        out = runner.run_units("stage", units)
+        assert out[0].failure.kind == "timeout"
+        assert [o.value for o in out[1:]] == list(range(30))
+        time.sleep(max(0.0, t0 + 1.5 - time.monotonic()))
+        assert not marker.exists()
+
+
+class TestNoWorkerOutlivesRun:
+    def test_normal_return(self):
+        assert [o.value for o in _supervised().run_units("stage", _units())] == _expected()
+        assert multiprocessing.active_children() == []
+
+    def test_fail_fast_stage_failure_with_a_unit_mid_run(self):
+        runner = _supervised(policy=RetryPolicy(), fail_fast=True)
+        units = [("bad", _raise_boom, (), {}), ("slow", _sleep_then, (30.0, 0), {})]
+        t0 = time.monotonic()
+        with pytest.raises(StageFailure):
+            runner.run_units("stage", units)
+        assert time.monotonic() - t0 < 20.0  # the slow unit was not waited for
+        assert multiprocessing.active_children() == []
+
+    def test_fail_fast_worker_crash(self):
+        runner = _supervised(quarantine_threshold=1, fail_fast=True)
+        units = [("u0", _double, (0,), {}), ("slow", _sleep_then, (30.0, 0), {})]
+        with inject_faults(FaultSpec(stage="stage/u0", kind="kill", times=1)):
+            with pytest.raises(WorkerCrashError):
+                runner.run_units("stage", units)
+        assert multiprocessing.active_children() == []
+
+    def test_on_result_raises(self):
+        def explode(unit, outcome):
+            raise RuntimeError(f"callback failed on {unit}")
+
+        units = [("fast", _double, (1,), {}), ("slow", _sleep_then, (30.0, 0), {})]
+        with pytest.raises(RuntimeError, match="callback failed on fast"):
+            _supervised().run_units("stage", units, on_result=explode)
+        assert multiprocessing.active_children() == []
 
 
 class TestWorkerFaultDirectives:
@@ -428,11 +495,14 @@ class TestCrashSafetyAcceptance:
         assert _store_digests(cache) == suite_baseline
 
     def test_one_kill_and_one_hang_self_heal(self, tmp_path, suite_baseline):
-        # one SIGKILL and one hang past the heartbeat, each fired once: both
-        # designs are re-dispatched on a respawned pool and nothing fails.
-        # The heartbeat must exceed the slowest honest flow at SCALE.
+        # one SIGKILL and one hang past the timeout, each fired once: both
+        # designs are re-dispatched on fresh workers and nothing fails.
+        # The timeout must exceed the slowest honest flow at SCALE.
         cache = tmp_path / "suite.npz"
-        runner = _supervised(quarantine_threshold=2, heartbeat_s=5.0)
+        runner = _supervised(
+            quarantine_threshold=2,
+            policy=RetryPolicy(max_retries=3, backoff_base_s=0.01, timeout_s=5.0),
+        )
         tracer = Tracer(run_id="self-heal")
         with activate(tracer), inject_faults(
             FaultSpec(stage="flow/mult_1", kind="kill", times=1, delay_s=0.3),
@@ -443,15 +513,15 @@ class TestCrashSafetyAcceptance:
         assert sorted(kind for _stage, kind in plan.triggered) == ["hang", "kill"]
         assert _store_digests(cache) == suite_baseline
         counters = build_manifest(tracer, "suite")["counters"]
-        assert counters["runner.worker_crashes"] >= 2
-        assert counters["runner.pool_respawns"] >= 2
+        assert counters["runner.worker_crashes"] >= 1
+        assert counters["runner.timeouts"] >= 1
         assert counters["runner.quarantined"] == 0
 
     def test_cli_kill_fault_terminates_despite_signal_handlers(self, tmp_path):
         # regression: forked workers inherited the CLI's graceful-shutdown
-        # SIGTERM handler, swallowed the executor's terminate() while a broken
-        # pool was torn down, and the process hung at interpreter exit joining
-        # the unkillable worker — the subprocess timeout below is the assert
+        # SIGTERM handler, swallowed a terminate() and left an unkillable
+        # worker that the process joined forever at exit — the subprocess
+        # timeout below is the assert
         code = (
             "import sys\n"
             "import repro.cli as cli\n"
@@ -472,8 +542,6 @@ class TestCrashSafetyAcceptance:
                 str(SCALE),
                 "-j",
                 "2",
-                "--max-pool-respawns",
-                "10",
                 "--quarantine-threshold",
                 "2",
             ],
@@ -624,7 +692,6 @@ class TestErrorPickling:
         StageFailure("flow", "mult_b", 1),
         StageTimeout("flow", "mult_b", 3, 1.5),
         WorkerCrashError("flow", "mult_b", 2, "SIGKILL"),
-        PoolRespawnLimitError("flow", 4, 3),
         ShutdownRequested("forest", signal.SIGTERM, ["trees15-29"]),
         ShutdownRequested("flow", signal.SIGINT),
     ], ids=lambda e: type(e).__name__)
