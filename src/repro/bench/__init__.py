@@ -7,7 +7,6 @@ from .suite import (
     SUITE_RECIPES,
     ZERO_HOTSPOT_DESIGNS,
     group_index_of,
-    group_of,
     suite_recipes,
 )
 
@@ -19,6 +18,5 @@ __all__ = [
     "SUITE_RECIPES",
     "ZERO_HOTSPOT_DESIGNS",
     "group_index_of",
-    "group_of",
     "suite_recipes",
 ]

@@ -15,11 +15,12 @@ What makes the synthesis realistic enough for the learning task:
   density and congestion structure the paper's features measure.
 * **Hot modules.**  A few clusters are marked *dense*: they get higher pin
   counts and more multi-pin nets, seeding realistic congestion hotspots.
-* **Special nets.**  A configurable fraction of nets carry non-default rules
-  (wider wires → more track consumption), and a few high-fanout clock nets
-  mark their sinks as clock pins — both paper features.
-* **Macros and blockages.**  Fixed macro blocks with routing blockage over
-  M1..M4, as in the ISPD-2015 designs with fence regions.
+* **Special nets.**  A per-recipe fraction of nets carry the non-default
+  rule (wider wires → more track consumption), and :data:`NUM_CLOCK_NETS`
+  high-fanout clock nets mark their sinks as clock pins — both paper
+  features.
+* **Macros.**  Fixed macro blocks blocking placement and routing on M1..M3,
+  as in the ISPD-2015 designs with fence regions.
 
 Everything is driven by a :class:`DesignRecipe` and a seed, so the whole
 14-design suite is reproducible bit-for-bit.
@@ -37,13 +38,25 @@ from ..layout.netlist import Design
 from ..layout.technology import Technology, make_ispd2015_like_technology
 from ..place.legalizer import LegalizationError
 
+#: ratio of signal nets to cells (pins-per-cell follows from this and degree)
+NETS_PER_CELL = 0.48
+#: edge length of a leaf cluster in g-cells (sets typical net span)
+CLUSTER_SIZE_GCELLS = 3
+#: number of high-fanout clock nets
+NUM_CLOCK_NETS = 2
+#: sinks per clock net
+CLOCK_FANOUT = 40
+
 
 @dataclass(frozen=True)
 class DesignRecipe:
     """Parameters controlling one synthetic design.
 
     The defaults produce a mid-size, moderately congested design; the suite
-    module overrides them per named design to mirror Table I.
+    module overrides them per named design to mirror Table I.  What no
+    design varies is a module constant (:data:`NETS_PER_CELL`,
+    :data:`CLUSTER_SIZE_GCELLS`, :data:`NUM_CLOCK_NETS`,
+    :data:`CLOCK_FANOUT`).
     """
 
     name: str
@@ -57,22 +70,14 @@ class DesignRecipe:
     macro_area_frac: float = 0.0
     #: mean signal-net degree (2-pin nets dominate; tail is geometric)
     mean_net_degree: float = 2.8
-    #: ratio of nets to cells (pins-per-cell follows from this and degree)
-    nets_per_cell: float = 0.48
     #: probability that a net stays inside its cluster (locality knob)
     cluster_locality: float = 0.82
-    #: edge length of a leaf cluster in g-cells (sets typical net span)
-    cluster_size_gcells: int = 3
     #: fraction of clusters marked dense / congestion-prone
     dense_cluster_frac: float = 0.2
     #: multiplier on net count inside dense clusters
     dense_net_boost: float = 1.9
     #: fraction of signal nets carrying a non-default rule
     ndr_frac: float = 0.03
-    #: number of high-fanout clock nets
-    num_clock_nets: int = 2
-    #: sinks per clock net
-    clock_fanout: int = 40
     #: RNG seed; the suite gives every design a distinct fixed seed
     seed: int = 0
 
@@ -92,7 +97,7 @@ class _Cluster:
 
 
 def generate_design(recipe: DesignRecipe) -> Design:
-    """Build the full unplaced design (cells, macros, nets, blockages).
+    """Build the full unplaced design (macros, cells, nets).
 
     One generator, seeded with ``recipe.seed``, feeds every random draw, in
     the order of the stages below.
@@ -104,7 +109,7 @@ def generate_design(recipe: DesignRecipe) -> Design:
     clusters, cluster_dims = _build_clusters(design, recipe, rng)
     _add_cells(design, recipe, clusters, rng)
     _add_signal_nets(design, recipe, clusters, cluster_dims, rng)
-    _add_clock_nets(design, recipe, rng)
+    _add_clock_nets(design, rng)
     design.validate()
     return design
 
@@ -154,8 +159,8 @@ def _build_clusters(
     design: Design, recipe: DesignRecipe, rng: np.random.Generator
 ) -> tuple[list[_Cluster], tuple[int, int]]:
     """The leaf clusters in raster order, and the cluster grid's (nx, ny)."""
-    nx = max(2, recipe.grid_nx // recipe.cluster_size_gcells)
-    ny = max(2, recipe.grid_ny // recipe.cluster_size_gcells)
+    nx = max(2, recipe.grid_nx // CLUSTER_SIZE_GCELLS)
+    ny = max(2, recipe.grid_ny // CLUSTER_SIZE_GCELLS)
     die = design.die
     cw, ch = die.width / nx, die.height / ny
     clusters: list[_Cluster] = []
@@ -268,7 +273,7 @@ def _add_signal_nets(
             return None
         return int(rng.choice(candidates))
 
-    target_nets = int(design.num_cells * recipe.nets_per_cell)
+    target_nets = int(design.num_cells * NETS_PER_CELL)
     net_id = 0
     budget = target_nets * 4  # generation attempts, to guarantee termination
     while net_id < target_nets and budget > 0:
@@ -331,13 +336,13 @@ def _pick_nearby_cluster(
     return ty * nx + tx
 
 
-def _add_clock_nets(design: Design, recipe: DesignRecipe, rng: np.random.Generator) -> None:
+def _add_clock_nets(design: Design, rng: np.random.Generator) -> None:
     free = _free_pins_by_cell(design)
-    for k in range(recipe.num_clock_nets):
+    for k in range(NUM_CLOCK_NETS):
         candidates = [i for i, f in enumerate(free) if f]
         if len(candidates) < 2:
             break
-        fanout = min(recipe.clock_fanout, len(candidates))
+        fanout = min(CLOCK_FANOUT, len(candidates))
         members = rng.choice(candidates, size=fanout, replace=False)
         net = design.add_net(f"clk{k}", is_clock=True)
         for cid in members.tolist():

@@ -264,6 +264,8 @@ def _blas_footnote(models: list[ModelSpec], jobs: int) -> str:
 def _explain(args: argparse.Namespace) -> int:
     runner = _runner_from_args(args)
     suite, _ = _load_suite(args, runner)
+    if args.design not in suite.names:  # its flow failed and was skipped
+        return _report_failures(runner) or 1
     # the flow of the very recipe the (scaled) suite was built from
     recipe = next(r for r in suite_recipes(args.scale) if r.name == args.design)
     outcome = runner.run_unit("explain", args.design, run_flow, recipe)
@@ -285,6 +287,8 @@ def _report(args: argparse.Namespace) -> int:
 
     runner = _runner_from_args(args)
     suite, _ = _load_suite(args, runner)
+    if args.design not in suite.names:  # its flow failed and was skipped
+        return _report_failures(runner) or 1
     dataset = suite.by_name(args.design)
     outcome = runner.run_unit(
         "report", args.design, train_explanation_forest,

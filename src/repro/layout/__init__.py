@@ -8,7 +8,7 @@ from .grid import (
     WINDOW_POSITIONS,
     WindowEdge,
 )
-from .netlist import Blockage, Cell, Design, Macro, Net, Pin
+from .netlist import Cell, Design, Macro, Net, Pin
 from .technology import (
     HORIZONTAL,
     VERTICAL,
@@ -37,7 +37,6 @@ __all__ = [
     "WINDOW_OFFSETS",
     "WINDOW_POSITIONS",
     "WindowEdge",
-    "Blockage",
     "Cell",
     "Design",
     "Macro",

@@ -10,9 +10,8 @@ immutable so they can be freely shared, hashed and used as dictionary keys.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 
 @dataclass(frozen=True, slots=True)
@@ -29,10 +28,6 @@ class Point:
         vertical tracks, so wirelength estimates use L1 throughout.
         """
         return abs(self.x - other.x) + abs(self.y - other.y)
-
-    def euclidean(self, other: "Point") -> float:
-        """Euclidean (L2) distance to ``other``."""
-        return math.hypot(self.x - other.x, self.y - other.y)
 
     def translated(self, dx: float, dy: float) -> "Point":
         """Return a copy moved by ``(dx, dy)``."""
@@ -65,11 +60,6 @@ class Rect:
     # -- construction helpers ------------------------------------------------
 
     @staticmethod
-    def from_points(a: Point, b: Point) -> "Rect":
-        """Bounding box of two points (any corner order)."""
-        return Rect(min(a.x, b.x), min(a.y, b.y), max(a.x, b.x), max(a.y, b.y))
-
-    @staticmethod
     def bounding(rects: Iterable["Rect"]) -> "Rect":
         """Bounding box of a non-empty iterable of rectangles."""
         it = iter(rects)
@@ -84,16 +74,6 @@ class Rect:
             xhi = max(xhi, r.xhi)
             yhi = max(yhi, r.yhi)
         return Rect(xlo, ylo, xhi, yhi)
-
-    @staticmethod
-    def centered_at(center: Point, width: float, height: float) -> "Rect":
-        """Rectangle of the given size centred at ``center``."""
-        return Rect(
-            center.x - width / 2.0,
-            center.y - height / 2.0,
-            center.x + width / 2.0,
-            center.y + height / 2.0,
-        )
 
     # -- basic measures -------------------------------------------------------
 
@@ -168,13 +148,6 @@ class Rect:
 
     def translated(self, dx: float, dy: float) -> "Rect":
         return Rect(self.xlo + dx, self.ylo + dy, self.xhi + dx, self.yhi + dy)
-
-    def corners(self) -> Iterator[Point]:
-        """The four corner points, counter-clockwise from the lower-left."""
-        yield Point(self.xlo, self.ylo)
-        yield Point(self.xhi, self.ylo)
-        yield Point(self.xhi, self.yhi)
-        yield Point(self.xlo, self.yhi)
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.xlo, self.ylo, self.xhi, self.yhi)

@@ -4,9 +4,9 @@ A :class:`Design` bundles everything the flow stages exchange:
 
 * a :class:`~repro.layout.technology.Technology`,
 * the die area (a :class:`~repro.layout.geometry.Rect`),
-* standard :class:`Cell` instances and fixed :class:`Macro` blocks,
-* :class:`Net` connectivity over :class:`Pin` objects,
-* routing/placement blockages.
+* standard :class:`Cell` instances and fixed :class:`Macro` blocks (the
+  only placement and routing blockages),
+* :class:`Net` connectivity over :class:`Pin` objects.
 
 Cells start unplaced (``cell.position is None``); the placer fills positions
 in, the global router adds route data, the DRC stage adds violations.  The
@@ -21,6 +21,9 @@ from typing import Iterator
 
 from .geometry import Point, Rect
 from .technology import Technology
+
+#: Metal layers every macro blocks (wires *and* vias); M4/M5 stay open.
+MACRO_BLOCKED_METALS: tuple[int, ...] = (1, 2, 3)
 
 
 @dataclass(slots=True)
@@ -63,9 +66,8 @@ class Pin:
 class Cell:
     """A standard-cell instance.
 
-    ``position`` is the lower-left corner after placement, in DBU.
-    ``is_fixed`` cells (e.g. pre-placed IO drivers) are not moved by the
-    placer.
+    ``position`` is the lower-left corner after placement, in DBU; the
+    placer moves every cell.
     """
 
     name: str
@@ -73,7 +75,6 @@ class Cell:
     height: float
     pins: list[Pin] = field(default_factory=list)
     position: Point | None = None
-    is_fixed: bool = False
 
     def add_pin(self, name: str, offset: Point, is_clock: bool = False) -> Pin:
         pin = Pin(name=name, cell=self, offset=offset, is_clock=is_clock)
@@ -106,27 +107,17 @@ class Macro:
     """A fixed macro block.
 
     Macros block placement underneath and block routing on the metal layers
-    in ``blocked_metal_indices`` (wires *and* vias, as the paper's Fig. 3(c)
-    caption describes).  The top layers (M4/M5 by default) stay routable so
+    in :data:`MACRO_BLOCKED_METALS` (wires *and* vias, as the paper's
+    Fig. 3(c) caption describes).  The top layers M4/M5 stay routable so
     over-macro routing is possible, as in the ISPD-2015 designs.
     """
 
     name: str
     bbox: Rect
-    blocked_metal_indices: tuple[int, ...] = (1, 2, 3)
 
     @property
     def area(self) -> float:
         return self.bbox.area
-
-
-@dataclass(slots=True)
-class Blockage:
-    """A standalone placement and/or routing blockage region."""
-
-    bbox: Rect
-    blocks_placement: bool = True
-    blocked_metal_indices: tuple[int, ...] = ()
 
 
 @dataclass(slots=True)
@@ -177,7 +168,6 @@ class Design:
     cells: list[Cell] = field(default_factory=list)
     macros: list[Macro] = field(default_factory=list)
     nets: list[Net] = field(default_factory=list)
-    blockages: list[Blockage] = field(default_factory=list)
 
     # -- construction -----------------------------------------------------------
 
@@ -205,10 +195,6 @@ class Design:
     @property
     def num_cells(self) -> int:
         return len(self.cells)
-
-    @property
-    def num_nets(self) -> int:
-        return len(self.nets)
 
     @property
     def num_pins(self) -> int:
@@ -239,22 +225,14 @@ class Design:
         return sum(n.hpwl() for n in self.nets)
 
     def placement_blockage_rects(self) -> list[Rect]:
-        """All regions where standard cells must not be placed."""
-        rects = [m.bbox for m in self.macros]
-        rects.extend(b.bbox for b in self.blockages if b.blocks_placement)
-        return rects
+        """All regions where standard cells must not be placed: the macros."""
+        return [m.bbox for m in self.macros]
 
     def routing_blockage_rects(self, metal_index: int) -> list[Rect]:
         """All regions blocked for routing on the given metal layer."""
-        rects = [
-            m.bbox for m in self.macros if metal_index in m.blocked_metal_indices
-        ]
-        rects.extend(
-            b.bbox
-            for b in self.blockages
-            if metal_index in b.blocked_metal_indices
-        )
-        return rects
+        if metal_index not in MACRO_BLOCKED_METALS:
+            return []
+        return [m.bbox for m in self.macros]
 
     def validate(self) -> None:
         """Raise if the design violates basic structural invariants."""

@@ -7,10 +7,10 @@ extractor (paper features, Sec. II-A) need the same per-g-cell quantities:
 * number of pins / clock pins / NDR pins inside,
 * number of local nets (all pins in one g-cell) and of pins on local nets,
 * mean pair-wise Manhattan pin spacing,
-* fraction of area covered by blockages and by standard cells.
+* fraction of area covered by macros and by standard cells.
 
 :class:`PlacementMaps` computes all of them once as dense ``(nx, ny)`` numpy
-arrays.
+arrays; both area fractions come from :meth:`GCellGrid.area_fraction`.
 """
 
 from __future__ import annotations
@@ -39,7 +39,8 @@ class PlacementMaps:
         self.num_local_nets = np.zeros((nx, ny), dtype=np.int32)
         self.num_local_net_pins = np.zeros((nx, ny), dtype=np.int32)
         self.pin_spacing = np.zeros((nx, ny), dtype=np.float64)
-        self.cell_area_frac = np.zeros((nx, ny), dtype=np.float64)
+        # area fraction is split across every overlapped g-cell
+        self.cell_area_frac = grid.area_fraction(c.bbox for c in design.cells)
         self.blockage_frac = np.clip(
             grid.area_fraction(design.placement_blockage_rects()), 0.0, 1.0
         )
@@ -51,20 +52,13 @@ class PlacementMaps:
     # -- builders ---------------------------------------------------------------
 
     def _collect_cells(self) -> None:
+        """Count each cell fully inside one g-cell toward that g-cell."""
         grid = self.grid
-        inv_area = 1.0 / (grid.size * grid.size)
         for cell in self.design.cells:
             bbox = cell.bbox
             lo = grid.cell_of_point(Point(bbox.xlo, bbox.ylo))
-            hi = grid.cell_of_point(Point(bbox.xhi - 1e-9, bbox.yhi - 1e-9))
-            # "fully inside" counts toward exactly one g-cell
-            if lo == hi:
+            if lo == grid.cell_of_point(Point(bbox.xhi - 1e-9, bbox.yhi - 1e-9)):
                 self.num_cells[lo] += 1
-            # area fraction is split across every overlapped g-cell
-            for ix in range(lo[0], hi[0] + 1):
-                for iy in range(lo[1], hi[1] + 1):
-                    overlap = grid.cell_bbox(ix, iy).overlap_area(bbox)
-                    self.cell_area_frac[ix, iy] += overlap * inv_area
 
     def _collect_pins(self) -> None:
         grid = self.grid

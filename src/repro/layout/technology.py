@@ -10,17 +10,24 @@ A :class:`Technology` instance carries everything downstream stages need:
 
 * routing direction and track pitch per metal layer (alternating H/V),
 * per-g-cell-edge wire capacity and per-g-cell via capacity,
-* the simplified DRC rule set the checker enforces (spacing, end-of-line),
-* non-default-rule (NDR) definitions: NDR nets consume extra tracks.
+* the one non-default rule (NDR): NDR nets consume extra tracks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 #: Routing direction constants.
 HORIZONTAL = "H"
 VERTICAL = "V"
+
+#: index of the lowest metal layer available to signal global routing
+FIRST_GR_LAYER = 2
+#: fraction of nominal track capacity left after power/clock pre-routes
+CAPACITY_DERATE = 0.85
+#: routing tracks of the densest layer spanning one g-cell
+GCELL_TRACKS = 12
+DBU_PER_MICRON = 100
 
 
 @dataclass(frozen=True, slots=True)
@@ -35,9 +42,6 @@ class MetalLayer:
     index: int
     direction: str
     pitch: float  # track-to-track pitch in DBU
-    width: float  # default wire width in DBU
-    spacing: float  # minimum same-layer spacing in DBU
-    eol_space: float  # end-of-line spacing rule in DBU
 
     @property
     def name(self) -> str:
@@ -58,14 +62,6 @@ class ViaLayer:
     @property
     def name(self) -> str:
         return f"V{self.index}"
-
-    @property
-    def lower_metal(self) -> int:
-        return self.index
-
-    @property
-    def upper_metal(self) -> int:
-        return self.index + 1
 
 
 @dataclass(frozen=True, slots=True)
@@ -101,10 +97,6 @@ class Technology:
     gcell_size: float  # g-cell edge length in DBU (square g-cells)
     site_width: float  # placement site width in DBU
     row_height: float  # standard-cell row height in DBU
-    #: index of the lowest metal layer available to signal global routing
-    first_gr_layer: int = 2
-    #: fraction of nominal track capacity reserved for power/clock pre-routes
-    capacity_derate: float = field(default=0.85)
 
     # -- layer lookups ---------------------------------------------------------
 
@@ -126,21 +118,12 @@ class Technology:
 
     @property
     def gr_metal_indices(self) -> tuple[int, ...]:
-        """Metal layers used by the global router (M2..Mtop by default)."""
+        """Metal layers used by the global router (M2..Mtop)."""
         return tuple(
             layer.index
             for layer in self.metal_layers
-            if layer.index >= self.first_gr_layer
+            if layer.index >= FIRST_GR_LAYER
         )
-
-    @property
-    def gr_via_indices(self) -> tuple[int, ...]:
-        """Via layers between consecutive GR metal layers, plus pin-access V1.
-
-        The paper's feature set reports via congestion for every via layer
-        (V1..V4 in a 5-metal stack), so we expose them all.
-        """
-        return tuple(v.index for v in self.via_layers)
 
     # -- capacity model ----------------------------------------------------------
 
@@ -153,7 +136,7 @@ class Technology:
         """
         layer = self.metal(metal_index)
         tracks = int(self.gcell_size / layer.pitch)
-        return max(1, int(tracks * self.capacity_derate))
+        return max(1, int(tracks * CAPACITY_DERATE))
 
     def via_capacity(self, via_index: int) -> int:
         """Via capacity of one g-cell on via layer ``via_index``.
@@ -163,7 +146,7 @@ class Technology:
         """
         via = self.via(via_index)
         sites_per_axis = max(1, int(self.gcell_size / (2.5 * via.spacing)))
-        return max(1, int(sites_per_axis * sites_per_axis * self.capacity_derate))
+        return max(1, int(sites_per_axis * sites_per_axis * CAPACITY_DERATE))
 
     def ndr(self, name: str) -> NonDefaultRule:
         for rule in self.ndr_rules:
@@ -172,24 +155,22 @@ class Technology:
         raise KeyError(f"unknown NDR rule: {name!r}")
 
 
-def make_ispd2015_like_technology(
-    gcell_tracks: int = 12, dbu_per_micron: int = 100
-) -> Technology:
-    """Build the default 5-metal-layer technology used across the repo.
+def make_ispd2015_like_technology() -> Technology:
+    """Build the 5-metal-layer technology used across the repo.
 
-    The absolute numbers are scaled so a g-cell holds ``gcell_tracks`` tracks
+    The absolute numbers are scaled so a g-cell holds ``GCELL_TRACKS`` tracks
     on the densest layer — the paper's congestion features then live in a
     realistic small-integer range (capacities around 8-20 per edge), like the
     examples in its Fig. 4 (edge loads of 0-40, via loads of 20-40).
     """
     pitch = 20.0  # DBU; 0.2 um at 100 DBU/um
-    gcell = gcell_tracks * pitch
+    gcell = GCELL_TRACKS * pitch
     metals = (
-        MetalLayer(1, HORIZONTAL, pitch, 10.0, 10.0, 12.0),
-        MetalLayer(2, VERTICAL, pitch, 10.0, 10.0, 12.0),
-        MetalLayer(3, HORIZONTAL, pitch, 10.0, 10.0, 12.0),
-        MetalLayer(4, VERTICAL, pitch * 1.25, 12.0, 12.0, 14.0),
-        MetalLayer(5, HORIZONTAL, pitch * 1.25, 12.0, 12.0, 14.0),
+        MetalLayer(1, HORIZONTAL, pitch),
+        MetalLayer(2, VERTICAL, pitch),
+        MetalLayer(3, HORIZONTAL, pitch),
+        MetalLayer(4, VERTICAL, pitch * 1.25),
+        MetalLayer(5, HORIZONTAL, pitch * 1.25),
     )
     vias = (
         ViaLayer(1, 14.0),
@@ -197,13 +178,10 @@ def make_ispd2015_like_technology(
         ViaLayer(3, 16.0),
         ViaLayer(4, 18.0),
     )
-    ndrs = (
-        NonDefaultRule("ndr_2w2s", 2.0, 2.0),  # the ISPD-2015 style 2x rule
-        NonDefaultRule("ndr_3w3s", 3.0, 3.0),
-    )
+    ndrs = (NonDefaultRule("ndr_2w2s", 2.0, 2.0),)  # the ISPD-2015 style 2x rule
     return Technology(
         name="repro65",
-        dbu_per_micron=dbu_per_micron,
+        dbu_per_micron=DBU_PER_MICRON,
         metal_layers=metals,
         via_layers=vias,
         ndr_rules=ndrs,

@@ -50,7 +50,7 @@ class GroupKFold:
 
 
 def positive_scores(model: FittableClassifier, X: np.ndarray) -> np.ndarray:
-    """P(positive) or decision margin, whichever the model exposes."""
+    """Column 1 of ``model.predict_proba(X)``: P(hotspot) per row."""
     proba = model.predict_proba(X)
     return np.asarray(proba)[:, 1]
 

@@ -1,17 +1,17 @@
 """Tetris-style row legalisation.
 
 Takes the (possibly overlapping) global-placement result and snaps every
-movable cell onto a placement row and site grid such that:
+cell onto a placement row and site grid such that:
 
 * no two cells overlap,
-* no cell overlaps a macro or placement blockage,
+* no cell overlaps a macro,
 * every cell stays inside the die,
 * total displacement from the global-placement position is kept small.
 
 The algorithm is the classic Tetris/abacus-lite greedy: cells are processed
 in order of their desired x coordinate; each cell tries a window of rows
 around its desired row and takes the feasible spot with the smallest
-displacement cost.  Rows are split into free *segments* between blockages,
+displacement cost.  Rows are split into free *segments* between macros,
 each with a fill cursor that only moves rightward.
 """
 
@@ -99,27 +99,25 @@ class LegalizationError(RuntimeError):
 
 
 def legalize(design: Design) -> float:
-    """Legalise all movable cells in place; returns total displacement.
+    """Legalise every cell in place; returns total displacement.
 
-    Cells must already have (global-placement) positions.  Fixed cells are
-    left untouched and are *not* modelled as obstacles — the generator only
-    creates fixed macros, which are.
+    Cells must already have (global-placement) positions; the macros are
+    the obstacles.
     """
     tech = design.technology
     rows = _build_rows(design)
     if not rows:
         raise LegalizationError("die shorter than one row")
 
-    movable = [c for c in design.cells if not c.is_fixed]
-    for cell in movable:
+    for cell in design.cells:
         if cell.position is None:
             raise ValueError(f"cell {cell.name} not globally placed")
-    movable.sort(key=lambda c: c.position.x)  # type: ignore[union-attr]
+    cells = sorted(design.cells, key=lambda c: c.position.x)  # type: ignore[union-attr]
 
     total_disp = 0.0
     n_rows = len(rows)
     max_gap = 1.0 * tech.site_width
-    for cell in movable:
+    for cell in cells:
         desired = cell.position
         assert desired is not None
         desired_row = int(round((desired.y - design.die.ylo) / tech.row_height))

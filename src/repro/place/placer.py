@@ -46,21 +46,20 @@ MACRO_HALO_GCELLS = 0.25
 #: seed of the one generator behind every random draw of a placement
 SEED = 7
 
-#: (cell_id, net_id) incidence arrays over the movable cells, and the net count
+#: (cell_id, net_id) incidence arrays over the cells, and the net count
 Nets = tuple[np.ndarray, np.ndarray, int]
 
 
 def place_design(design: Design) -> None:
     """Place ``design`` in place (global placement + legalisation)."""
-    movable = [c for c in design.cells if not c.is_fixed]
-    if not movable:
+    cells = design.cells
+    if not cells:
         return
     rng = np.random.default_rng(SEED)
     grid = GCellGrid.for_design_die(design.die, design.technology)
-    cell_index = {id(c): i for i, c in enumerate(movable)}
-    nets = _net_membership(design, cell_index)
-    pos = _spectral_positions(design, len(movable), nets, rng)
-    areas = np.array([c.area for c in movable])
+    nets = _net_membership(design)
+    pos = _spectral_positions(design, len(cells), nets, rng)
+    areas = np.array([c.area for c in cells])
 
     for _ in range(ITERATIONS):
         pos += WIRELENGTH_STEP * _wirelength_force(pos, nets)
@@ -68,7 +67,7 @@ def place_design(design: Design) -> None:
         pos = _push_out_of_macros(design, pos)
         _clamp(design, pos)
 
-    for cell, (x, y) in zip(movable, pos):
+    for cell, (x, y) in zip(cells, pos):
         # store as lower-left corner; forces worked on centres
         cell.position = Point(x - cell.width / 2.0, y - cell.height / 2.0)
     legalize(design)
@@ -158,17 +157,14 @@ def _spectral_positions(
     return pos
 
 
-def _net_membership(design: Design, cell_index: dict[int, int]) -> Nets:
+def _net_membership(design: Design) -> Nets:
     """Flattened (cell_id, net_id) incidence arrays for scatter ops."""
+    cell_index = {id(c): i for i, c in enumerate(design.cells)}
     cell_ids: list[int] = []
     net_ids: list[int] = []
     net_count = 0
     for net in design.nets:
-        members = {
-            cell_index[id(pin.cell)]
-            for pin in net.pins
-            if id(pin.cell) in cell_index
-        }
+        members = {cell_index[id(pin.cell)] for pin in net.pins}
         if len(members) < 2:
             continue
         for m in members:

@@ -15,7 +15,7 @@ from .router import (
     RoutingResult,
     route_design,
 )
-from .steiner import decompose_net, is_local, mst_segments, net_gcells
+from .steiner import decompose_net, mst_segments, net_gcells
 
 __all__ = [
     "LayerUtilization",
@@ -33,7 +33,6 @@ __all__ = [
     "RoutingResult",
     "route_design",
     "decompose_net",
-    "is_local",
     "mst_segments",
     "net_gcells",
 ]

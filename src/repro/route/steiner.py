@@ -23,11 +23,6 @@ def net_gcells(net: Net, grid: GCellGrid) -> list[tuple[int, int]]:
     return list(seen.keys())
 
 
-def is_local(net: Net, grid: GCellGrid) -> bool:
-    """True when all pins fall in one g-cell (the paper's *local net*)."""
-    return len(net_gcells(net, grid)) == 1
-
-
 def mst_segments(
     cells: list[tuple[int, int]],
 ) -> list[tuple[tuple[int, int], tuple[int, int]]]:

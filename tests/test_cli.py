@@ -235,3 +235,13 @@ class TestCLIHeavyPaths:
             code = main(["report", "mult_b", "--scale", "0.3"])
         assert code == EXIT_DEGRADED
         assert "degraded run" in capsys.readouterr().err
+
+    def test_explain_and_report_of_a_skipped_design_exit_degraded(self, tiny_cache, capsys):
+        # regression: when the named design's flow failed and was skipped,
+        # both commands died with KeyError "design 'fft_1' not in suite"
+        for command in ("explain", "report"):
+            with inject_faults(FaultSpec(stage="flow/fft_1")):
+                code = main([command, "fft_1", "--scale", "0.2"])
+            assert code == EXIT_DEGRADED
+            err = capsys.readouterr().err
+            assert "degraded run" in err and "fft_1" in err

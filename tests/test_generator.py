@@ -2,14 +2,13 @@
 
 import pytest
 
-from repro.bench.generator import DesignRecipe, generate_design
+from repro.bench.generator import NUM_CLOCK_NETS, DesignRecipe, generate_design
 from repro.place.legalizer import LegalizationError
 from repro.bench.suite import (
     GROUPS,
     SUITE_ORDER,
     SUITE_RECIPES,
     group_index_of,
-    group_of,
     suite_recipes,
 )
 
@@ -20,7 +19,7 @@ class TestGenerator:
         d1 = generate_design(r)
         d2 = generate_design(r)
         assert d1.num_cells == d2.num_cells
-        assert d1.num_nets == d2.num_nets
+        assert len(d1.nets) == len(d2.nets)
         assert [n.degree for n in d1.nets] == [n.degree for n in d2.nets]
 
     def test_seed_changes_netlist(self):
@@ -66,10 +65,10 @@ class TestGenerator:
         assert 0.1 < frac < 0.3
 
     def test_clock_nets_present(self):
-        r = DesignRecipe(name="clk", grid_nx=12, grid_ny=12, num_clock_nets=3)
+        r = DesignRecipe(name="clk", grid_nx=12, grid_ny=12)
         d = generate_design(r)
         clocks = [n for n in d.nets if n.is_clock]
-        assert len(clocks) == 3
+        assert len(clocks) == NUM_CLOCK_NETS
         assert all(p.is_clock for n in clocks for p in n.pins)
 
     def test_net_degrees_at_least_two(self):
@@ -88,10 +87,10 @@ class TestSuite:
         assert set(SUITE_ORDER) == set(SUITE_RECIPES)
 
     def test_group_lookup(self):
-        assert group_of("des_perf_1") == "Group 4"
+        assert group_index_of("des_perf_1") == 3
         assert group_index_of("fft_b") == 1
         with pytest.raises(KeyError):
-            group_of("nonexistent")
+            group_index_of("nonexistent")
 
     def test_recipe_names_match_keys(self):
         for name, recipe in SUITE_RECIPES.items():

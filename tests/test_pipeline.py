@@ -10,6 +10,7 @@ from repro.bench.suite import suite_recipes
 from repro.core.pipeline import build_suite_dataset, checkpoint_dir_for, run_flow
 from repro.features.names import NUM_FEATURES
 from repro.layout.design_stats import design_statistics
+from repro.layout.netlist import MACRO_BLOCKED_METALS
 
 
 class TestRunFlow:
@@ -89,10 +90,12 @@ def _sha(*parts) -> str:
 
 def _netlist_digest(design) -> str:
     return _sha(
-        [(c.name, c.width, c.height, c.is_fixed,
+        # the tuple layout is fixed: False is the fixed-cell flag and
+        # MACRO_BLOCKED_METALS each macro's blocked layers
+        [(c.name, c.width, c.height, False,
           [(p.name, p.offset.as_tuple(), p.is_clock) for p in c.pins])
          for c in design.cells],
-        [(m.name, m.bbox.as_tuple(), m.blocked_metal_indices) for m in design.macros],
+        [(m.name, m.bbox.as_tuple(), MACRO_BLOCKED_METALS) for m in design.macros],
         [(n.name, n.ndr, n.is_clock, [p.full_name for p in n.pins])
          for n in design.nets],
     )

@@ -68,7 +68,7 @@ class TestPlaceDesign:
         recipe = DesignRecipe(name="wl", grid_nx=12, grid_ny=12, seed=5)
         # the spectral start, legalized without the force loop
         d_random = generate_design(recipe)
-        nets = _net_membership(d_random, {id(c): i for i, c in enumerate(d_random.cells)})
+        nets = _net_membership(d_random)
         pos = _spectral_positions(
             d_random, d_random.num_cells, nets, np.random.default_rng(SEED)
         )

@@ -51,8 +51,7 @@ def _two_cluster_design() -> Design:
 class TestSpectralInit:
     def test_separates_clusters(self):
         d = _two_cluster_design()
-        cell_index = {id(c): i for i, c in enumerate(d.cells)}
-        nets = _net_membership(d, cell_index)
+        nets = _net_membership(d)
         pos = _spectral_positions(d, len(d.cells), nets, np.random.default_rng(SEED))
         a = pos[:8]
         b = pos[8:]
@@ -66,7 +65,7 @@ class TestSpectralInit:
         d = Design(name="tiny", technology=tech, die=Rect(0, 0, 1200, 1200))
         for i in range(4):
             d.add_cell(f"c{i}", 40, tech.row_height).add_pin("p", Point(1, 1))
-        nets = _net_membership(d, {id(c): i for i, c in enumerate(d.cells)})
+        nets = _net_membership(d)
         pos = _spectral_positions(d, 4, nets, np.random.default_rng(SEED))
         assert pos.shape == (4, 2)
         assert np.isfinite(pos).all()
@@ -75,8 +74,7 @@ class TestSpectralInit:
 class TestForces:
     def test_wirelength_force_pulls_together(self):
         d = _two_cluster_design()
-        cell_index = {id(c): i for i, c in enumerate(d.cells)}
-        nets = _net_membership(d, cell_index)
+        nets = _net_membership(d)
         rng = np.random.default_rng(0)
         pos = rng.uniform(100, 2300, size=(16, 2))
         hpwl_proxy_before = _net_span(pos, nets)

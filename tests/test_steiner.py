@@ -53,7 +53,7 @@ class TestMSTSegments:
 
 class TestNetQueries:
     def test_net_gcells_and_local(self, small_flow):
-        from repro.route.steiner import is_local, net_gcells
+        from repro.route.steiner import net_gcells
 
         grid = small_flow.grid
         design = small_flow.design
@@ -62,7 +62,6 @@ class TestNetQueries:
             cells = net_gcells(net, grid)
             assert len(cells) >= 1
             assert len(set(cells)) == len(cells)
-            if is_local(net, grid):
+            if len(cells) == 1:  # the paper's local net: all pins in one g-cell
                 locals_found += 1
-                assert len(cells) == 1
         assert locals_found > 0  # the generator creates local nets

@@ -5,6 +5,7 @@ import pytest
 from repro.layout.technology import (
     HORIZONTAL,
     VERTICAL,
+    NonDefaultRule,
     make_ispd2015_like_technology,
 )
 
@@ -28,13 +29,12 @@ class TestStack:
         assert tech.via(2).name == "V2"
 
     def test_via_connects_consecutive_metals(self, tech):
-        for v in range(1, 5):
-            via = tech.via(v)
-            assert via.upper_metal == via.lower_metal + 1
+        # V<i> sits between M<i> and M<i+1>: one via layer per metal pair
+        indices = [v.index for v in tech.via_layers]
+        assert indices == list(range(1, tech.num_metal_layers))
 
     def test_gr_layers_exclude_m1(self, tech):
         assert tech.gr_metal_indices == (2, 3, 4, 5)
-        assert tech.gr_via_indices == (1, 2, 3, 4)
 
 
 class TestCapacity:
@@ -56,6 +56,25 @@ class TestCapacity:
         assert tech.via_capacity(4) <= tech.via_capacity(1)
 
 
+class TestDerivedNumbersPinned:
+    """The numbers the flow derives from the technology's constants: a
+    moved constant fails here by name, not only through a feature digest."""
+
+    def test_edge_capacities(self, tech):
+        assert [tech.edge_capacity(m) for m in range(1, 6)] == [10, 10, 10, 7, 7]
+
+    def test_via_capacities(self, tech):
+        assert [tech.via_capacity(v) for v in range(1, 5)] == [30, 30, 30, 21]
+
+    def test_placement_geometry(self, tech):
+        assert (tech.gcell_size, tech.row_height, tech.site_width) == (240.0, 120.0, 10.0)
+        assert tech.dbu_per_micron == 100
+
+    def test_ndr_track_cost(self, tech):
+        assert [r.name for r in tech.ndr_rules] == ["ndr_2w2s"]
+        assert tech.ndr("ndr_2w2s").track_cost == 2
+
+
 class TestNDR:
     def test_lookup(self, tech):
         rule = tech.ndr("ndr_2w2s")
@@ -65,11 +84,9 @@ class TestNDR:
         with pytest.raises(KeyError):
             tech.ndr("nope")
 
-    def test_track_cost_scales(self, tech):
-        assert tech.ndr("ndr_2w2s").track_cost == 2
-        assert tech.ndr("ndr_3w3s").track_cost == 3
+    def test_track_cost_scales(self):
+        assert NonDefaultRule("2x", 2.0, 2.0).track_cost == 2
+        assert NonDefaultRule("3x", 3.0, 3.0).track_cost == 3
 
     def test_default_rule_costs_one_track(self):
-        from repro.layout.technology import NonDefaultRule
-
         assert NonDefaultRule("unit", 1.0, 1.0).track_cost == 1
