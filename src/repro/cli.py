@@ -35,11 +35,12 @@ The heavy commands run under two-stage signal handling: the first
 SIGTERM/SIGINT stops dispatching new units, drains and checkpoints what is
 in flight, writes the ``--trace`` manifest, and exits with the resumable code
 4 — rerunning with ``--resume`` (the default) continues exactly where the
-run stopped.  A second signal hard-exits immediately.  Under ``--jobs N``
-a unit whose worker process dies (SIGKILL, OOM, segfault) is re-dispatched
-on a fresh worker until ``--quarantine-threshold`` crashes quarantine it,
-and ``--timeout`` kills a hung attempt together with its worker (see
-:mod:`repro.runtime.runner`).
+run stopped.  A second signal hard-exits immediately.  Units run on worker
+processes under ``--jobs N`` and under ``--timeout`` (one worker at the
+default ``-j 1``): ``--timeout`` kills an overdue attempt together with its
+worker, and a unit whose worker process dies (SIGKILL, OOM, segfault) is
+re-dispatched on a fresh worker until ``--quarantine-threshold`` crashes
+quarantine it (see :mod:`repro.runtime.runner`).
 
 Exit codes: 0 success, 1 runtime error, 2 usage error, 3 completed but
 degraded (some units failed and were skipped; the failure log is printed
@@ -164,7 +165,9 @@ def _add_resilience_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--retry-backoff", type=_nonneg_float, default=1.0, metavar="SEC",
                    help="base of the exponential retry backoff (default 1s)")
     p.add_argument("--timeout", type=_positive_float, default=None, metavar="SEC",
-                   help="wall-clock budget per unit attempt (default none)")
+                   help="wall-clock budget per unit attempt; every attempt "
+                        "then runs on a worker process that is killed at the "
+                        "budget (default none)")
     p.add_argument("--fail-fast", action="store_true",
                    help="abort on the first permanently failed unit instead "
                         "of recording + skipping it")
@@ -172,7 +175,8 @@ def _add_resilience_flags(p: argparse.ArgumentParser) -> None:
                    metavar="N",
                    help="crashes charged to one unit before it is "
                         "quarantined as a worker_crash failure instead of "
-                        "re-dispatched (default 2; parallel runs only)")
+                        "re-dispatched (default 2; runs on workers only: "
+                        "--jobs N > 1 or --timeout)")
 
 
 def _runner_from_args(args: argparse.Namespace) -> FaultTolerantRunner:
@@ -220,15 +224,19 @@ def _suite(args: argparse.Namespace) -> int:
 
 
 def _table2(args: argparse.Namespace) -> int:
+    models = model_zoo(args.preset)
+    if args.models is not None:
+        # checked before the suite is built or loaded: that is the slow part
+        wanted = args.models.split(",")
+        known = [m.name for m in models]
+        unknown = [name for name in wanted if name not in known]
+        if unknown:
+            print(f"error: --models: unknown model(s) {', '.join(map(repr, unknown))}; "
+                  f"choose from {', '.join(known)}", file=sys.stderr)
+            return 2
+        models = [m for m in models if m.name in wanted]
     runner = _runner_from_args(args)
     suite, _ = _load_suite(args, runner)
-    models = model_zoo(args.preset)
-    if args.models:
-        wanted = set(args.models.split(","))
-        models = [m for m in models if m.name in wanted]
-        if not models:
-            print(f"no models match {args.models!r}", file=sys.stderr)
-            return 2
     ckpt = default_cache_path(args.scale).with_suffix(f".table2-{args.preset}.ckpt")
     result = run_experiment(
         suite, models, tune=True, verbose=True,

@@ -12,6 +12,11 @@ Cells start unplaced (``cell.position is None``); the placer fills positions
 in, the global router adds route data, the DRC stage adds violations.  The
 design object is the single source of truth moving down the flow, mirroring
 the .def hand-off in the paper's Olympus-SoC flow.
+
+Designs pickle (a flow result crosses to and from worker processes): a pin
+leaves its ``net`` out of its pickled state and each :class:`Net` sets it
+back on its pins, so pickling never walks pin → net → pin → cell → … down
+the whole connectivity graph, whose depth exceeds the recursion limit.
 """
 
 from __future__ import annotations
@@ -41,6 +46,13 @@ class Pin:
     offset: Point
     net: "Net | None" = None
     is_clock: bool = False
+
+    def __getstate__(self) -> tuple:
+        return self.name, self.cell, self.offset, self.is_clock
+
+    def __setstate__(self, state: tuple) -> None:
+        self.name, self.cell, self.offset, self.is_clock = state
+        self.net = None  # set by the owning Net's __setstate__
 
     @property
     def position(self) -> Point:
@@ -133,6 +145,14 @@ class Net:
     pins: list[Pin] = field(default_factory=list)
     ndr: str | None = None
     is_clock: bool = False
+
+    def __getstate__(self) -> tuple:
+        return self.name, self.pins, self.ndr, self.is_clock
+
+    def __setstate__(self, state: tuple) -> None:
+        self.name, self.pins, self.ndr, self.is_clock = state
+        for pin in self.pins:
+            pin.net = self
 
     def connect(self, pin: Pin) -> None:
         if pin.net is not None:

@@ -8,11 +8,12 @@ long-running path resumable and failure-isolated:
   with SHA-256 content checksums and format-version stamping;
 * :mod:`repro.runtime.runner` — one fault-tolerant runner: per-unit
   isolation, retry with backoff, wall-clock timeouts and a structured
-  failure log, executing units inline or (``jobs > 1``) on worker processes
-  it owns, one pipe each — a dead worker costs only the unit it ran (which
-  is re-dispatched on a fresh worker, or quarantined as a structured
-  ``worker_crash`` failure after repeated crashes), and an attempt past its
-  timeout is killed together with its worker;
+  failure log, executing units inline or (``jobs > 1``, or under a
+  timeout) on worker processes it owns, one pipe each — a dead worker costs
+  only the unit it ran (which is re-dispatched on a fresh worker, or
+  quarantined as a structured ``worker_crash`` failure after repeated
+  crashes), and an attempt past its timeout is killed together with its
+  worker;
 * :mod:`repro.runtime.supervision` — two-stage SIGTERM/SIGINT handling:
   first signal drains, checkpoints and flushes (resumable exit), second
   hard-exits;

@@ -16,10 +16,9 @@ target one unit or a whole family.  Each spec fires a bounded number of
 ``times`` (after skipping the first ``after`` matches), which makes
 retry-then-succeed scenarios deterministic.
 
-Five fault kinds:
+Four fault kinds:
 
-* ``"error"``  — raise ``exception(message)`` from inside the unit;
-* ``"delay"``  — sleep ``delay_s`` inside the unit (trips timeouts);
+* ``"error"``  — raise ``exception(message)`` at the start of the attempt;
 * ``"corrupt"`` — flip bytes of an artefact file just after it is written
   (trips checksums on the next load);
 * ``"kill"``   — ``os.kill(os.getpid(), SIGKILL)`` *inside a worker
@@ -27,13 +26,15 @@ Five fault kinds:
 * ``"hang"``   — sleep ``delay_s`` inside a worker without returning
   (exercises the timeout, which kills the attempt with its worker).
 
-``kill`` and ``hang`` are worker-side faults: the parent consumes the spec
-deterministically at dispatch (:func:`worker_directive`) and ships a
-plain directive tuple to the worker, so the plan's trigger bookkeeping
-stays in one process even though the crash happens in another.  They are
-deliberately ignored by :func:`fire` — an inline (``jobs == 1``) run
-SIGKILLing itself would take the whole run (and the test harness) down
-with it.
+``error`` faults fire in the runner's process, whether the attempt runs
+inline or on a worker.  ``kill`` and ``hang`` are worker-side faults: the
+parent consumes the spec deterministically at dispatch
+(:func:`worker_directive`) and ships a plain directive tuple to the worker,
+so the plan's trigger bookkeeping stays in one process even though the
+crash happens in another.  They fire wherever an attempt runs on a worker
+(a ``jobs > 1`` batch of two or more units, or any run with a timeout) and
+are deliberately ignored by :func:`fire` — an inline run SIGKILLing itself
+would take the whole run (and the test harness) down with it.
 
 Production code calls the module-level hooks :func:`fire`,
 :func:`worker_directive` and :func:`corrupt_artifact`; all are no-ops
@@ -48,7 +49,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fnmatch import fnmatch
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .errors import FaultInjected
 
@@ -58,7 +59,7 @@ class FaultSpec:
     """One scheduled fault against a stage-name pattern."""
 
     stage: str  # fnmatch pattern against hierarchical stage names
-    kind: str = "error"  # "error" | "delay" | "corrupt" | "kill" | "hang"
+    kind: str = "error"  # "error" | "corrupt" | "kill" | "hang"
     times: int = 1  # how many matching calls trigger before the spec disarms
     after: int = 0  # skip this many matching calls first
     exception: type[Exception] = FaultInjected
@@ -70,7 +71,7 @@ class FaultSpec:
     fired: int = field(default=0, compare=False)
 
     def __post_init__(self) -> None:
-        if self.kind not in ("error", "delay", "corrupt", "kill", "hang"):
+        if self.kind not in ("error", "corrupt", "kill", "hang"):
             raise ValueError(f"unknown fault kind {self.kind!r}")
 
     def should_fire(self, stage: str) -> bool:
@@ -86,20 +87,15 @@ class FaultSpec:
 class FaultPlan:
     """An active set of fault specs plus a record of what actually fired."""
 
-    def __init__(self, *specs: FaultSpec, sleep: Callable[[float], None] = time.sleep):
+    def __init__(self, *specs: FaultSpec):
         self.specs = list(specs)
         self.triggered: list[tuple[str, str]] = []  # (stage, kind) in fire order
-        self._sleep = sleep
 
     def fire(self, stage: str) -> None:
-        """Raise/delay per any armed error- or delay-spec matching ``stage``."""
+        """Raise per the first armed error-spec matching ``stage``."""
         for spec in self.specs:
-            if spec.kind not in ("error", "delay") or not spec.should_fire(stage):
-                continue
-            self.triggered.append((stage, spec.kind))
-            if spec.kind == "delay":
-                self._sleep(spec.delay_s)
-            else:
+            if spec.kind == "error" and spec.should_fire(stage):
+                self.triggered.append((stage, spec.kind))
                 raise spec.exception(f"{spec.message} @ {stage}")
 
     def worker_directive(self, stage: str) -> tuple[str, float] | None:
@@ -144,12 +140,12 @@ _ACTIVE: FaultPlan | None = None
 
 
 @contextmanager
-def inject_faults(*specs: FaultSpec, sleep: Callable[[float], None] = time.sleep) -> Iterator[FaultPlan]:
+def inject_faults(*specs: FaultSpec) -> Iterator[FaultPlan]:
     """Activate a fault plan for the duration of the ``with`` block."""
     global _ACTIVE
     if _ACTIVE is not None:
         raise RuntimeError("fault plans do not nest")
-    plan = FaultPlan(*specs, sleep=sleep)
+    plan = FaultPlan(*specs)
     _ACTIVE = plan
     try:
         yield plan

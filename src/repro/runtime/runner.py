@@ -27,19 +27,15 @@ graceful-shutdown drain:
 
 The loop runs each attempt in one of two ways:
 
-* **inline** (``jobs == 1``, or a one-unit batch) — the attempt runs in the
-  calling process, on the calling thread when there is no timeout.  With a
-  budget the body runs on a daemon thread whose ``join`` timeout is the
-  budget; a timed-out attempt's thread is abandoned, which is safe for our
-  pure-compute units but means the budget should be generous.  A unit's
-  attempts run back to back (the backoff is slept out before the next unit
-  starts), so a serial run executes units, and fires injected faults, in
-  input order.  Injected faults fire inside the attempt budget, so a
-  ``delay`` fault counts against the timeout; worker-side ``kill``/``hang``
-  faults are never consumed;
-* **owned workers** (``jobs > 1``) — up to ``jobs`` long-lived
-  ``multiprocessing.Process`` workers, started as the batch needs them and
-  stopped before :meth:`FaultTolerantRunner.run_units` returns or raises.
+* **inline** (no ``timeout_s``, and ``jobs == 1`` or a one-unit batch) —
+  the attempt runs on the calling thread.  A unit's attempts run back to
+  back (the backoff is slept out before the next unit starts), so a serial
+  run executes units, and fires injected faults, in input order.
+  Worker-side ``kill``/``hang`` faults are never consumed;
+* **owned workers** (a ``timeout_s`` budget, or ``jobs > 1`` and two or
+  more units) — up to ``jobs`` long-lived ``multiprocessing.Process``
+  workers, started as the batch needs them and stopped before
+  :meth:`FaultTolerantRunner.run_units` returns or raises.
   Each worker runs one attempt at a time, read from its own ``Pipe``; the
   parent waits on the pipes and the worker sentinels together, so it always
   knows which unit a dead or overdue worker was running.  A failed unit
@@ -61,13 +57,16 @@ segfaulting native lib) costs its own unit one re-dispatch, never the run:
   the quarantined units;
 * **timeouts** — an attempt that passes ``timeout_s``, measured from
   dispatch, is killed together with its worker and recorded as a timeout,
-  so the budget also catches a worker stuck in uncooperative native code;
-* **one BLAS thread per worker** — workers pin OpenBLAS/OpenMP to one
-  thread (:func:`repro.runtime.blas.pin_one_thread`), so ``jobs`` workers
-  never oversubscribe the CPUs with inherited BLAS helper threads.  A
-  ``jobs > 1`` runner that runs a one-unit batch inline does so under a
+  so the budget also catches a worker stuck in uncooperative native code.
+  A budgeted attempt therefore always runs on a worker, ``jobs == 1``
+  included (one worker), and nothing of it outlives its budget;
+* **one BLAS thread per worker** — ``jobs > 1`` workers pin OpenBLAS/OpenMP
+  to one thread (:func:`repro.runtime.blas.pin_one_thread`), so ``jobs``
+  workers never oversubscribe the CPUs with inherited BLAS helper threads.
+  A ``jobs > 1`` runner that runs a one-unit batch inline does so under a
   one-thread budget (:func:`repro.runtime.blas.thread_budget`), as a pinned
-  worker would; a ``jobs == 1`` runner keeps the process's BLAS threads.
+  worker would; a ``jobs == 1`` runner, and its one worker, keep the
+  process's BLAS threads.
 
 Telemetry: when the ambient tracer is enabled, every attempt — inline or in
 a worker — runs under a fresh local :class:`~repro.runtime.telemetry.Tracer`
@@ -80,9 +79,9 @@ so serial and parallel runs produce the same span tree.  Runner counters:
 ``runner.signal_shutdowns``.
 
 Checkpoint writes belong in the ``on_result`` callback, which always runs
-in the calling process, so every store keeps a single writer.  Under
-workers, unit functions, their arguments and their results travel by pickle
-and must be module-level picklable objects, and per-attempt CPU time must be
+in the calling process, so every store keeps a single writer.  On workers,
+unit functions, their arguments and their results travel by pickle and
+must be module-level picklable objects, and per-attempt CPU time must be
 measured inside the unit body — a child's CPU time is invisible to the
 parent's ``time.process_time()``.
 """
@@ -91,7 +90,6 @@ from __future__ import annotations
 
 import multiprocessing
 import signal
-import threading
 import time
 from contextlib import suppress
 from dataclasses import dataclass, field
@@ -109,6 +107,9 @@ UnitSpec = tuple[str, Callable[..., Any], tuple, dict]
 #: How long the dispatch loop blocks waiting for worker replies before
 #: re-checking backoff expiries and the shutdown flag (seconds).
 _POLL_S = 0.05
+
+#: Longest sleep between two attempts of one unit (seconds).
+BACKOFF_CAP_S = 30.0
 
 
 class _AttemptTimeout(Exception):
@@ -128,17 +129,13 @@ class RetryPolicy:
 
     max_retries: int = 0
     backoff_base_s: float = 0.0  # sleep backoff_base * 2**attempt between tries
-    backoff_cap_s: float = 30.0
     timeout_s: float | None = None  # wall-clock budget per attempt
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
-        if not (self.backoff_base_s >= 0 and self.backoff_cap_s >= 0):
-            raise ValueError(
-                f"backoff must be >= 0, got base {self.backoff_base_s}, "
-                f"cap {self.backoff_cap_s}"
-            )
+        if not self.backoff_base_s >= 0:
+            raise ValueError(f"backoff must be >= 0, got {self.backoff_base_s}")
         # a zero or negative budget would time out every attempt at once
         if self.timeout_s is not None and not self.timeout_s > 0:
             raise ValueError(f"timeout_s must be > 0, got {self.timeout_s}")
@@ -151,7 +148,7 @@ class RetryPolicy:
         """Seconds to sleep after failed attempt number ``attempt`` (1-based)."""
         if self.backoff_base_s <= 0:
             return 0.0
-        return min(self.backoff_cap_s, self.backoff_base_s * 2 ** (attempt - 1))
+        return min(BACKOFF_CAP_S, self.backoff_base_s * 2 ** (attempt - 1))
 
 
 @dataclass
@@ -239,44 +236,18 @@ class UnitOutcome:
 
 
 def _run_attempt(
-    body: Callable[[], Any], timeout_s: float | None, trace: bool
+    body: Callable[[], Any], trace: bool
 ) -> tuple[Any, TelemetrySnapshot | None]:
     """Run one attempt body; returns ``(value, telemetry snapshot or None)``.
 
-    With ``trace`` the body runs under a fresh local tracer, activated on
-    the thread that runs it.  With a budget the body runs on a daemon thread
-    and the budget is a ``join`` timeout; a body that finishes inside the
-    race window between expiry and the liveness check wins with its own
-    result or exception.
+    With ``trace`` the body runs under a fresh local tracer.
     """
-
-    def traced() -> tuple[Any, TelemetrySnapshot | None]:
-        if not trace:
-            return body(), None
-        local = Tracer()
-        with activate(local):
-            value = body()
-        return value, local.snapshot()
-
-    if timeout_s is None:
-        return traced()
-    result: list[Any] = []
-    error: list[BaseException] = []
-
-    def run() -> None:
-        try:
-            result.append(traced())
-        except BaseException as exc:  # noqa: B036 - re-raised below, on the caller's thread
-            error.append(exc)
-
-    thread = threading.Thread(target=run, daemon=True)
-    thread.start()
-    thread.join(timeout_s)
-    if thread.is_alive():
-        raise _AttemptTimeout()
-    if error:
-        raise error[0]
-    return result[0]
+    if not trace:
+        return body(), None
+    local = Tracer()
+    with activate(local):
+        value = body()
+    return value, local.snapshot()
 
 
 class _WorkerDied(Exception):
@@ -287,10 +258,11 @@ class _WorkerDied(Exception):
 _Settled = tuple[bool, Any]
 
 
-def _worker_main(conn: connection.Connection) -> None:
+def _worker_main(conn: connection.Connection, pin_blas: bool) -> None:
     """A worker's life: run attempts read from ``conn`` until told to stop.
 
-    Forked workers inherit the parent's graceful-shutdown handlers
+    With ``pin_blas`` (a ``jobs > 1`` runner) the worker runs BLAS on one
+    thread.  Forked workers inherit the parent's graceful-shutdown handlers
     (:mod:`repro.runtime.supervision`); SIGTERM is restored to its default so
     the worker dies of it like any process, and SIGINT is ignored so a
     terminal Ctrl-C (delivered to the whole foreground process group) is
@@ -298,7 +270,8 @@ def _worker_main(conn: connection.Connection) -> None:
     kill/hang fault, executed before the unit body: an injected hang is
     uncooperative, so only the parent's timeout stops it.
     """
-    blas.pin_one_thread()
+    if pin_blas:
+        blas.pin_one_thread()
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     while True:
@@ -312,7 +285,7 @@ def _worker_main(conn: connection.Connection) -> None:
         faults.execute_directive(directive)
         reply: _Settled
         try:
-            reply = (True, _run_attempt(lambda: fn(*args, **kwargs), None, trace))
+            reply = (True, _run_attempt(lambda: fn(*args, **kwargs), trace))
         except BaseException as exc:  # noqa: B036 - the parent decides what propagates
             reply = (False, exc)
         try:
@@ -352,7 +325,10 @@ class _Worker:
 
 
 class _Workers:
-    """Up to ``capacity`` worker processes, one attempt and one pipe each."""
+    """Up to ``capacity`` worker processes, one attempt and one pipe each.
+
+    Workers pin BLAS to one thread when there is more than one of them.
+    """
 
     def __init__(self, stage: str, capacity: int, timeout_s: float | None, trace: bool):
         self.stage = stage
@@ -396,7 +372,8 @@ class _Workers:
                 self._retire(w)
         ours, theirs = multiprocessing.Pipe()
         process = multiprocessing.Process(
-            target=_worker_main, args=(theirs,), name=f"{self.stage}-worker"
+            target=_worker_main, args=(theirs, self.capacity > 1),
+            name=f"{self.stage}-worker",
         )
         process.start()
         theirs.close()
@@ -486,9 +463,10 @@ class _Batch:
 class FaultTolerantRunner:
     """Executes pipeline units under a retry/timeout/isolation policy.
 
-    ``jobs > 1`` runs batches on up to that many worker processes;
-    ``quarantine_threshold`` is how many worker crashes one unit may cause
-    before it is quarantined (see the module docstring).
+    ``jobs > 1`` runs batches on up to that many worker processes, and a
+    ``timeout_s`` budget runs every attempt on one; ``quarantine_threshold``
+    is how many worker crashes one unit may cause before it is quarantined
+    (see the module docstring).
     """
 
     def __init__(
@@ -523,7 +501,9 @@ class FaultTolerantRunner:
         *args: Any,
         **kwargs: Any,
     ) -> UnitOutcome:
-        """Run ``fn(*args, **kwargs)`` as the unit ``stage/unit``, inline.
+        """Run ``fn(*args, **kwargs)`` as the unit ``stage/unit``.
+
+        The unit runs inline, or on one worker under a ``timeout_s`` budget.
 
         Returns an ok :class:`UnitOutcome` on (eventual) success.  On a
         permanently failed unit: records it in :attr:`failures`, then raises
@@ -548,7 +528,7 @@ class FaultTolerantRunner:
         self._register_counters()
         tracer = get_tracer()
         workers = None
-        if self.jobs > 1 and len(units) > 1:
+        if self.policy.timeout_s is not None or (self.jobs > 1 and len(units) > 1):
             workers = _Workers(stage, self.jobs, self.policy.timeout_s, tracer.enabled)
         batch = _Batch(
             stage,
@@ -574,9 +554,9 @@ class FaultTolerantRunner:
     def _register_counters() -> None:
         """Zero-register the runner's metric keys so every run reports them.
 
-        The crash counters are registered here too — a serial run can never
-        crash a worker, but its manifest must stay semantically identical to
-        a ``--jobs N`` run's (``stable_view`` equality).
+        The crash counters are registered here too — an inline run can
+        never crash a worker, but its manifest must stay semantically
+        identical to a ``--jobs N`` run's (``stable_view`` equality).
         """
         tracer = get_tracer()
         for key in (
@@ -637,16 +617,16 @@ class FaultTolerantRunner:
                 self._settle(b, st, ok, payload)
         return abandoned
 
-    def _run_inline(self, stage: str, st: _UnitState) -> _Settled:
-        """Run one attempt to completion in this process."""
-        name = f"{stage}/{st.unit}"
+    @staticmethod
+    def _run_inline(stage: str, st: _UnitState) -> _Settled:
+        """Run one attempt to completion on the calling thread."""
 
         def body() -> Any:
-            faults.fire(name)  # inside the budget: a delay fault counts against it
+            faults.fire(f"{stage}/{st.unit}")
             return st.fn(*st.args, **st.kwargs)
 
         try:
-            return True, _run_attempt(body, self.policy.timeout_s, get_tracer().enabled)
+            return True, _run_attempt(body, get_tracer().enabled)
         except Exception as exc:
             return False, exc
 
@@ -697,9 +677,7 @@ class FaultTolerantRunner:
 
         tracer.counter("runner.failed_units")
         if timed_out:
-            error: Exception = StageTimeout(
-                b.stage, st.unit, st.attempt, self.policy.timeout_s or 0.0
-            )
+            error: Exception = StageTimeout(b.stage, st.unit, st.attempt, self.policy.timeout_s)
         else:
             error = StageFailure(b.stage, st.unit, st.attempt, message)
         self._give_up(
@@ -788,7 +766,5 @@ def _describe(
     exc: BaseException | None, timed_out: bool, policy: RetryPolicy
 ) -> str:
     if timed_out:
-        if policy.timeout_s is None:
-            return "timed out"
         return f"timed out after {policy.timeout_s:g}s"
     return f"{type(exc).__name__}: {exc}"

@@ -30,10 +30,8 @@ is ever created unless the caller explicitly writes one.
 
 The active tracer is a module-level ambient (:func:`get_tracer` /
 :func:`activate`), not thread-local: the runtime executes at most one unit
-body per process at a time (the inline executor's timeout thread included),
-and worker processes each install their own tracer.  A timed-out, abandoned
-attempt thread may keep writing spans into a tracer that is no longer
-active; telemetry is best-effort accounting, never load-bearing state.
+body per process at a time, on the calling thread or in a worker process
+that installs its own tracer, and a timed-out attempt dies with its worker.
 """
 
 from __future__ import annotations

@@ -10,6 +10,11 @@ from repro.runtime import CheckpointStore
 from repro.runtime.faults import FaultSpec, inject_faults
 
 
+def _without_runtimes(text: str) -> list[str]:
+    """Command output minus its live timing lines."""
+    return [line for line in text.splitlines() if "runtime:" not in line]
+
+
 class TestCLI:
     def test_features_listing(self, capsys):
         assert main(["features"]) == 0
@@ -33,14 +38,17 @@ class TestCLI:
             main([])
 
     def test_unknown_model_filter(self, tmp_path, capsys, monkeypatch):
-        import repro.core.pipeline as pipeline
-
-        monkeypatch.setattr(
-            pipeline, "default_cache_path", lambda scale=1.0: tmp_path / "c.npz"
-        )
-        # invalid model subset errors out before any heavy work
-        code = main(["table2", "--scale", "0.3", "--models", "Nope"])
-        assert code == 2
+        # unknown names exit 2 before the suite is built or loaded; they
+        # were dropped without a word, '' ran the whole zoo, and a list
+        # matching nothing was rejected only after the suite existed
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("DRCSHAP_CACHE_DIR", str(cache))
+        for models in ("Nope", "RF,XX", ""):
+            assert main(["table2", "--scale", "0.3", "--models", models]) == 2
+            err = capsys.readouterr().err
+            assert f"unknown model(s) {models.split(',')[-1]!r}" in err
+            assert "choose from SVM-RBF, RUSBoost, NN-1, NN-2, RF" in err
+        assert not cache.exists()
 
 
 class TestCLIRejectsBadNumbers:
@@ -184,6 +192,13 @@ class TestCLIHeavyPaths:
                  "--num", "1", "--max-retries", "1", "--retry-backoff", "0"]
             )
         assert code == 0
+        # under a budget the flow runs on a worker and comes back pickled
+        capsys.readouterr()
+        assert main(["explain", "des_perf_1", "--scale", "0.3", "--num", "1"]) == 0
+        inline = capsys.readouterr().out
+        argv = ["explain", "des_perf_1", "--scale", "0.3", "--num", "1", "--timeout", "600"]
+        assert main(argv) == 0
+        assert _without_runtimes(capsys.readouterr().out) == _without_runtimes(inline)
 
     def test_explain_flows_the_scaled_recipe(self, tiny_cache, monkeypatch, capsys):
         # regression: explain ran the unscaled recipe's flow while explaining

@@ -1,5 +1,7 @@
 """Tests for the netlist/design data model."""
 
+import pickle
+
 import pytest
 
 from repro.layout.geometry import Point, Rect
@@ -91,6 +93,26 @@ class TestNets:
         clk.connect(pins[3])
         design.add_net("dangling")  # zero pins
         assert design.signal_nets() == [sig]
+
+    def test_long_net_chain_pickles_with_its_links(self, design):
+        # regression: a pickled pin followed its net, whose pins followed
+        # their cells, ... so a flow result's design overflowed the
+        # recursion limit on its way back from a worker process
+        cells = [design.add_cell(f"c{i}", 40, 120) for i in range(2000)]
+        for i, (left, right) in enumerate(zip(cells, cells[1:])):
+            net = design.add_net(f"n{i}", is_clock=i == 0)
+            net.connect(left.add_pin("o", Point(0, 0)))
+            net.connect(right.add_pin("i", Point(1, 1)))
+        cells[0].add_pin("unconnected", Point(2, 2))
+        back = pickle.loads(pickle.dumps(design))
+        assert [n.name for n in back.nets] == [n.name for n in design.nets]
+        for cell in back.cells:
+            assert all(pin.cell is cell for pin in cell.pins)
+        for net in back.nets:
+            assert all(pin.net is net for pin in net.pins)
+        assert back.cells[0].pins[-1].net is None
+        assert [p.is_clock for p in back.nets[0].pins] == [True, True]
+        assert back.nets[1].pins[0] is back.cells[1].pins[1]
 
 
 class TestMacrosAndBlockages:

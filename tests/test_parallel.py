@@ -158,6 +158,7 @@ class TestParallelDeterminism:
     def test_suite_store_byte_identical(self, tmp_path):
         serial_npz = tmp_path / "serial.npz"
         parallel_npz = tmp_path / "parallel.npz"
+        budgeted_npz = tmp_path / "budgeted.npz"
         s_suite, s_stats = build_suite_dataset(
             SCALE, cache_path=serial_npz,
             runner=FaultTolerantRunner(fail_fast=True),
@@ -166,13 +167,19 @@ class TestParallelDeterminism:
             SCALE, cache_path=parallel_npz,
             runner=ParallelRunner(3, fail_fast=True),
         )
+        # a serial budgeted run flows every design on its one worker
+        b_suite, b_stats = build_suite_dataset(
+            SCALE, cache_path=budgeted_npz,
+            runner=FaultTolerantRunner(RetryPolicy(timeout_s=600), fail_fast=True),
+        )
         serial_files = CheckpointStore(checkpoint_dir_for(serial_npz)).file_digests()
         assert len(serial_files) == 14 + 1  # one checkpoint per design + manifest
         assert serial_files == CheckpointStore(checkpoint_dir_for(parallel_npz)).file_digests()
-        assert s_stats == p_stats
+        assert serial_files == CheckpointStore(checkpoint_dir_for(budgeted_npz)).file_digests()
+        assert s_stats == p_stats == b_stats
         assert suite_fingerprint(s_suite, 0.005, True) == suite_fingerprint(
             p_suite, 0.005, True
-        )
+        ) == suite_fingerprint(b_suite, 0.005, True)
 
     def test_experiment_table_matches_serial(self, mini_suite):
         models = [m for m in model_zoo("fast") if m.name in ("RUSBoost", "RF")]
@@ -184,9 +191,13 @@ class TestParallelDeterminism:
             mini_suite, models, tune=False,
             runner=ParallelRunner(3, fail_fast=True),
         )
+        budgeted = run_experiment(
+            mini_suite, models, tune=False,
+            runner=FaultTolerantRunner(RetryPolicy(timeout_s=600), fail_fast=True),
+        )
         assert _table_without_timing_rows(serial) == _table_without_timing_rows(
             parallel
-        )
+        ) == _table_without_timing_rows(budgeted)
 
     def test_suite_degrades_and_checkpoints_under_injected_fault(self, tmp_path):
         cache = tmp_path / "suite.npz"

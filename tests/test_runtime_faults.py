@@ -14,6 +14,10 @@ from repro.runtime import (
 from repro.runtime import faults
 
 
+def _never():  # module-level: a budgeted unit is pickled to its worker
+    return "never"
+
+
 class TestFaultSpec:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="kind"):
@@ -60,14 +64,6 @@ class TestInjection:
                 with inject_faults(FaultSpec(stage="b")):
                     pass
 
-    def test_delay_fault_sleeps(self):
-        slept = []
-        with inject_faults(
-            FaultSpec(stage="s/u", kind="delay", delay_s=0.3), sleep=slept.append
-        ):
-            faults.fire("s/u")
-        assert slept == [0.3]
-
     def test_corrupt_fault_trips_checkpoint_checksum(self, tmp_path):
         store = CheckpointStore(tmp_path / "s")
         with inject_faults(FaultSpec(stage="checkpoint/k.bin", kind="corrupt")) as plan:
@@ -92,9 +88,14 @@ class TestInjection:
         assert plan.triggered == [("flow/u", "error")] * 2
         assert not runner.failures
 
-    def test_injected_delay_trips_runner_timeout(self):
-        with inject_faults(FaultSpec(stage="flow/slow", kind="delay", delay_s=1.0)):
-            runner = FaultTolerantRunner(RetryPolicy(timeout_s=0.05))
-            out = runner.run_unit("flow", "slow", lambda: "never")
+    def test_injected_hang_trips_serial_runner_timeout(self):
+        # a budgeted jobs=1 attempt runs on one worker: the hang fires there
+        # and the timeout kills it
+        with inject_faults(
+            FaultSpec(stage="flow/slow", kind="hang", delay_s=30.0)
+        ) as plan:
+            runner = FaultTolerantRunner(RetryPolicy(timeout_s=0.2))
+            out = runner.run_unit("flow", "slow", _never)
         assert not out.ok
-        assert out.failure.error_type == "StageTimeout"
+        assert (out.failure.kind, out.failure.error_type) == ("timeout", "StageTimeout")
+        assert plan.triggered == [("flow/slow", "hang")]

@@ -15,11 +15,31 @@ from repro.runtime import (
     StageFailure,
     StageTimeout,
 )
+from repro.runtime.runner import BACKOFF_CAP_S
 from repro.runtime.telemetry import Tracer, activate
 
 
 def _no_sleep(_s: float) -> None:
     pass
+
+
+# Budgeted units run on a worker process: their bodies must be module-level.
+
+def _quick():
+    return "quick"
+
+
+def _raise_own_timeout():
+    raise TimeoutError("inner")
+
+
+def _busy_then_mark(seconds, marker):
+    """Busy-wait ``seconds`` of wall clock, then append a line to ``marker``."""
+    end = time.monotonic() + seconds
+    while time.monotonic() < end:
+        pass
+    with open(marker, "a") as fh:
+        fh.write("finished\n")
 
 
 class TestRetryPolicy:
@@ -32,15 +52,16 @@ class TestRetryPolicy:
     @pytest.mark.parametrize(
         "kwargs",
         [{"timeout_s": 0.0}, {"timeout_s": -5.0}, {"timeout_s": float("nan")},
-         {"backoff_base_s": -1.0}, {"backoff_cap_s": -1.0}],
+         {"backoff_base_s": -1.0}],
     )
     def test_rejects_invalid_budgets(self, kwargs):
         with pytest.raises(ValueError):
             RetryPolicy(**kwargs)
 
     def test_exponential_backoff_with_cap(self):
-        p = RetryPolicy(max_retries=5, backoff_base_s=1.0, backoff_cap_s=5.0)
-        assert [p.backoff(i) for i in (1, 2, 3, 4)] == [1.0, 2.0, 4.0, 5.0]
+        assert BACKOFF_CAP_S == 30.0
+        p = RetryPolicy(max_retries=5, backoff_base_s=10.0)
+        assert [p.backoff(i) for i in (1, 2, 3, 4)] == [10.0, 20.0, 30.0, 30.0]
 
     def test_zero_base_means_no_sleep(self):
         assert RetryPolicy(max_retries=2).backoff(1) == 0.0
@@ -108,8 +129,24 @@ class TestRunner:
 
     def test_fast_unit_passes_under_timeout(self):
         runner = FaultTolerantRunner(RetryPolicy(timeout_s=5.0))
-        out = runner.run_unit("s", "u", lambda: "quick")
+        out = runner.run_unit("s", "u", _quick)
         assert out.ok and out.value == "quick"
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_timed_out_attempt_stops_at_its_budget(self, jobs, tmp_path):
+        # an overdue attempt is killed, not abandoned: neither the first
+        # attempt nor its retry finishes its body after run_units returned
+        marker = tmp_path / "marker"
+        marker.touch()
+        runner = FaultTolerantRunner(
+            RetryPolicy(max_retries=1, timeout_s=0.3), sleep=_no_sleep, jobs=jobs
+        )
+        out = runner.run_units("s", [("busy", _busy_then_mark, (1.0, str(marker)), {})])
+        returned = time.monotonic()
+        assert out[0].failure.kind == "timeout"
+        assert out[0].failure.attempts == 2
+        time.sleep(max(0.0, returned + 1.5 - time.monotonic()))
+        assert marker.read_text() == ""
 
     def test_unit_raising_timeout_error_is_ordinary_failure(self):
         # On 3.11+ builtin TimeoutError aliases concurrent.futures.TimeoutError;
@@ -127,11 +164,8 @@ class TestRunner:
         assert "socket timed out" in rec.message
 
     def test_unit_raising_timeout_error_under_wall_clock_budget(self):
-        def unit():
-            raise TimeoutError("inner")
-
         runner = FaultTolerantRunner(RetryPolicy(timeout_s=5.0))
-        out = runner.run_unit("s", "u", unit)
+        out = runner.run_unit("s", "u", _raise_own_timeout)
         assert not out.ok
         assert out.failure.error_type == "TimeoutError"  # not StageTimeout
 

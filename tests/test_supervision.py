@@ -233,8 +233,17 @@ class TestWorkerBlasThreads:
         out = _supervised().run_units(
             "stage", [(f"u{i}", _blas_threads, (), {}) for i in range(2)]
         )
+        # a budget puts even a one-unit batch on a worker: pinned under
+        # jobs=2, with the parent's counts under jobs=1
+        out += ParallelRunner(2, RetryPolicy(timeout_s=60)).run_units(
+            "stage", [("one", _blas_threads, (), {})]
+        )
         for outcome in out:
             assert outcome.value and set(outcome.value.values()) == {1}
+        serial = FaultTolerantRunner(RetryPolicy(timeout_s=60)).run_unit(
+            "stage", "one", _blas_threads
+        )
+        assert serial.value == before
         assert blas.thread_counts() == before
 
 
