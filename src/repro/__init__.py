@@ -12,8 +12,8 @@ paper, including every substrate it depends on:
 * :mod:`repro.ml`      — RF, SVM-RBF, RUSBoost, MLPs, metrics, Tree SHAP;
 * :mod:`repro.core`    — the paper's workflow: flow, Table II protocol,
   per-hotspot SHAP explanations;
-* :mod:`repro.runtime` — fault-tolerant runtime: checkpoints, retries,
-  validation guards, fault injection;
+* :mod:`repro.runtime` — fault-tolerant runtime: checkpoints, isolated
+  units, validation guards, fault injection;
 * :mod:`repro.analysis`— P-R curves, threshold sweeps, calibration, SHAP
   summaries, reports.
 

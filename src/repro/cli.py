@@ -19,12 +19,15 @@ The heavy commands keep each scale's suite in one checkpoint store (one
 checkpoint per design, see :func:`repro.core.pipeline.build_suite_dataset`),
 so the 14-design flow runs only once per scale and a warm run trains on
 exactly the features a cold one computed.  They accept the resilience flags
-``--resume/--no-resume``, ``--max-retries``, ``--retry-backoff``,
-``--timeout`` and ``--fail-fast`` (see :mod:`repro.runtime`), and
+``--resume/--no-resume``, ``--timeout``, ``--fail-fast`` and
+``--quarantine-threshold`` (see :mod:`repro.runtime`), and
 ``-j/--jobs N`` to fan design flows and (model, group) experiment units out
 across N worker processes (default 1 = serial; results are bit-identical
 either way).  ``--no-resume`` ignores checkpoints and recomputes every
 unit, except that a suite whose every design checkpoint verifies is loaded.
+Each unit runs once: a unit that raises or overruns ``--timeout`` is
+recorded and skipped, and rerunning with ``--resume`` recomputes exactly
+the failed units.
 
 Every command also accepts the telemetry flag ``--trace PATH``: write the
 run's one telemetry document, the manifest with its span tree (see
@@ -74,7 +77,6 @@ from .place.legalizer import LegalizationError
 from .runtime import (
     FaultTolerantRunner,
     ReproRuntimeError,
-    RetryPolicy,
     ShutdownRequested,
     blas,
     graceful_shutdown,
@@ -128,16 +130,18 @@ def _number(
 
 
 _positive_int = _number(int, 1)  # worker counts, how many rows to list
-_nonneg_int = _number(int, 0)  # retry budgets, macro counts, seeds
+_nonneg_int = _number(int, 0)  # macro counts, seeds
 _positive_float = _number(float, 0, strict=True)  # scales, timeouts
-_nonneg_float = _number(float, 0)  # backoff bases
 _grid_size = _number(int, 2)  # a 1x1 g-cell die cannot hold the generator's 8 cells
 _fraction = _number(float, 0, strict=True, below=1)  # utilisations
 
 
 def _trace_path(text: str) -> Path:
-    """argparse type: a trace destination whose parent dir exists and is writable."""
+    """argparse type: a trace destination that is not a directory, and whose
+    parent dir exists and is writable."""
     path = Path(text)
+    if path.is_dir():
+        raise argparse.ArgumentTypeError(f"trace path {path} is a directory")
     parent = path.parent
     if not parent.is_dir():
         raise argparse.ArgumentTypeError(f"trace directory {parent} does not exist")
@@ -160,16 +164,12 @@ def _add_resilience_flags(p: argparse.ArgumentParser) -> None:
                    help="ignore existing checkpoints; recompute every unit "
                         "(a suite whose every design checkpoint verifies is "
                         "still loaded)")
-    p.add_argument("--max-retries", type=_nonneg_int, default=0, metavar="N",
-                   help="retry budget per unit (default 0)")
-    p.add_argument("--retry-backoff", type=_nonneg_float, default=1.0, metavar="SEC",
-                   help="base of the exponential retry backoff (default 1s)")
     p.add_argument("--timeout", type=_positive_float, default=None, metavar="SEC",
-                   help="wall-clock budget per unit attempt; every attempt "
+                   help="wall-clock budget per unit; every attempt "
                         "then runs on a worker process that is killed at the "
                         "budget (default none)")
     p.add_argument("--fail-fast", action="store_true",
-                   help="abort on the first permanently failed unit instead "
+                   help="abort on the first failed unit instead "
                         "of recording + skipping it")
     p.add_argument("--quarantine-threshold", type=_positive_int, default=2,
                    metavar="N",
@@ -180,14 +180,9 @@ def _add_resilience_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _runner_from_args(args: argparse.Namespace) -> FaultTolerantRunner:
-    policy = RetryPolicy(
-        max_retries=args.max_retries,
-        backoff_base_s=args.retry_backoff if args.max_retries else 0.0,
-        timeout_s=args.timeout,
-    )
     return FaultTolerantRunner(
-        policy, fail_fast=args.fail_fast, verbose=True,
-        jobs=args.jobs, quarantine_threshold=args.quarantine_threshold,
+        fail_fast=args.fail_fast, verbose=True, jobs=args.jobs,
+        timeout_s=args.timeout, quarantine_threshold=args.quarantine_threshold,
     )
 
 

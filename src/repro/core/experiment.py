@@ -17,10 +17,11 @@ out of training stacks, so stray designs cannot leak into the protocol.
 
 Each (model, group) pair is one *unit* of the fault-tolerant runtime, and
 every pending unit of a run is submitted to the runner as one batch (model
-by model, groups in sorted order).  A unit is retried/skipped per the
-runner's policy, validated (NaN/Inf/shape guards) before fit and predict,
-and — when a ``checkpoint_dir`` is given — its scores are checkpointed so an
-interrupted grid resumes where it stopped.  Its ``experiment_unit`` span
+by model, groups in sorted order).  A unit is validated (NaN/Inf/shape
+guards) before fit and predict, a failed unit is recorded and skipped (or
+raises under fail-fast), and — when a ``checkpoint_dir`` is given — each
+unit's scores are checkpointed so an interrupted grid resumes where it
+stopped.  Its ``experiment_unit`` span
 reaches the run's trace through the runner, which collects and adopts each
 unit's telemetry.  The whole unit runs under its spec's BLAS thread budget
 (:attr:`ModelSpec.blas_threads`: one thread for the NNs and tree models).

@@ -149,7 +149,7 @@ def _run_flow_validated(recipe: DesignRecipe) -> FlowResult:
     """``run_flow`` plus the NaN/Inf/shape guard, as one fault-tolerant unit.
 
     Validating *inside* the unit means a design whose flow produces a
-    non-finite feature matrix is retried/recorded/skipped by the runner like
+    non-finite feature matrix is recorded/skipped by the runner like
     any other unit failure, instead of aborting a non-fail-fast suite build.
     """
     result = run_flow(recipe)
@@ -247,12 +247,12 @@ def build_suite_dataset(
     flow computed them.  When every design's checkpoint verifies, the suite
     is loaded from the store and no flow runs, whatever ``resume`` says.
     Otherwise designs run as independent units under ``runner`` (default:
-    fail-fast, no retries, serial; a ``jobs > 1`` runner fans them out
+    fail-fast, serial; a ``jobs > 1`` runner fans them out
     across worker processes): with ``resume`` only the designs without a
     sound checkpoint, without it every design.  Each finished design is
     checkpointed — always from the parent process — so a re-invocation
     after an interrupt re-runs only the unfinished flows.  With a
-    non-fail-fast runner, a permanently failing design is recorded in
+    non-fail-fast runner, a failing design is recorded in
     ``runner.failures`` and skipped, and the degraded suite is returned.
     Results are assembled in recipe order regardless of worker completion
     order, so serial and parallel builds are byte-identical.
@@ -318,7 +318,7 @@ def _assemble(
     """The suite in recipe order, so a parallel build is byte-identical."""
     names = [r.name for r in recipes if r.name in done]
     if not names:
-        raise StageFailure("flow", "suite", 1, "every design in the suite failed")
+        raise StageFailure("flow", "suite", "every design in the suite failed")
     return SuiteDataset([done[n][0] for n in names]), [done[n][1] for n in names]
 
 

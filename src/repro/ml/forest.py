@@ -27,8 +27,8 @@ Implementation notes:
   :class:`~repro.runtime.runner.FaultTolerantRunner` (inline or on its
   worker processes).  The grouping depends on the tree count only,
   so inline and runner fits run the same kernel batches and emit the same
-  counters, and a unit carries seeds, never live generators, so a retried
-  unit regrows the same trees;
+  counters, and a unit carries seeds, never live generators, so a unit
+  re-dispatched after its worker crashed regrows the same trees;
 * the fitted trees are the flat :class:`~repro.ml.tree.TreeArrays` in
   ``trees`` (the SHAP explainer's input), stacked lazily into one padded
   :class:`ForestArrays` so ``predict_proba`` walks all trees of all
@@ -223,7 +223,7 @@ def _grow_group(
     multinomial is drawn from that generator before its feature draws —
     never from a shared stream — which is what makes the forest's output a
     pure function of (random_state, tree index) regardless of grouping,
-    scheduling or retries.
+    scheduling or re-dispatch after a worker crash.
     """
     n = dataset.n_samples
     rngs = [np.random.default_rng(seed) for seed in seeds]
@@ -293,7 +293,7 @@ class RandomForestClassifier:
             for o in outcomes:
                 if o.failure is not None:
                     f = o.failure
-                    raise StageFailure(f.stage, f.unit, f.attempts, f.message)
+                    raise StageFailure(f.stage, f.unit, f.message)
             results = [o.value for o in outcomes]
         self.trees = [tree for trees, _ in results for tree in trees]
         self.fit_stats_ = dict.fromkeys(FIT_COUNTERS, 0)

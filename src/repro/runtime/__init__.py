@@ -1,4 +1,4 @@
-"""Fault-tolerant flow runtime: checkpoints, retries, validation, faults.
+"""Fault-tolerant flow runtime: checkpoints, isolated units, validation, faults.
 
 The paper's protocol (Sec. IV) is an hours-scale pipeline — 14 design flows
 feeding a 5-group leave-one-group-out grid search.  This package makes every
@@ -7,9 +7,10 @@ long-running path resumable and failure-isolated:
 * :mod:`repro.runtime.checkpoint` — atomic write-temp-then-rename persistence
   with SHA-256 content checksums and format-version stamping;
 * :mod:`repro.runtime.runner` — one fault-tolerant runner: per-unit
-  isolation, retry with backoff, wall-clock timeouts and a structured
-  failure log, executing units inline or (``jobs > 1``, or under a
-  timeout) on worker processes it owns, one pipe each — a dead worker costs
+  isolation, one attempt per unit, wall-clock timeouts and a structured
+  failure log (``--resume`` recomputes the failed units), executing units
+  inline or (``jobs > 1``, or under a timeout) on worker processes it owns,
+  one pipe each — a dead worker costs
   only the unit it ran (which is re-dispatched on a fresh worker, or
   quarantined as a structured ``worker_crash`` failure after repeated
   crashes), and an attempt past its timeout is killed together with its
@@ -53,7 +54,6 @@ from .runner import (
     FailureRecord,
     FaultTolerantRunner,
     ParallelRunner,
-    RetryPolicy,
     UnitOutcome,
 )
 from .supervision import graceful_shutdown, shutdown_requested
@@ -84,7 +84,6 @@ __all__ = [
     "FaultTolerantRunner",
     "ParallelRunner",
     "ReproRuntimeError",
-    "RetryPolicy",
     "ShutdownRequested",
     "SpanNode",
     "StageFailure",

@@ -31,7 +31,7 @@ import re
 import time
 import zipfile
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, TypeVar
+from typing import Any, Callable, Iterable, TypeVar
 
 import numpy as np
 from numpy.lib import format as npy_format
@@ -289,14 +289,6 @@ class CheckpointStore:
         """Cheap existence check: manifest entry + payload file present."""
         return key in self._read_manifest() and self._path_of(key).exists()
 
-    def verify(self, key: str) -> bool:
-        """Full checksum verification of one key."""
-        try:
-            self.load_bytes(key)
-        except (CacheCorruptionError, OSError):
-            return False
-        return True
-
     def restore(
         self, keys: Iterable[str], load: Callable[[str], _T], verbose: bool = False
     ) -> dict[str, _T]:
@@ -331,9 +323,6 @@ class CheckpointStore:
         """SHA-256 of every file in the store directory (manifest included), by name."""
         return {p.name: sha256_bytes(p.read_bytes()) for p in sorted(self.root.iterdir())}
 
-    def keys(self) -> Iterator[str]:
-        yield from sorted(self._read_manifest())
-
     def invalidate(self, key: str) -> None:
         """Drop a key's payload and manifest entry (idempotent)."""
         self._path_of(key).unlink(missing_ok=True)
@@ -341,8 +330,3 @@ class CheckpointStore:
         if entries.pop(key, None) is not None:
             get_tracer().counter("checkpoint.invalidated")
             self._write_manifest(entries)
-
-    def clear(self) -> None:
-        for key in list(self._read_manifest()):
-            self._path_of(key).unlink(missing_ok=True)
-        self.manifest_path.unlink(missing_ok=True)

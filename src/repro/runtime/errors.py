@@ -38,28 +38,25 @@ class ValidationError(ReproRuntimeError, ValueError):
 
 
 class StageFailure(ReproRuntimeError):
-    """A pipeline unit exhausted its retry budget (or ``fail_fast`` was set).
+    """A pipeline unit failed its one attempt.
 
-    Carries the stage/unit identity and the attempt count; the causing
-    exception is chained via ``__cause__``.
+    The runner raises it under ``fail_fast``, and callers that cannot skip
+    a failed unit raise it themselves.  Carries the stage/unit identity; the
+    causing exception is chained via ``__cause__``.
     """
 
-    def __init__(self, stage: str, unit: str, attempts: int, message: str = ""):
+    def __init__(self, stage: str, unit: str, message: str = ""):
         self.stage = stage
         self.unit = unit
-        self.attempts = attempts
-        detail = message or "failed"
-        super().__init__(
-            f"{stage}/{unit}: {detail} after {attempts} attempt(s)"
-        )
+        super().__init__(f"{stage}/{unit}: {message or 'failed'}")
 
 
 class StageTimeout(StageFailure):
     """A unit exceeded its wall-clock timeout budget."""
 
-    def __init__(self, stage: str, unit: str, attempts: int, timeout_s: float):
+    def __init__(self, stage: str, unit: str, timeout_s: float):
         self.timeout_s = timeout_s
-        super().__init__(stage, unit, attempts, f"timed out after {timeout_s:g}s")
+        super().__init__(stage, unit, f"timed out after {timeout_s:g}s")
 
 
 class WorkerCrashError(ReproRuntimeError):

@@ -12,9 +12,9 @@ fault-tolerant runtime, so this module lets tests *schedule* them::
 
 Stages are hierarchical names (``"flow/mult_1"``, ``"experiment/RF__g2"``,
 ``"checkpoint/<key>"``) matched with :func:`fnmatch.fnmatch`, so a spec can
-target one unit or a whole family.  Each spec fires a bounded number of
-``times`` (after skipping the first ``after`` matches), which makes
-retry-then-succeed scenarios deterministic.
+target one unit or a whole family.  Each spec fires on its first ``times``
+matches, so a family pattern or a repeated ``kill`` fires a known number of
+times.
 
 Four fault kinds:
 
@@ -61,13 +61,11 @@ class FaultSpec:
     stage: str  # fnmatch pattern against hierarchical stage names
     kind: str = "error"  # "error" | "corrupt" | "kill" | "hang"
     times: int = 1  # how many matching calls trigger before the spec disarms
-    after: int = 0  # skip this many matching calls first
     exception: type[Exception] = FaultInjected
     message: str = "injected fault"
     delay_s: float = 0.05
 
     #: mutable trigger bookkeeping (not part of the spec identity)
-    seen: int = field(default=0, compare=False)
     fired: int = field(default=0, compare=False)
 
     def __post_init__(self) -> None:
@@ -75,10 +73,7 @@ class FaultSpec:
             raise ValueError(f"unknown fault kind {self.kind!r}")
 
     def should_fire(self, stage: str) -> bool:
-        if not fnmatch(stage, self.stage):
-            return False
-        self.seen += 1
-        if self.seen <= self.after or self.fired >= self.times:
+        if not fnmatch(stage, self.stage) or self.fired >= self.times:
             return False
         self.fired += 1
         return True

@@ -5,17 +5,18 @@ design's Fig. 1 flow, one (model, group) cell of the leave-one-group-out
 grid, or one lock-step group of an explanation forest's trees.
 :class:`FaultTolerantRunner` executes a batch of units so that one bad
 unit degrades the run instead of killing it.  A single dispatch loop owns
-the unit queue, retries, the failure log, fail-fast and the
-graceful-shutdown drain:
+the unit queue, the failure log, fail-fast and the graceful-shutdown drain:
 
 * every attempt is isolated: ``Exception``\\ s become failed attempts,
   ``KeyboardInterrupt``/``SystemExit`` propagate, and so does a
   :class:`~repro.runtime.errors.ShutdownRequested` raised by a unit body
   that runs a nested batch;
-* a :class:`RetryPolicy` grants each unit ``1 + max_retries`` attempts with
-  exponential backoff between them, and an optional wall-clock budget per
-  attempt;
-* exhausted units are recorded in a structured :class:`FailureLog` and the
+* each unit gets one attempt, with an optional wall-clock budget
+  (``timeout_s``).  A unit is a pure function of its arguments, so running
+  a failed one again would fail the same way: an exception or a timeout
+  fails the unit at once, and ``--resume`` recomputes exactly the failed
+  units of a degraded run;
+* failed units are recorded in a structured :class:`FailureLog` and the
   runner either raises (``fail_fast=True``) or returns a not-ok
   :class:`UnitOutcome` so the caller can skip the unit, mirroring the
   paper's footnote-3 skip semantics;
@@ -28,37 +29,35 @@ graceful-shutdown drain:
 The loop runs each attempt in one of two ways:
 
 * **inline** (no ``timeout_s``, and ``jobs == 1`` or a one-unit batch) —
-  the attempt runs on the calling thread.  A unit's attempts run back to
-  back (the backoff is slept out before the next unit starts), so a serial
-  run executes units, and fires injected faults, in input order.
-  Worker-side ``kill``/``hang`` faults are never consumed;
+  the attempt runs on the calling thread, so a serial run executes units,
+  and fires injected faults, in input order.  Worker-side ``kill``/``hang``
+  faults are never consumed;
 * **owned workers** (a ``timeout_s`` budget, or ``jobs > 1`` and two or
   more units) — up to ``jobs`` long-lived ``multiprocessing.Process``
   workers, started as the batch needs them and stopped before
   :meth:`FaultTolerantRunner.run_units` returns or raises.
   Each worker runs one attempt at a time, read from its own ``Pipe``; the
   parent waits on the pipes and the worker sentinels together, so it always
-  knows which unit a dead or overdue worker was running.  A failed unit
-  backs off while other units keep the workers busy.  Injected faults fire
-  in the parent at dispatch, and ``kill``/``hang`` faults are consumed there
-  too (:func:`repro.runtime.faults.worker_directive`) and shipped to the
-  worker as a plain directive, so fault schedules stay deterministic.
+  knows which unit a dead or overdue worker was running.  Injected faults
+  fire in the parent at dispatch, and ``kill``/``hang`` faults are consumed
+  there too (:func:`repro.runtime.faults.worker_directive`) and shipped to
+  the worker as a plain directive, so fault schedules stay deterministic.
   Workers are not daemonic, so a unit body may run workers of its own.
 
 A worker is expendable — a SIGKILLed worker (OOM killer, preemption, a
 segfaulting native lib) costs its own unit one re-dispatch, never the run:
 
 * **crashes** — a worker that dies mid-attempt charges that unit alone and
-  is replaced.  The unit is re-queued without using up its retry budget,
-  until it has been charged ``quarantine_threshold`` crashes; then it stops
-  being re-dispatched and becomes a :class:`FailureRecord` with
-  ``kind="worker_crash"``.  A crash loop therefore ends once each crashing
+  is replaced.  The unit is re-dispatched on a fresh worker, the one case
+  in which a unit runs more than once, until it has been charged
+  ``quarantine_threshold`` crashes; then it stops being re-dispatched and
+  becomes a :class:`FailureRecord` with ``kind="worker_crash"``.  A crash loop therefore ends once each crashing
   unit is quarantined, and re-running with ``--resume`` recomputes exactly
   the quarantined units;
 * **timeouts** — an attempt that passes ``timeout_s``, measured from
-  dispatch, is killed together with its worker and recorded as a timeout,
-  so the budget also catches a worker stuck in uncooperative native code.
-  A budgeted attempt therefore always runs on a worker, ``jobs == 1``
+  dispatch, is killed together with its worker and fails its unit as a
+  timeout, so the budget also catches a worker stuck in uncooperative
+  native code.  A budgeted attempt therefore always runs on a worker, ``jobs == 1``
   included (one worker), and nothing of it outlives its budget;
 * **one BLAS thread per worker** — ``jobs > 1`` workers pin OpenBLAS/OpenMP
   to one thread (:func:`repro.runtime.blas.pin_one_thread`), so ``jobs``
@@ -73,10 +72,9 @@ a worker — runs under a fresh local :class:`~repro.runtime.telemetry.Tracer`
 whose snapshot travels back with the value.  Before :meth:`run_units`
 returns, the snapshots of successful outcomes are adopted in input order,
 so serial and parallel runs produce the same span tree.  Runner counters:
-``runner.retries``, ``runner.timeouts``, ``runner.failed_units``,
-``runner.worker_crashes`` (worker deaths mid-attempt),
-``runner.quarantined`` and (from the shutdown coordinator)
-``runner.signal_shutdowns``.
+``runner.timeouts``, ``runner.failed_units``, ``runner.worker_crashes``
+(worker deaths mid-attempt), ``runner.quarantined`` and (from the shutdown
+coordinator) ``runner.signal_shutdowns``.
 
 Checkpoint writes belong in the ``on_result`` callback, which always runs
 in the calling process, so every store keeps a single writer.  On workers,
@@ -105,11 +103,8 @@ from .telemetry import TelemetrySnapshot, Tracer, activate, get_tracer
 UnitSpec = tuple[str, Callable[..., Any], tuple, dict]
 
 #: How long the dispatch loop blocks waiting for worker replies before
-#: re-checking backoff expiries and the shutdown flag (seconds).
+#: re-checking the shutdown flag (seconds).
 _POLL_S = 0.05
-
-#: Longest sleep between two attempts of one unit (seconds).
-BACKOFF_CAP_S = 30.0
 
 
 class _AttemptTimeout(Exception):
@@ -123,50 +118,22 @@ class _AttemptTimeout(Exception):
     """
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Retry/backoff/timeout budget applied to every unit of a runner."""
-
-    max_retries: int = 0
-    backoff_base_s: float = 0.0  # sleep backoff_base * 2**attempt between tries
-    timeout_s: float | None = None  # wall-clock budget per attempt
-
-    def __post_init__(self) -> None:
-        if self.max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
-        if not self.backoff_base_s >= 0:
-            raise ValueError(f"backoff must be >= 0, got {self.backoff_base_s}")
-        # a zero or negative budget would time out every attempt at once
-        if self.timeout_s is not None and not self.timeout_s > 0:
-            raise ValueError(f"timeout_s must be > 0, got {self.timeout_s}")
-
-    @property
-    def max_attempts(self) -> int:
-        return 1 + self.max_retries
-
-    def backoff(self, attempt: int) -> float:
-        """Seconds to sleep after failed attempt number ``attempt`` (1-based)."""
-        if self.backoff_base_s <= 0:
-            return 0.0
-        return min(BACKOFF_CAP_S, self.backoff_base_s * 2 ** (attempt - 1))
-
-
 @dataclass
 class FailureRecord:
-    """One permanently failed unit.
+    """One failed unit.
 
-    ``elapsed_s`` spans all attempts (backoff included); ``last_attempt_s``
-    is the wall clock of the final attempt alone.  ``run_id`` ties the
-    record to the telemetry run that produced it, so a failure log can be
-    joined against the run's trace/manifest.  ``kind`` classifies the
-    failure mode — ``"error"`` (the unit raised), ``"timeout"`` (wall-clock
-    budget), or ``"worker_crash"`` (the unit repeatedly took worker
-    processes down and was quarantined by the supervision layer).
+    ``elapsed_s`` spans every dispatch of the unit; ``last_attempt_s`` is
+    the wall clock of the final one alone.  They differ only when a worker
+    crash forced a re-dispatch.  ``run_id`` ties the record to the
+    telemetry run that produced it, so a failure log can be joined against
+    the run's trace/manifest.  ``kind`` classifies the failure mode —
+    ``"error"`` (the unit raised), ``"timeout"`` (wall-clock budget), or
+    ``"worker_crash"`` (the unit repeatedly took worker processes down and
+    was quarantined by the supervision layer).
     """
 
     stage: str
     unit: str
-    attempts: int
     error_type: str
     message: str
     elapsed_s: float
@@ -178,7 +145,6 @@ class FailureRecord:
         return {
             "stage": self.stage,
             "unit": self.unit,
-            "attempts": self.attempts,
             "error_type": self.error_type,
             "message": self.message,
             "elapsed_s": round(self.elapsed_s, 3),
@@ -189,7 +155,7 @@ class FailureRecord:
 
 
 class FailureLog:
-    """Structured record of every unit that exhausted its retry budget."""
+    """Structured record of every unit that failed."""
 
     def __init__(self) -> None:
         self.records: list[FailureRecord] = []
@@ -213,10 +179,7 @@ class FailureLog:
             return "no failures"
         lines = [f"{len(self.records)} failed unit(s):"]
         for r in self.records:
-            lines.append(
-                f"  {r.stage}/{r.unit}: {r.error_type} after "
-                f"{r.attempts} attempt(s) — {r.message}"
-            )
+            lines.append(f"  {r.stage}/{r.unit}: {r.error_type} — {r.message}")
         return "\n".join(lines)
 
 
@@ -301,17 +264,15 @@ def _worker_main(conn: connection.Connection, pin_blas: bool) -> None:
 
 @dataclass(eq=False)
 class _UnitState:
-    """Parent-side bookkeeping for one unit's attempts."""
+    """Parent-side bookkeeping for one unit's dispatches."""
 
     index: int
     unit: str
     fn: Callable[..., Any]
     args: tuple
     kwargs: dict
-    attempt: int = 0
     t_start: float | None = None
     t_attempt: float = 0.0  # dispatch time of the latest attempt
-    eligible_at: float = 0.0
     crashes: int = 0  # worker deaths this unit has been charged with
 
 
@@ -441,7 +402,7 @@ class _Batch:
 
     stage: str
     workers: _Workers | None  # None: attempts run inline
-    queue: list[_UnitState]  # waiting for (re-)dispatch
+    queue: list[_UnitState]  # waiting for dispatch, or re-dispatch after a crash
     on_result: Callable[[str, UnitOutcome], None] | None
     outcomes: dict[int, UnitOutcome] = field(default_factory=dict)
     snapshots: dict[int, TelemetrySnapshot] = field(default_factory=dict)
@@ -461,36 +422,37 @@ class _Batch:
 
 
 class FaultTolerantRunner:
-    """Executes pipeline units under a retry/timeout/isolation policy.
+    """Executes pipeline units, one attempt each, isolated and optionally budgeted.
 
     ``jobs > 1`` runs batches on up to that many worker processes, and a
-    ``timeout_s`` budget runs every attempt on one; ``quarantine_threshold``
-    is how many worker crashes one unit may cause before it is quarantined
-    (see the module docstring).
+    ``timeout_s`` wall-clock budget (seconds, ``> 0``) runs every attempt on
+    one; ``quarantine_threshold`` is how many worker crashes one unit may
+    cause before it is quarantined (see the module docstring).
     """
 
     def __init__(
         self,
-        policy: RetryPolicy | None = None,
         fail_fast: bool = False,
         verbose: bool = False,
-        sleep: Callable[[float], None] = time.sleep,
         *,
         jobs: int = 1,
+        timeout_s: float | None = None,
         quarantine_threshold: int = 2,
     ):
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
+        # a zero or negative budget would time out every attempt at once
+        if timeout_s is not None and not timeout_s > 0:
+            raise ValueError(f"timeout_s must be > 0, got {timeout_s}")
         if quarantine_threshold < 1:
             raise ValueError(
                 f"quarantine_threshold must be >= 1, got {quarantine_threshold}"
             )
-        self.policy = policy or RetryPolicy()
         self.fail_fast = fail_fast
         self.verbose = verbose
         self.failures = FailureLog()
-        self._sleep = sleep
         self.jobs = jobs
+        self.timeout_s = timeout_s
         self.quarantine_threshold = quarantine_threshold
 
     def run_unit(
@@ -505,9 +467,9 @@ class FaultTolerantRunner:
 
         The unit runs inline, or on one worker under a ``timeout_s`` budget.
 
-        Returns an ok :class:`UnitOutcome` on (eventual) success.  On a
-        permanently failed unit: records it in :attr:`failures`, then raises
-        :class:`StageFailure` if ``fail_fast`` else returns a not-ok outcome.
+        Returns an ok :class:`UnitOutcome` on success.  On a failed unit:
+        records it in :attr:`failures`, then raises :class:`StageFailure` if
+        ``fail_fast`` else returns a not-ok outcome.
         """
         return self.run_units(stage, [(unit, fn, args, kwargs)])[0]
 
@@ -522,14 +484,14 @@ class FaultTolerantRunner:
         ``on_result(unit_name, outcome)`` is invoked in the calling process
         as each unit finishes, in completion order; that is where callers
         perform checkpoint writes.  ``fail_fast`` raises out of the batch at
-        the first permanently failed unit.  No worker process outlives the
-        call, however it ends.
+        the first failed unit.  No worker process outlives the call, however
+        it ends.
         """
         self._register_counters()
         tracer = get_tracer()
         workers = None
-        if self.policy.timeout_s is not None or (self.jobs > 1 and len(units) > 1):
-            workers = _Workers(stage, self.jobs, self.policy.timeout_s, tracer.enabled)
+        if self.timeout_s is not None or (self.jobs > 1 and len(units) > 1):
+            workers = _Workers(stage, self.jobs, self.timeout_s, tracer.enabled)
         batch = _Batch(
             stage,
             workers,
@@ -560,7 +522,6 @@ class FaultTolerantRunner:
         """
         tracer = get_tracer()
         for key in (
-            "runner.retries",
             "runner.timeouts",
             "runner.failed_units",
             "runner.worker_crashes",
@@ -588,12 +549,11 @@ class FaultTolerantRunner:
                 # At most ``capacity`` attempts in flight: a dispatched attempt
                 # starts at once, so its timeout measures *running* time — and
                 # a shutdown signal finds the rest re-dispatchable right here.
-                if st.eligible_at > now or in_flight + len(settled) >= capacity:
+                if in_flight + len(settled) >= capacity:
                     backlog.append(st)
                     continue
                 if st.t_start is None:
                     st.t_start = now
-                st.attempt += 1
                 st.t_attempt = now
                 if b.workers is None:
                     result = self._run_inline(b.stage, st)
@@ -607,12 +567,6 @@ class FaultTolerantRunner:
 
             if b.workers is not None and b.workers.busy:
                 settled += b.workers.wait(0.0 if settled else _POLL_S)
-            elif not settled:
-                if b.queue:  # everything is backing off: sleep it out
-                    pause = min(st.eligible_at for st in b.queue) - time.monotonic()
-                    if pause > 0:
-                        self._sleep(pause)
-                continue
             for st, ok, payload in settled:
                 self._settle(b, st, ok, payload)
         return abandoned
@@ -631,7 +585,7 @@ class FaultTolerantRunner:
             return False, exc
 
     def _settle(self, b: _Batch, st: _UnitState, ok: bool, payload: Any) -> None:
-        """Settle one attempt: finish the unit, retry it, or fail it."""
+        """Settle one attempt: finish the unit, re-dispatch it, or fail it."""
         if ok:
             value, snapshot = payload
             b.finish(st, UnitOutcome(value=value), snapshot)
@@ -641,50 +595,25 @@ class FaultTolerantRunner:
             raise payload
         elif isinstance(payload, _WorkerDied):
             self._worker_crashed(b, st)
-        elif isinstance(payload, _AttemptTimeout):
-            self._attempt_failed(b, st, True, None)
         else:
-            self._attempt_failed(b, st, False, payload)
+            self._attempt_failed(b, st, payload)
 
-    def _attempt_failed(
-        self, b: _Batch, st: _UnitState, timed_out: bool, exc: Exception | None
-    ) -> None:
-        """Handle one failed attempt: schedule a retry or record the failure."""
+    def _attempt_failed(self, b: _Batch, st: _UnitState, exc: Exception) -> None:
+        """Fail the unit whose one attempt raised or overran its budget."""
         tracer = get_tracer()
-        message = _describe(exc, timed_out, self.policy)
-        if timed_out:
-            tracer.counter("runner.timeouts")
-        if st.attempt < self.policy.max_attempts:
-            tracer.counter("runner.retries")
-            if self.verbose:
-                print(
-                    f"  retrying {b.stage}/{st.unit} (attempt {st.attempt} "
-                    f"failed: {message})",
-                    flush=True,
-                )
-            pause = self.policy.backoff(st.attempt)
-            if b.workers is None:
-                # attempts run back to back: sleep the backoff out and retry
-                # this unit before the next one starts
-                if pause > 0:
-                    self._sleep(pause)
-                b.queue.insert(0, st)
-            else:
-                # the workers stay busy with other units meanwhile
-                st.eligible_at = time.monotonic() + pause
-                b.queue.append(st)
-            return
-
         tracer.counter("runner.failed_units")
-        if timed_out:
-            error: Exception = StageTimeout(b.stage, st.unit, st.attempt, self.policy.timeout_s)
+        if isinstance(exc, _AttemptTimeout):
+            tracer.counter("runner.timeouts")
+            self._give_up(
+                b, st, "timeout", "StageTimeout", f"timed out after {self.timeout_s:g}s",
+                StageTimeout(b.stage, st.unit, self.timeout_s), None,
+            )
         else:
-            error = StageFailure(b.stage, st.unit, st.attempt, message)
-        self._give_up(
-            b, st, "timeout" if timed_out else "error",
-            "StageTimeout" if timed_out else type(exc).__name__,
-            message, error, exc,
-        )
+            message = f"{type(exc).__name__}: {exc}"
+            self._give_up(
+                b, st, "error", type(exc).__name__, message,
+                StageFailure(b.stage, st.unit, message), exc,
+            )
 
     def _give_up(
         self,
@@ -696,12 +625,11 @@ class FaultTolerantRunner:
         error: Exception,
         cause: BaseException | None,
     ) -> None:
-        """Record ``st`` as permanently failed; raise ``error`` under fail-fast."""
+        """Record ``st`` as failed; raise ``error`` under fail-fast."""
         now = time.monotonic()
         rec = FailureRecord(
             stage=b.stage,
             unit=st.unit,
-            attempts=st.attempt,
             error_type=error_type,
             message=message,
             elapsed_s=now - (st.t_start or now),
@@ -738,8 +666,7 @@ class FaultTolerantRunner:
                 WorkerCrashError(b.stage, st.unit, st.crashes, detail), None,
             )
             return
-        # a crash is an infrastructure failure: the attempt is handed back unconsumed
-        st.attempt -= 1
+        # a crash is an infrastructure failure, not the unit's: run it again
         b.queue.append(st)
 
 
@@ -749,22 +676,13 @@ class ParallelRunner(FaultTolerantRunner):
     def __init__(
         self,
         jobs: int,
-        policy: RetryPolicy | None = None,
         fail_fast: bool = False,
         verbose: bool = False,
-        sleep: Callable[[float], None] = time.sleep,
         *,
+        timeout_s: float | None = None,
         quarantine_threshold: int = 2,
     ):
         super().__init__(
-            policy, fail_fast, verbose, sleep,
-            jobs=jobs, quarantine_threshold=quarantine_threshold,
+            fail_fast, verbose,
+            jobs=jobs, timeout_s=timeout_s, quarantine_threshold=quarantine_threshold,
         )
-
-
-def _describe(
-    exc: BaseException | None, timed_out: bool, policy: RetryPolicy
-) -> str:
-    if timed_out:
-        return f"timed out after {policy.timeout_s:g}s"
-    return f"{type(exc).__name__}: {exc}"

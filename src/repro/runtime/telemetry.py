@@ -8,7 +8,7 @@ telemetry substrate instead of scattered ad-hoc timers:
   measuring monotonic wall and process-CPU durations into a process-local
   span tree, plus ``counter``/``gauge`` instruments (router rip-up and maze
   statistics, cache hits/misses/invalidations, checkpoint resume skips,
-  retry/timeout/degrade counts, SHAP rows-per-chunk, ...);
+  timeout/crash/degrade counts, SHAP rows-per-chunk, ...);
 * **the run document** — one schema-versioned ``run_manifest.json``
   (:func:`build_manifest`/:func:`write_manifest`, read back by
   :func:`load_manifest`) holding the full span tree with its attributes,

@@ -1,6 +1,6 @@
 """ParallelRunner: process-pool units with serial semantics preserved.
 
-Covers the runner in isolation (ordering, retries, timeouts, fail-fast vs.
+Covers the runner in isolation (ordering, timeouts, fail-fast vs.
 degrade, parent-side callbacks and fault injection) and end-to-end through
 the suite builder and the experiment grid, where a parallel run must be
 *indistinguishable* from a serial one: byte-identical suite store, equal
@@ -19,7 +19,7 @@ from repro.core.evaluation import format_table2
 from repro.core.experiment import run_experiment, suite_fingerprint
 from repro.core.models import model_zoo
 from repro.core.pipeline import build_suite_dataset, checkpoint_dir_for
-from repro.runtime import CheckpointStore, FaultTolerantRunner, ParallelRunner, RetryPolicy
+from repro.runtime import CheckpointStore, FaultTolerantRunner, ParallelRunner
 from repro.runtime.errors import FaultInjected, StageFailure
 from repro.runtime.faults import FaultSpec, inject_faults
 
@@ -89,7 +89,6 @@ class TestParallelRunnerSemantics:
         assert not out[1].ok
         assert runner.failures.units() == ["stage/bad"]
         assert runner.failures.records[0].error_type == "RuntimeError"
-        assert runner.failures.records[0].attempts == 1
 
     def test_fail_fast_raises_stage_failure(self):
         runner = ParallelRunner(2, fail_fast=True)
@@ -99,33 +98,22 @@ class TestParallelRunnerSemantics:
                 [("bad", _boom, (), {}), ("good", _double, (1,), {})],
             )
 
-    def test_injected_fault_fires_in_parent_and_is_retried(self):
+    def test_injected_fault_fires_in_parent_and_fails_its_unit(self):
         # the fault plan is parent-process state: workers never see it, so
         # injection must happen at submit time for parallel determinism
-        runner = ParallelRunner(2, RetryPolicy(max_retries=1))
+        runner = ParallelRunner(2)
         with inject_faults(FaultSpec(stage="stage/u1", times=1)) as plan:
             out = runner.run_units(
                 "stage", [(f"u{i}", _double, (i,), {}) for i in range(4)]
             )
-        assert [o.value for o in out] == [0, 2, 4, 6]
+        assert not out[1].ok
+        assert [o.value for i, o in enumerate(out) if i != 1] == [0, 4, 6]
         assert plan.triggered == [("stage/u1", "error")]
-        assert not runner.failures
-
-    def test_injected_fault_exhausts_retry_budget(self):
-        runner = ParallelRunner(2, RetryPolicy(max_retries=1))
-        with inject_faults(FaultSpec(stage="stage/u0", times=2)) as plan:
-            out = runner.run_units(
-                "stage", [(f"u{i}", _double, (i,), {}) for i in range(3)]
-            )
-        assert not out[0].ok
-        assert out[1].value == 2 and out[2].value == 4
-        rec = runner.failures.records[0]
-        assert rec.error_type == FaultInjected.__name__
-        assert rec.attempts == 2
-        assert plan.triggered == [("stage/u0", "error")] * 2
+        assert runner.failures.units() == ["stage/u1"]
+        assert runner.failures.records[0].error_type == FaultInjected.__name__
 
     def test_worker_timeout_recorded_as_stage_timeout(self):
-        runner = ParallelRunner(2, RetryPolicy(timeout_s=0.2))
+        runner = ParallelRunner(2, timeout_s=0.2)
         out = runner.run_units(
             "stage",
             [
@@ -138,7 +126,7 @@ class TestParallelRunnerSemantics:
         assert out[1].value == 6
 
     def test_fast_unit_beats_its_timeout(self):
-        runner = ParallelRunner(2, RetryPolicy(timeout_s=30.0))
+        runner = ParallelRunner(2, timeout_s=30.0)
         out = runner.run_units(
             "stage", [("quick", _sleep_then, (0.01, "ok"), {})] * 2
         )
@@ -170,7 +158,7 @@ class TestParallelDeterminism:
         # a serial budgeted run flows every design on its one worker
         b_suite, b_stats = build_suite_dataset(
             SCALE, cache_path=budgeted_npz,
-            runner=FaultTolerantRunner(RetryPolicy(timeout_s=600), fail_fast=True),
+            runner=FaultTolerantRunner(fail_fast=True, timeout_s=600),
         )
         serial_files = CheckpointStore(checkpoint_dir_for(serial_npz)).file_digests()
         assert len(serial_files) == 14 + 1  # one checkpoint per design + manifest
@@ -193,7 +181,7 @@ class TestParallelDeterminism:
         )
         budgeted = run_experiment(
             mini_suite, models, tune=False,
-            runner=FaultTolerantRunner(RetryPolicy(timeout_s=600), fail_fast=True),
+            runner=FaultTolerantRunner(fail_fast=True, timeout_s=600),
         )
         assert _table_without_timing_rows(serial) == _table_without_timing_rows(
             parallel

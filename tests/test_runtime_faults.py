@@ -8,7 +8,6 @@ from repro.runtime import (
     FaultInjected,
     FaultSpec,
     FaultTolerantRunner,
-    RetryPolicy,
     inject_faults,
 )
 from repro.runtime import faults
@@ -27,11 +26,6 @@ class TestFaultSpec:
         spec = FaultSpec(stage="flow/a", times=2)
         hits = [spec.should_fire("flow/a") for _ in range(4)]
         assert hits == [True, True, False, False]
-
-    def test_after_skips_first_matches(self):
-        spec = FaultSpec(stage="flow/a", times=1, after=2)
-        hits = [spec.should_fire("flow/a") for _ in range(4)]
-        assert hits == [False, False, True, False]
 
     def test_glob_matching(self):
         spec = FaultSpec(stage="flow/*", times=10)
@@ -73,28 +67,13 @@ class TestInjection:
         with pytest.raises(CacheCorruptionError, match="checksum"):
             store.load_bytes("k.bin")  # ...but is detected on load
 
-    def test_retry_then_succeed_via_injection(self):
-        calls = {"n": 0}
-
-        def unit():
-            calls["n"] += 1
-            return "ok"
-
-        with inject_faults(FaultSpec(stage="flow/u", times=2)) as plan:
-            runner = FaultTolerantRunner(RetryPolicy(max_retries=2), sleep=lambda s: None)
-            out = runner.run_unit("flow", "u", unit)
-        assert out.ok and out.value == "ok"
-        assert calls["n"] == 1  # first two attempts died before reaching fn
-        assert plan.triggered == [("flow/u", "error")] * 2
-        assert not runner.failures
-
     def test_injected_hang_trips_serial_runner_timeout(self):
         # a budgeted jobs=1 attempt runs on one worker: the hang fires there
         # and the timeout kills it
         with inject_faults(
             FaultSpec(stage="flow/slow", kind="hang", delay_s=30.0)
         ) as plan:
-            runner = FaultTolerantRunner(RetryPolicy(timeout_s=0.2))
+            runner = FaultTolerantRunner(timeout_s=0.2)
             out = runner.run_unit("flow", "slow", _never)
         assert not out.ok
         assert (out.failure.kind, out.failure.error_type) == ("timeout", "StageTimeout")

@@ -29,6 +29,11 @@ from repro.runtime.telemetry import Tracer, activate
 SCALE = 0.3  # tiny grids: the full 14-design suite flows in seconds
 
 
+def _checkpointed(store: CheckpointStore) -> list[str]:
+    """The suite designs whose checkpoint the store holds, in suite order."""
+    return [n for n in SUITE_ORDER if store.has(f"{n}.npz")]
+
+
 @pytest.fixture()
 def counted_run_flow(monkeypatch):
     """Count invocations of the real flow made by the suite builder."""
@@ -58,7 +63,7 @@ class TestKillAndResume:
         assert not cache.exists()  # the name only locates the store
 
         store = CheckpointStore(checkpoint_dir_for(cache))
-        assert sorted(store.keys()) == sorted(f"{n}.npz" for n in SUITE_ORDER[:2])
+        assert _checkpointed(store) == list(SUITE_ORDER[:2])
 
         # re-invocation re-runs ONLY the 14 - 2 unfinished flows
         counted_run_flow.clear()
@@ -67,7 +72,7 @@ class TestKillAndResume:
         assert len(counted_run_flow) == 14 - 2
         assert suite.names == list(SUITE_ORDER)
         assert len(stats) == 14
-        assert sorted(store.keys()) == sorted(f"{n}.npz" for n in SUITE_ORDER)
+        assert _checkpointed(store) == list(SUITE_ORDER)
 
         # third invocation: everything comes from the (now complete) store
         counted_run_flow.clear()
@@ -104,7 +109,7 @@ class TestCorruptionRecovery:
         suite, _ = build_suite_dataset(SCALE, cache_path=cache)
         assert counted_run_flow == [victim]  # checksum caught it; only it re-ran
         assert suite.names == list(SUITE_ORDER)
-        assert store.verify(f"{victim}.npz")  # rebuilt checkpoint is sound again
+        store.load_bytes(f"{victim}.npz")  # rebuilt checkpoint is sound again
 
     def test_injected_checkpoint_corruption_detected_on_next_run(
         self, tmp_path, counted_run_flow
@@ -159,12 +164,13 @@ class TestSuiteStore:
             m.setattr(checkpoint, "CHECKPOINT_FORMAT_VERSION", 2)
             build_suite_dataset(SCALE, cache_path=cache)
         store = CheckpointStore(checkpoint_dir_for(cache))
-        assert list(store.keys()) == []  # a v2 manifest is no store for v3 code
+        assert _checkpointed(store) == []  # a v2 manifest is no store for v3 code
 
         counted_run_flow.clear()
         build_suite_dataset(SCALE, cache_path=cache)
         assert sorted(counted_run_flow) == sorted(SUITE_ORDER)
-        assert all(store.verify(f"{n}.npz") for n in SUITE_ORDER)
+        for n in SUITE_ORDER:
+            store.load_bytes(f"{n}.npz")  # raises unless sound
 
     def test_transient_read_error_keeps_checkpoint(self, tmp_path, monkeypatch):
         cache = tmp_path / "suite.npz"
@@ -231,16 +237,14 @@ class TestGracefulDegradation:
         assert rec.error_type == "FaultInjected"
         # the store holds every design that finished, and nothing for the victim
         store = CheckpointStore(checkpoint_dir_for(cache))
-        assert sorted(store.keys()) == sorted(
-            f"{n}.npz" for n in SUITE_ORDER if n != victim
-        )
+        assert _checkpointed(store) == [n for n in SUITE_ORDER if n != victim]
 
         # next run completes the missing design and the store
         counted_run_flow.clear()
         suite2, _ = build_suite_dataset(SCALE, cache_path=cache)
         assert counted_run_flow == [victim]
         assert len(suite2.designs) == 14
-        assert len(list(store.keys())) == 14
+        assert _checkpointed(store) == list(SUITE_ORDER)
 
     def test_nan_features_degrade_suite_instead_of_aborting(
         self, tmp_path, monkeypatch
@@ -424,7 +428,7 @@ class TestExperimentFaultTolerance:
         assert _DummyModel.fit_calls == 3  # only the unreadable unit refit
         assert tracer.counters.get("checkpoint.invalidated", 0) == 0
         assert tracer.counters["checkpoint.resume_skips"] == 1
-        assert CheckpointStore(ckpt).verify("Dummy__g0.json")
+        CheckpointStore(ckpt).load_json("Dummy__g0.json")  # kept, and sound
         assert [(s.design, s.metrics.a_prc) for s in second.scores] == [
             (s.design, s.metrics.a_prc) for s in first.scores
         ]
