@@ -13,7 +13,7 @@ paper, including every substrate it depends on:
 * :mod:`repro.core`    — the paper's workflow: flow, Table II protocol,
   per-hotspot SHAP explanations;
 * :mod:`repro.runtime` — fault-tolerant runtime: checkpoints, isolated
-  units, validation guards, fault injection;
+  units, validation guards, tracing;
 * :mod:`repro.analysis`— P-R curves, threshold sweeps, calibration, SHAP
   summaries, reports.
 

@@ -19,12 +19,12 @@ The heavy commands keep each scale's suite in one checkpoint store (one
 checkpoint per design, see :func:`repro.core.pipeline.build_suite_dataset`),
 so the 14-design flow runs only once per scale and a warm run trains on
 exactly the features a cold one computed.  They accept the resilience flags
-``--resume/--no-resume``, ``--timeout``, ``--fail-fast`` and
-``--quarantine-threshold`` (see :mod:`repro.runtime`), and
-``-j/--jobs N`` to fan design flows and (model, group) experiment units out
-across N worker processes (default 1 = serial; results are bit-identical
-either way).  ``--no-resume`` ignores checkpoints and recomputes every
-unit, except that a suite whose every design checkpoint verifies is loaded.
+``--resume/--no-resume``, ``--timeout`` and ``--fail-fast`` (see
+:mod:`repro.runtime`), and ``-j/--jobs N`` to fan design flows and
+(model, group) experiment units out across N worker processes (default 1 =
+serial; results are bit-identical either way).  ``--no-resume`` ignores
+checkpoints and recomputes every unit, except that a suite whose every
+design checkpoint verifies is loaded.
 Each unit runs once: a unit that raises or overruns ``--timeout`` is
 recorded and skipped, and rerunning with ``--resume`` recomputes exactly
 the failed units.
@@ -42,8 +42,8 @@ run stopped.  A second signal hard-exits immediately.  Units run on worker
 processes under ``--jobs N`` and under ``--timeout`` (one worker at the
 default ``-j 1``): ``--timeout`` kills an overdue attempt together with its
 worker, and a unit whose worker process dies (SIGKILL, OOM, segfault) is
-re-dispatched on a fresh worker until ``--quarantine-threshold`` crashes
-quarantine it (see :mod:`repro.runtime.runner`).
+re-dispatched once on a fresh worker; a second crash quarantines it (see
+:mod:`repro.runtime.runner`).
 
 Exit codes: 0 success, 1 runtime error, 2 usage error, 3 completed but
 degraded (some units failed and were skipped; the failure log is printed
@@ -171,18 +171,11 @@ def _add_resilience_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--fail-fast", action="store_true",
                    help="abort on the first failed unit instead "
                         "of recording + skipping it")
-    p.add_argument("--quarantine-threshold", type=_positive_int, default=2,
-                   metavar="N",
-                   help="crashes charged to one unit before it is "
-                        "quarantined as a worker_crash failure instead of "
-                        "re-dispatched (default 2; runs on workers only: "
-                        "--jobs N > 1 or --timeout)")
 
 
 def _runner_from_args(args: argparse.Namespace) -> FaultTolerantRunner:
     return FaultTolerantRunner(
-        fail_fast=args.fail_fast, verbose=True, jobs=args.jobs,
-        timeout_s=args.timeout, quarantine_threshold=args.quarantine_threshold,
+        fail_fast=args.fail_fast, verbose=True, jobs=args.jobs, timeout_s=args.timeout,
     )
 
 

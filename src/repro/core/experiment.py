@@ -108,21 +108,12 @@ class ExperimentResult:
     model_order: list[str]
     target_fpr: float
 
-    def _score_index(self) -> dict[tuple[str, str], EvaluationResult]:
-        """Lazy (design, model) → metrics index; first entry wins on
-        duplicates, matching the linear scan this replaced.  Rebuilt if the
-        scores list grew (callers may construct the result incrementally)."""
-        cache = self.__dict__.get("_index_cache")
-        if cache is None or self.__dict__.get("_index_len") != len(self.scores):
-            cache = {}
-            for s in self.scores:
-                cache.setdefault((s.design, s.model), s.metrics)
-            self.__dict__["_index_cache"] = cache
-            self.__dict__["_index_len"] = len(self.scores)
-        return cache
-
     def score_of(self, design: str, model: str) -> EvaluationResult | None:
-        return self._score_index().get((design, model))
+        """The first score of ``model`` on ``design``, or ``None``."""
+        for s in self.scores:
+            if s.design == design and s.model == model:
+                return s.metrics
+        return None
 
     # -- aggregates -----------------------------------------------------------------
 

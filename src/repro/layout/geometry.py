@@ -29,10 +29,6 @@ class Point:
         """
         return abs(self.x - other.x) + abs(self.y - other.y)
 
-    def translated(self, dx: float, dy: float) -> "Point":
-        """Return a copy moved by ``(dx, dy)``."""
-        return Point(self.x + dx, self.y + dy)
-
     def as_tuple(self) -> tuple[float, float]:
         return (self.x, self.y)
 
@@ -145,9 +141,6 @@ class Rect:
         return Rect(
             self.xlo - margin, self.ylo - margin, self.xhi + margin, self.yhi + margin
         )
-
-    def translated(self, dx: float, dy: float) -> "Rect":
-        return Rect(self.xlo + dx, self.ylo + dy, self.xhi + dx, self.yhi + dy)
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.xlo, self.ylo, self.xhi, self.yhi)

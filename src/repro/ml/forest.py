@@ -114,10 +114,6 @@ class ForestArrays:
     def n_trees(self) -> int:
         return self.children_left.shape[0]
 
-    @property
-    def max_nodes(self) -> int:
-        return self.children_left.shape[1]
-
     def leaf_values(self, X: np.ndarray, chunk_size: int = 256) -> np.ndarray:
         """Per-tree leaf value for every sample: ``(n, T)``.
 

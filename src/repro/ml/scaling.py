@@ -33,9 +33,3 @@ class StandardScaler:
 
     def fit_transform(self, X: np.ndarray) -> np.ndarray:
         return self.fit(X).transform(X)
-
-    def inverse_transform(self, Xs: np.ndarray) -> np.ndarray:
-        if self.mean_ is None or self.scale_ is None:
-            raise RuntimeError("scaler not fitted")
-        return np.asarray(Xs, dtype=np.float64) * self.scale_ + self.mean_
-

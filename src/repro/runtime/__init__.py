@@ -1,4 +1,4 @@
-"""Fault-tolerant flow runtime: checkpoints, isolated units, validation, faults.
+"""Fault-tolerant flow runtime: checkpoints, isolated units, validation, tracing.
 
 The paper's protocol (Sec. IV) is an hours-scale pipeline — 14 design flows
 feeding a 5-group leave-one-group-out grid search.  This package makes every
@@ -10,11 +10,10 @@ long-running path resumable and failure-isolated:
   isolation, one attempt per unit, wall-clock timeouts and a structured
   failure log (``--resume`` recomputes the failed units), executing units
   inline or (``jobs > 1``, or under a timeout) on worker processes it owns,
-  one pipe each — a dead worker costs
-  only the unit it ran (which is re-dispatched on a fresh worker, or
-  quarantined as a structured ``worker_crash`` failure after repeated
-  crashes), and an attempt past its timeout is killed together with its
-  worker;
+  one pipe each — a dead worker costs only the unit it ran (which is
+  re-dispatched on a fresh worker, or quarantined as a structured
+  ``worker_crash`` failure after its second crash), and an attempt past its
+  timeout is killed together with its worker;
 * :mod:`repro.runtime.supervision` — two-stage SIGTERM/SIGINT handling:
   first signal drains, checkpoints and flushes (resumable exit), second
   hard-exits;
@@ -23,8 +22,6 @@ long-running path resumable and failure-isolated:
 * :mod:`repro.runtime.errors` — the typed error taxonomy
   (:class:`CacheCorruptionError`, :class:`StageFailure`,
   :class:`ValidationError`);
-* :mod:`repro.runtime.faults` — a deterministic fault-injection hook so the
-  whole machinery is testable in CI;
 * :mod:`repro.runtime.telemetry` — hierarchical span tracing, counters and
   gauges, one ``run_manifest.json`` run document (span tree, stage table,
   metrics, failures) with its loader, and picklable snapshots the runner
@@ -40,7 +37,6 @@ from .checkpoint import (
 )
 from .errors import (
     CacheCorruptionError,
-    FaultInjected,
     ReproRuntimeError,
     ShutdownRequested,
     StageFailure,
@@ -48,7 +44,6 @@ from .errors import (
     ValidationError,
     WorkerCrashError,
 )
-from .faults import FaultSpec, inject_faults
 from .runner import (
     FailureLog,
     FailureRecord,
@@ -79,8 +74,6 @@ __all__ = [
     "CheckpointStore",
     "FailureLog",
     "FailureRecord",
-    "FaultInjected",
-    "FaultSpec",
     "FaultTolerantRunner",
     "ParallelRunner",
     "ReproRuntimeError",
@@ -99,7 +92,6 @@ __all__ = [
     "fsync_dir",
     "get_tracer",
     "graceful_shutdown",
-    "inject_faults",
     "load_manifest",
     "new_run_id",
     "shutdown_requested",

@@ -36,7 +36,6 @@ from typing import Any, Callable, Iterable, TypeVar
 import numpy as np
 from numpy.lib import format as npy_format
 
-from . import faults
 from .errors import CacheCorruptionError, ValidationError
 from .telemetry import get_tracer
 
@@ -220,15 +219,13 @@ class CheckpointStore:
     def save_bytes(self, key: str, data: bytes) -> Path:
         """Atomically persist ``data`` under ``key`` and record its checksum.
 
-        The checksum is computed from the in-memory payload *before* the
-        fault-injection corruption hook runs, so injected (or real) post-write
-        corruption is caught by the next :meth:`load_bytes`.
+        The checksum is computed from the in-memory payload, so corruption
+        after the write is caught by the next :meth:`load_bytes`.
         """
         path = self._path_of(key)
         checksum = sha256_bytes(data)
         atomic_write_bytes(path, data)
         get_tracer().counter("checkpoint.writes")
-        faults.corrupt_artifact(f"checkpoint/{key}", path)
         entries = self._read_manifest()
         entries[key] = {
             "sha256": checksum,

@@ -93,7 +93,3 @@ class ShutdownRequested(ReproRuntimeError):
             f"{stage}: shutdown requested by signal {signum}{left} — "
             "checkpoints flushed, rerun with --resume to continue"
         )
-
-
-class FaultInjected(ReproRuntimeError):
-    """Default exception raised by the fault-injection harness."""

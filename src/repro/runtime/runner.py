@@ -29,20 +29,16 @@ the unit queue, the failure log, fail-fast and the graceful-shutdown drain:
 The loop runs each attempt in one of two ways:
 
 * **inline** (no ``timeout_s``, and ``jobs == 1`` or a one-unit batch) —
-  the attempt runs on the calling thread, so a serial run executes units,
-  and fires injected faults, in input order.  Worker-side ``kill``/``hang``
-  faults are never consumed;
+  the attempt runs on the calling thread, so a serial run executes units in
+  input order;
 * **owned workers** (a ``timeout_s`` budget, or ``jobs > 1`` and two or
   more units) — up to ``jobs`` long-lived ``multiprocessing.Process``
   workers, started as the batch needs them and stopped before
   :meth:`FaultTolerantRunner.run_units` returns or raises.
   Each worker runs one attempt at a time, read from its own ``Pipe``; the
   parent waits on the pipes and the worker sentinels together, so it always
-  knows which unit a dead or overdue worker was running.  Injected faults
-  fire in the parent at dispatch, and ``kill``/``hang`` faults are consumed
-  there too (:func:`repro.runtime.faults.worker_directive`) and shipped to
-  the worker as a plain directive, so fault schedules stay deterministic.
-  Workers are not daemonic, so a unit body may run workers of its own.
+  knows which unit a dead or overdue worker was running.  Workers are not
+  daemonic, so a unit body may run workers of its own.
 
 A worker is expendable — a SIGKILLed worker (OOM killer, preemption, a
 segfaulting native lib) costs its own unit one re-dispatch, never the run:
@@ -50,10 +46,10 @@ segfaulting native lib) costs its own unit one re-dispatch, never the run:
 * **crashes** — a worker that dies mid-attempt charges that unit alone and
   is replaced.  The unit is re-dispatched on a fresh worker, the one case
   in which a unit runs more than once, until it has been charged
-  ``quarantine_threshold`` crashes; then it stops being re-dispatched and
-  becomes a :class:`FailureRecord` with ``kind="worker_crash"``.  A crash loop therefore ends once each crashing
-  unit is quarantined, and re-running with ``--resume`` recomputes exactly
-  the quarantined units;
+  :data:`QUARANTINE_THRESHOLD` crashes; then it stops being re-dispatched
+  and becomes a :class:`FailureRecord` with ``kind="worker_crash"``.  A
+  crash loop therefore ends once each crashing unit is quarantined, and
+  re-running with ``--resume`` recomputes exactly the quarantined units;
 * **timeouts** — an attempt that passes ``timeout_s``, measured from
   dispatch, is killed together with its worker and fails its unit as a
   timeout, so the budget also catches a worker stuck in uncooperative
@@ -94,7 +90,7 @@ from dataclasses import dataclass, field
 from multiprocessing import connection
 from typing import Any, Callable
 
-from . import blas, faults
+from . import blas
 from .errors import ShutdownRequested, StageFailure, StageTimeout, WorkerCrashError
 from .supervision import shutdown_requested, shutdown_signum
 from .telemetry import TelemetrySnapshot, Tracer, activate, get_tracer
@@ -105,6 +101,10 @@ UnitSpec = tuple[str, Callable[..., Any], tuple, dict]
 #: How long the dispatch loop blocks waiting for worker replies before
 #: re-checking the shutdown flag (seconds).
 _POLL_S = 0.05
+
+#: Worker crashes one unit may cause before it is quarantined: one crash is
+#: re-dispatched (a lone OOM kill or preemption heals), a second is not.
+QUARANTINE_THRESHOLD = 2
 
 
 class _AttemptTimeout(Exception):
@@ -229,9 +229,7 @@ def _worker_main(conn: connection.Connection, pin_blas: bool) -> None:
     (:mod:`repro.runtime.supervision`); SIGTERM is restored to its default so
     the worker dies of it like any process, and SIGINT is ignored so a
     terminal Ctrl-C (delivered to the whole foreground process group) is
-    coordinated by the parent alone.  ``directive`` is a parent-consumed
-    kill/hang fault, executed before the unit body: an injected hang is
-    uncooperative, so only the parent's timeout stops it.
+    coordinated by the parent alone.
     """
     if pin_blas:
         blas.pin_one_thread()
@@ -244,8 +242,7 @@ def _worker_main(conn: connection.Connection, pin_blas: bool) -> None:
             return
         if task is None:
             return
-        fn, args, kwargs, trace, directive = task
-        faults.execute_directive(directive)
+        fn, args, kwargs, trace = task
         reply: _Settled
         try:
             reply = (True, _run_attempt(lambda: fn(*args, **kwargs), trace))
@@ -303,22 +300,14 @@ class _Workers:
         return sum(w.st is not None for w in self.workers)
 
     def submit(self, st: _UnitState) -> _Settled | None:
-        """Fire parent-side faults, then hand the attempt to an idle worker.
+        """Hand the attempt to an idle worker.
 
         Returns the settled attempt when it failed before reaching a worker
-        (an injected error, an unpicklable unit), else ``None``.
+        (an unpicklable unit), else ``None``.
         """
-        name = f"{self.stage}/{st.unit}"
-        try:
-            # the fault plan lives in the parent: fire here, not in the
-            # worker, so injection is deterministic
-            faults.fire(name)
-        except Exception as exc:
-            return False, exc
-        task = (st.fn, st.args, st.kwargs, self.trace, faults.worker_directive(name))
         worker = self._idle()
         try:
-            worker.conn.send(task)
+            worker.conn.send((st.fn, st.args, st.kwargs, self.trace))
         except Exception as exc:  # pickling failed before anything was written
             return False, exc
         worker.st = st
@@ -426,8 +415,7 @@ class FaultTolerantRunner:
 
     ``jobs > 1`` runs batches on up to that many worker processes, and a
     ``timeout_s`` wall-clock budget (seconds, ``> 0``) runs every attempt on
-    one; ``quarantine_threshold`` is how many worker crashes one unit may
-    cause before it is quarantined (see the module docstring).
+    one (see the module docstring).
     """
 
     def __init__(
@@ -437,23 +425,17 @@ class FaultTolerantRunner:
         *,
         jobs: int = 1,
         timeout_s: float | None = None,
-        quarantine_threshold: int = 2,
     ):
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
         # a zero or negative budget would time out every attempt at once
         if timeout_s is not None and not timeout_s > 0:
             raise ValueError(f"timeout_s must be > 0, got {timeout_s}")
-        if quarantine_threshold < 1:
-            raise ValueError(
-                f"quarantine_threshold must be >= 1, got {quarantine_threshold}"
-            )
         self.fail_fast = fail_fast
         self.verbose = verbose
         self.failures = FailureLog()
         self.jobs = jobs
         self.timeout_s = timeout_s
-        self.quarantine_threshold = quarantine_threshold
 
     def run_unit(
         self,
@@ -556,7 +538,7 @@ class FaultTolerantRunner:
                     st.t_start = now
                 st.t_attempt = now
                 if b.workers is None:
-                    result = self._run_inline(b.stage, st)
+                    result = self._run_inline(st)
                 else:
                     result = b.workers.submit(st)
                 if result is None:
@@ -572,15 +554,12 @@ class FaultTolerantRunner:
         return abandoned
 
     @staticmethod
-    def _run_inline(stage: str, st: _UnitState) -> _Settled:
+    def _run_inline(st: _UnitState) -> _Settled:
         """Run one attempt to completion on the calling thread."""
-
-        def body() -> Any:
-            faults.fire(f"{stage}/{st.unit}")
-            return st.fn(*st.args, **st.kwargs)
-
         try:
-            return True, _run_attempt(body, get_tracer().enabled)
+            return True, _run_attempt(
+                lambda: st.fn(*st.args, **st.kwargs), get_tracer().enabled
+            )
         except Exception as exc:
             return False, exc
 
@@ -656,7 +635,7 @@ class FaultTolerantRunner:
                 f"  worker crash running {b.stage}/{st.unit} (crash #{st.crashes})",
                 flush=True,
             )
-        if st.crashes >= self.quarantine_threshold:
+        if st.crashes >= QUARANTINE_THRESHOLD:
             tracer.counter("runner.quarantined")
             detail = "worker process died"
             self._give_up(
@@ -680,9 +659,5 @@ class ParallelRunner(FaultTolerantRunner):
         verbose: bool = False,
         *,
         timeout_s: float | None = None,
-        quarantine_threshold: int = 2,
     ):
-        super().__init__(
-            fail_fast, verbose,
-            jobs=jobs, timeout_s=timeout_s, quarantine_threshold=quarantine_threshold,
-        )
+        super().__init__(fail_fast, verbose, jobs=jobs, timeout_s=timeout_s)

@@ -17,10 +17,10 @@ signal handlers with two-stage semantics:
   re-raise the signal against the process, producing an immediate hard exit
   with the conventional ``128 + signum`` status.
 
-The coordinator is intentionally a module-level ambient (like the fault plan
-and the tracer): exactly one command runs per process, and worker processes
-never install it — a worker hit by SIGTERM simply dies, and
-:mod:`repro.runtime.runner` charges that to the unit it was running.
+The coordinator is intentionally a module-level ambient (like the tracer):
+exactly one command runs per process, and worker processes never install
+it — a worker hit by SIGTERM simply dies, and :mod:`repro.runtime.runner`
+charges that to the unit it was running.
 """
 
 from __future__ import annotations

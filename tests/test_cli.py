@@ -7,7 +7,7 @@ import pytest
 from repro.cli import EXIT_DEGRADED, main
 from repro.core.pipeline import checkpoint_dir_for
 from repro.runtime import CheckpointStore
-from repro.runtime.faults import FaultSpec, inject_faults
+from tests.breaking import breaking
 
 
 def _without_runtimes(text: str) -> list[str]:
@@ -60,7 +60,7 @@ class TestCLIRejectsBadNumbers:
             ["suite", "--timeout", "0"],
             ["suite", "--timeout", "-5"],
             ["suite", "--timeout", "nan"],
-            ["table2", "--quarantine-threshold", "0"],
+            ["table2", "-j", "0"],
             ["explain", "des_perf_1", "--num", "0"],
             ["explain", "des_perf_1", "--num", "-1"],
             ["report", "mult_b", "--top", "-1"],
@@ -141,7 +141,11 @@ class TestCLIRejectsBadNumbers:
         assert f"trace path {tmp_path} is a directory" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "flag", ["--heartbeat", "--max-pool-respawns", "--max-retries", "--retry-backoff"]
+        "flag",
+        [
+            "--heartbeat", "--max-pool-respawns", "--max-retries", "--retry-backoff",
+            "--quarantine-threshold",
+        ],
     )
     def test_removed_pool_flags_exit_2_before_any_flow(self, flag, monkeypatch, capsys):
         import repro.cli as cli
@@ -192,12 +196,15 @@ class TestCLIHeavyPaths:
         assert store.file_digests() == serial
         assert "Total samples" in capsys.readouterr().out
 
-    def test_explain_runs_under_resilience_layer(self, tiny_cache, capsys):
-        # regression: explain bypassed the runner, so an injected unit fault
+    def test_explain_runs_under_resilience_layer(self, tiny_cache, monkeypatch, capsys):
+        # regression: explain bypassed the runner, so a failing flow unit
         # became an unhandled crash instead of a degraded exit
+        import repro.cli as cli
+
         assert main(["suite", "--scale", "0.3"]) == 0
         capsys.readouterr()
-        with inject_faults(FaultSpec(stage="explain/des_perf_1", times=1)):
+        with monkeypatch.context() as m:
+            m.setattr(cli, "run_flow", breaking(cli.run_flow))
             code = main(["explain", "des_perf_1", "--scale", "0.3"])
         assert code == EXIT_DEGRADED
         assert "degraded run" in capsys.readouterr().err
@@ -251,20 +258,30 @@ class TestCLIHeavyPaths:
         assert "RF" in capsys.readouterr().out
         assert "experiment" in stages and "forest" not in stages
 
-    def test_report_degrades_on_training_fault(self, tiny_cache, capsys):
+    def test_report_degrades_on_training_fault(self, tiny_cache, monkeypatch, capsys):
+        import repro.core.explain as explain
+
         assert main(["suite", "--scale", "0.3"]) == 0
         capsys.readouterr()
-        with inject_faults(FaultSpec(stage="report/mult_b", times=1)):
-            code = main(["report", "mult_b", "--scale", "0.3"])
+        monkeypatch.setattr(
+            explain, "train_explanation_forest", breaking(explain.train_explanation_forest)
+        )
+        code = main(["report", "mult_b", "--scale", "0.3"])
         assert code == EXIT_DEGRADED
         assert "degraded run" in capsys.readouterr().err
 
-    def test_explain_and_report_of_a_skipped_design_exit_degraded(self, tiny_cache, capsys):
+    def test_explain_and_report_of_a_skipped_design_exit_degraded(
+        self, tiny_cache, monkeypatch, capsys
+    ):
         # regression: when the named design's flow failed and was skipped,
         # both commands died with KeyError "design 'fft_1' not in suite"
+        import repro.core.pipeline as pipeline
+
+        monkeypatch.setattr(pipeline, "run_flow", breaking(
+            pipeline.run_flow, when=lambda recipe: recipe.name == "fft_1"
+        ))
         for command in ("explain", "report"):
-            with inject_faults(FaultSpec(stage="flow/fft_1")):
-                code = main([command, "fft_1", "--scale", "0.2"])
+            code = main([command, "fft_1", "--scale", "0.2"])
             assert code == EXIT_DEGRADED
             err = capsys.readouterr().err
             assert "degraded run" in err and "fft_1" in err

@@ -10,7 +10,8 @@ from repro.core.explain import (
 from repro.core.pipeline import run_flow
 from repro.features.dataset import DesignDataset, SuiteDataset
 from repro.runtime import StageFailure
-from repro.runtime.faults import FaultSpec, inject_faults
+from repro.ml.tree import DecisionTreeClassifier
+from tests.breaking import breaking
 from tests.conftest import SMALL_RECIPE
 
 
@@ -120,8 +121,13 @@ class TestTrainExplanationForest:
                 assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
 
     @pytest.mark.parametrize("n_jobs", [1, 2])
-    def test_failed_forest_unit_raises(self, mini_suite, n_jobs):
-        with inject_faults(FaultSpec(stage="forest/trees15-*", times=1)):
-            with pytest.raises(StageFailure) as exc:
-                train_explanation_forest(mini_suite, "mini_a", n_jobs=n_jobs)
+    def test_failed_forest_unit_raises(self, mini_suite, n_jobs, monkeypatch):
+        # the group whose first tree is tree 15 fails, inline or on a worker
+        monkeypatch.setattr(DecisionTreeClassifier, "grow", breaking(
+            DecisionTreeClassifier.grow,
+            when=lambda self, dataset, y, weights, rngs:
+                rngs[0].bit_generator.seed_seq.spawn_key == (15,),
+        ))
+        with pytest.raises(StageFailure) as exc:
+            train_explanation_forest(mini_suite, "mini_a", n_jobs=n_jobs)
         assert (exc.value.stage, exc.value.unit) == ("forest", "trees15-29")

@@ -15,9 +15,6 @@ class TestPoint:
     def test_manhattan_simple(self):
         assert Point(0, 0).manhattan(Point(3, 4)) == 7
 
-    def test_translate(self):
-        assert Point(1, 2).translated(3, -1) == Point(4, 1)
-
     @given(points, points)
     def test_manhattan_symmetric(self, a, b):
         assert a.manhattan(b) == b.manhattan(a)

@@ -120,7 +120,6 @@ class TestScalers:
         Xs = sc.transform(X)
         assert np.allclose(Xs.mean(axis=0), 0, atol=1e-9)
         assert np.allclose(Xs.std(axis=0), 1, atol=1e-9)
-        assert np.allclose(sc.inverse_transform(Xs), X)
 
     def test_standard_constant_feature(self):
         X = np.column_stack([np.full(50, 7.0), np.arange(50.0)])

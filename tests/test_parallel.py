@@ -1,7 +1,7 @@
 """ParallelRunner: process-pool units with serial semantics preserved.
 
 Covers the runner in isolation (ordering, timeouts, fail-fast vs.
-degrade, parent-side callbacks and fault injection) and end-to-end through
+degrade, parent-side callbacks) and end-to-end through
 the suite builder and the experiment grid, where a parallel run must be
 *indistinguishable* from a serial one: byte-identical suite store, equal
 suite fingerprint, equal Table II (timing rows excluded — they are live CPU
@@ -20,8 +20,8 @@ from repro.core.experiment import run_experiment, suite_fingerprint
 from repro.core.models import model_zoo
 from repro.core.pipeline import build_suite_dataset, checkpoint_dir_for
 from repro.runtime import CheckpointStore, FaultTolerantRunner, ParallelRunner
-from repro.runtime.errors import FaultInjected, StageFailure
-from repro.runtime.faults import FaultSpec, inject_faults
+from repro.runtime.errors import StageFailure
+from tests.breaking import breaking
 
 SCALE = 0.3
 
@@ -98,20 +98,6 @@ class TestParallelRunnerSemantics:
                 [("bad", _boom, (), {}), ("good", _double, (1,), {})],
             )
 
-    def test_injected_fault_fires_in_parent_and_fails_its_unit(self):
-        # the fault plan is parent-process state: workers never see it, so
-        # injection must happen at submit time for parallel determinism
-        runner = ParallelRunner(2)
-        with inject_faults(FaultSpec(stage="stage/u1", times=1)) as plan:
-            out = runner.run_units(
-                "stage", [(f"u{i}", _double, (i,), {}) for i in range(4)]
-            )
-        assert not out[1].ok
-        assert [o.value for i, o in enumerate(out) if i != 1] == [0, 4, 6]
-        assert plan.triggered == [("stage/u1", "error")]
-        assert runner.failures.units() == ["stage/u1"]
-        assert runner.failures.records[0].error_type == FaultInjected.__name__
-
     def test_worker_timeout_recorded_as_stage_timeout(self):
         runner = ParallelRunner(2, timeout_s=0.2)
         out = runner.run_units(
@@ -187,16 +173,21 @@ class TestParallelDeterminism:
             parallel
         ) == _table_without_timing_rows(budgeted)
 
-    def test_suite_degrades_and_checkpoints_under_injected_fault(self, tmp_path):
+    def test_suite_degrades_and_checkpoints_under_injected_fault(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.core.pipeline as pipeline
+
         cache = tmp_path / "suite.npz"
         runner = ParallelRunner(2)  # not fail-fast: degrade, don't abort
-        with inject_faults(FaultSpec(stage="flow/mult_1", times=1)) as plan:
-            suite, stats = build_suite_dataset(
-                SCALE, cache_path=cache, runner=runner
-            )
-        assert plan.triggered == [("flow/mult_1", "error")]
+        # the workers inherit the patched flow; mult_1's raises in its worker
+        monkeypatch.setattr(pipeline, "run_flow", breaking(
+            pipeline.run_flow, when=lambda recipe: recipe.name == "mult_1"
+        ))
+        suite, stats = build_suite_dataset(SCALE, cache_path=cache, runner=runner)
         assert "mult_1" not in suite.names
         assert runner.failures.units() == ["flow/mult_1"]
+        assert runner.failures.records[0].error_type == "UnitBroken"
         # the designs that did finish were checkpointed by the parent
         ckpt_dir = checkpoint_dir_for(cache)
         saved = {p.name for p in ckpt_dir.glob("*.npz")}

@@ -1,8 +1,9 @@
 """Integration tests: resumable suite builds and fault-tolerant experiments.
 
-These exercise the whole runtime machinery end-to-end via the fault-injection
-harness: kill-and-resume mid-suite, corrupted-checkpoint detection + rebuild,
-the store as the suite cache, graceful degradation, and experiment-grid resume.
+These exercise the whole runtime machinery end-to-end, breaking units by
+patching what they call (:mod:`tests.breaking`): kill-and-resume mid-suite,
+corrupted-checkpoint detection + rebuild, the store as the suite cache,
+graceful degradation, and experiment-grid resume.
 """
 
 from pathlib import Path
@@ -10,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import repro.core.experiment as experiment
 import repro.core.pipeline as pipeline
 from repro.bench.suite import SUITE_ORDER, suite_recipes
 from repro.core.experiment import run_experiment
@@ -17,14 +19,9 @@ from repro.core.models import ModelSpec
 from repro.core.pipeline import ADHOC_GROUP, build_suite_dataset, checkpoint_dir_for
 from repro.features.dataset import DesignDataset, SuiteDataset
 from repro.features.names import NUM_FEATURES
-from repro.runtime import (
-    CheckpointStore,
-    FaultSpec,
-    FaultTolerantRunner,
-    StageFailure,
-    inject_faults,
-)
+from repro.runtime import CheckpointStore, FaultTolerantRunner, StageFailure
 from repro.runtime.telemetry import Tracer, activate
+from tests.breaking import breaking
 
 SCALE = 0.3  # tiny grids: the full 14-design suite flows in seconds
 
@@ -48,17 +45,33 @@ def counted_run_flow(monkeypatch):
     return calls
 
 
+def _break_flow(monkeypatch, design: str, once=None) -> None:
+    """Make ``design``'s flow raise before it runs (only once, with a marker)."""
+    monkeypatch.setattr(pipeline, "run_flow", breaking(
+        pipeline.run_flow, when=lambda recipe: recipe.name == design, once=once
+    ))
+
+
+def _break_training(monkeypatch, unit: str) -> None:
+    """Make the experiment unit ``<model>__g<group>`` raise before it trains."""
+    model, group = unit.split("__g")
+    monkeypatch.setattr(experiment, "validate_features", breaking(
+        experiment.validate_features,
+        when=lambda *args, name, **kw: name == f"{model}/train-g{group}",
+    ))
+
+
 class TestKillAndResume:
     def test_interrupted_build_resumes_remaining_designs(
-        self, tmp_path, counted_run_flow
+        self, tmp_path, monkeypatch, counted_run_flow
     ):
         cache = tmp_path / "suite.npz"
         killed_at = SUITE_ORDER[2]  # die on the 3rd of 14 designs
 
-        with inject_faults(FaultSpec(stage=f"flow/{killed_at}", times=1)):
-            with pytest.raises(StageFailure):
-                build_suite_dataset(SCALE, cache_path=cache)
-        # the injected fault kills design 3 before its flow body runs
+        _break_flow(monkeypatch, killed_at, once=tmp_path / "broken")
+        with pytest.raises(StageFailure):
+            build_suite_dataset(SCALE, cache_path=cache)
+        # the break kills design 3 before its flow body runs
         assert counted_run_flow == list(SUITE_ORDER[:2])
         assert not cache.exists()  # the name only locates the store
 
@@ -80,11 +93,13 @@ class TestKillAndResume:
         assert counted_run_flow == []
         assert suite2.names == suite.names
 
-    def test_no_resume_flag_recomputes_everything(self, tmp_path, counted_run_flow):
+    def test_no_resume_flag_recomputes_everything(
+        self, tmp_path, monkeypatch, counted_run_flow
+    ):
         cache = tmp_path / "suite.npz"
-        with inject_faults(FaultSpec(stage=f"flow/{SUITE_ORDER[5]}", times=1)):
-            with pytest.raises(StageFailure):
-                build_suite_dataset(SCALE, cache_path=cache)
+        _break_flow(monkeypatch, SUITE_ORDER[5], once=tmp_path / "broken")
+        with pytest.raises(StageFailure):
+            build_suite_dataset(SCALE, cache_path=cache)
         counted_run_flow.clear()
         build_suite_dataset(SCALE, cache_path=cache, resume=False)
         assert len(counted_run_flow) == 14
@@ -110,22 +125,6 @@ class TestCorruptionRecovery:
         assert counted_run_flow == [victim]  # checksum caught it; only it re-ran
         assert suite.names == list(SUITE_ORDER)
         store.load_bytes(f"{victim}.npz")  # rebuilt checkpoint is sound again
-
-    def test_injected_checkpoint_corruption_detected_on_next_run(
-        self, tmp_path, counted_run_flow
-    ):
-        cache = tmp_path / "suite.npz"
-        victim = SUITE_ORDER[0]
-        with inject_faults(
-            FaultSpec(stage=f"checkpoint/{victim}.npz", kind="corrupt")
-        ) as plan:
-            build_suite_dataset(SCALE, cache_path=cache)
-        assert (f"checkpoint/{victim}.npz", "corrupt") in plan.triggered
-
-        # the torn artefact is detected by checksum and only it is re-flowed
-        counted_run_flow.clear()
-        build_suite_dataset(SCALE, cache_path=cache)
-        assert counted_run_flow == [victim]
 
 
 class TestSuiteStore:
@@ -222,19 +221,19 @@ class TestSuiteStore:
 
 
 class TestGracefulDegradation:
-    def test_failed_design_is_recorded_and_skipped(self, tmp_path, counted_run_flow):
+    def test_failed_design_is_recorded_and_skipped(
+        self, tmp_path, monkeypatch, counted_run_flow
+    ):
         cache = tmp_path / "suite.npz"
         victim = SUITE_ORDER[4]
         runner = FaultTolerantRunner(fail_fast=False)
-        with inject_faults(FaultSpec(stage=f"flow/{victim}", times=1)):
-            suite, stats = build_suite_dataset(
-                SCALE, cache_path=cache, runner=runner
-            )
+        _break_flow(monkeypatch, victim, once=tmp_path / "broken")
+        suite, stats = build_suite_dataset(SCALE, cache_path=cache, runner=runner)
         assert len(suite.designs) == 13
         assert victim not in suite.names
         assert runner.failures.units() == [f"flow/{victim}"]
         rec = runner.failures.records[0]
-        assert rec.error_type == "FaultInjected"
+        assert rec.error_type == "UnitBroken"
         # the store holds every design that finished, and nothing for the victim
         store = CheckpointStore(checkpoint_dir_for(cache))
         assert _checkpointed(store) == [n for n in SUITE_ORDER if n != victim]
@@ -270,12 +269,12 @@ class TestGracefulDegradation:
         assert runner.failures.units() == [f"flow/{victim}"]
         assert runner.failures.records[0].error_type == "ValidationError"
 
-    def test_all_designs_failing_raises(self, tmp_path):
+    def test_all_designs_failing_raises(self, tmp_path, monkeypatch):
         runner = FaultTolerantRunner(fail_fast=False)
-        with inject_faults(FaultSpec(stage="flow/*", times=14)):
-            with pytest.raises(StageFailure, match="every design"):
-                build_suite_dataset(SCALE, cache_path=tmp_path / "s.npz",
-                                    runner=runner)
+        monkeypatch.setattr(pipeline, "run_flow", breaking(pipeline.run_flow))
+        with pytest.raises(StageFailure, match="every design"):
+            build_suite_dataset(SCALE, cache_path=tmp_path / "s.npz", runner=runner)
+        assert len(runner.failures) == len(SUITE_ORDER)
 
 
 # -- experiment-level fault tolerance ----------------------------------------------
@@ -317,13 +316,11 @@ def _synthetic_suite(with_adhoc: bool = False) -> SuiteDataset:
 
 
 class TestExperimentFaultTolerance:
-    def test_failed_unit_degrades_table(self):
+    def test_failed_unit_degrades_table(self, monkeypatch):
         suite = _synthetic_suite()
         runner = FaultTolerantRunner(fail_fast=False)
-        with inject_faults(FaultSpec(stage="experiment/Dummy__g0", times=1)):
-            result = run_experiment(
-                suite, [_dummy_spec()], tune=False, runner=runner
-            )
+        _break_training(monkeypatch, "Dummy__g0")
+        result = run_experiment(suite, [_dummy_spec()], tune=False, runner=runner)
         assert runner.failures.units() == ["experiment/Dummy__g0"]
         scored = {s.design for s in result.scores}
         assert scored == {"d2", "d3"}  # group-1 designs still scored
@@ -382,16 +379,18 @@ class TestExperimentFaultTolerance:
         )
         assert _DummyModel.fit_calls == 4  # different FPR* -> no reuse
 
-    def test_interrupted_grid_resumes_only_missing_units(self, tmp_path):
+    def test_interrupted_grid_resumes_only_missing_units(self, tmp_path, monkeypatch):
         suite = _synthetic_suite()
         ckpt = tmp_path / "exp.ckpt"
         runner = FaultTolerantRunner(fail_fast=False)
         _DummyModel.fit_calls = 0
-        with inject_faults(FaultSpec(stage="experiment/Dummy__g1", times=1)):
+        with monkeypatch.context() as m:
+            _break_training(m, "Dummy__g1")
             run_experiment(
                 suite, [_dummy_spec()], tune=False,
                 runner=runner, checkpoint_dir=ckpt,
             )
+        assert runner.failures.units() == ["experiment/Dummy__g1"]
         assert _DummyModel.fit_calls == 1
 
         result = run_experiment(

@@ -27,6 +27,7 @@ from pathlib import Path
 
 import pytest
 
+import repro.core.pipeline as pipeline
 from repro.bench.suite import SUITE_ORDER
 from repro.core.pipeline import build_suite_dataset, checkpoint_dir_for
 from repro.runtime import (
@@ -36,14 +37,12 @@ from repro.runtime import (
     load_manifest,
     sweep_orphan_temps,
 )
-from repro.runtime import faults as faults_mod
 from repro.runtime.errors import (
     ShutdownRequested,
     StageFailure,
     StageTimeout,
     WorkerCrashError,
 )
-from repro.runtime.faults import FaultSpec, execute_directive, inject_faults
 from repro.runtime.runner import FailureRecord
 from repro.runtime.supervision import (
     graceful_shutdown,
@@ -51,6 +50,7 @@ from repro.runtime.supervision import (
     shutdown_signum,
 )
 from repro.runtime.telemetry import Tracer, activate, build_manifest
+from tests.breaking import breaking, claim, crash
 
 SCALE = 0.3
 
@@ -91,6 +91,18 @@ def _die_once_flagged(flag):
     os.kill(os.getpid(), signal.SIGKILL)
 
 
+def _double_crash_once(marker, x):
+    """SIGKILL this worker on the first attempt; then return ``2 * x``."""
+    if claim(marker):
+        crash()
+    return 2 * x
+
+
+def _always_crash(x):
+    """SIGKILL this worker on every attempt, after co-running units started."""
+    crash(0.3)
+
+
 def _blas_threads():
     from repro.runtime import blas
 
@@ -99,6 +111,17 @@ def _blas_threads():
 
 def _units(n=4):
     return [(f"u{i}", _double, (i,), {}) for i in range(n)]
+
+
+def _with_unit(i, fn, *args):
+    """``_units()`` with unit ``u{i}`` running ``fn(*args, i)`` instead."""
+    units = _units()
+    units[i] = (f"u{i}", fn, (*args, i), {})
+    return units
+
+
+def _is(design):
+    return lambda recipe: recipe.name == design
 
 
 def _expected(n=4):
@@ -111,18 +134,22 @@ def _supervised(**kw):
 
 class TestSupervisionConfig:
     def test_invalid_parameters_rejected(self):
-        with pytest.raises(ValueError):
-            ParallelRunner(2, quarantine_threshold=0)
-        with pytest.raises(ValueError):
-            FaultTolerantRunner(jobs=2, quarantine_threshold=0)
+        with pytest.raises(ValueError, match="jobs"):
+            ParallelRunner(-1)
+        with pytest.raises(ValueError, match="jobs"):
+            FaultTolerantRunner(jobs=0)
 
     @pytest.mark.parametrize(
         "knob",
-        ["max_pool_respawns", "heartbeat_s", "respawn_backoff_s", "policy", "sleep"],
+        [
+            "max_pool_respawns", "heartbeat_s", "respawn_backoff_s", "policy", "sleep",
+            "quarantine_threshold",
+        ],
     )
     def test_pool_knobs_are_gone(self, knob):
         # owned workers leave no pool to respawn and no heartbeat to tune,
-        # and one attempt per unit leaves no retry policy or sleep to inject
+        # one attempt per unit leaves no retry policy or sleep to inject,
+        # and a unit is always quarantined at its second crash
         with pytest.raises(TypeError):
             FaultTolerantRunner(jobs=2, **{knob: 1})
         with pytest.raises(TypeError):
@@ -130,39 +157,36 @@ class TestSupervisionConfig:
 
 
 class TestWorkerCrashRecovery:
-    def test_single_kill_recovered_without_failure(self):
+    def test_single_kill_recovered_without_failure(self, tmp_path):
         runner = _supervised()
+        marker = tmp_path / "crashed"
         with activate(Tracer(run_id="crash")) as tracer:
-            with inject_faults(FaultSpec(stage="stage/u1", kind="kill", times=1)) as plan:
-                out = runner.run_units("stage", _units())
+            out = runner.run_units("stage", _with_unit(1, _double_crash_once, str(marker)))
         assert [o.value for o in out] == _expected()
         assert not runner.failures
-        assert plan.triggered == [("stage/u1", "kill")]
+        assert marker.exists()
         assert tracer.counters["runner.worker_crashes"] == 1
         assert tracer.counters["runner.quarantined"] == 0
 
-    def test_crashed_one_attempt_unit_is_redispatched(self):
+    def test_crashed_one_attempt_unit_is_redispatched(self, tmp_path):
         # a unit gets one attempt, yet a crashed one runs again on a fresh
         # worker: a dead worker is an infrastructure failure, not a unit
         # failure.  A budget puts even a jobs=1 run on its one worker.
         runner = FaultTolerantRunner(timeout_s=60)
+        marker = tmp_path / "crashed"
         with activate(Tracer(run_id="redispatch")) as tracer:
-            with inject_faults(FaultSpec(stage="stage/u1", kind="kill", times=1)) as plan:
-                out = runner.run_units("stage", _units())
+            out = runner.run_units("stage", _with_unit(1, _double_crash_once, str(marker)))
         assert [o.value for o in out] == _expected()
         assert not runner.failures
-        assert plan.triggered == [("stage/u1", "kill")]
+        assert marker.exists()
         assert tracer.counters["runner.worker_crashes"] == 1
 
     def test_poison_unit_quarantined_innocents_survive(self):
         # each worker runs one unit, so a crash is charged to the poison
         # unit alone however the co-running units are scheduled
-        runner = _supervised(quarantine_threshold=2)
+        runner = _supervised()
         with activate(Tracer(run_id="poison")) as tracer:
-            with inject_faults(
-                FaultSpec(stage="stage/u0", kind="kill", times=4, delay_s=0.3)
-            ):
-                out = runner.run_units("stage", _units())
+            out = runner.run_units("stage", _with_unit(0, _always_crash))
         assert not out[0].ok
         assert [o.value for o in out[1:]] == _expected()[1:]
         rec = runner.failures.records[0]
@@ -171,12 +195,13 @@ class TestWorkerCrashRecovery:
         assert rec.error_type == "WorkerCrashError"
         assert "quarantined" in rec.message
         assert tracer.counters["runner.quarantined"] == 1
+        assert tracer.counters["runner.worker_crashes"] == 2
 
     def test_innocent_co_resident_unit_never_charged(self, tmp_path):
         # the poison unit kills its worker only after the innocent one has
         # started in the other worker, so both are in flight at the crash
         flag = str(tmp_path / "innocent-started")
-        runner = _supervised(quarantine_threshold=1)
+        runner = _supervised()
         with activate(Tracer(run_id="innocent")) as tracer:
             out = runner.run_units("stage", [
                 ("poison", _die_once_flagged, (flag,), {}),
@@ -188,28 +213,15 @@ class TestWorkerCrashRecovery:
         assert tracer.counters["runner.quarantined"] == 1
 
     def test_fail_fast_raises_worker_crash_error(self):
-        runner = _supervised(quarantine_threshold=1, fail_fast=True)
-        with inject_faults(
-            FaultSpec(stage="stage/u0", kind="kill", times=4, delay_s=0.3)
-        ):
-            with pytest.raises(WorkerCrashError):
-                runner.run_units("stage", _units())
-
-    def test_inline_runner_never_consumes_worker_faults(self):
-        # jobs=1 runs in this process: a kill directive must stay armed,
-        # never fire (it would SIGKILL the test process itself)
-        runner = FaultTolerantRunner(jobs=1)
-        with inject_faults(FaultSpec(stage="stage/u1", kind="kill", times=1)) as plan:
-            out = runner.run_units("stage", _units())
-        assert [o.value for o in out] == _expected()
-        assert not runner.failures
-        assert plan.triggered == []
+        runner = _supervised(fail_fast=True)
+        with pytest.raises(WorkerCrashError):
+            runner.run_units("stage", _with_unit(0, _always_crash))
 
     def test_killed_unit_costs_only_its_own_attempt(self, tmp_path):
         # the co-running unit logs each start: a worker's death must never
         # touch it, so it is dispatched exactly once
         flag, log = str(tmp_path / "started"), tmp_path / "starts.log"
-        runner = _supervised(quarantine_threshold=2)
+        runner = _supervised()
         with activate(Tracer(run_id="one-attempt")) as tracer:
             out = runner.run_units("stage", [
                 ("poison", _die_once_flagged, (flag,), {}),
@@ -251,10 +263,7 @@ class TestPooledTimeout:
         # the timeout knows which unit its worker ran: only the hung unit
         # fails, the others finish on their first attempt
         runner = _supervised(timeout_s=0.5)
-        with inject_faults(
-            FaultSpec(stage="stage/u2", kind="hang", times=1, delay_s=30.0)
-        ):
-            out = runner.run_units("stage", _units())
+        out = runner.run_units("stage", _with_unit(2, _sleep_then, 30.0))
         assert not out[2].ok
         assert [o.value for i, o in enumerate(out) if i != 2] == [0, 2, 6]
         assert runner.failures.units() == ["stage/u2"]
@@ -291,11 +300,10 @@ class TestNoWorkerOutlivesRun:
         assert multiprocessing.active_children() == []
 
     def test_fail_fast_worker_crash(self):
-        runner = _supervised(quarantine_threshold=1, fail_fast=True)
-        units = [("u0", _double, (0,), {}), ("slow", _sleep_then, (30.0, 0), {})]
-        with inject_faults(FaultSpec(stage="stage/u0", kind="kill", times=1)):
-            with pytest.raises(WorkerCrashError):
-                runner.run_units("stage", units)
+        runner = _supervised(fail_fast=True)
+        units = [("u0", _always_crash, (0,), {}), ("slow", _sleep_then, (30.0, 0), {})]
+        with pytest.raises(WorkerCrashError):
+            runner.run_units("stage", units)
         assert multiprocessing.active_children() == []
 
     def test_on_result_raises(self):
@@ -306,33 +314,6 @@ class TestNoWorkerOutlivesRun:
         with pytest.raises(RuntimeError, match="callback failed on fast"):
             _supervised().run_units("stage", units, on_result=explode)
         assert multiprocessing.active_children() == []
-
-
-class TestWorkerFaultDirectives:
-    def test_kill_and_hang_are_valid_kinds(self):
-        assert FaultSpec(stage="s", kind="kill").kind == "kill"
-        assert FaultSpec(stage="s", kind="hang").kind == "hang"
-        with pytest.raises(ValueError):
-            FaultSpec(stage="s", kind="explode")
-
-    def test_fire_ignores_worker_side_faults(self):
-        # a serial runner SIGKILLing itself would take the test process down
-        with inject_faults(FaultSpec(stage="s/u", kind="kill")) as plan:
-            faults_mod.fire("s/u")  # must not raise, must not consume
-            assert plan.triggered == []
-            assert plan.worker_directive("s/u") == ("kill", 0.05)
-            assert plan.triggered == [("s/u", "kill")]
-            # consumed: the spec is exhausted
-            assert plan.worker_directive("s/u") is None
-
-    def test_directive_hooks_inactive_without_plan(self):
-        assert faults_mod.worker_directive("s/u") is None
-        execute_directive(None)  # no-op
-
-    def test_execute_hang_directive_sleeps(self):
-        t0 = time.monotonic()
-        execute_directive(("hang", 0.05))
-        assert time.monotonic() - t0 >= 0.05
 
 
 class TestGracefulShutdown:
@@ -441,16 +422,17 @@ class TestCrashSafetyAcceptance:
     """The ISSUE's acceptance bar, end to end through the suite builder."""
 
     def test_worker_kill_mid_suite_degrades_then_resume_is_byte_identical(
-        self, tmp_path, suite_baseline
+        self, tmp_path, monkeypatch, suite_baseline
     ):
         cache = tmp_path / "suite.npz"
         # mult_1's flow SIGKILLs its worker on every attempt: the run must
         # degrade to a structured worker_crash failure, never abort
-        runner = _supervised(quarantine_threshold=2)
+        runner = _supervised()
         tracer = Tracer(run_id="poison-suite")
-        with activate(tracer), inject_faults(
-            FaultSpec(stage="flow/mult_1", kind="kill", times=99, delay_s=0.3)
-        ):
+        with activate(tracer), monkeypatch.context() as m:
+            m.setattr(pipeline, "run_flow", breaking(
+                pipeline.run_flow, lambda: crash(0.3), when=_is("mult_1")
+            ))
             suite, _stats = build_suite_dataset(
                 SCALE, cache_path=cache, runner=runner
             )
@@ -475,7 +457,7 @@ class TestCrashSafetyAcceptance:
         two_hours_ago = time.time() - 7200
         os.utime(orphan, (two_hours_ago, two_hours_ago))
 
-        # resume without faults: only the quarantined design is recomputed,
+        # resume unbroken: only the quarantined design is recomputed,
         # and the result is byte-identical to the uninterrupted run
         with activate(Tracer(run_id="resume")) as resumed:
             build_suite_dataset(
@@ -486,28 +468,31 @@ class TestCrashSafetyAcceptance:
         assert _store_digests(cache) == suite_baseline
 
     def test_one_kill_heals_one_hang_fails_then_resume_recomputes_it(
-        self, tmp_path, suite_baseline
+        self, tmp_path, monkeypatch, suite_baseline
     ):
-        # one SIGKILL and one hang past the timeout, each fired once: the
+        # one SIGKILL, fired once, and one hang past the timeout: the
         # killed design is re-dispatched on a fresh worker and heals, the
         # hung one fails as one timeout record.  The timeout must exceed
         # the slowest honest flow at SCALE.
         cache = tmp_path / "suite.npz"
-        runner = _supervised(quarantine_threshold=2, timeout_s=5.0)
+        killed = tmp_path / "killed"
+        runner = _supervised(timeout_s=5.0)
         tracer = Tracer(run_id="self-heal")
-        with activate(tracer), inject_faults(
-            FaultSpec(stage="flow/mult_1", kind="kill", times=1, delay_s=0.3),
-            FaultSpec(stage="flow/fft_a", kind="hang", times=1, delay_s=500.0),
-        ) as plan:
+        with activate(tracer), monkeypatch.context() as m:
+            flow = breaking(
+                pipeline.run_flow, lambda: crash(0.3), when=_is("mult_1"), once=killed
+            )
+            flow = breaking(flow, lambda: time.sleep(500.0), when=_is("fft_a"))
+            m.setattr(pipeline, "run_flow", flow)
             build_suite_dataset(SCALE, cache_path=cache, runner=runner)
-        assert sorted(kind for _stage, kind in plan.triggered) == ["hang", "kill"]
+        assert killed.exists()
         assert [(r.unit, r.kind) for r in runner.failures.records] == [("fft_a", "timeout")]
         counters = build_manifest(tracer, "suite")["counters"]
         assert counters["runner.worker_crashes"] == 1
         assert counters["runner.timeouts"] == 1
         assert counters["runner.quarantined"] == 0
 
-        # a fault-free resume recomputes only the timed-out design, and the
+        # an unbroken resume recomputes only the timed-out design, and the
         # store is byte-identical to the uninterrupted run
         with activate(Tracer(run_id="resume")) as resumed:
             build_suite_dataset(
@@ -524,13 +509,17 @@ class TestCrashSafetyAcceptance:
         # worker that the process joined forever at exit — the subprocess
         # timeout below is the assert
         code = (
-            "import sys\n"
+            "import os, signal, sys, time\n"
             "import repro.cli as cli\n"
-            "from repro.runtime import FaultSpec, inject_faults\n"
-            "spec = FaultSpec(stage='flow/mult_1', kind='kill', times=99,"
-            " delay_s=0.3)\n"
-            "with inject_faults(spec):\n"
-            "    sys.exit(cli.main(sys.argv[1:]))\n"
+            "import repro.core.pipeline as pipeline\n"
+            "real = pipeline.run_flow\n"
+            "def run_flow(recipe):\n"
+            "    if recipe.name == 'mult_1':  # SIGKILL its worker, every attempt\n"
+            "        time.sleep(0.3)\n"
+            "        os.kill(os.getpid(), signal.SIGKILL)\n"
+            "    return real(recipe)\n"
+            "pipeline.run_flow = run_flow\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
         )
         proc = subprocess.run(
             [
@@ -542,8 +531,6 @@ class TestCrashSafetyAcceptance:
                 "--scale",
                 str(SCALE),
                 "-j",
-                "2",
-                "--quarantine-threshold",
                 "2",
             ],
             env=_subprocess_env(DRCSHAP_CACHE_DIR=str(tmp_path)),

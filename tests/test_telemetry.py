@@ -32,6 +32,7 @@ from repro.runtime.telemetry import (
     summarize_stages,
     write_manifest,
 )
+from tests.breaking import breaking
 
 
 class TestTracer:
@@ -388,16 +389,17 @@ class TestCLITelemetry:
         self, tmp_path, monkeypatch, capsys
     ):
         import repro.cli as cli
-        from repro.runtime.faults import FaultSpec, inject_faults
 
         recipes = pipeline.suite_recipes(0.3)[:2]
         monkeypatch.setattr(pipeline, "suite_recipes", lambda scale: recipes)
         monkeypatch.setattr(cli, "default_cache_path",
                             lambda scale=1.0: tmp_path / "suite.npz")
         victim = recipes[1].name
+        monkeypatch.setattr(pipeline, "run_flow", breaking(
+            pipeline.run_flow, when=lambda recipe: recipe.name == victim
+        ))
         trace = tmp_path / "run.json"
-        with inject_faults(FaultSpec(stage=f"flow/{victim}", times=1)):
-            code = main(["suite", "--scale", "0.3", "--trace", str(trace)])
+        code = main(["suite", "--scale", "0.3", "--trace", str(trace)])
         assert code == cli.EXIT_DEGRADED
         assert sorted(tmp_path.glob("run*")) == [trace]
         capsys.readouterr()
@@ -405,20 +407,18 @@ class TestCLITelemetry:
         assert main(["trace", str(trace)]) == 0
         out = capsys.readouterr().out
         assert "failures : 1" in out
-        assert f"error:flow/{victim} FaultInjected" in out
+        assert f"error:flow/{victim} UnitBroken" in out
 
     def test_trace_written_on_error_exit(self, tmp_path, monkeypatch, capsys):
         import repro.cli as cli
-        from repro.runtime.faults import FaultSpec, inject_faults
 
         recipes = pipeline.suite_recipes(0.3)[:1]
         monkeypatch.setattr(pipeline, "suite_recipes", lambda scale: recipes)
         monkeypatch.setattr(cli, "default_cache_path",
                             lambda scale=1.0: tmp_path / "suite.npz")
+        monkeypatch.setattr(pipeline, "run_flow", breaking(pipeline.run_flow))
         trace = tmp_path / "run.json"
-        with inject_faults(FaultSpec(stage=f"flow/{recipes[0].name}", times=1)):
-            code = main(["suite", "--scale", "0.3", "--fail-fast",
-                         "--trace", str(trace)])
+        code = main(["suite", "--scale", "0.3", "--fail-fast", "--trace", str(trace)])
         assert code == 1
         assert sorted(tmp_path.glob("run*")) == [trace]
         assert load_manifest(trace)["failures"][0]["unit"] == recipes[0].name

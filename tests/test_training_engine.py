@@ -20,8 +20,6 @@ Five contracts keep the fast paths honest:
 """
 
 import hashlib
-import os
-import signal
 
 import numpy as np
 import pytest
@@ -37,8 +35,8 @@ from repro.ml.forest import ForestArrays, RandomForestClassifier
 from repro.ml.model_selection import grid_search
 from repro.ml.tree import DecisionTreeClassifier, _impurity, best_splits
 from repro.runtime import FaultTolerantRunner, StageFailure
-from repro.runtime.faults import FaultSpec, inject_faults
 from repro.runtime.telemetry import Tracer, activate
+from tests.breaking import breaking, claim, crash
 from tests.conftest import make_separable
 
 
@@ -406,13 +404,18 @@ class TestParallelFit:
         # lock-step: one kernel call scans a node of every tree in flight
         assert 0 < serial["ml.hist.batches"] < serial["ml.hist.builds"]
 
-    def test_failed_unit_raises_without_fail_fast(self):
+    def test_failed_unit_raises_without_fail_fast(self, monkeypatch):
         X, y = make_separable(n=200, seed=44)
         runner = FaultTolerantRunner()
         rf = RandomForestClassifier(n_estimators=20, random_state=0)  # two units
-        with inject_faults(FaultSpec(stage="forest/trees0-*")):
-            with pytest.raises(StageFailure, match="forest/trees0-9"):
-                rf.fit(X, y, runner=runner)
+        # the group whose first tree is tree 0 fails
+        monkeypatch.setattr(DecisionTreeClassifier, "grow", breaking(
+            DecisionTreeClassifier.grow,
+            when=lambda self, dataset, y, weights, rngs:
+                rngs[0].bit_generator.seed_seq.spawn_key == (0,),
+        ))
+        with pytest.raises(StageFailure, match="forest/trees0-9"):
+            rf.fit(X, y, runner=runner)
         assert runner.failures.units() == ["forest/trees0-9"]
 
     @pytest.mark.parametrize("jobs", [1, 2])
@@ -427,18 +430,13 @@ class TestParallelFit:
         ).fit(X, y)
         grow = DecisionTreeClassifier.grow
         marker = tmp_path / "crashed-once"  # a file: workers share no memory
-        parent = os.getpid()
 
         def crashing_grow(self, dataset, y, weights, rngs):
-            try:
-                marker.open("x").close()
-            except FileExistsError:
-                return grow(self, dataset, y, weights, rngs)
-            for rng in rngs:
-                rng.random(7)
-            if os.getpid() == parent:  # never SIGKILL the test process
-                raise AssertionError("a group grew outside the workers")
-            os.kill(os.getpid(), signal.SIGKILL)
+            if claim(marker):
+                for rng in rngs:
+                    rng.random(7)
+                crash(0.0)
+            return grow(self, dataset, y, weights, rngs)
 
         monkeypatch.setattr(DecisionTreeClassifier, "grow", crashing_grow)
         tracer = Tracer()
@@ -493,7 +491,6 @@ class TestStackedPrediction:
         deep = DecisionTreeClassifier(max_depth=6, random_state=0).fit(X, y)
         fa = ForestArrays.from_trees([stump.tree_, deep.tree_])
         assert fa.n_trees == 2
-        assert fa.max_nodes == max(stump.tree_.node_count, deep.tree_.node_count)
         leaf = fa.leaf_values(Xte)
         assert np.array_equal(leaf[:, 0], stump.tree_.predict_proba_positive(Xte))
         assert np.array_equal(leaf[:, 1], deep.tree_.predict_proba_positive(Xte))
