@@ -24,6 +24,14 @@ What makes the synthesis realistic enough for the learning task:
 
 Everything is driven by a :class:`DesignRecipe` and a seed, so the whole
 14-design suite is reproducible bit-for-bit.
+
+The draws are made in their cheapest form that consumes the generator
+exactly as the plain form does, so the netlist of every seed stays the
+same: a uniform pick from a list is ``seq[int(rng.integers(0, len(seq)))]``,
+which draws the same index from the same stream as ``rng.choice(seq)``
+without converting the list to an array, and a cell's pin offsets come
+from one ``rng.uniform(0.1, 0.9, size=(n_pins, 2))``, which yields the
+same doubles in the same order as two scalar draws per pin.
 """
 
 from __future__ import annotations
@@ -37,6 +45,7 @@ from ..layout.geometry import Point, Rect
 from ..layout.netlist import Design
 from ..layout.technology import Technology, make_ispd2015_like_technology
 from ..place.legalizer import LegalizationError
+from ..runtime.telemetry import get_tracer
 
 #: ratio of signal nets to cells (pins-per-cell follows from this and degree)
 NETS_PER_CELL = 0.48
@@ -102,16 +111,25 @@ def generate_design(recipe: DesignRecipe) -> Design:
     One generator, seeded with ``recipe.seed``, feeds every random draw, in
     the order of the stages below.
     """
+    tracer = get_tracer()
     rng = np.random.default_rng(recipe.seed)
     technology = make_ispd2015_like_technology()
     design = Design(name=recipe.name, technology=technology, die=recipe.die(technology))
     _add_macros(design, recipe, rng)
     clusters, cluster_dims = _build_clusters(design, recipe, rng)
-    _add_cells(design, recipe, clusters, rng)
-    _add_signal_nets(design, recipe, clusters, cluster_dims, rng)
-    _add_clock_nets(design, rng)
+    with tracer.span("cells"):
+        _add_cells(design, recipe, clusters, rng)
+    with tracer.span("signal_nets"):
+        _add_signal_nets(design, recipe, clusters, cluster_dims, rng)
+    with tracer.span("clock_nets"):
+        _add_clock_nets(design, rng)
     design.validate()
     return design
+
+
+def _pick(seq: list[int], rng: np.random.Generator) -> int:
+    """A uniform element of ``seq``: the draw ``rng.choice(seq)`` makes."""
+    return seq[int(rng.integers(0, len(seq)))]
 
 
 # -- macros -------------------------------------------------------------------------
@@ -233,12 +251,10 @@ def _add_cells(
         cluster.cell_ids.append(cid)
         n_pins = 2 + int(rng.geometric(0.55))
         n_pins = min(n_pins, 6)
-        for p in range(n_pins):
-            off = Point(
-                float(rng.uniform(0.1, 0.9)) * width,
-                float(rng.uniform(0.1, 0.9)) * tech.row_height,
-            )
-            cell.add_pin(f"p{p}", off)
+        # row p is pin p's (x, y) fraction, in the scalar draws' order
+        fracs = rng.uniform(0.1, 0.9, size=(n_pins, 2)).tolist()
+        for p, (fx, fy) in enumerate(fracs):
+            cell.add_pin(f"p{p}", Point(fx * width, fy * tech.row_height))
 
 
 # -- nets ---------------------------------------------------------------------------
@@ -267,21 +283,25 @@ def _add_signal_nets(
         for cid in cluster.cell_ids:
             cluster_of_cell[cid] = cluster.index
 
-    def pick_cell(pool: list[int]) -> int | None:
-        candidates = [c for c in pool if free[c]]
+    def pick_cell(pool: list[int], members: list[int]) -> int | None:
+        candidates = [c for c in pool if free[c] and c not in members]
         if not candidates:
             return None
-        return int(rng.choice(candidates))
+        return _pick(candidates, rng)
 
     target_nets = int(design.num_cells * NETS_PER_CELL)
     net_id = 0
     budget = target_nets * 4  # generation attempts, to guarantee termination
+    # only a pop that empties a cell's free list can shrink cells_with_free
+    emptied = False
     while net_id < target_nets and budget > 0:
         budget -= 1
-        cells_with_free = [i for i in cells_with_free if free[i]]
+        if emptied:
+            cells_with_free = [i for i in cells_with_free if free[i]]
+            emptied = False
         if len(cells_with_free) < 2:
             break
-        root = int(rng.choice(cells_with_free))
+        root = _pick(cells_with_free, rng)
         cluster = clusters[int(cluster_of_cell[root])]
         boost = recipe.dense_net_boost if cluster.dense else 1.0
         # Net degree: 2 + geometric tail, boosted in dense clusters.
@@ -299,9 +319,9 @@ def _add_signal_nets(
                 # mostly adjacent clusters, occasionally truly global.
                 # Without this, big dies drown in cross-die nets.
                 pool = clusters[_pick_nearby_cluster(cluster, cluster_dims, rng)].cell_ids
-            pick = pick_cell([c for c in pool if c not in members])
+            pick = pick_cell(pool, members)
             if pick is None:
-                pick = pick_cell([c for c in cells_with_free if c not in members])
+                pick = pick_cell(cells_with_free, members)
             if pick is None:
                 break
             members.append(pick)
@@ -315,6 +335,7 @@ def _add_signal_nets(
         for cid in members:
             pin_idx = free[cid].pop(int(rng.integers(0, len(free[cid]))))
             net.connect(design.cells[cid].pins[pin_idx])
+            emptied = emptied or not free[cid]
         net_id += 1
 
 

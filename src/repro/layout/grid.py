@@ -163,6 +163,18 @@ class GCellGrid:
         iy = int((p.y - self.die.ylo) / self.size)
         return (min(max(ix, 0), self.nx - 1), min(max(iy, 0), self.ny - 1))
 
+    def cells_of_points(
+        self, xs: np.ndarray, ys: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`cell_of_point` of every ``(xs[k], ys[k])``, as two index arrays.
+
+        ``astype(np.int64)`` truncates toward zero as ``int()`` does, and
+        the clip is the same die-boundary clamp.
+        """
+        ix = ((np.asarray(xs, dtype=np.float64) - self.die.xlo) / self.size).astype(np.int64)
+        iy = ((np.asarray(ys, dtype=np.float64) - self.die.ylo) / self.size).astype(np.int64)
+        return np.clip(ix, 0, self.nx - 1), np.clip(iy, 0, self.ny - 1)
+
     def cell_bbox(self, ix: int, iy: int) -> Rect:
         if not self.in_bounds(ix, iy):
             raise IndexError(f"g-cell ({ix}, {iy}) outside {self.nx}x{self.ny} grid")
@@ -205,18 +217,32 @@ class GCellGrid:
         only on the g-cells holding its lower-left corner through its
         upper-right corner pulled in by 1e-9, so an edge snapped to a g-cell
         boundary adds nothing to the cell beyond it, not even an ulp.
+
+        Every (rectangle, g-cell) term is one entry of a flat array, laid
+        out rect-major and scatter-added in that order, so each g-cell sums
+        its terms in list order; the array holds exactly the covered
+        g-cells of each rectangle, never a padded block.
         """
+        box = np.array([r.as_tuple() for r in rects], dtype=np.float64).reshape(-1, 4)
+        xlo, ylo, xhi, yhi = box.T
+        x0, y0 = self.cells_of_points(xlo, ylo)
+        x1, y1 = self.cells_of_points(xhi - 1e-9, yhi - 1e-9)
+        # a zero-width rectangle on a g-cell boundary ends one cell before it starts
+        span_x = np.maximum(x1 - x0 + 1, 0)
+        span_y = np.maximum(y1 - y0 + 1, 0)
+        terms = span_x * span_y
+        rect = np.repeat(np.arange(len(box)), terms)
+        # position of each term inside its rectangle's block, x-major
+        k = np.arange(len(rect)) - np.repeat(np.cumsum(terms) - terms, terms)
+        ix = x0[rect] + k // span_y[rect]
+        iy = y0[rect] + k % span_y[rect]
+        xs = self.die.xlo + ix * self.size
+        ys = self.die.ylo + iy * self.size
+        # the closed-rectangle intersection's extent; <= 0 is no overlap
+        w = np.maximum(np.minimum(xs + self.size, xhi[rect]) - np.maximum(xs, xlo[rect]), 0.0)
+        h = np.maximum(np.minimum(ys + self.size, yhi[rect]) - np.maximum(ys, ylo[rect]), 0.0)
         frac = np.zeros((self.nx, self.ny))
-        inv_area = 1.0 / (self.size * self.size)
-        for r in rects:
-            x0, y0 = self.cell_of_point(Point(r.xlo, r.ylo))
-            x1, y1 = self.cell_of_point(Point(r.xhi - 1e-9, r.yhi - 1e-9))
-            xs = self._lows(self.die.xlo, x0, x1 + 1)
-            ys = self._lows(self.die.ylo, y0, y1 + 1)
-            # the closed-rectangle intersection's extent; <= 0 is no overlap
-            w = np.maximum(np.minimum(xs + self.size, r.xhi) - np.maximum(xs, r.xlo), 0.0)
-            h = np.maximum(np.minimum(ys + self.size, r.yhi) - np.maximum(ys, r.ylo), 0.0)
-            frac[x0 : x1 + 1, y0 : y1 + 1] += np.outer(w, h) * inv_area
+        np.add.at(frac, (ix, iy), w * h * (1.0 / (self.size * self.size)))
         return frac
 
     def overlap_mask(self, rects: Iterable[Rect]) -> np.ndarray:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import Point, mean_pairwise_manhattan
+from .geometry import mean_pairwise_manhattan
 from .grid import GCellGrid
 from .netlist import Design
 
@@ -47,41 +47,56 @@ class PlacementMaps:
 
         self._collect_cells()
         self._collect_pins()
-        self._collect_local_nets()
 
     # -- builders ---------------------------------------------------------------
 
     def _collect_cells(self) -> None:
         """Count each cell fully inside one g-cell toward that g-cell."""
         grid = self.grid
-        for cell in self.design.cells:
-            bbox = cell.bbox
-            lo = grid.cell_of_point(Point(bbox.xlo, bbox.ylo))
-            if lo == grid.cell_of_point(Point(bbox.xhi - 1e-9, bbox.yhi - 1e-9)):
-                self.num_cells[lo] += 1
+        box = np.array([c.bbox.as_tuple() for c in self.design.cells],
+                       dtype=np.float64).reshape(-1, 4)
+        x0, y0 = grid.cells_of_points(box[:, 0], box[:, 1])
+        x1, y1 = grid.cells_of_points(box[:, 2] - 1e-9, box[:, 3] - 1e-9)
+        inside = (x0 == x1) & (y0 == y1)
+        np.add.at(self.num_cells, (x0[inside], y0[inside]), 1)
 
     def _collect_pins(self) -> None:
-        grid = self.grid
-        pins_by_cell: dict[tuple[int, int], list[Point]] = {}
-        for pin in self.design.all_pins():
-            if pin.net is None:
-                continue  # unconnected pins don't route and don't count
-            pos = pin.position
-            key = grid.cell_of_point(pos)
-            self.num_pins[key] += 1
-            if pin.is_clock:
-                self.num_clock_pins[key] += 1
-            if pin.ndr is not None:
-                self.num_ndr_pins[key] += 1
-            pins_by_cell.setdefault(key, []).append(pos)
-        for key, positions in pins_by_cell.items():
-            self.pin_spacing[key] = mean_pairwise_manhattan(positions)
+        """Pin counts and spacing per g-cell, and the local nets.
 
-    def _collect_local_nets(self) -> None:
+        Only pins on a net count (unconnected pins don't route), so the
+        pins are read net by net: one position array serves the pin maps
+        and the local-net test.  The spacing of a g-cell sorts its pins'
+        coordinates, so the order they are read in does not matter.
+        """
         grid = self.grid
-        for net in self.design.nets:
-            cells = {grid.cell_of_point(p.position) for p in net.pins}
-            if len(cells) == 1:
-                key = next(iter(cells))
-                self.num_local_nets[key] += 1
-                self.num_local_net_pins[key] += net.degree
+        nets = self.design.nets
+        positions = [p.position for net in nets for p in net.pins]
+        if not positions:
+            return
+        xs = np.array([p.x for p in positions])
+        ys = np.array([p.y for p in positions])
+        ix, iy = grid.cells_of_points(xs, ys)
+        degree = np.array([net.degree for net in nets])
+        is_clock = np.array([p.is_clock for net in nets for p in net.pins])
+        is_ndr = np.repeat([net.ndr is not None for net in nets], degree)
+
+        np.add.at(self.num_pins, (ix, iy), 1)
+        np.add.at(self.num_clock_pins, (ix[is_clock], iy[is_clock]), 1)
+        np.add.at(self.num_ndr_pins, (ix[is_ndr], iy[is_ndr]), 1)
+
+        flat = ix * grid.ny + iy
+        order = np.argsort(flat, kind="stable")
+        keys, starts = np.unique(flat[order], return_index=True)
+        groups = np.split(order, starts[1:])
+        for key, pins in zip(keys.tolist(), groups):
+            self.pin_spacing.flat[key] = mean_pairwise_manhattan(
+                [positions[i] for i in pins.tolist()]
+            )
+
+        # a net is local when all its pins share one g-cell; a net without
+        # pins is in none
+        first = (np.cumsum(degree) - degree)[degree > 0]
+        local = np.minimum.reduceat(flat, first) == np.maximum.reduceat(flat, first)
+        key_x, key_y = ix[first[local]], iy[first[local]]
+        np.add.at(self.num_local_nets, (key_x, key_y), 1)
+        np.add.at(self.num_local_net_pins, (key_x, key_y), degree[degree > 0][local])

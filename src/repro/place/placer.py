@@ -12,10 +12,17 @@ Algorithm (classic Eisenmann/Johannes-style simplified loop):
 1. spectral initialisation: cells are embedded with the two Fiedler
    eigenvectors of the netlist's graph Laplacian (star net model) and
    rank-spread over the die — this recovers the global cluster structure
-   that local force iterations alone cannot untangle;
+   that local force iterations alone cannot untangle.  The shift-invert
+   solves factor ``lap + 0.05·I`` with the minimum-degree ordering on
+   ``Aᵀ + A`` (``MMD_AT_PLUS_A``): the matrix is symmetric, and SuperLU's
+   default COLAMD ordering, made for unsymmetric matrices, fills it far
+   more.  Only the ranks of the eigenvectors reach the positions, so the
+   ordering's rounding differences do not move them;
 2. repeat :data:`ITERATIONS` times:
    a. *wirelength force* — every cell is pulled toward the centroid of every
-      net it belongs to (star net model, vectorised with scatter-adds);
+      net it belongs to (star net model, vectorised with ``np.bincount``
+      scatter-adds, which sum in index order as ``np.add.at`` does; the net
+      sizes and cell degrees are computed once, before the loop);
    b. *density force* — cell area is binned on the g-cell grid; cells in
       over-full bins are pushed down the local density gradient;
    c. *macro force* — cells inside a macro (plus a small halo) are pushed
@@ -27,9 +34,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..layout.geometry import Point
+from ..layout.geometry import Point, Rect
 from ..layout.grid import GCellGrid
 from ..layout.netlist import Design
+from ..runtime.telemetry import get_tracer
 from .legalizer import legalize
 
 
@@ -55,22 +63,28 @@ def place_design(design: Design) -> None:
     cells = design.cells
     if not cells:
         return
+    tracer = get_tracer()
     rng = np.random.default_rng(SEED)
-    grid = GCellGrid.for_design_die(design.die, design.technology)
-    nets = _net_membership(design)
-    pos = _spectral_positions(design, len(cells), nets, rng)
-    areas = np.array([c.area for c in cells])
+    with tracer.span("spectral"):
+        nets = _net_membership(design)
+        pos = _spectral_positions(design, len(cells), nets, rng)
 
-    for _ in range(ITERATIONS):
-        pos += WIRELENGTH_STEP * _wirelength_force(pos, nets)
-        pos += DENSITY_STEP * _density_force(pos, areas, grid, rng)
-        pos = _push_out_of_macros(design, pos)
-        _clamp(design, pos)
+    with tracer.span("forces"):
+        grid = GCellGrid.for_design_die(design.die, design.technology)
+        areas = np.array([c.area for c in cells])
+        sizes = _incidence_sizes(nets, len(cells))
+        halos = _macro_halos(design)
+        for _ in range(ITERATIONS):
+            pos += WIRELENGTH_STEP * _wirelength_force(pos, nets, sizes)
+            pos += DENSITY_STEP * _density_force(pos, areas, grid, rng)
+            pos = _push_out_of_macros(halos, pos)
+            _clamp(design, pos)
 
-    for cell, (x, y) in zip(cells, pos):
-        # store as lower-left corner; forces worked on centres
-        cell.position = Point(x - cell.width / 2.0, y - cell.height / 2.0)
-    legalize(design)
+    with tracer.span("legalize"):
+        for cell, (x, y) in zip(cells, pos):
+            # store as lower-left corner; forces worked on centres
+            cell.position = Point(x - cell.width / 2.0, y - cell.height / 2.0)
+        legalize(design)
 
 
 # -- pieces of the loop --------------------------------------------------------------
@@ -94,11 +108,13 @@ def _spectral_positions(
     smallest eigenvectors give a planar embedding that separates the
     netlist's natural clusters; rank-spreading each axis to a uniform
     distribution fills the die evenly.  Falls back to random positions
-    for tiny or degenerate netlists.
+    for tiny or net-less netlists, and when the factorisation is singular
+    or ARPACK fails; each such failure counts one
+    ``place.spectral_fallbacks``.
     """
-    from scipy.sparse import coo_matrix
+    from scipy.sparse import coo_matrix, identity
     from scipy.sparse.csgraph import laplacian
-    from scipy.sparse.linalg import eigsh
+    from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
 
     cell_ids, net_ids, net_count = nets
     if n < 16 or net_count == 0:
@@ -107,22 +123,15 @@ def _spectral_positions(
     # star-model weights: members of a k-pin net get pairwise weight 1/k
     # via the net-expanded bipartite trick (cheap: one edge per pin pair
     # with a common net, approximated by consecutive-member chaining)
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
     order = np.argsort(net_ids, kind="stable")
-    sorted_nets = net_ids[order]
-    sorted_cells = cell_ids[order]
-    boundaries = np.flatnonzero(np.diff(sorted_nets)) + 1
-    for members in np.split(sorted_cells, boundaries):
-        if len(members) < 2:
-            continue
-        # chain + wrap: connects the net with O(k) edges
-        rows.append(members)
-        cols.append(np.roll(members, 1))
-    if not rows:
-        return _initial_positions(design, n, rng)
-    r = np.concatenate(rows)
-    c = np.concatenate(cols)
+    r = cell_ids[order]
+    # chain + wrap: connects each net with O(k) edges, every member to the
+    # one before it and the first to the last (np.roll(members, 1) per net;
+    # _net_membership keeps only nets of two or more members)
+    starts = np.flatnonzero(np.diff(net_ids[order], prepend=-1))
+    prev = np.arange(len(r)) - 1
+    prev[starts] = np.append(starts[1:], len(r)) - 1
+    c = r[prev]
     w = np.ones(len(r))
     # weak ring over all cells: keeps the graph connected (sparse
     # netlists often have isolated components, which makes the Fiedler
@@ -134,14 +143,21 @@ def _spectral_positions(
     adj = coo_matrix((w, (r, c)), shape=(n, n))
     adj = (adj + adj.T).tocsr()
     lap = laplacian(adj, normed=True)
+    # deterministic Lanczos start: ARPACK otherwise pulls its v0
+    # from numpy's *global* RNG, making placement depend on process
+    # history
+    v0 = rng.normal(size=n)
+    # (lap - sigma·I)⁻¹ for sigma = -0.05, factored once with the
+    # symmetric fill-reducing ordering (see the module docstring)
     try:
-        # deterministic Lanczos start: ARPACK otherwise pulls its v0
-        # from numpy's *global* RNG, making placement depend on process
-        # history
-        v0 = rng.normal(size=n)
-        _, vecs = eigsh(lap, k=3, sigma=-0.05, which="LM", tol=1e-3, v0=v0)
-    except Exception:
-        return _initial_positions(design, n, rng)
+        lu = splu((lap + 0.05 * identity(n)).tocsc(), permc_spec="MMD_AT_PLUS_A")
+    except RuntimeError:  # "Factor is exactly singular"
+        return _spectral_fallback(design, n, rng)
+    opinv = LinearOperator((n, n), matvec=lu.solve, dtype=lap.dtype)
+    try:
+        _, vecs = eigsh(lap, k=3, sigma=-0.05, which="LM", tol=1e-3, v0=v0, OPinv=opinv)
+    except ArpackError:  # ArpackNoConvergence included
+        return _spectral_fallback(design, n, rng)
     emb = vecs[:, 1:3]
 
     die = design.die
@@ -155,6 +171,12 @@ def _spectral_positions(
     # tiny jitter so exactly-equal embeddings don't stack
     pos += rng.normal(scale=0.1 * margin, size=pos.shape)
     return pos
+
+
+def _spectral_fallback(design: Design, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Random positions in place of a failed spectral embedding, counted."""
+    get_tracer().counter("place.spectral_fallbacks")
+    return _initial_positions(design, n, rng)
 
 
 def _net_membership(design: Design) -> Nets:
@@ -178,21 +200,42 @@ def _net_membership(design: Design) -> Nets:
     )
 
 
-def _wirelength_force(pos: np.ndarray, nets: Nets) -> np.ndarray:
+def _incidence_sizes(nets: Nets, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pins per net, and nets per cell with 0 raised to 1, as floats.
+
+    The divisors of :func:`_wirelength_force`; they do not change while
+    the cells move.
+    """
+    cell_ids, net_ids, net_count = nets
+    counts = np.bincount(net_ids, minlength=net_count).astype(np.float64)
+    degree = np.bincount(cell_ids, minlength=n).astype(np.float64)
+    degree[degree == 0] = 1.0
+    return counts, degree
+
+
+def _scatter_sum(ids: np.ndarray, values: np.ndarray, length: int) -> np.ndarray:
+    """``np.add.at`` of ``(k, 2)`` rows into ``length`` zero rows, per column.
+
+    ``np.bincount`` adds its weights in index order, so each sum is the
+    one ``np.add.at`` makes.
+    """
+    return np.column_stack([
+        np.bincount(ids, weights=values[:, 0], minlength=length),
+        np.bincount(ids, weights=values[:, 1], minlength=length),
+    ])
+
+
+def _wirelength_force(
+    pos: np.ndarray, nets: Nets, sizes: tuple[np.ndarray, np.ndarray]
+) -> np.ndarray:
+    """Pull toward the centroids of a cell's nets; ``sizes`` from :func:`_incidence_sizes`."""
     cell_ids, net_ids, net_count = nets
     if net_count == 0:
         return np.zeros_like(pos)
-    sums = np.zeros((net_count, 2))
-    counts = np.zeros(net_count)
-    np.add.at(sums, net_ids, pos[cell_ids])
-    np.add.at(counts, net_ids, 1.0)
-    centroids = sums / counts[:, None]
-
-    pull = np.zeros_like(pos)
-    degree = np.zeros(len(pos))
-    np.add.at(pull, cell_ids, centroids[net_ids] - pos[cell_ids])
-    np.add.at(degree, cell_ids, 1.0)
-    degree[degree == 0] = 1.0
+    counts, degree = sizes
+    member_pos = pos[cell_ids]
+    centroids = _scatter_sum(net_ids, member_pos, net_count) / counts[:, None]
+    pull = _scatter_sum(cell_ids, centroids[net_ids] - member_pos, len(pos))
     return pull / degree[:, None]
 
 
@@ -200,12 +243,11 @@ def _density_force(
     pos: np.ndarray, areas: np.ndarray, grid: GCellGrid, rng: np.random.Generator
 ) -> np.ndarray:
     """Push cells down the over-density gradient of the g-cell bins."""
-    die, g, nx, ny = grid.die, grid.size, grid.nx, grid.ny
-    ix = np.clip(((pos[:, 0] - die.xlo) / g).astype(int), 0, nx - 1)
-    iy = np.clip(((pos[:, 1] - die.ylo) / g).astype(int), 0, ny - 1)
+    g, nx, ny = grid.size, grid.nx, grid.ny
+    ix, iy = grid.cells_of_points(pos[:, 0], pos[:, 1])
 
-    density = np.zeros((nx, ny))
-    np.add.at(density, (ix, iy), areas)
+    # bincount adds in index order, as np.add.at does
+    density = np.bincount(ix * ny + iy, weights=areas, minlength=nx * ny).reshape(nx, ny)
     density /= g * g
 
     overflow = np.maximum(density - TARGET_DENSITY, 0.0)
@@ -224,10 +266,15 @@ def _density_force(
     return force
 
 
-def _push_out_of_macros(design: Design, pos: np.ndarray) -> np.ndarray:
+def _macro_halos(design: Design) -> list[Rect]:
+    """The placement blockages grown by the macro halo."""
     halo = MACRO_HALO_GCELLS * design.technology.gcell_size
-    for rect in design.placement_blockage_rects():
-        r = rect.expanded(halo)
+    return [rect.expanded(halo) for rect in design.placement_blockage_rects()]
+
+
+def _push_out_of_macros(halos: list[Rect], pos: np.ndarray) -> np.ndarray:
+    """Move points inside any of ``halos`` out through its nearest edge."""
+    for r in halos:
         inside = (
             (pos[:, 0] > r.xlo)
             & (pos[:, 0] < r.xhi)

@@ -195,8 +195,49 @@ def _rect(draw):
 _RECTS = st.lists(_rect(), max_size=6)
 
 
+@st.composite
+def _small_rect(draw):
+    """A cell-sized rectangle: within two g-cells either way, possibly past the die."""
+    x = draw(_coordinate(_GRID.die.xlo, _GRID.nx))
+    y = draw(_coordinate(_GRID.die.ylo, _GRID.ny))
+    w = draw(st.floats(0.0, 2 * _GRID.size))
+    h = draw(st.floats(0.0, 2 * _GRID.size))
+    return Rect(x, y, x + w, y + h)
+
+
+@st.composite
+def _die_among_small(draw):
+    """Many small rectangles with one die-sized rectangle somewhere among them."""
+    rects = draw(st.lists(_small_rect(), min_size=1, max_size=40))
+    rects.insert(draw(st.integers(0, len(rects))), _GRID.die)
+    return rects
+
+
 class TestRasterizer:
-    @given(_RECTS)
+    @given(st.lists(st.tuples(_coordinate(_GRID.die.xlo, _GRID.nx),
+                              _coordinate(_GRID.die.ylo, _GRID.ny)), max_size=20))
+    @settings(max_examples=300)
+    def test_cells_of_points_matches_cell_of_point(self, points):
+        """Boundaries, their ulp neighbours, the die edge and both clamps."""
+        xs = np.array([x for x, _ in points], dtype=np.float64)
+        ys = np.array([y for _, y in points], dtype=np.float64)
+        ix, iy = _GRID.cells_of_points(xs, ys)
+        assert list(zip(ix.tolist(), iy.tolist())) == [
+            _GRID.cell_of_point(Point(x, y)) for x, y in points
+        ]
+
+    def test_cells_of_points_edges_and_clamps(self):
+        g = _GRID
+        xs = np.array([g.die.xlo, g.die.xhi, g.die.xlo + g.size, -1e9, 1e9,
+                       math.nextafter(g.die.xlo + g.size, -math.inf)])
+        ys = np.array([g.die.ylo, g.die.yhi, g.die.ylo + g.size, -1e9, 1e9,
+                       math.nextafter(g.die.ylo + g.size, -math.inf)])
+        ix, iy = g.cells_of_points(xs, ys)
+        assert list(zip(ix.tolist(), iy.tolist())) == [
+            (0, 0), (g.nx - 1, g.ny - 1), (1, 1), (0, 0), (g.nx - 1, g.ny - 1), (0, 0)
+        ]
+
+    @given(st.one_of(_RECTS, _die_among_small()))
     @settings(max_examples=300)
     def test_area_fraction_matches_loop(self, rects):
         assert np.array_equal(_GRID.area_fraction(rects), _area_fraction_loop(_GRID, rects))

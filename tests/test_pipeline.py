@@ -5,7 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.bench.generator import DesignRecipe
+from repro.bench.generator import DesignRecipe, generate_design
 from repro.bench.suite import suite_recipes
 from repro.core.pipeline import build_suite_dataset, checkpoint_dir_for, run_flow
 from repro.features.names import NUM_FEATURES
@@ -137,4 +137,45 @@ class TestFlowPinned:
         assert _sha(str(X.dtype), X.shape, X.tobytes(),
                     str(y.dtype), y.shape, y.tobytes()) == (
             "7c7106142c1a1138c1c6264a654d2ccc7904608029a96e6683580abf5e36114e"
+        )
+
+
+def _flow_digest(flow) -> str:
+    X, y = flow.X, flow.y
+    return _sha(
+        _netlist_digest(flow.design),
+        [c.position.as_tuple() for c in flow.design.cells],
+        str(X.dtype), X.shape, X.tobytes(), str(y.dtype), y.shape, y.tobytes(),
+    )
+
+
+@pytest.fixture(scope="module")
+def suite_flow_digests():
+    """``(name, digest)`` of every scale-0.35 suite design's flow, in suite order."""
+    return [(r.name, _flow_digest(run_flow(r))) for r in suite_recipes(0.35)]
+
+
+class TestSuitePinned:
+    """SHA-256 digests over every suite design, so a faster generator,
+    placer or rasteriser must leave each design's output as it was.
+
+    The scale-0.35 digest covers all 14 flows (netlist, legalised
+    positions, X and y), dies without macros among them.  The scale-0.5
+    netlists add the generator's fallback pick over every cell with a free
+    pin, which no scale-0.35 design makes (the scale-0.5 suite makes it 15
+    times)."""
+
+    def test_every_design(self, suite_flow_digests):
+        assert [name for name, _ in suite_flow_digests] == [
+            r.name for r in suite_recipes(0.35)
+        ]
+        assert _sha(suite_flow_digests) == (
+            "1a4ca2e23bda47c7e67a904dbfa670957ffdf146f18e7bdd035740022110edd9"
+        )
+
+    def test_every_netlist_at_half_scale(self):
+        digests = [(r.name, _netlist_digest(generate_design(r)))
+                   for r in suite_recipes(0.5)]
+        assert _sha(digests) == (
+            "343ebc4fd772635020596833d111f6bf81fee0e453b9ac372a10f409809943a5"
         )

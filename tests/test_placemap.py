@@ -1,12 +1,15 @@
 """Tests for per-g-cell placement statistics."""
 
+import numpy as np
 import pytest
 
-from repro.layout.geometry import Point, Rect
+from repro.bench.generator import DesignRecipe, generate_design
+from repro.layout.geometry import Point, Rect, mean_pairwise_manhattan
 from repro.layout.grid import GCellGrid
 from repro.layout.netlist import Design
 from repro.layout.placemap import PlacementMaps
 from repro.layout.technology import make_ispd2015_like_technology
+from repro.place.placer import place_design
 
 
 @pytest.fixture()
@@ -147,3 +150,77 @@ class TestCounts:
         assert pm.num_local_nets.sum() > 0
         assert (pm.cell_area_frac <= 1.2).all()  # legal placement, no pileups
         assert (pm.blockage_frac <= 1.0 + 1e-9).all()
+
+
+class TestArrayOracle:
+    """The array-built maps against per-cell and per-pin ``cell_of_point`` loops."""
+
+    @pytest.fixture(scope="class")
+    def placed(self):
+        design = generate_design(DesignRecipe(
+            name="oracle", grid_nx=12, grid_ny=10, num_macros=3,
+            macro_area_frac=0.15, ndr_frac=0.1, seed=3,
+        ))
+        place_design(design)
+        grid = GCellGrid.for_design_die(design.die, design.technology)
+        return design, grid, PlacementMaps(design, grid)
+
+    def test_num_cells_matches_loop(self, placed):
+        design, grid, pm = placed
+        expected = np.zeros((grid.nx, grid.ny), dtype=np.int32)
+        for cell in design.cells:
+            box = cell.bbox
+            lo = grid.cell_of_point(Point(box.xlo, box.ylo))
+            if lo == grid.cell_of_point(Point(box.xhi - 1e-9, box.yhi - 1e-9)):
+                expected[lo] += 1
+        assert design.macros and expected.sum() > 0
+        assert np.array_equal(pm.num_cells, expected)
+
+    def test_pin_maps_match_loop(self, placed):
+        design, grid, pm = placed
+        shape = (grid.nx, grid.ny)
+        pins, clock, ndr = np.zeros(shape, int), np.zeros(shape, int), np.zeros(shape, int)
+        spacing = np.zeros(shape)
+        by_cell: dict[tuple[int, int], list[Point]] = {}
+        for pin in design.all_pins():
+            if pin.net is None:
+                continue
+            key = grid.cell_of_point(pin.position)
+            pins[key] += 1
+            clock[key] += pin.is_clock
+            ndr[key] += pin.ndr is not None
+            by_cell.setdefault(key, []).append(pin.position)
+        for key, positions in by_cell.items():
+            spacing[key] = mean_pairwise_manhattan(positions)
+        assert clock.sum() > 0 and ndr.sum() > 0
+        assert np.array_equal(pm.num_pins, pins)
+        assert np.array_equal(pm.num_clock_pins, clock)
+        assert np.array_equal(pm.num_ndr_pins, ndr)
+        assert np.array_equal(pm.pin_spacing, spacing)
+
+    def test_local_nets_match_loop(self, placed):
+        design, grid, pm = placed
+        nets, net_pins = np.zeros((grid.nx, grid.ny), int), np.zeros((grid.nx, grid.ny), int)
+        for net in design.nets:
+            cells = {grid.cell_of_point(p.position) for p in net.pins}
+            if len(cells) == 1:
+                key = next(iter(cells))
+                nets[key] += 1
+                net_pins[key] += net.degree
+        assert nets.sum() > 0
+        assert np.array_equal(pm.num_local_nets, nets)
+        assert np.array_equal(pm.num_local_net_pins, net_pins)
+
+    def test_net_without_pins_is_not_local(self, setup):
+        design, grid, g = setup
+        a = design.add_cell("a", 40, 120)
+        a.position = Point(10, 10)
+        design.add_net("empty")
+        net = design.add_net("n")
+        net.connect(a.add_pin("p", Point(1, 1)))
+        net.connect(a.add_pin("q", Point(2, 2)))
+        design.add_net("empty_last")
+        pm = PlacementMaps(design, grid)
+        assert pm.num_local_nets[0, 0] == 1
+        assert pm.num_local_nets.sum() == 1
+        assert pm.num_local_net_pins[0, 0] == 2

@@ -10,6 +10,8 @@ from repro.place.placer import (
     MACRO_HALO_GCELLS,
     SEED,
     _density_force,
+    _incidence_sizes,
+    _macro_halos,
     _net_membership,
     _push_out_of_macros,
     _spectral_positions,
@@ -79,7 +81,7 @@ class TestForces:
         pos = rng.uniform(100, 2300, size=(16, 2))
         hpwl_proxy_before = _net_span(pos, nets)
         for _ in range(30):
-            pos += 0.4 * _wirelength_force(pos, nets)
+            pos += 0.4 * _wirelength_force(pos, nets, _incidence_sizes(nets, 16))
         assert _net_span(pos, nets) < hpwl_proxy_before
 
     def test_density_force_spreads_overfull_bin(self):
@@ -97,7 +99,7 @@ class TestForces:
         d.add_macro("blk", Rect(960, 960, 1440, 1440))
         d.add_cell("c", 40, tech.row_height).add_pin("p", Point(1, 1))
         pos = np.array([[1200.0, 1200.0]])  # inside the macro
-        out = _push_out_of_macros(d, pos.copy())
+        out = _push_out_of_macros(_macro_halos(d), pos.copy())
         macro = d.macros[0].bbox.expanded(MACRO_HALO_GCELLS * tech.gcell_size)
         x, y = out[0]
         assert not (macro.xlo < x < macro.xhi and macro.ylo < y < macro.yhi)

@@ -34,6 +34,12 @@ from repro.runtime.telemetry import (
 )
 from tests.breaking import breaking
 
+#: The child spans of flow stages other than global_route, in run order.
+FLOW_PHASES = {
+    "generate": ("cells", "signal_nets", "clock_nets"),
+    "place": ("spectral", "forces", "legalize"),
+}
+
 
 class TestTracer:
     def test_span_nesting_and_timing(self):
@@ -282,6 +288,10 @@ class TestFlowInstrumentation:
         assert {"pattern_pass", "negotiation", "layer_assignment"} <= {
             c.name for c in gr.children
         }
+        # so do the generator's and the placer's phases in theirs
+        for stage, phases in FLOW_PHASES.items():
+            node = flow.children[stage_names.index(stage)]
+            assert [c.name for c in node.children] == list(phases)
 
     def test_run_flow_without_tracer_records_nothing(self):
         # ambient tracer disabled: the flow runs untimed and leaves no spans
@@ -377,6 +387,9 @@ class TestCLITelemetry:
             assert f"    {stage}" in out
         assert "top 5 spans by self time:" in out
         assert "flow/flow/place" in out  # stage table
+        for stage, phases in FLOW_PHASES.items():
+            for phase in phases:
+                assert f"flow/flow/{stage}/{phase} " in out
         assert "counters:" in out and "gauges:" in out
 
     def test_flow_without_trace_creates_no_sinks(self, tmp_path, monkeypatch):
@@ -486,6 +499,9 @@ class TestDeterminism:
         # sanity: the view actually covers the flow span structure
         paths = {s["path"] for s in stable_view(serial)["stages"]}
         assert "suite/flow/place" in paths
+        assert {f"suite/flow/{stage}/{phase}"
+                for stage, phases in FLOW_PHASES.items()
+                for phase in phases} <= paths
         assert {s["path"]: s["count"] for s in stable_view(serial)["stages"]}[
             "suite/flow"
         ] == 2
